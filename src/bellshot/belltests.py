@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConsistencyError, EmptyShotList
 from .inversion import InversionKernel, QuasiDistribution, invert_distribution, kernel_1d
-from .measurement import OUTCOMES, OutcomeIndex, sign_index
+from .measurement import OUTCOMES, OutcomeIndex, as_indices, sign_index
 
 DUAL_PATH_TOL = 1e-10
 CONSISTENCY_TOL = 1e-10
@@ -73,11 +73,10 @@ def single_shot_chsh_table(kernel: InversionKernel) -> np.ndarray:
 
 def ensemble_from_shots(kernel: InversionKernel, shots) -> float:
     """Arithmetic mean of single-shot CHSH values over a shot list."""
-    table = single_shot_chsh_table(kernel)
-    indices = [xi.to_index() if isinstance(xi, OutcomeIndex) else int(xi) for xi in shots]
-    if len(indices) == 0:
+    values = single_shot_chsh_table(kernel)[as_indices(shots)]
+    if len(values) == 0:
         raise EmptyShotList("cannot average single-shot CHSH over zero shots")
-    return float(np.mean(table[indices]))
+    return float(np.mean(values))
 
 
 def single_shot_ch(kernel: InversionKernel, xi: OutcomeIndex, xi_prime: OutcomeIndex) -> float:

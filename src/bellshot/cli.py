@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -40,8 +40,7 @@ from .sampler import (
     RngConfig,
     convergence_report,
     empirical_frequencies,
-    sample_shots,
-    shot_records,
+    sample_indices,
     write_shot_csv,
 )
 from .states import DensityMatrix, BellState, bell_state, custom_state, werner_state
@@ -153,9 +152,11 @@ class ExperimentConfig:
         self.stream_count = stream_count
 
     @classmethod
-    def from_dict(cls, doc) -> "ExperimentConfig":
+    def from_dict(cls, doc, **overrides) -> "ExperimentConfig":
+        """Validate doc, with `overrides` (argv values) replacing its fields."""
         if not isinstance(doc, dict):
             raise _fail_config("config root must be a JSON object")
+        doc = {**doc, **overrides}
         known = {"state", "observables", "gammas", "shots", "seed", "stream_count"}
         unknown = set(doc) - known
         if unknown:
@@ -167,19 +168,21 @@ class ExperimentConfig:
         state = _parse_state(doc["state"])
         settings = _parse_observables(doc.get("observables"))
         gammas = _parse_gammas(doc["gammas"])
-        shots = doc.get("shots", 0)
-        if not isinstance(shots, int) or shots < 0:
-            raise _fail_config(f"shots: expected a nonnegative integer, got {shots!r}")
-        seed = doc.get("seed", 0)
-        if not isinstance(seed, int) or not 0 <= seed < 2**64:
-            raise _fail_config(f"seed: expected an unsigned 64-bit integer, got {seed!r}")
-        stream_count = doc.get("stream_count", 1)
-        if not isinstance(stream_count, int) or stream_count < 1:
-            raise _fail_config(f"stream_count: expected a positive integer, got {stream_count!r}")
+        shots = _int_field(doc, "shots", 0, "a nonnegative integer", 0)
+        seed = _int_field(doc, "seed", 0, "an unsigned 64-bit integer", 0, 2**64)
+        stream_count = _int_field(doc, "stream_count", 1, "a positive integer", 1)
         return cls(state, settings, gammas, shots, seed, stream_count)
 
 
-def load_config(path: str) -> ExperimentConfig:
+def _int_field(doc: dict, name: str, default: int, kind: str, low: int, high=float("inf")) -> int:
+    # bool subclasses int, but `"shots": true` is a mistake, not a one-shot run
+    value = doc.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value < high:
+        raise _fail_config(f"{name}: expected {kind}, got {value!r}")
+    return value
+
+
+def load_config(path: str, **overrides) -> ExperimentConfig:
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -187,7 +190,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise _fail_config(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise _fail_config(f"config is not valid JSON: {exc}")
-    return ExperimentConfig.from_dict(doc)
+    return ExperimentConfig.from_dict(doc, **overrides)
 
 
 def _json_default(obj):
@@ -199,15 +202,17 @@ def _json_default(obj):
 
 
 def atomic_write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, default=_json_default) + "\n")
+    text = json.dumps(payload, indent=2, default=_json_default) + "\n"
+    _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bellshot-", suffix=".tmp")
+def _atomic_write(path: str, write) -> None:
+    """Let write(tmp) fill a new file beside path, then rename it onto path.
+    The file gets 0o666 less the umask, as open() gives; mkstemp gives 0600."""
+    tmp = os.path.join(os.path.dirname(path) or ".", f".bellshot-{os.urandom(8).hex()}.tmp")
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -253,22 +258,9 @@ def cmd_run(config: ExperimentConfig, out_dir: str) -> int:
     if config.shots < 1:
         raise _fail_config("run requires shots >= 1 (set shots in config or pass --shots)")
     _, kernel, observed = _analysis(config)
-    rng_config = RngConfig(seed=config.seed, stream_count=config.stream_count)
-    shots = sample_shots(observed, config.shots, rng_config)
-    records = shot_records(kernel, shots)
+    shots = sample_indices(observed, config.shots, RngConfig(config.seed, config.stream_count))
     csv_path = os.path.join(out_dir, "shots.csv")
-    # build in a temp file then rename, same discipline as the JSON writes
-    directory = os.path.dirname(csv_path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bellshot-", suffix=".tmp")
-    os.close(fd)
-    try:
-        write_shot_csv(tmp, records)
-        os.replace(tmp, csv_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
+    _atomic_write(csv_path, lambda tmp: write_shot_csv(tmp, kernel, shots))
     summary = convergence_report(kernel, shots)
     freqs = empirical_frequencies(shots)
     empirical_quasi = invert_distribution(kernel, freqs)
@@ -300,6 +292,8 @@ def _sweep_grid(args) -> list[float]:
     if args.grid_values is not None:
         return [float(v) for v in args.grid_values]
     start, stop, points = args.grid_range
+    if not points.is_integer():
+        raise _fail_config(f"sweep --grid-range POINTS must be an integer, got {points!r}")
     n = int(points)
     if n < 2:
         raise _fail_config("sweep --grid-range needs at least 2 points")
@@ -365,7 +359,7 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str, axis: str, grid: list[floa
         cells = [("%d" % c) if isinstance(c, int) else ("%.17g" % c) for c in row]
         lines.append(",".join(cells))
     path = os.path.join(out_dir, f"sweep_{axis}.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, lambda tmp: Path(tmp).write_text("\n".join(lines) + "\n"))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -428,17 +422,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(4), "big")
+            _int_field({"seed": seed}, "seed", 0, "an unsigned 64-bit integer", 0, 2**64)
             return cmd_validate(seed, args.trials, args.inject_fault)
 
-        config = load_config(args.config)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise _fail_config(f"--seed must be nonnegative, got {args.seed}")
-            config.seed = args.seed
-        if args.shots is not None:
-            if args.shots < 0:
-                raise _fail_config(f"--shots must be nonnegative, got {args.shots}")
-            config.shots = args.shots
+        flags = {"seed": args.seed, "shots": args.shots}
+        config = load_config(args.config, **{k: v for k, v in flags.items() if v is not None})
         os.makedirs(args.out, exist_ok=True)
 
         if args.command == "exact":

@@ -19,6 +19,7 @@ i.e. lexicographic with +1 sorting before -1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,17 +76,22 @@ class OutcomeIndex:
         return (self.x, self.y, self.u, self.v)
 
 
-def _enumerate_outcomes() -> tuple[OutcomeIndex, ...]:
-    out = []
-    for x in SIGNS:
-        for y in SIGNS:
-            for u in SIGNS:
-                for v in SIGNS:
-                    out.append(OutcomeIndex(x, y, u, v))
-    return tuple(out)
+# product() varies the last sign fastest: the canonical lexicographic order
+OUTCOMES = tuple(OutcomeIndex(*signs) for signs in itertools.product(SIGNS, repeat=4))
+_INDEX_OF = {**{i: i for i in range(16)}, **{xi: i for i, xi in enumerate(OUTCOMES)}}
 
 
-OUTCOMES = _enumerate_outcomes()
+def as_indices(shots) -> np.ndarray:
+    """Shots given as an int array, ints or OutcomeIndex, as int64 indices."""
+    try:
+        if not isinstance(shots, np.ndarray):
+            shots = np.array([_INDEX_OF[xi] for xi in shots], dtype=np.int64)
+        idx = shots.astype(np.int64, casting="safe", copy=False)
+    except (KeyError, TypeError) as exc:
+        raise OutOfRange(f"not an outcome index or OutcomeIndex: {exc}") from None
+    if idx.size and not 0 <= idx.min() <= idx.max() <= 15:
+        raise OutOfRange(f"shot indices span {idx.min()}..{idx.max()}, outside 0..15")
+    return idx
 
 
 @dataclass(frozen=True)

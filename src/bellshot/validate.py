@@ -279,7 +279,7 @@ def validate_all(seed: int, trials: int = DEFAULT_TRIALS, inject_fault: bool = F
         checks.append(_check_fault_injection)
     results = []
     for index, check in enumerate(checks):
-        rng = np.random.Generator(np.random.Philox(key=[seed, index]))
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
         try:
             results.append(check(rng, trials))
         except BellshotError as exc:

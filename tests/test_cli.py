@@ -1,13 +1,16 @@
 """End-to-end CLI tests driven through main(argv) and real files."""
 
 import csv
+import hashlib
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
 
 from bellshot.cli import main
+from bellshot.sampler import CSV_CHUNK
 from conftest import ROOT_HALF
 
 TWO_ROOT_TWO = 2.0 * np.sqrt(2.0)
@@ -45,6 +48,10 @@ def singlet_config(tmp_path, **extra):
         ({"state": {"bell": "psi_minus"}, "gammas": 0.5, "shots": -3}, "shots:"),
         ({"state": {"bell": "psi_minus"}, "gammas": 0.5, "seed": -1}, "seed:"),
         (["not", "an", "object"], "config root must be a JSON object"),
+        ({"state": {"bell": "psi_minus"}, "gammas": 0.5, "shots": True}, "shots:"),
+        ({"state": {"bell": "psi_minus"}, "gammas": 0.5, "seed": True}, "seed:"),
+        ({"state": {"bell": "psi_minus"}, "gammas": 0.5, "stream_count": True}, "stream_count:"),
+        ({"state": {"bell": "psi_minus"}, "gammas": 0.5, "seed": 2**64}, "seed:"),
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, doc, fragment):
@@ -53,6 +60,30 @@ def test_config_errors_exit_2(tmp_path, capsys, doc, fragment):
     err = capsys.readouterr().err
     assert "config error" in err
     assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (["run", "--seed", str(2**64)], "seed: expected an unsigned 64-bit integer"),
+        (["run", "--seed", "-1"], "seed:"),
+        (["run", "--shots", "-1"], "shots:"),
+        (["sweep", "--axis", "werner_eta", "--grid-range", "0", "1", "2.5"], "POINTS"),
+    ],
+)
+def test_argv_errors_exit_2(tmp_path, capsys, argv, fragment):
+    cfg = singlet_config(tmp_path, shots=10)
+    assert main([*argv, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert fragment in err
+
+
+@pytest.mark.parametrize("seed", [str(2**64), "-1"])
+def test_validate_seed_out_of_range_exits_2(capsys, seed):
+    assert main(["validate", "--seed", seed, "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "seed: expected an unsigned 64-bit integer" in err and "Traceback" not in err
 
 
 def test_invalid_json_and_missing_file(tmp_path, capsys):
@@ -253,6 +284,48 @@ def test_no_temp_files_left_behind(tmp_path):
     leftovers = [n for n in os.listdir(out) if n.endswith(".tmp")]
     assert leftovers == []
     assert sorted(os.listdir(out)) == ["exact.json", "run_summary.json", "shots.csv"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027])
+def test_outputs_get_the_mode_open_would_give(tmp_path, umask):
+    cfg = singlet_config(tmp_path, seed=3, shots=10)
+    out = tmp_path / "out"
+    previous = os.umask(umask)
+    try:
+        assert main(["exact", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", "werner_eta",
+                     "--grid-values", "0.5"]) == 0
+    finally:
+        os.umask(previous)
+    names = sorted(os.listdir(out))
+    assert names == ["exact.json", "run_summary.json", "shots.csv", "sweep_werner_eta.csv"]
+    for name in names:
+        assert stat.S_IMODE(os.stat(out / name).st_mode) == 0o666 & ~umask
+
+
+# sha256 of `run` outputs for the README config at 100000 shots, recorded
+# before the shot path moved to index arrays; the CSV spans several chunks.
+README_RUN_SHOTS = 100_000
+README_RUN_SHA256 = {
+    "shots.csv": "79a27145c2395e7b41ebd02b8f4a30f9741a101ee7ea2cc8cd616b2e6d64296a",
+    "run_summary.json": "7530f95dec284a16524580de40fd47e90b64fc20ef42937a9c1c242816fa5c2d",
+}
+
+
+def test_readme_run_outputs_are_pinned(tmp_path):
+    assert README_RUN_SHOTS > CSV_CHUNK
+    cfg = write_config(tmp_path, {
+        "state": {"bell": "psi_minus"},
+        "gammas": 0.7071067811865476,
+        "shots": README_RUN_SHOTS,
+        "seed": 42,
+        "stream_count": 4,
+    })
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    for name, digest in README_RUN_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_version_flag(capsys):

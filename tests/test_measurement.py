@@ -13,7 +13,7 @@ from bellshot import (
     observed_statistics,
     random_density_matrix,
 )
-from bellshot.measurement import OUTCOMES, PAIR_ORDER, build_joint_povm, product_povm
+from bellshot.measurement import OUTCOMES, PAIR_ORDER, as_indices, build_joint_povm, product_povm
 from bellshot.errors import GammaOutOfRange, NotPositive, OutOfRange
 
 from conftest import (
@@ -44,6 +44,24 @@ def test_outcome_index_rejects_bad_signs():
         OutcomeIndex(0, 1, 1, 1)
     with pytest.raises(OutOfRange):
         OutcomeIndex(1, 1, 2, 1)
+
+
+def test_as_indices_accepts_every_shot_form():
+    expected = np.array([0, 15, 9, 9], dtype=np.int64)
+    for shots in (
+        expected,
+        expected.astype(np.uint8),
+        [0, 15, 9, 9],
+        [OUTCOMES[i] for i in expected],
+        [0, OutcomeIndex(-1, -1, -1, -1), np.int64(9), OUTCOMES[9]],
+    ):
+        got = as_indices(shots)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected.tolist()
+    assert as_indices([]).shape == (0,)
+    for bad in (np.array([3, 16]), np.array([-1, 2]), [16], [-1], ["a"], [[1]]):
+        with pytest.raises(OutOfRange):
+            as_indices(bad)
 
 
 def test_gamma_set_bounds():

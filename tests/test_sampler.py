@@ -1,12 +1,14 @@
 """Philox-keyed sampling, shot records, and convergence summaries."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
 
 from bellshot import (
     EmptyShotList,
+    GammaSet,
     InvalidDistribution,
     OUTCOMES,
     OutcomeIndex,
@@ -19,11 +21,13 @@ from bellshot import (
     ensemble_from_shots,
     invert_distribution,
     s_of_xi,
+    sample_indices,
     sample_shots,
     shot_records,
     single_shot_chsh_table,
     write_shot_csv,
 )
+from bellshot import sampler
 from bellshot.sampler import SHOT_CSV_HEADER, sample_outcome_indices
 from conftest import ROOT_HALF
 
@@ -169,7 +173,7 @@ def test_write_shot_csv_roundtrip(tmp_path, root_half_gammas):
     shots = sample_shots(singlet_optimal_probabilities(), 20, RngConfig(seed=11))
     records = shot_records(kernel, shots)
     path = tmp_path / "shots.csv"
-    write_shot_csv(path, records)
+    write_shot_csv(path, kernel, shots)
 
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -207,3 +211,54 @@ def test_unequal_stream_count_changes_draws():
     one = sample_shots(p, 64, RngConfig(seed=5, stream_count=1))
     four = sample_shots(p, 64, RngConfig(seed=5, stream_count=4))
     assert one != four  # stream layout is part of the contract
+
+
+def test_rng_config_seed_is_unsigned_64_bit():
+    with pytest.raises(OutOfRange):
+        RngConfig(seed=2**64)
+    p = singlet_optimal_probabilities()
+    draws = set()
+    for seed in (0, 2**63, 2**63 + 1, 2**64 - 1):
+        key = RngConfig(seed=seed, stream_count=2).generator(1).bit_generator.state["state"]["key"]
+        assert key.tolist() == [seed, 1]
+        draws.add(tuple(sample_indices(p, 64, RngConfig(seed=seed)).tolist()))
+    assert len(draws) == 4
+
+
+def test_sample_indices_is_the_array_behind_sample_shots():
+    p = singlet_optimal_probabilities()
+    cfg = RngConfig(seed=12345, stream_count=3)
+    idx = sample_indices(p, 301, cfg)
+    assert idx.dtype == np.int64 and idx.shape == (301,)
+    assert idx.tolist() == [xi.to_index() for xi in sample_shots(p, 301, cfg)]
+    assert sample_indices(p, 0, cfg).shape == (0,)
+
+
+def sequential_shot_csv(kernel, indices) -> bytes:
+    """Reference: the per-shot loop, total += s and total / i, through csv.writer."""
+    table = single_shot_chsh_table(kernel)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(SHOT_CSV_HEADER)
+    total = 0.0
+    for i, k in enumerate(indices, start=1):
+        s = float(table[k])
+        total += s
+        writer.writerow([i, *OUTCOMES[k].as_tuple(), "%.17g" % s, "%.17g" % (total / i)])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 23])
+def test_chunked_csv_matches_sequential_loop(tmp_path, monkeypatch, n):
+    # chunk 7: n = chunk - 1, chunk, chunk + 1, and several chunks plus a tail
+    monkeypatch.setattr(sampler, "CSV_CHUNK", 7)
+    # unequal gammas give single-shot values that are not exact in binary
+    kernel = build_kernel(GammaSet(0.61, 0.73, 0.55, 0.87))
+    idx = np.random.default_rng(n).integers(0, 16, n)
+    path = tmp_path / "shots.csv"
+    write_shot_csv(path, kernel, idx)
+    expected = sequential_shot_csv(kernel, idx.tolist())
+    assert path.read_bytes() == expected
+    # the list view carries the same running means, bit for bit
+    rows = list(csv.reader(io.StringIO(expected.decode())))[1:]
+    assert [r.running_mean_S for r in shot_records(kernel, idx)] == [float(r[6]) for r in rows]
