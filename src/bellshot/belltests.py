@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConsistencyError, EmptyShotList
 from .inversion import InversionKernel, QuasiDistribution, invert_distribution, kernel_1d
-from .measurement import OUTCOMES, OutcomeIndex, as_indices, sign_index
+from .measurement import OUTCOMES, OutcomeIndex, as_indices
 
 DUAL_PATH_TOL = 1e-10
 CONSISTENCY_TOL = 1e-10
@@ -32,43 +32,63 @@ CHSH_BOUND = 2.0
 CH_UPPER_BOUND = 0.0
 CH_LOWER_BOUND = -1.0
 
+# the signs of x, y, u and v at each outcome, shape (4, 16), and their
+# kernel_1d indices (0 for +1, 1 for -1)
+OUTCOME_SIGNS = np.array([xi.as_tuple() for xi in OUTCOMES], dtype=float).T
+SIGN_INDEX = (OUTCOME_SIGNS < 0).astype(int)
+SIGNS_X, SIGNS_Y, SIGNS_U, SIGNS_V = OUTCOME_SIGNS
+S_VALUES = SIGNS_X * SIGNS_U - SIGNS_X * SIGNS_V + SIGNS_Y * SIGNS_U + SIGNS_Y * SIGNS_V
+
 
 def s_of_xi(xi: OutcomeIndex) -> int:
     """xu - xv + yu + yv, always +-2 for sign-valued arguments."""
     return xi.x * xi.u - xi.x * xi.v + xi.y * xi.u + xi.y * xi.v
 
 
+def _in_order_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, adding left to right as a Python loop does
+    (np.sum adds pairwise, which can change the last bits)."""
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
+def _require_agreement(what: str, first: np.ndarray, second: np.ndarray, where) -> None:
+    """Raise ConsistencyError at the entry where two routes differ most, if
+    that is by more than DUAL_PATH_TOL; where(*index) names the entry."""
+    gap = np.abs(first - second)
+    k = np.unravel_index(np.argmax(gap), gap.shape)
+    if gap[k] > DUAL_PATH_TOL:
+        raise ConsistencyError(
+            f"{what} paths disagree at {where(*k)}: {float(first[k])!r} vs {float(second[k])!r}"
+        )
+
+
 def ensemble_chsh(q: QuasiDistribution) -> float:
     """CHSH value as the average of s(xi) over the quasi-distribution."""
-    return float(sum(s_of_xi(xi) * q.entries[i] for i, xi in enumerate(OUTCOMES)))
-
-
-def single_shot_chsh(kernel: InversionKernel, xi_prime: OutcomeIndex) -> float:
-    """CHSH value inferred from one measured outcome.
-
-    Cross-checks the sum of s(xi) against the kernel column with the closed
-    form built from the gamma factors; disagreement raises, since it would
-    mean the kernel and the algebra have diverged.
-    """
-    column = kernel.table[:, xi_prime.to_index()]
-    by_sum = float(sum(s_of_xi(xi) * column[i] for i, xi in enumerate(OUTCOMES)))
-
-    gx, gy, gu, gv = kernel.gammas.as_tuple()
-    xp, yp, up, vp = xi_prime.as_tuple()
-    closed = (
-        gy * gv * xp * up - gy * gu * xp * vp + gx * gv * yp * up + gx * gu * yp * vp
-    ) / (gx * gy * gu * gv)
-
-    if abs(by_sum - closed) > DUAL_PATH_TOL:
-        raise ConsistencyError(
-            f"single-shot CHSH paths disagree at {xi_prime}: sum {by_sum!r} vs closed {closed!r}"
-        )
-    return closed
+    return float(_in_order_sum(S_VALUES * q.entries))
 
 
 def single_shot_chsh_table(kernel: InversionKernel) -> np.ndarray:
-    """All 16 single-shot CHSH values in canonical outcome order."""
-    return np.array([single_shot_chsh(kernel, xp) for xp in OUTCOMES])
+    """All 16 single-shot CHSH values in canonical outcome order.
+
+    The sum of s(xi) against each kernel column is checked against the
+    closed form built from the gamma factors; disagreement raises, since it
+    would mean the kernel and the algebra have diverged.
+    """
+    by_sum = S_VALUES @ kernel.table
+    gx, gy, gu, gv = kernel.gammas.as_tuple()
+    closed = (
+        gy * gv * SIGNS_X * SIGNS_U
+        - gy * gu * SIGNS_X * SIGNS_V
+        + gx * gv * SIGNS_Y * SIGNS_U
+        + gx * gu * SIGNS_Y * SIGNS_V
+    ) / (gx * gy * gu * gv)
+    _require_agreement("single-shot CHSH", by_sum, closed, lambda j: OUTCOMES[j])
+    return closed
+
+
+def single_shot_chsh(kernel: InversionKernel, xi_prime: OutcomeIndex) -> float:
+    """CHSH value inferred from one measured outcome."""
+    return float(single_shot_chsh_table(kernel)[xi_prime.to_index()])
 
 
 def ensemble_from_shots(kernel: InversionKernel, shots) -> float:
@@ -79,76 +99,38 @@ def ensemble_from_shots(kernel: InversionKernel, shots) -> float:
     return float(np.mean(values))
 
 
-def single_shot_ch(kernel: InversionKernel, xi: OutcomeIndex, xi_prime: OutcomeIndex) -> float:
-    """CH value inferred from one measured outcome, for target signs xi.
+def single_shot_ch_table(kernel: InversionKernel) -> np.ndarray:
+    """The full (xi, xi') grid of single-shot CH values, shape (16, 16).
 
     The pair probabilities of the CH combination factorize over the
     one-observable kernels; the result is checked against the closed form
     -1/2 plus the four gamma-weighted sign products.
     """
-    gx, gy, gu, gv = kernel.gammas.as_tuple()
-    px = kernel_1d(gx)[sign_index(xi.x), sign_index(xi_prime.x)]
-    py = kernel_1d(gy)[sign_index(xi.y), sign_index(xi_prime.y)]
-    pu = kernel_1d(gu)[sign_index(xi.u), sign_index(xi_prime.u)]
-    pv = kernel_1d(gv)[sign_index(xi.v), sign_index(xi_prime.v)]
+    gx, gy, gu, gv = gammas = kernel.gammas.as_tuple()
+    px, py, pu, pv = (kernel_1d(g)[i[:, None], i] for g, i in zip(gammas, SIGN_INDEX))
     by_substitution = px * pu - px * pv + py * pu + py * pv - py - pu
 
-    x, y, u, v = xi.as_tuple()
-    xp, yp, up, vp = xi_prime.as_tuple()
+    x, y, u, v = (w[:, None] * w for w in OUTCOME_SIGNS)  # w(xi) w(xi')
     closed = (
         -0.5
-        - (x * xp * v * vp) / (4.0 * gx * gv)
-        + (y * yp * v * vp) / (4.0 * gy * gv)
-        + (x * xp * u * up) / (4.0 * gx * gu)
-        + (y * yp * u * up) / (4.0 * gy * gu)
+        - (x * v) / (4.0 * gx * gv)
+        + (y * v) / (4.0 * gy * gv)
+        + (x * u) / (4.0 * gx * gu)
+        + (y * u) / (4.0 * gy * gu)
     )
-
-    if abs(by_substitution - closed) > DUAL_PATH_TOL:
-        raise ConsistencyError(
-            f"single-shot CH paths disagree at ({xi}, {xi_prime}): "
-            f"{by_substitution!r} vs {closed!r}"
-        )
+    _require_agreement("single-shot CH", by_substitution, closed,
+                       lambda i, j: f"({OUTCOMES[i]}, {OUTCOMES[j]})")
     return closed
 
 
-def single_shot_ch_table(kernel: InversionKernel) -> np.ndarray:
-    """The full (xi, xi') grid of single-shot CH values, shape (16, 16)."""
-    grid = np.empty((16, 16))
-    for i, xi in enumerate(OUTCOMES):
-        for j, xp in enumerate(OUTCOMES):
-            grid[i, j] = single_shot_ch(kernel, xi, xp)
-    return grid
+def single_shot_ch(kernel: InversionKernel, xi: OutcomeIndex, xi_prime: OutcomeIndex) -> float:
+    """CH value inferred from one measured outcome, for target signs xi."""
+    return float(single_shot_ch_table(kernel)[xi.to_index(), xi_prime.to_index()])
 
 
 def ensemble_ch(kernel: InversionKernel, observed, xi: OutcomeIndex) -> float:
-    """Exact CH value for target signs xi, from observed statistics.
-
-    Two routes: the observed-weighted average of single-shot values, and
-    the CH combination evaluated on marginals of the inverted
-    quasi-distribution (which equal the sharp Born probabilities). Both
-    must agree to rounding.
-    """
-    p = np.asarray(observed, dtype=float)
-    by_average = float(
-        sum(single_shot_ch(kernel, xi, xp) * p[j] for j, xp in enumerate(OUTCOMES))
-    )
-
-    q = invert_distribution(kernel, p)
-    grid = q.entries.reshape(2, 2, 2, 2)
-    ix, iy, iu, iv = (sign_index(w) for w in xi.as_tuple())
-    p_xu = grid.sum(axis=(1, 3))[ix, iu]
-    p_xv = grid.sum(axis=(1, 2))[ix, iv]
-    p_yu = grid.sum(axis=(0, 3))[iy, iu]
-    p_yv = grid.sum(axis=(0, 2))[iy, iv]
-    p_y = grid.sum(axis=(0, 2, 3))[iy]
-    p_u = grid.sum(axis=(0, 1, 3))[iu]
-    by_marginals = float(p_xu - p_xv + p_yu + p_yv - p_y - p_u)
-
-    if abs(by_average - by_marginals) > DUAL_PATH_TOL:
-        raise ConsistencyError(
-            f"ensemble CH paths disagree at {xi}: {by_average!r} vs {by_marginals!r}"
-        )
-    return by_average
+    """Exact CH value for target signs xi, from observed statistics."""
+    return float(ch_report(kernel, observed).ensemble_C[xi.to_index()])
 
 
 @dataclass(frozen=True)
@@ -226,7 +208,6 @@ def chsh_report(kernel: InversionKernel, observed) -> ChshReport:
     and the shot-weighted average of single-shot values coincide."""
     p = np.asarray(observed, dtype=float)
     q = invert_distribution(kernel, p)
-    s_values = np.array([float(s_of_xi(xi)) for xi in OUTCOMES])
     table = single_shot_chsh_table(kernel)
     via_quasi = ensemble_chsh(q)
     via_shots = float(table @ p)
@@ -234,14 +215,31 @@ def chsh_report(kernel: InversionKernel, observed) -> ChshReport:
         raise ConsistencyError(
             f"ensemble CHSH decompositions disagree: {via_quasi!r} vs {via_shots!r}"
         )
-    return ChshReport(s_values=s_values, ensemble_S=via_quasi, single_shot_S=table)
+    return ChshReport(s_values=S_VALUES, ensemble_S=via_quasi, single_shot_S=table)
 
 
 def ch_report(kernel: InversionKernel, observed) -> ChReport:
-    """Build the CH report; ensemble values carry their own dual-path check."""
+    """Build the CH report. The exact value for each of the 16 target signs
+    xi comes along two routes that must agree to rounding: the
+    observed-weighted average of single-shot values, and the CH combination
+    evaluated on marginals of the inverted quasi-distribution (which equal
+    the sharp Born probabilities)."""
+    p = np.asarray(observed, dtype=float)
     grid = single_shot_ch_table(kernel)
-    ensemble = np.array([ensemble_ch(kernel, observed, xi) for xi in OUTCOMES])
-    return ChReport(single_shot_C=grid, ensemble_C=ensemble)
+    by_average = _in_order_sum(grid * p)
+
+    m = invert_distribution(kernel, p).entries.reshape(2, 2, 2, 2)  # axes x, y, u, v
+    ix, iy, iu, iv = SIGN_INDEX
+    by_marginals = (
+        m.sum(axis=(1, 3))[ix, iu]
+        - m.sum(axis=(1, 2))[ix, iv]
+        + m.sum(axis=(0, 3))[iy, iu]
+        + m.sum(axis=(0, 2))[iy, iv]
+        - m.sum(axis=(0, 2, 3))[iy]
+        - m.sum(axis=(0, 1, 3))[iu]
+    )
+    _require_agreement("ensemble CH", by_average, by_marginals, lambda j: OUTCOMES[j])
+    return ChReport(single_shot_C=grid, ensemble_C=by_average)
 
 
 def classical_bounds_check(report) -> dict:

@@ -27,7 +27,7 @@ from .belltests import (
     single_shot_chsh_table,
 )
 from .errors import BellshotError, ConfigError, ConsistencyError
-from .inversion import build_kernel, invert_distribution
+from .inversion import build_kernel, gamma_free_quasi, invert_distribution
 from .measurement import (
     GAMMA_MIN,
     OUTCOME_ORDER_DOC,
@@ -51,7 +51,6 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 
 LOW_GAMMA_WARNING = 0.1
-SWEEP_REFERENCE_GAMMA = 0.6  # admissible at orthogonal settings: 2 * 0.36 < 1
 
 
 def _fail_config(message: str) -> ConfigError:
@@ -305,22 +304,17 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str, axis: str, grid: list[floa
 
     Quantities that survive the exact inversion (ensemble S, min quasi
     entry) do not depend on gamma, so along the gamma axis they are
-    evaluated once at a reference value; the per-shot magnitudes and CH
-    extremes are kernel-level and always well defined. The `realizable`
-    column records whether a positive joint measurement exists at that
-    grid point for the configured directions.
+    evaluated once from the gamma-free quasi-distribution; the per-shot
+    magnitudes and CH extremes are kernel-level and always well defined.
+    The `realizable` column records whether a positive joint measurement
+    exists at that grid point for the configured directions.
     """
     rows = []
     if axis == "gamma":
         header = ("gamma", "ensemble_S", "abs_single_shot_S", "ch_min", "ch_max",
                   "min_quasi_entry", "realizable")
-        ref_gammas = GammaSet.equal(SWEEP_REFERENCE_GAMMA)
-        ref_povm = joint_povm(config.settings, ref_gammas)
-        ref_kernel = build_kernel(ref_gammas)
-        ref_observed = observed_statistics(config.state, ref_povm)
-        ref_quasi = invert_distribution(ref_kernel, ref_observed)
-        exact_S = ensemble_chsh(ref_quasi)
-        min_entry = ref_quasi.min_entry()
+        quasi = gamma_free_quasi(config.state, config.settings)
+        exact_S, min_entry = ensemble_chsh(quasi), quasi.min_entry()
         for gamma in grid:
             if not GAMMA_MIN <= abs(gamma) <= 1.0:
                 raise _fail_config(f"sweep gamma {gamma!r} outside [{GAMMA_MIN}, 1]")

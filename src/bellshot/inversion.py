@@ -20,20 +20,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import ConsistencyError, GammaOutOfRange, InvalidDistribution
 from .measurement import (
     GAMMA_MIN,
-    OUTCOMES,
-    PAIR_ORDER,
+    SIGNS,
     JointPovm,
     GammaSet,
-    sign_index,
+    born_traces,
+    product_povm,
+    subsystem_elements,
 )
 from .observables import (
     A_LABELS,
     B_LABELS,
     ObservableLabel,
+    ObservableSet,
     SharpPovm,
 )
 
@@ -50,11 +51,7 @@ def kernel_1d(gamma: float) -> np.ndarray:
     g = float(gamma)
     if not np.isfinite(g) or not (GAMMA_MIN <= abs(g) <= 1.0):
         raise GammaOutOfRange(f"gamma = {gamma!r}: |gamma| must lie in [{GAMMA_MIN:g}, 1]")
-    table = np.empty((2, 2))
-    for w in (+1, -1):
-        for wp in (+1, -1):
-            table[sign_index(w), sign_index(wp)] = 0.5 * (1.0 + w * wp / g)
-    return table
+    return 0.5 * (1.0 + np.outer(SIGNS, SIGNS) / g)
 
 
 @dataclass(frozen=True)
@@ -77,21 +74,13 @@ class InversionKernel:
 
 
 def build_kernel(gammas: GammaSet) -> InversionKernel:
-    """Product of the four one-observable kernels over all outcome pairs."""
-    kx = kernel_1d(gammas.gamma_x)
-    ky = kernel_1d(gammas.gamma_y)
-    ku = kernel_1d(gammas.gamma_u)
-    kv = kernel_1d(gammas.gamma_v)
-    table = np.empty((16, 16))
-    for i, xi in enumerate(OUTCOMES):
-        for j, xp in enumerate(OUTCOMES):
-            table[i, j] = (
-                kx[sign_index(xi.x), sign_index(xp.x)]
-                * ky[sign_index(xi.y), sign_index(xp.y)]
-                * ku[sign_index(xi.u), sign_index(xp.u)]
-                * kv[sign_index(xi.v), sign_index(xp.v)]
-            )
-    return InversionKernel(gammas, table)
+    """Product of the four one-observable kernels over all outcome pairs.
+
+    x is the most significant index, as in the canonical outcome order; each
+    entry is ((kx * ky) * ku) * kv, multiplied left to right.
+    """
+    kx, ky, ku, kv = (kernel_1d(g) for g in gammas.as_tuple())
+    return InversionKernel(gammas, np.kron(np.kron(np.kron(kx, ky), ku), kv))
 
 
 @dataclass(frozen=True)
@@ -154,17 +143,33 @@ def reconstructed_sharp_povm(kernel: InversionKernel, povm: JointPovm, label) ->
             f"kernel gammas {kernel.gammas} do not match POVM gammas {povm.gammas}"
         )
     k1 = kernel_1d(kernel.gammas.of(label))
-    elements = []
-    for w in (+1, -1):
-        total = np.zeros((2, 2), dtype=complex)
-        for wp in (+1, -1):
-            total = total + k1[sign_index(w), sign_index(wp)] * povm.marginal_element(label, wp)
-        elements.append(total)
-    return SharpPovm(elements[0], elements[1])
+    plus, minus = (povm.marginal_element(label, wp) for wp in (+1, -1))
+    return SharpPovm(*(k1[i, 0] * plus + k1[i, 1] * minus for i in (0, 1)))
 
 
-def _marginal_axes(label: ObservableLabel) -> int:
-    return {"x": 0, "y": 1, "u": 2, "v": 3}[label.value]
+def gamma_free_quasi(rho, settings: ObservableSet) -> QuasiDistribution:
+    """The quasi-distribution that inversion yields at every admissible gamma.
+
+    It is tr[rho (Q_A x Q_B)] with Q(w1, w2) = (I + w1 n1.sigma + w2 n2.sigma) / 4,
+    the gamma = 1 subsystem operators. They are not positive, so no
+    measurement has them as elements, but the traces exist for any settings,
+    including those where no shared gamma is realizable.
+    """
+    a = subsystem_elements((settings.x, settings.y), (1.0, 1.0))
+    b = subsystem_elements((settings.u, settings.v), (1.0, 1.0))
+    return QuasiDistribution(born_traces(rho, product_povm(a, b)).real)
+
+
+def _clamped_marginal(q: QuasiDistribution, keep: tuple[str, ...], what: str) -> np.ndarray:
+    """Sum q over the observables outside `keep`, clamping entries within
+    MARGINAL_CLAMP_TOL below zero and raising for anything worse."""
+    drop = tuple(axis for axis, name in enumerate("xyuv") if name not in keep)
+    out = q.entries.reshape(2, 2, 2, 2).sum(axis=drop)  # axes x, y, u, v
+    if np.any(out < -MARGINAL_CLAMP_TOL):
+        raise ConsistencyError(
+            f"{what} entry {float(out.min())!r} below -{MARGINAL_CLAMP_TOL:.0e}"
+        )
+    return np.where(out < 0.0, 0.0, out)
 
 
 def cross_marginal(q: QuasiDistribution, pair) -> np.ndarray:
@@ -180,27 +185,11 @@ def cross_marginal(q: QuasiDistribution, pair) -> np.ndarray:
             f"cross marginal needs one A observable and one B observable, "
             f"got ({label_a.value}, {label_b.value})"
         )
-    grid = q.entries.reshape(2, 2, 2, 2)  # axes x, y, u, v
-    keep = (_marginal_axes(label_a), _marginal_axes(label_b))
-    drop = tuple(ax for ax in range(4) if ax not in keep)
-    out = grid.sum(axis=drop)
-    if np.any(out < -MARGINAL_CLAMP_TOL):
-        raise ConsistencyError(
-            f"cross marginal ({label_a.value}, {label_b.value}) entry "
-            f"{float(out.min())!r} below -{MARGINAL_CLAMP_TOL:.0e}"
-        )
-    return np.where(out < 0.0, 0.0, out)
+    keep = (label_a.value, label_b.value)
+    return _clamped_marginal(q, keep, f"cross marginal ({label_a.value}, {label_b.value})")
 
 
 def single_marginal(q: QuasiDistribution, label) -> np.ndarray:
     """One-observable marginal, a (2,) vector with +1 first."""
     label = ObservableLabel(label)
-    grid = q.entries.reshape(2, 2, 2, 2)
-    keep = _marginal_axes(label)
-    drop = tuple(ax for ax in range(4) if ax != keep)
-    out = grid.sum(axis=drop)
-    if np.any(out < -MARGINAL_CLAMP_TOL):
-        raise ConsistencyError(
-            f"marginal {label.value} entry {float(out.min())!r} below -{MARGINAL_CLAMP_TOL:.0e}"
-        )
-    return np.where(out < 0.0, 0.0, out)
+    return _clamped_marginal(q, (label.value,), f"marginal {label.value}")

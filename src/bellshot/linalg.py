@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConsistencyError, NotHermitian, OutOfRange
+from .errors import NotHermitian, OutOfRange
 
 HERMITIAN_TOL = 1e-12
 PSD_TOL = -1e-10
-
-JACOBI_OFF_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -65,76 +62,14 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "ma
 
 
 def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian 2x2 or 4x4 matrix, ascending.
-
-    2x2 uses the closed form; 4x4 uses cyclic Jacobi rotations iterated until
-    the off-diagonal Frobenius norm drops below ``JACOBI_OFF_TOL``.
-    """
+    """Eigenvalues of a Hermitian 2x2 or 4x4 matrix, ascending (LAPACK's
+    Hermitian solver through ``numpy.linalg.eigvalsh``)."""
     require_hermitian(m)
-    if m.shape == (2, 2):
-        return _eigvals_2x2(m)
-    if m.shape == (4, 4):
-        return _jacobi_eigvals(m)
-    raise OutOfRange(f"only 2x2 and 4x4 supported, got shape {m.shape}")
+    if m.shape not in ((2, 2), (4, 4)):
+        raise OutOfRange(f"only 2x2 and 4x4 supported, got shape {m.shape}")
+    return np.linalg.eigvalsh(m)
 
 
 def min_eigenvalue_hermitian(m: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian 2x2 or 4x4 matrix."""
     return float(eigvals_hermitian(m)[0])
-
-
-def _eigvals_2x2(m: np.ndarray) -> np.ndarray:
-    # eigenvalues of [[a, b], [b*, d]] are (a+d)/2 +- sqrt(((a-d)/2)^2 + |b|^2)
-    a = m[0, 0].real
-    d = m[1, 1].real
-    mid = 0.5 * (a + d)
-    rad = np.hypot(0.5 * (a - d), abs(m[0, 1]))
-    return np.array([mid - rad, mid + rad])
-
-
-def _jacobi_eigvals(m: np.ndarray) -> np.ndarray:
-    """Cyclic complex Jacobi diagonalization, eigenvalues only.
-
-    Each rotation is a unitary acting on one (p, q) plane: a phase absorbs
-    the argument of the pivot entry, then a real rotation annihilates it.
-    Quadratic convergence makes the sweep budget generous at this size.
-    """
-    a = np.array(m, dtype=complex)
-    n = a.shape[0]
-    # pivots smaller than this cannot keep the off-diagonal norm above tolerance
-    skip = JACOBI_OFF_TOL / (4 * n * n)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _off_diagonal_norm(a) < JACOBI_OFF_TOL:
-            return np.sort(np.real(np.diag(a)))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                u = np.eye(n, dtype=complex)
-                u[p, p] = c
-                u[q, q] = c
-                u[p, q] = s * phase
-                u[q, p] = -s * np.conjugate(phase)
-                a = u.conj().T @ a @ u
-        a = 0.5 * (a + a.conj().T)
-    if _off_diagonal_norm(a) < JACOBI_OFF_TOL:
-        return np.sort(np.real(np.diag(a)))
-    raise ConsistencyError(
-        f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps "
-        f"(off-diagonal norm {_off_diagonal_norm(a):.3e})"
-    )
-
-
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(np.abs(off) ** 2)))

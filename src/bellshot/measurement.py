@@ -46,10 +46,6 @@ def sign_index(w: int) -> int:
     return 0 if w > 0 else 1
 
 
-def pair_index(w1: int, w2: int) -> int:
-    return 2 * sign_index(w1) + sign_index(w2)
-
-
 @dataclass(frozen=True)
 class OutcomeIndex:
     """One joint outcome, four signs (x, y, u, v), each +-1."""
@@ -131,6 +127,17 @@ class GammaSet:
         return (self.gamma_x, self.gamma_y, self.gamma_u, self.gamma_v)
 
 
+def subsystem_elements(
+    pair: tuple[ObservableSpec, ObservableSpec],
+    gammas: tuple[float, float],
+) -> np.ndarray:
+    """(I + g1 w1 n1.sigma + g2 w2 n2.sigma) / 4 for (w1, w2) in PAIR_ORDER,
+    a (4, 2, 2) array not checked for positivity."""
+    g1, g2 = gammas
+    op1, op2 = pair[0].operator(), pair[1].operator()
+    return np.array([0.25 * (linalg.I2 + g1 * w1 * op1 + g2 * w2 * op2) for w1, w2 in PAIR_ORDER])
+
+
 def build_joint_povm(
     pair: tuple[ObservableSpec, ObservableSpec],
     gammas: tuple[float, float],
@@ -141,33 +148,30 @@ def build_joint_povm(
     offending outcome pair and eigenvalue, when the unsharpness/angle
     combination leaves the physical region.
     """
-    obs1, obs2 = pair
     g1, g2 = float(gammas[0]), float(gammas[1])
-    op1 = obs1.operator()
-    op2 = obs2.operator()
-    elements = np.empty((4, 2, 2), dtype=complex)
-    for k, (w1, w2) in enumerate(PAIR_ORDER):
-        e = 0.25 * (linalg.I2 + g1 * w1 * op1 + g2 * w2 * op2)
+    elements = subsystem_elements(pair, (g1, g2))
+    for (w1, w2), e in zip(PAIR_ORDER, elements):
         lam = linalg.min_eigenvalue_hermitian(e)
         if lam < linalg.PSD_TOL:
             raise NotPositive(
                 f"joint element({w1:+d},{w2:+d}) has min eigenvalue {lam!r}; "
                 f"gammas ({g1}, {g2}) with these directions are unphysical"
             )
-        elements[k] = e
     elements.setflags(write=False)
     return elements
 
 
 def product_povm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All 16 products kron(A(x', y'), B(u', v')), canonically ordered."""
-    product = np.empty((16, 4, 4), dtype=complex)
-    for i, xi in enumerate(OUTCOMES):
-        ka = pair_index(xi.x, xi.y)
-        kb = pair_index(xi.u, xi.v)
-        product[i] = linalg.kron(a[ka], b[kb])
+    # axes (x'y', u'v', row A, row B, column A, column B)
+    product = (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(16, 4, 4)
     product.setflags(write=False)
     return product
+
+
+def born_traces(rho, operators: np.ndarray) -> np.ndarray:
+    """tr[rho E] for each 4x4 operator E of a stack, as complex numbers."""
+    return np.trace(rho.matrix @ operators, axis1=1, axis2=2)
 
 
 @dataclass(frozen=True)
@@ -184,11 +188,7 @@ class JointPovm:
         obtained by summing out the partner outcome."""
         elements = self.subsystem_a if label.value in ("x", "y") else self.subsystem_b
         first = label.value in ("x", "u")
-        total = np.zeros((2, 2), dtype=complex)
-        for k, (w1, w2) in enumerate(PAIR_ORDER):
-            if (w1 if first else w2) == w:
-                total = total + elements[k]
-        return total
+        return elements.reshape(2, 2, 2, 2).sum(axis=1 if first else 0)[sign_index(w)]
 
 
 def joint_povm(settings: ObservableSet, gammas: GammaSet) -> JointPovm:
@@ -205,13 +205,11 @@ def observed_statistics(rho, povm: JointPovm) -> np.ndarray:
     negative, or a total off by more than PROB_SUM_TOL, raises
     ConsistencyError since both indicate a broken POVM or state.
     """
-    matrix = rho.matrix
-    probs = np.empty(16)
-    for i in range(16):
-        p = linalg.trace_product(matrix, povm.product[i])
-        if abs(p.imag) > PROB_SUM_TOL:
-            raise ConsistencyError(f"probability {i} has imaginary part {p.imag!r}")
-        probs[i] = p.real
+    traces = born_traces(rho, povm.product)
+    i = int(np.argmax(np.abs(traces.imag)))
+    if abs(traces[i].imag) > PROB_SUM_TOL:
+        raise ConsistencyError(f"probability {i} has imaginary part {float(traces[i].imag)!r}")
+    probs = traces.real
     if np.any(probs < -PROB_CLAMP_TOL):
         worst = float(probs.min())
         raise ConsistencyError(f"observed probability {worst!r} below -{PROB_CLAMP_TOL:.0e}")

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import stat
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from bellshot.cli import main
 from bellshot.sampler import CSV_CHUNK
-from conftest import ROOT_HALF
+from conftest import ROOT_HALF, SINGLET, projector
 
 TWO_ROOT_TWO = 2.0 * np.sqrt(2.0)
 
@@ -223,6 +224,36 @@ def test_sweep_gamma(tmp_path):
     assert [r["realizable"] for r in rows] == ["0", "0", "1"]
 
 
+def test_sweep_gamma_columns_are_gamma_free(tmp_path):
+    # |x.y| = 0.8: gamma 0.5 is realizable on these settings, gamma 0.6 is not
+    blochs = {"x": [0.0, 0.0, 1.0], "y": [0.6, 0.0, 0.8],
+              "u": [ROOT_HALF, 0.0, ROOT_HALF], "v": [ROOT_HALF, 0.0, -ROOT_HALF]}
+    cfg = singlet_config(tmp_path, gammas=0.5, observables=blochs)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", "gamma",
+                 "--grid-values", "0.5"]) == 0
+    assert main(["exact", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "sweep_gamma.csv") as fh:
+        (row,) = list(csv.DictReader(fh))
+    with open(out / "exact.json") as fh:
+        exact = json.load(fh)
+    assert row["realizable"] == "1"
+    for column in ("ensemble_S", "min_quasi_entry"):
+        assert abs(float(row[column]) - exact[column]) <= 1e-12
+    # the Bell operator's Born value from sharp projectors, as in criterion 6
+    nx, ny, nu, nv = (np.array(blochs[k]) for k in ("x", "y", "u", "v"))
+    born = sum(
+        wa * wb * np.trace(SINGLET @ (
+            np.kron(projector(nx, wa), projector(nu, wb))
+            - np.kron(projector(nx, wa), projector(nv, wb))
+            + np.kron(projector(ny, wa), projector(nu, wb))
+            + np.kron(projector(ny, wa), projector(nv, wb))
+        )).real
+        for wa in (1, -1) for wb in (1, -1)
+    )
+    assert abs(float(row["ensemble_S"]) - born) <= 1e-12
+
+
 def test_sweep_werner(tmp_path):
     cfg = singlet_config(tmp_path)
     out = tmp_path / "out"
@@ -267,6 +298,18 @@ def test_validate_command(capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "FAILURES PRESENT" in out
+
+
+def test_inject_fault_names_the_worst_outcome(capsys):
+    assert main(["validate", "--seed", "7", "--trials", "1", "--inject-fault"]) == 1
+    out = capsys.readouterr().out
+    assert "inversion.fault_injection: 1 checks FAIL" in out
+    (line,) = [line for line in out.splitlines() if "as expected" in line]
+    found = re.search(r"at OutcomeIndex\(x=1, y=-1, u=-1, v=-1\): (\S+) vs (\S+)$", line)
+    assert found, line
+    # plain float reprs: float() refuses "np.float64(...)"
+    first, second = (float(value) for value in found.groups())
+    assert abs(first - second) > 1e-10
 
 
 def test_low_gamma_warning(tmp_path, capsys):
@@ -333,3 +376,47 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "bellshot" in capsys.readouterr().out
+
+
+def near_boundary_config() -> dict:
+    """A full-rank custom state on non-orthogonal settings. The x/y gamma pair
+    is scaled so the worst-case Bloch norm of its elements is 1 - 1e-9, so one
+    POVM element sits 1e-9 inside positivity."""
+    psi = np.array([1.0, 0.5j, -0.3, 0.2 + 0.1j])
+    psi /= np.linalg.norm(psi)
+    rho = 0.7 * np.outer(psi, psi.conj()) + 0.3 * np.eye(4) / 4.0
+    x, y = np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8])
+    u, v = np.array([0.8, 0.0, 0.6]), np.array([0.0, 0.6, 0.8])
+    gx, gy = 0.9, 0.7
+    scale = (1.0 - 1e-9) / np.sqrt(gx**2 + gy**2 + 2.0 * gx * gy * abs(float(x @ y)))
+    return {
+        "state": {"custom": {"real": rho.real.tolist(), "imag": rho.imag.tolist()}},
+        "observables": {"x": x.tolist(), "y": y.tolist(), "u": u.tolist(), "v": v.tolist()},
+        "gammas": {"x": gx * scale, "y": gy * scale, "u": 0.55, "v": 0.6},
+    }
+
+
+# sha256 of outputs whose bytes the kernel algebra must keep, recorded before
+# it moved from per-entry loops to array expressions.
+PINNED_OUTPUTS = {
+    "readme_exact": "9df27df8473f207759074d3bca2cad18969bd790ced15c36619b920a684b42aa",
+    "near_boundary_exact": "98d6802cd4509c212bbcaa7bdf896ea35aeefc41812fa8a31cf36a76a150ec8a",
+    "near_boundary_sweep_werner_eta":
+        "e1d1b3014f09d484ece3160245ab17dfecf5aa7f63e9cc9346d76df80d952c42",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_analysis_outputs_are_pinned(tmp_path, name):
+    readme = {"state": {"bell": "psi_minus"}, "gammas": 0.7071067811865476,
+              "shots": 100000, "seed": 42, "stream_count": 4}
+    doc = readme if name.startswith("readme") else near_boundary_config()
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    if name.endswith("exact"):
+        argv, output = ["exact"], "exact.json"
+    else:
+        argv = ["sweep", "--axis", "werner_eta", "--grid-range", "0", "1", "11"]
+        output = "sweep_werner_eta.csv"
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
+    assert hashlib.sha256((out / output).read_bytes()).hexdigest() == PINNED_OUTPUTS[name]
