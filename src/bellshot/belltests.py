@@ -25,7 +25,6 @@ from .inversion import InversionKernel, QuasiDistribution, invert_distribution, 
 from .measurement import OUTCOMES, OutcomeIndex, as_indices
 
 DUAL_PATH_TOL = 1e-10
-CONSISTENCY_TOL = 1e-10
 BOUNDARY_TOL = 1e-12
 
 CHSH_BOUND = 2.0
@@ -210,11 +209,7 @@ def chsh_report(kernel: InversionKernel, observed) -> ChshReport:
     q = invert_distribution(kernel, p)
     table = single_shot_chsh_table(kernel)
     via_quasi = ensemble_chsh(q)
-    via_shots = float(table @ p)
-    if abs(via_quasi - via_shots) > CONSISTENCY_TOL:
-        raise ConsistencyError(
-            f"ensemble CHSH decompositions disagree: {via_quasi!r} vs {via_shots!r}"
-        )
+    _require_agreement("ensemble CHSH", np.float64(via_quasi), table @ p, lambda: "S")
     return ChshReport(s_values=S_VALUES, ensemble_S=via_quasi, single_shot_S=table)
 
 
@@ -250,13 +245,15 @@ def classical_bounds_check(report) -> dict:
             "single_shot_S": [chsh_verdict(float(s)).as_dict() for s in report.single_shot_S],
         }
     if isinstance(report, ChReport):
-        flat = [ch_verdict(float(c)) for c in report.single_shot_C.ravel()]
+        grid = report.single_shot_C
+        # ch_verdict's "violated" predicate, over the whole grid at once
+        violated = (grid > CH_UPPER_BOUND + BOUNDARY_TOL) | (grid < CH_LOWER_BOUND - BOUNDARY_TOL)
         return {
             "ensemble_C": [ch_verdict(float(c)).as_dict() for c in report.ensemble_C],
             "single_shot_C": {
-                "min": float(report.single_shot_C.min()),
-                "max": float(report.single_shot_C.max()),
-                "all_violated": all(v.status == "violated" for v in flat),
+                "min": float(grid.min()),
+                "max": float(grid.max()),
+                "all_violated": bool(np.all(violated)),
             },
         }
     raise TypeError(f"expected ChshReport or ChReport, got {type(report).__name__}")

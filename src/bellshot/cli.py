@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from . import __version__
 from .belltests import (
     ch_report,
     chsh_report,
+    chsh_verdict,
     classical_bounds_check,
     ensemble_chsh,
     single_shot_ch_table,
@@ -35,7 +37,7 @@ from .measurement import (
     joint_povm,
     observed_statistics,
 )
-from .observables import chsh_optimal_angles, observable_set
+from .observables import ObservableSet, chsh_optimal_angles, observable_set
 from .sampler import (
     RngConfig,
     convergence_report,
@@ -53,13 +55,9 @@ EXIT_CONFIG = 2
 LOW_GAMMA_WARNING = 0.1
 
 
-def _fail_config(message: str) -> ConfigError:
-    return ConfigError(message)
-
-
 def _parse_state(raw) -> DensityMatrix:
     if not isinstance(raw, dict) or len(raw) != 1:
-        raise _fail_config(
+        raise ConfigError(
             'state: expected exactly one of {"bell": name}, {"werner": eta}, '
             '{"custom": {"real": 4x4, "imag": 4x4}}'
         )
@@ -69,39 +67,39 @@ def _parse_state(raw) -> DensityMatrix:
             return bell_state(BellState(value))
         except ValueError:
             names = ", ".join(b.value for b in BellState)
-            raise _fail_config(f"state.bell: unknown name {value!r}; expected one of {names}")
+            raise ConfigError(f"state.bell: unknown name {value!r}; expected one of {names}")
     if kind == "werner":
         try:
             eta = float(value)
         except (TypeError, ValueError):
-            raise _fail_config(f"state.werner: expected a real in [0, 1], got {value!r}")
+            raise ConfigError(f"state.werner: expected a real in [0, 1], got {value!r}")
         try:
             return werner_state(eta)
         except BellshotError as exc:
-            raise _fail_config(f"state.werner: {exc}")
+            raise ConfigError(f"state.werner: {exc}")
     if kind == "custom":
         if not isinstance(value, dict) or set(value) != {"real", "imag"}:
-            raise _fail_config('state.custom: expected {"real": 4x4 table, "imag": 4x4 table}')
+            raise ConfigError('state.custom: expected {"real": 4x4 table, "imag": 4x4 table}')
         try:
             entries = np.asarray(value["real"], dtype=float) + 1j * np.asarray(
                 value["imag"], dtype=float
             )
         except (TypeError, ValueError):
-            raise _fail_config("state.custom: real and imag must be 4x4 numeric tables")
+            raise ConfigError("state.custom: real and imag must be 4x4 numeric tables")
         try:
             return custom_state(entries)
         except BellshotError as exc:
-            raise _fail_config(f"state.custom: {exc}")
-    raise _fail_config(f"state: unknown kind {kind!r}")
+            raise ConfigError(f"state.custom: {exc}")
+    raise ConfigError(f"state: unknown kind {kind!r}")
 
 
 def _parse_vector(raw, where: str) -> np.ndarray:
     try:
         v = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
-        raise _fail_config(f"{where}: expected a 3-vector of reals, got {raw!r}")
+        raise ConfigError(f"{where}: expected a 3-vector of reals, got {raw!r}")
     if v.shape != (3,):
-        raise _fail_config(f"{where}: expected a 3-vector, got shape {v.shape}")
+        raise ConfigError(f"{where}: expected a 3-vector, got shape {v.shape}")
     return v
 
 
@@ -109,27 +107,27 @@ def _parse_observables(raw):
     if raw is None:
         return chsh_optimal_angles()
     if not isinstance(raw, dict) or set(raw) != {"x", "y", "u", "v"}:
-        raise _fail_config('observables: expected keys "x", "y", "u", "v" (Bloch 3-vectors)')
+        raise ConfigError('observables: expected keys "x", "y", "u", "v" (Bloch 3-vectors)')
     vectors = [_parse_vector(raw[k], f"observables.{k}") for k in ("x", "y", "u", "v")]
     try:
         return observable_set(*vectors)
     except BellshotError as exc:
-        raise _fail_config(f"observables: {exc}")
+        raise ConfigError(f"observables: {exc}")
 
 
 def _parse_gammas(raw) -> GammaSet:
     if isinstance(raw, (int, float)):
         raw = {"x": raw, "y": raw, "u": raw, "v": raw}
     if not isinstance(raw, dict) or set(raw) != {"x", "y", "u", "v"}:
-        raise _fail_config('gammas: expected a single real or keys "x", "y", "u", "v"')
+        raise ConfigError('gammas: expected a single real or keys "x", "y", "u", "v"')
     try:
         values = [float(raw[k]) for k in ("x", "y", "u", "v")]
     except (TypeError, ValueError):
-        raise _fail_config(f"gammas: entries must be reals, got {raw!r}")
+        raise ConfigError(f"gammas: entries must be reals, got {raw!r}")
     try:
         gammas = GammaSet(*values)
     except BellshotError as exc:
-        raise _fail_config(f"gammas: {exc}")
+        raise ConfigError(f"gammas: {exc}")
     if min(abs(g) for g in gammas.as_tuple()) < LOW_GAMMA_WARNING:
         print(
             "warning: an unsharpness factor below 0.1 amplifies inversion "
@@ -139,31 +137,31 @@ def _parse_gammas(raw) -> GammaSet:
     return gammas
 
 
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description (state, settings, gammas, run plan)."""
 
-    def __init__(self, state, settings, gammas, shots, seed, stream_count):
-        self.state = state
-        self.settings = settings
-        self.gammas = gammas
-        self.shots = shots
-        self.seed = seed
-        self.stream_count = stream_count
+    state: DensityMatrix
+    settings: ObservableSet
+    gammas: GammaSet
+    shots: int
+    seed: int
+    stream_count: int
 
     @classmethod
     def from_dict(cls, doc, **overrides) -> "ExperimentConfig":
         """Validate doc, with `overrides` (argv values) replacing its fields."""
         if not isinstance(doc, dict):
-            raise _fail_config("config root must be a JSON object")
+            raise ConfigError("config root must be a JSON object")
         doc = {**doc, **overrides}
         known = {"state", "observables", "gammas", "shots", "seed", "stream_count"}
         unknown = set(doc) - known
         if unknown:
-            raise _fail_config(f"unknown config fields: {sorted(unknown)}")
+            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "state" not in doc:
-            raise _fail_config('config is missing required field "state"')
+            raise ConfigError('config is missing required field "state"')
         if "gammas" not in doc:
-            raise _fail_config('config is missing required field "gammas"')
+            raise ConfigError('config is missing required field "gammas"')
         state = _parse_state(doc["state"])
         settings = _parse_observables(doc.get("observables"))
         gammas = _parse_gammas(doc["gammas"])
@@ -177,7 +175,7 @@ def _int_field(doc: dict, name: str, default: int, kind: str, low: int, high=flo
     # bool subclasses int, but `"shots": true` is a mistake, not a one-shot run
     value = doc.get(name, default)
     if isinstance(value, bool) or not isinstance(value, int) or not low <= value < high:
-        raise _fail_config(f"{name}: expected {kind}, got {value!r}")
+        raise ConfigError(f"{name}: expected {kind}, got {value!r}")
     return value
 
 
@@ -186,22 +184,14 @@ def load_config(path: str, **overrides) -> ExperimentConfig:
         with open(path) as fh:
             doc = json.load(fh)
     except FileNotFoundError:
-        raise _fail_config(f"config file not found: {path}")
+        raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
-        raise _fail_config(f"config is not valid JSON: {exc}")
+        raise ConfigError(f"config is not valid JSON: {exc}")
     return ExperimentConfig.from_dict(doc, **overrides)
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def atomic_write_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, default=_json_default) + "\n"
+    text = json.dumps(payload, indent=2) + "\n"
     _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
 
@@ -222,13 +212,12 @@ def _atomic_write(path: str, write) -> None:
 def _analysis(config: ExperimentConfig):
     povm = joint_povm(config.settings, config.gammas)
     kernel = build_kernel(config.gammas)
-    observed = observed_statistics(config.state, povm)
-    return povm, kernel, observed
+    return kernel, observed_statistics(config.state, povm)
 
 
 def cmd_exact(config: ExperimentConfig, out_dir: str) -> int:
     """Full exact analysis of one configuration, written as JSON."""
-    _, kernel, observed = _analysis(config)
+    kernel, observed = _analysis(config)
     quasi = invert_distribution(kernel, observed)
     chsh = chsh_report(kernel, observed)
     ch = ch_report(kernel, observed)
@@ -255,8 +244,8 @@ def cmd_exact(config: ExperimentConfig, out_dir: str) -> int:
 def cmd_run(config: ExperimentConfig, out_dir: str) -> int:
     """Sample shots, log them as CSV, and summarize convergence as JSON."""
     if config.shots < 1:
-        raise _fail_config("run requires shots >= 1 (set shots in config or pass --shots)")
-    _, kernel, observed = _analysis(config)
+        raise ConfigError("run requires shots >= 1 (set shots in config or pass --shots)")
+    kernel, observed = _analysis(config)
     shots = sample_indices(observed, config.shots, RngConfig(config.seed, config.stream_count))
     csv_path = os.path.join(out_dir, "shots.csv")
     _atomic_write(csv_path, lambda tmp: write_shot_csv(tmp, kernel, shots))
@@ -273,9 +262,7 @@ def cmd_run(config: ExperimentConfig, out_dir: str) -> int:
         "sample_std": summary["sample_std"],
         "std_error": summary["std_error"],
         "exact_S": exact_S,
-        "verdicts": {"empirical_S": classical_bounds_check(
-            chsh_report(kernel, freqs)
-        )["ensemble_S"]},
+        "verdicts": {"empirical_S": chsh_verdict(chsh_report(kernel, freqs).ensemble_S).as_dict()},
         "empirical_quasi_distribution": empirical_quasi.to_list(),
         "empirical_min_quasi_entry": empirical_quasi.min_entry(),
         "empirical_negative": empirical_quasi.is_negative(),
@@ -292,62 +279,59 @@ def _sweep_grid(args) -> list[float]:
         return [float(v) for v in args.grid_values]
     start, stop, points = args.grid_range
     if not points.is_integer():
-        raise _fail_config(f"sweep --grid-range POINTS must be an integer, got {points!r}")
+        raise ConfigError(f"sweep --grid-range POINTS must be an integer, got {points!r}")
     n = int(points)
     if n < 2:
-        raise _fail_config("sweep --grid-range needs at least 2 points")
+        raise ConfigError("sweep --grid-range needs at least 2 points")
     return list(np.linspace(float(start), float(stop), n))
+
+
+def _kernel_columns(kernel) -> tuple[float, float, float]:
+    """The sweep's abs_single_shot_S, ch_min and ch_max: kernel-level only."""
+    table = np.abs(single_shot_chsh_table(kernel))
+    ch_grid = single_shot_ch_table(kernel)
+    return float(table.max()), float(ch_grid.min()), float(ch_grid.max())
 
 
 def cmd_sweep(config: ExperimentConfig, out_dir: str, axis: str, grid: list[float]) -> int:
     """One CSV row per grid point along a gamma or Werner-eta axis.
 
     Quantities that survive the exact inversion (ensemble S, min quasi
-    entry) do not depend on gamma, so along the gamma axis they are
-    evaluated once from the gamma-free quasi-distribution; the per-shot
-    magnitudes and CH extremes are kernel-level and always well defined.
+    entry) do not depend on gamma, so along the gamma axis they come
+    from one gamma-free quasi-distribution; the per-shot magnitudes and
+    CH extremes are kernel-level and always well defined.
     The `realizable` column records whether a positive joint measurement
     exists at that grid point for the configured directions.
     """
-    rows = []
     if axis == "gamma":
-        header = ("gamma", "ensemble_S", "abs_single_shot_S", "ch_min", "ch_max",
-                  "min_quasi_entry", "realizable")
         quasi = gamma_free_quasi(config.state, config.settings)
-        exact_S, min_entry = ensemble_chsh(quasi), quasi.min_entry()
-        for gamma in grid:
-            if not GAMMA_MIN <= abs(gamma) <= 1.0:
-                raise _fail_config(f"sweep gamma {gamma!r} outside [{GAMMA_MIN}, 1]")
-            gammas = GammaSet.equal(float(gamma))
-            kernel = build_kernel(gammas)
-            table = np.abs(single_shot_chsh_table(kernel))
-            ch_grid = single_shot_ch_table(kernel)
+    elif axis == "werner_eta":
+        kernel = build_kernel(config.gammas)
+        povm = joint_povm(config.settings, config.gammas)
+        kernel_columns, realizable = _kernel_columns(kernel), 1
+    else:
+        raise ConfigError(f"unknown sweep axis {axis!r}")
+    rows = []
+    for value in grid:
+        if axis == "gamma":
+            if not GAMMA_MIN <= abs(value) <= 1.0:
+                raise ConfigError(f"sweep gamma {value!r} outside [{GAMMA_MIN}, 1]")
+            gammas = GammaSet.equal(float(value))
+            kernel_columns = _kernel_columns(build_kernel(gammas))
             try:
                 joint_povm(config.settings, gammas)
                 realizable = 1
             except BellshotError:
                 realizable = 0
-            rows.append((gamma, exact_S, float(table.max()), float(ch_grid.min()),
-                         float(ch_grid.max()), min_entry, realizable))
-    elif axis == "werner_eta":
-        header = ("werner_eta", "ensemble_S", "abs_single_shot_S", "ch_min", "ch_max",
-                  "min_quasi_entry", "realizable")
-        kernel = build_kernel(config.gammas)
-        povm = joint_povm(config.settings, config.gammas)
-        table = np.abs(single_shot_chsh_table(kernel))
-        ch_grid = single_shot_ch_table(kernel)
-        for eta in grid:
-            if not 0.0 <= eta <= 1.0:
-                raise _fail_config(f"sweep werner_eta {eta!r} outside [0, 1]")
-            rho = werner_state(float(eta))
-            observed = observed_statistics(rho, povm)
+        else:
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"sweep werner_eta {value!r} outside [0, 1]")
+            observed = observed_statistics(werner_state(float(value)), povm)
             quasi = invert_distribution(kernel, observed)
-            rows.append((eta, ensemble_chsh(quasi), float(table.max()),
-                         float(ch_grid.min()), float(ch_grid.max()),
-                         quasi.min_entry(), 1))
-    else:
-        raise _fail_config(f"unknown sweep axis {axis!r}")
+        rows.append((value, ensemble_chsh(quasi), *kernel_columns, quasi.min_entry(), realizable))
 
+    header = (axis, "ensemble_S", "abs_single_shot_S", "ch_min", "ch_max",
+              "min_quasi_entry", "realizable")
     lines = [",".join(header)]
     for row in rows:
         cells = [("%d" % c) if isinstance(c, int) else ("%.17g" % c) for c in row]
@@ -380,9 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="path to a JSON experiment config")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--shots", type=int, default=None, help="override the config shot count")
@@ -429,7 +412,7 @@ def main(argv=None) -> int:
             return cmd_run(config, args.out)
         if args.command == "sweep":
             return cmd_sweep(config, args.out, args.axis, _sweep_grid(args))
-        raise _fail_config(f"unknown command {args.command!r}")
+        raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

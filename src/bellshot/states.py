@@ -30,6 +30,7 @@ _BELL_VECTORS = {
     BellState.PSI_PLUS: np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2),
     BellState.PSI_MINUS: np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2),
 }
+_BELL_MATRICES = {which: np.outer(v, v.conj()) for which, v in _BELL_VECTORS.items()}
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,7 @@ class DensityMatrix:
 
 def bell_state(which: BellState) -> DensityMatrix:
     """Rank-1 projector onto the named maximally entangled state."""
-    v = _BELL_VECTORS[BellState(which)]
-    return DensityMatrix(np.outer(v, v.conj()))
+    return DensityMatrix(_BELL_MATRICES[BellState(which)])
 
 
 def werner_state(eta: float) -> DensityMatrix:
@@ -62,7 +62,7 @@ def werner_state(eta: float) -> DensityMatrix:
     CHSH at optimal angles for eta > 1/sqrt(2)."""
     if not (0.0 <= eta <= 1.0):
         raise OutOfRange(f"werner eta = {eta!r} outside [0, 1]")
-    singlet = bell_state(BellState.PSI_MINUS).matrix
+    singlet = _BELL_MATRICES[BellState.PSI_MINUS]
     return DensityMatrix(eta * singlet + (1.0 - eta) * linalg.I4 / 4.0)
 
 

@@ -76,103 +76,81 @@ class ValidationReport:
         return [f"{r.name}: {msg}" for r in self.results for msg in r.failures]
 
 
+def _random_case(rng):
+    """Random admissible settings and a random state: the settings, kernel,
+    joint POVM, state and observed statistics, drawn in that order."""
+    settings, gammas = random_admissible_settings(rng)
+    kernel = inversion.build_kernel(gammas)
+    povm = measurement.joint_povm(settings, gammas)
+    rho = states.random_density_matrix(rng)
+    return settings, kernel, povm, rho, measurement.observed_statistics(rho, povm)
+
+
 def _check_linalg(rng, trials):
-    count = 0
-    failures = []
     for _ in range(trials):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         m = g + g.conj().T
         vals = linalg.eigvals_hermitian(m)
         # eigenvalues must reproduce the trace and the Frobenius norm
-        if abs(vals.sum() - np.trace(m).real) > 1e-9:
-            failures.append(f"eigenvalue sum != trace for {m!r}")
-        if abs((vals**2).sum() - np.trace(m @ m).real) > 1e-8:
-            failures.append(f"eigenvalue squares != tr(m^2) for {m!r}")
-        if not np.all(np.diff(vals) >= -1e-12):
-            failures.append("eigenvalues not sorted")
-        count += 3
-    return CheckResult("linalg.eigvals_hermitian", count, tuple(failures))
+        yield abs(vals.sum() - np.trace(m).real) <= 1e-9, f"eigenvalue sum != trace for {m!r}"
+        yield (abs((vals**2).sum() - np.trace(m @ m).real) <= 1e-8,
+               f"eigenvalue squares != tr(m^2) for {m!r}")
+        yield np.all(np.diff(vals) >= -1e-12), "eigenvalues not sorted"
 
 
 def _check_states(rng, trials):
-    count = 0
-    failures = []
     for _ in range(trials):
         rho = states.random_density_matrix(rng)
         purity = linalg.trace_product(rho.matrix, rho.matrix).real
-        if not 0.25 - 1e-10 <= purity <= 1.0 + 1e-10:
-            failures.append(f"purity {purity} outside [1/4, 1]")
-        count += 1
+        yield 0.25 - 1e-10 <= purity <= 1.0 + 1e-10, f"purity {purity} outside [1/4, 1]"
     for which in states.BellState:
         rho = states.bell_state(which)
         purity = linalg.trace_product(rho.matrix, rho.matrix).real
-        if abs(purity - 1.0) > 1e-12:
-            failures.append(f"{which.value} not pure: purity {purity}")
-        count += 1
+        yield abs(purity - 1.0) <= 1e-12, f"{which.value} not pure: purity {purity}"
     eta = float(rng.uniform(0.0, 1.0))
     states.werner_state(eta)  # constructor enforces PSD/trace
-    count += 1
-    return CheckResult("states.density_matrices", count, tuple(failures))
+    yield True, ""
 
 
 def _check_observables(rng, trials):
-    count = 0
-    failures = []
     for _ in range(trials):
         n = random_unit_vector(rng)
         povm = observables.sharp_povm(
             observables.ObservableSpec(observables.ObservableLabel.X, n)
         )
         total = povm.element_plus + povm.element_minus
-        if np.abs(total - np.eye(2)).max() > 1e-12:
-            failures.append(f"sharp POVM for {n} does not resolve identity")
-        count += 1
-    return CheckResult("observables.sharp_povm", count, tuple(failures))
+        yield (np.abs(total - np.eye(2)).max() <= 1e-12,
+               f"sharp POVM for {n} does not resolve identity")
 
 
 def _check_measurement(rng, trials):
-    count = 0
-    failures = []
     for _ in range(trials):
         settings, gammas = random_admissible_settings(rng)
         povm = measurement.joint_povm(settings, gammas)
         total = povm.product.sum(axis=0)
-        if np.abs(total - np.eye(4)).max() > 1e-12:
-            failures.append("16 joint elements do not sum to identity")
-        count += 1
+        yield np.abs(total - np.eye(4)).max() <= 1e-12, "16 joint elements do not sum to identity"
         # marginal of the joint must be the unsharp single-observable element
         label = observables.ObservableLabel(["x", "y", "u", "v"][rng.integers(4)])
         w = 1 if rng.random() < 0.5 else -1
         got = povm.marginal_element(label, w)
         n = settings.get(label).bloch
         expected = 0.5 * (np.eye(2) + gammas.of(label) * w * observables.bloch_operator(n))
-        if np.abs(got - expected).max() > 1e-12:
-            failures.append(f"marginal element mismatch for {label.value}, w={w}")
-        count += 1
+        yield (np.abs(got - expected).max() <= 1e-12,
+               f"marginal element mismatch for {label.value}, w={w}")
         rho = states.random_density_matrix(rng)
         probs = measurement.observed_statistics(rho, povm)
-        if abs(probs.sum() - 1.0) > 1e-10 or probs.min() < 0.0:
-            failures.append("observed statistics not a probability vector")
-        count += 1
-    return CheckResult("measurement.joint_povm", count, tuple(failures))
+        yield (abs(probs.sum() - 1.0) <= 1e-10 and probs.min() >= 0.0,
+               "observed statistics not a probability vector")
 
 
 def _check_inversion(rng, trials):
-    count = 0
-    failures = []
     for _ in range(trials):
-        settings, gammas = random_admissible_settings(rng)
-        kernel = inversion.build_kernel(gammas)
-        povm = measurement.joint_povm(settings, gammas)
-        rho = states.random_density_matrix(rng)
-        observed = measurement.observed_statistics(rho, povm)
+        settings, kernel, povm, rho, observed = _random_case(rng)
         q = inversion.invert_distribution(kernel, observed)
-        if abs(sum(q.entries) - 1.0) > 1e-10:
-            failures.append("quasi-distribution does not sum to 1")
-        count += 1
+        yield abs(sum(q.entries) - 1.0) <= 1e-10, "quasi-distribution does not sum to 1"
         for label in observables.ObservableLabel:
             inversion.reconstructed_sharp_povm(kernel, povm, label)
-        count += 4
+            yield True, ""
         # cross marginals must be genuine sharp-measurement statistics
         pair = (observables.ObservableLabel.X, observables.ObservableLabel.U)
         table = inversion.cross_marginal(q, pair)
@@ -184,66 +162,45 @@ def _check_inversion(rng, trials):
                     observables.sharp_povm(settings.get(pair[1])).element(wb),
                 )
                 direct[i, j] = linalg.trace_product(rho.matrix, proj).real
-        if np.abs(table - direct).max() > 1e-10:
-            failures.append("cross marginal differs from sharp Born probabilities")
-        count += 1
-    return CheckResult("inversion.kernel", count, tuple(failures))
+        yield (np.abs(table - direct).max() <= 1e-10,
+               "cross marginal differs from sharp Born probabilities")
 
 
 def _check_belltests(rng, trials):
-    count = 0
-    failures = []
     for _ in range(trials):
-        settings, gammas = random_admissible_settings(rng)
-        kernel = inversion.build_kernel(gammas)
-        povm = measurement.joint_povm(settings, gammas)
-        rho = states.random_density_matrix(rng)
-        observed = measurement.observed_statistics(rho, povm)
+        _, kernel, _, _, observed = _random_case(rng)
         # report constructors run the dual-path assertions internally
         belltests.chsh_report(kernel, observed)
-        count += 1
+        yield True, ""
         xi = measurement.OUTCOMES[rng.integers(16)]
         belltests.ensemble_ch(kernel, observed, xi)
-        count += 1
+        yield True, ""
     gamma = float(rng.uniform(0.4, 0.7))
     kernel = inversion.build_kernel(measurement.GammaSet.equal(gamma))
     values = np.abs(belltests.single_shot_chsh_table(kernel))
-    if np.abs(values - 2.0 / gamma**2).max() > 1e-12:
-        failures.append(f"equal-gamma single-shot magnitude != 2/gamma^2 at {gamma}")
-    count += 1
-    return CheckResult("belltests.dual_paths", count, tuple(failures))
+    yield (np.abs(values - 2.0 / gamma**2).max() <= 1e-12,
+           f"equal-gamma single-shot magnitude != 2/gamma^2 at {gamma}")
 
 
 def _check_sampler(rng, trials):
-    count = 0
-    failures = []
-    settings, gammas = random_admissible_settings(rng)
-    kernel = inversion.build_kernel(gammas)
-    povm = measurement.joint_povm(settings, gammas)
-    rho = states.random_density_matrix(rng)
-    observed = measurement.observed_statistics(rho, povm)
+    _, kernel, _, _, observed = _random_case(rng)
     seed = int(rng.integers(2**32))
     cfg = sampler.RngConfig(seed=seed, stream_count=3)
     first = sampler.sample_shots(observed, 200, cfg)
     second = sampler.sample_shots(observed, 200, cfg)
-    if first != second:
-        failures.append(f"resampling with seed {seed} not reproducible")
-    count += 1
+    yield first == second, f"resampling with seed {seed} not reproducible"
     # two routes from the same shots to an ensemble value must agree
     freqs = sampler.empirical_frequencies(first)
     via_quasi = belltests.ensemble_chsh(inversion.invert_distribution(kernel, freqs))
     via_mean = belltests.ensemble_from_shots(kernel, first)
-    if abs(via_quasi - via_mean) > 1e-10:
-        failures.append("frequency inversion and shot average disagree")
-    count += 1
-    return CheckResult("sampler.determinism", count, tuple(failures))
+    yield abs(via_quasi - via_mean) <= 1e-10, "frequency inversion and shot average disagree"
 
 
 def _check_fault_injection(rng, trials):
     """Push a silently corrupted kernel through the analysis.
 
     The dual-path CHSH evaluation is expected to reject it; either way the
-    result carries a failure entry, which is the point: this mode proves a
+    check yields a failure, which is the point: this mode proves a
     validation run can actually fail and exit nonzero.
     """
     _, gammas = random_admissible_settings(rng)
@@ -256,27 +213,32 @@ def _check_fault_injection(rng, trials):
         failure = "corrupted kernel passed every dual-path check"
     except BellshotError as exc:
         failure = f"injected corruption tripped a check (as expected): {exc}"
-    return CheckResult("inversion.fault_injection", 1, (failure,))
+    yield False, failure
 
 
 def validate_all(seed: int, trials: int = DEFAULT_TRIALS, inject_fault: bool = False) -> ValidationReport:
-    """Run every module's randomized invariant suite under one seed."""
+    """Run every module's randomized invariant suite under one seed. Each
+    check yields one (passed, message) pair per invariant it tests, and a
+    constructor that enforces its own invariants passes once it returns."""
     checks = [
-        _check_linalg,
-        _check_states,
-        _check_observables,
-        _check_measurement,
-        _check_inversion,
-        _check_belltests,
-        _check_sampler,
+        ("linalg.eigvals_hermitian", _check_linalg),
+        ("states.density_matrices", _check_states),
+        ("observables.sharp_povm", _check_observables),
+        ("measurement.joint_povm", _check_measurement),
+        ("inversion.kernel", _check_inversion),
+        ("belltests.dual_paths", _check_belltests),
+        ("sampler.determinism", _check_sampler),
     ]
     if inject_fault:
-        checks.append(_check_fault_injection)
+        checks.append(("inversion.fault_injection", _check_fault_injection))
     results = []
-    for index, check in enumerate(checks):
+    for index, (name, check) in enumerate(checks):
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
         try:
-            results.append(check(rng, trials))
+            verdicts = list(check(rng, trials))
         except BellshotError as exc:
             results.append(CheckResult(check.__name__, 0, (f"raised {exc!r}",)))
+            continue
+        failures = tuple(message for passed, message in verdicts if not passed)
+        results.append(CheckResult(name, len(verdicts), failures))
     return ValidationReport(seed=seed, results=tuple(results))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bellshot import (
+    ChReport,
     ConsistencyError,
     EmptyShotList,
     GammaSet,
@@ -305,6 +306,42 @@ def test_classical_bounds_check_structure(optimal_settings, root_half_gammas):
 
     with pytest.raises(TypeError):
         classical_bounds_check({"not": "a report"})
+
+
+@pytest.mark.parametrize("value,expected", [
+    (-0.5, False),  # inside [-1, 0]
+    (0.0, False),
+    (1e-12, False),  # within BOUNDARY_TOL of the upper bound
+    (2e-12, True),
+    (-1.0 - 0.5e-12, False),
+    (-1.0 - 2e-12, True),
+    (float("nan"), False),
+])
+def test_all_violated_matches_ch_verdict(value, expected):
+    # the singlet grid at gamma = 1/sqrt(2) holds only 0.5 and -1.5, all violated
+    grid = single_shot_ch_table(build_kernel(GammaSet.equal(ROOT_HALF)))
+    grid[5, 11] = value
+    summary = classical_bounds_check(ChReport(single_shot_C=grid, ensemble_C=np.zeros(16)))
+    loop = all(ch_verdict(float(c)).status == "violated" for c in grid.ravel())
+    assert summary["single_shot_C"]["all_violated"] is expected is loop
+
+
+@pytest.mark.parametrize("offset", [1e-9, 5e-11])
+def test_chsh_report_ensemble_routes_must_agree(monkeypatch, optimal_settings,
+                                                root_half_gammas, offset):
+    from bellshot import belltests
+
+    povm = joint_povm(optimal_settings, root_half_gammas)
+    p = observed_statistics(bell_state(BellState.PSI_MINUS), povm)
+    kernel = build_kernel(root_half_gammas)
+    ensemble = belltests.ensemble_chsh
+    monkeypatch.setattr(belltests, "ensemble_chsh", lambda q: ensemble(q) + offset)
+    if offset > 1e-10:
+        with pytest.raises(ConsistencyError, match="ensemble CHSH paths disagree at S: "):
+            chsh_report(kernel, p)
+    else:
+        expected = ensemble(invert_distribution(kernel, p)) + offset
+        assert chsh_report(kernel, p).ensemble_S == expected
 
 
 def test_corrupted_kernel_trips_dual_path_check(root_half_gammas):

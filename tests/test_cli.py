@@ -397,13 +397,19 @@ def near_boundary_config() -> dict:
 
 
 # sha256 of outputs whose bytes the kernel algebra must keep, recorded before
-# it moved from per-entry loops to array expressions.
+# it moved from per-entry loops to array expressions; the two gamma sweeps
+# were recorded before the sweep's axis branches became one loop, and their
+# `realizable` columns hold both 1 and 0.
 PINNED_OUTPUTS = {
     "readme_exact": "9df27df8473f207759074d3bca2cad18969bd790ced15c36619b920a684b42aa",
     "near_boundary_exact": "98d6802cd4509c212bbcaa7bdf896ea35aeefc41812fa8a31cf36a76a150ec8a",
     "near_boundary_sweep_werner_eta":
         "e1d1b3014f09d484ece3160245ab17dfecf5aa7f63e9cc9346d76df80d952c42",
+    "readme_sweep_gamma": "92f432b4196ad499f49f8fe04178f2dc2891d8ae756bbe400bfde6acea562142",
+    "near_boundary_sweep_gamma":
+        "f512ec98daccf9c7faa7de696e4490c1402ecee34a515d0e7efa9b1a4add8032",
 }
+SWEEP_GRIDS = {"werner_eta": ["0", "1", "11"], "gamma": ["0.3", "1", "8"]}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
@@ -416,7 +422,19 @@ def test_analysis_outputs_are_pinned(tmp_path, name):
     if name.endswith("exact"):
         argv, output = ["exact"], "exact.json"
     else:
-        argv = ["sweep", "--axis", "werner_eta", "--grid-range", "0", "1", "11"]
-        output = "sweep_werner_eta.csv"
+        axis = name.split("_sweep_")[1]
+        argv = ["sweep", "--axis", axis, "--grid-range", *SWEEP_GRIDS[axis]]
+        output = f"sweep_{axis}.csv"
     assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
     assert hashlib.sha256((out / output).read_bytes()).hexdigest() == PINNED_OUTPUTS[name]
+
+
+# sha256 of `validate --seed 7 --trials 4` stdout, recorded before the checks
+# yielded their verdicts to one runner: every count, message and line holds.
+@pytest.mark.parametrize("extra,code,digest", [
+    ([], 0, "63a5cc1849e4e8ad3cd94651c0f425421ccd1ff5eedb5b592d4820a16d64cc02"),
+    (["--inject-fault"], 1, "71894a48b8a6f6c535a0990653978cb84b290d94e7f8b93a9abd8b8944086cf0"),
+])
+def test_validate_stdout_is_pinned(capsys, extra, code, digest):
+    assert main(["validate", "--seed", "7", "--trials", "4", *extra]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from bellshot import joint_povm, validate_all
+from bellshot import OutOfRange, joint_povm, validate, validate_all
 from bellshot.validate import CheckResult, random_admissible_settings
 
 
@@ -43,3 +43,16 @@ def test_admissible_draws_build_positive_povms():
 def test_check_result_passed_property():
     assert CheckResult("anything", 3).passed
     assert not CheckResult("anything", 3, ("boom",)).passed
+
+
+def test_a_check_that_raises_reports_no_verdicts(monkeypatch):
+    def _check_observables(rng, trials):
+        yield True, ""
+        raise OutOfRange("boom")
+
+    monkeypatch.setattr(validate, "_check_observables", _check_observables)
+    report = validate_all(seed=7, trials=2)
+    assert report.results[2] == CheckResult("_check_observables", 0, ("raised OutOfRange('boom')",))
+    assert [r.name for r in report.results[3:]] == [
+        "measurement.joint_povm", "inversion.kernel", "belltests.dual_paths", "sampler.determinism"]
+    assert not report.passed
