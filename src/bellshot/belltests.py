@@ -63,7 +63,12 @@ def _require_agreement(what: str, first: np.ndarray, second: np.ndarray, where) 
 
 def ensemble_chsh(q: QuasiDistribution) -> float:
     """CHSH value as the average of s(xi) over the quasi-distribution."""
-    return float(_in_order_sum(S_VALUES * q.entries))
+    return float(ensemble_chsh_values(q.entries))
+
+
+def ensemble_chsh_values(entries: np.ndarray) -> np.ndarray:
+    """ensemble_chsh for each quasi-distribution of a stack (..., 16)."""
+    return _in_order_sum(S_VALUES * entries)
 
 
 def single_shot_chsh_table(kernel: InversionKernel) -> np.ndarray:

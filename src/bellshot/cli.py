@@ -10,6 +10,7 @@ validation or internal consistency failure, 2 a config problem.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,15 +26,23 @@ from .belltests import (
     chsh_verdict,
     classical_bounds_check,
     ensemble_chsh,
+    ensemble_chsh_values,
     single_shot_ch_table,
     single_shot_chsh_table,
 )
 from .errors import BellshotError, ConfigError, ConsistencyError
-from .inversion import build_kernel, gamma_free_quasi, invert_distribution
+from .inversion import (
+    build_kernel,
+    gamma_free_quasi,
+    invert_distribution,
+    inverted_entries,
+    require_quasi_entries,
+)
 from .measurement import (
     GAMMA_MIN,
     OUTCOME_ORDER_DOC,
     GammaSet,
+    born_probabilities,
     joint_povm,
     observed_statistics,
 )
@@ -45,7 +54,15 @@ from .sampler import (
     sample_indices,
     write_shot_csv,
 )
-from .states import DensityMatrix, BellState, bell_state, custom_state, werner_state
+from .states import (
+    BellState,
+    DensityMatrix,
+    bell_state,
+    custom_state,
+    density_matrices,
+    werner_matrices,
+    werner_state,
+)
 from .validate import validate_all
 
 EXIT_OK = 0
@@ -53,6 +70,14 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 
 LOW_GAMMA_WARNING = 0.1
+
+# Grid points per array block of a Werner sweep. The Born traces of a block
+# hold a (SWEEP_BLOCK, 16, 4, 4) complex product, so peak RSS grows with it:
+# a 10000-point sweep peaks at 36 MB in blocks of 256, 39 MB in blocks of
+# 1024 and 77 MB as one block.
+SWEEP_BLOCK = 256
+# every sweep column but the integer `realizable` at full float precision
+SWEEP_ROW = ",".join(["%.17g"] * 6 + ["%d"])
 
 
 def _parse_state(raw) -> DensityMatrix:
@@ -283,7 +308,7 @@ def _sweep_grid(args) -> list[float]:
     n = int(points)
     if n < 2:
         raise ConfigError("sweep --grid-range needs at least 2 points")
-    return list(np.linspace(float(start), float(stop), n))
+    return np.linspace(float(start), float(stop), n).tolist()
 
 
 def _kernel_columns(kernel) -> tuple[float, float, float]:
@@ -291,6 +316,43 @@ def _kernel_columns(kernel) -> tuple[float, float, float]:
     table = np.abs(single_shot_chsh_table(kernel))
     ch_grid = single_shot_ch_table(kernel)
     return float(table.max()), float(ch_grid.min()), float(ch_grid.max())
+
+
+def _gamma_rows(config: ExperimentConfig, grid: list[float]):
+    quasi = gamma_free_quasi(config.state, config.settings)
+    for value in grid:
+        if not GAMMA_MIN <= abs(value) <= 1.0:
+            raise ConfigError(f"sweep gamma {value!r} outside [{GAMMA_MIN}, 1]")
+        gammas = GammaSet.equal(value)
+        kernel_columns = _kernel_columns(build_kernel(gammas))
+        try:
+            joint_povm(config.settings, gammas)
+            realizable = 1
+        except BellshotError:
+            realizable = 0
+        yield (value, ensemble_chsh(quasi), *kernel_columns, quasi.min_entry(), realizable)
+
+
+def _werner_rows(config: ExperimentConfig, grid: list[float]):
+    """Werner-axis rows, SWEEP_BLOCK grid points at a time: each block's
+    states, probabilities and quasi-distributions are stacked arrays that
+    pass the same checks as one DensityMatrix, observed_statistics call and
+    QuasiDistribution do."""
+    kernel = build_kernel(config.gammas)
+    povm = joint_povm(config.settings, config.gammas)
+    kernel_columns = _kernel_columns(kernel)
+    for start in range(0, len(grid), SWEEP_BLOCK):
+        values = grid[start:start + SWEEP_BLOCK]
+        etas = np.array(values)
+        bad = ~((0.0 <= etas) & (etas <= 1.0))
+        if np.any(bad):
+            raise ConfigError(f"sweep werner_eta {values[np.argmax(bad)]!r} outside [0, 1]")
+        rho = density_matrices(werner_matrices(etas), stack_axes=1)
+        quasi = inverted_entries(kernel, born_probabilities(rho, povm))
+        require_quasi_entries(quasi)
+        columns = ensemble_chsh_values(quasi).tolist(), quasi.min(axis=1).tolist()
+        for value, ensemble_S, min_entry in zip(values, *columns):
+            yield (value, ensemble_S, *kernel_columns, min_entry, 1)
 
 
 def cmd_sweep(config: ExperimentConfig, out_dir: str, axis: str, grid: list[float]) -> int:
@@ -304,38 +366,14 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str, axis: str, grid: list[floa
     exists at that grid point for the configured directions.
     """
     if axis == "gamma":
-        quasi = gamma_free_quasi(config.state, config.settings)
+        rows = _gamma_rows(config, grid)
     elif axis == "werner_eta":
-        kernel = build_kernel(config.gammas)
-        povm = joint_povm(config.settings, config.gammas)
-        kernel_columns, realizable = _kernel_columns(kernel), 1
+        rows = _werner_rows(config, grid)
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    rows = []
-    for value in grid:
-        if axis == "gamma":
-            if not GAMMA_MIN <= abs(value) <= 1.0:
-                raise ConfigError(f"sweep gamma {value!r} outside [{GAMMA_MIN}, 1]")
-            gammas = GammaSet.equal(float(value))
-            kernel_columns = _kernel_columns(build_kernel(gammas))
-            try:
-                joint_povm(config.settings, gammas)
-                realizable = 1
-            except BellshotError:
-                realizable = 0
-        else:
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"sweep werner_eta {value!r} outside [0, 1]")
-            observed = observed_statistics(werner_state(float(value)), povm)
-            quasi = invert_distribution(kernel, observed)
-        rows.append((value, ensemble_chsh(quasi), *kernel_columns, quasi.min_entry(), realizable))
-
     header = (axis, "ensemble_S", "abs_single_shot_S", "ch_min", "ch_max",
               "min_quasi_entry", "realizable")
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [("%d" % c) if isinstance(c, int) else ("%.17g" % c) for c in row]
-        lines.append(",".join(cells))
+    lines = [",".join(header), *(SWEEP_ROW % row for row in rows)]
     path = os.path.join(out_dir, f"sweep_{axis}.csv")
     _atomic_write(path, lambda tmp: Path(tmp).write_text("\n".join(lines) + "\n"))
     print(f"wrote {path}")
@@ -356,7 +394,9 @@ def cmd_validate(seed: int, trials: int, inject_fault: bool) -> int:
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args never changes it."""
     parser = argparse.ArgumentParser(
         prog="bellshot",
         description="Single-shot Bell tests from one joint noisy measurement",

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import ConsistencyError, GammaOutOfRange, InvalidDistribution
 from .measurement import (
     GAMMA_MIN,
@@ -97,11 +98,7 @@ class QuasiDistribution:
         e = np.array(self.entries, dtype=float)
         if e.shape != (16,):
             raise InvalidDistribution(f"quasi-distribution shape {e.shape}, expected (16,)")
-        if not np.all(np.isfinite(e)):
-            raise InvalidDistribution("quasi-distribution has non-finite entries")
-        total = float(e.sum())
-        if abs(total - 1.0) > QUASI_SUM_TOL:
-            raise InvalidDistribution(f"quasi-distribution sums to {total!r}, expected 1")
+        require_quasi_entries(e)
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
@@ -117,6 +114,23 @@ class QuasiDistribution:
         return [float(p) for p in self.entries]
 
 
+def require_quasi_entries(entries: np.ndarray) -> None:
+    """QuasiDistribution's checks over a stack (..., 16): finite entries
+    summing to 1. Each names the first distribution that fails it."""
+    if not np.all(np.isfinite(entries)):
+        raise InvalidDistribution("quasi-distribution has non-finite entries")
+    total = entries.sum(axis=-1)
+    bad = np.abs(total - 1.0) > QUASI_SUM_TOL
+    if np.any(bad):
+        worst = float(linalg.first_failing(total, bad))
+        raise InvalidDistribution(f"quasi-distribution sums to {worst!r}, expected 1")
+
+
+def inverted_entries(kernel: InversionKernel, observed: np.ndarray) -> np.ndarray:
+    """q = table @ p for each 16-vector p of a stack (..., 16), unchecked."""
+    return (kernel.table @ observed[..., None])[..., 0]
+
+
 def invert_distribution(kernel: InversionKernel, observed) -> QuasiDistribution:
     """Push observed statistics through the kernel: q = table @ observed.
 
@@ -126,7 +140,7 @@ def invert_distribution(kernel: InversionKernel, observed) -> QuasiDistribution:
     p = np.asarray(observed, dtype=float)
     if p.shape != (16,):
         raise InvalidDistribution(f"observed statistics shape {p.shape}, expected (16,)")
-    return QuasiDistribution(kernel.table @ p)
+    return QuasiDistribution(inverted_entries(kernel, p))
 
 
 def reconstructed_sharp_povm(kernel: InversionKernel, povm: JointPovm, label) -> SharpPovm:
@@ -157,7 +171,7 @@ def gamma_free_quasi(rho, settings: ObservableSet) -> QuasiDistribution:
     """
     a = subsystem_elements((settings.x, settings.y), (1.0, 1.0))
     b = subsystem_elements((settings.u, settings.v), (1.0, 1.0))
-    return QuasiDistribution(born_traces(rho, product_povm(a, b)).real)
+    return QuasiDistribution(born_traces(rho.matrix, product_povm(a, b)).real)
 
 
 def _clamped_marginal(q: QuasiDistribution, keep: tuple[str, ...], what: str) -> np.ndarray:

@@ -169,9 +169,10 @@ def product_povm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return product
 
 
-def born_traces(rho, operators: np.ndarray) -> np.ndarray:
-    """tr[rho E] for each 4x4 operator E of a stack, as complex numbers."""
-    return np.trace(rho.matrix @ operators, axis1=1, axis2=2)
+def born_traces(rho: np.ndarray, operators: np.ndarray) -> np.ndarray:
+    """tr[rho E] for each 4x4 matrix rho of a stack (..., 4, 4) and each
+    operator E of a stack (k, 4, 4), as complex numbers of shape (..., k)."""
+    return np.trace(rho[..., None, :, :] @ operators, axis1=-2, axis2=-1)
 
 
 @dataclass(frozen=True)
@@ -205,17 +206,31 @@ def observed_statistics(rho, povm: JointPovm) -> np.ndarray:
     negative, or a total off by more than PROB_SUM_TOL, raises
     ConsistencyError since both indicate a broken POVM or state.
     """
+    probs = born_probabilities(rho.matrix, povm)
+    probs.setflags(write=False)
+    return probs
+
+
+def born_probabilities(rho: np.ndarray, povm: JointPovm) -> np.ndarray:
+    """observed_statistics for each density matrix of a stack (..., 4, 4),
+    shape (..., 16). Each check runs over the whole stack and names the
+    first state that fails it."""
     traces = born_traces(rho, povm.product)
-    i = int(np.argmax(np.abs(traces.imag)))
-    if abs(traces[i].imag) > PROB_SUM_TOL:
-        raise ConsistencyError(f"probability {i} has imaginary part {float(traces[i].imag)!r}")
+    imag = traces.imag
+    bad = np.max(np.abs(imag), axis=-1) > PROB_SUM_TOL
+    if np.any(bad):
+        row = linalg.first_failing(imag, bad)
+        i = int(np.argmax(np.abs(row)))
+        raise ConsistencyError(f"probability {i} has imaginary part {float(row[i])!r}")
     probs = traces.real
-    if np.any(probs < -PROB_CLAMP_TOL):
-        worst = float(probs.min())
+    bad = np.any(probs < -PROB_CLAMP_TOL, axis=-1)
+    if np.any(bad):
+        worst = float(linalg.first_failing(probs, bad).min())
         raise ConsistencyError(f"observed probability {worst!r} below -{PROB_CLAMP_TOL:.0e}")
     probs = np.where(probs < 0.0, 0.0, probs)
-    total = float(probs.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ConsistencyError(f"observed probabilities sum to {total!r}, expected 1")
-    probs.setflags(write=False)
+    total = probs.sum(axis=-1)
+    bad = np.abs(total - 1.0) > PROB_SUM_TOL
+    if np.any(bad):
+        worst = float(linalg.first_failing(total, bad))
+        raise ConsistencyError(f"observed probabilities sum to {worst!r}, expected 1")
     return probs

@@ -33,6 +33,33 @@ _BELL_VECTORS = {
 _BELL_MATRICES = {which: np.outer(v, v.conj()) for which, v in _BELL_VECTORS.items()}
 
 
+def density_matrices(entries, stack_axes: int = 0) -> np.ndarray:
+    """Validate a 4x4 table, or a stack of them with stack_axes leading axes,
+    as density matrices: finite, Hermitian, unit trace, positive
+    semidefinite. Returns a complex copy.
+
+    Each check runs over the whole stack; a failure raises OutOfRange,
+    NotHermitian, NotUnitTrace or NotPSD naming the offending value of the
+    first matrix that fails it.
+    """
+    m = linalg.as_matrix(entries, 4, stack_axes)
+    linalg.require_hermitian(m, what="density matrix")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    bad = np.abs(tr - 1.0) > TRACE_TOL
+    if np.any(bad):
+        raise NotUnitTrace(
+            f"density matrix: trace = {linalg.first_failing(tr, bad).real!r}, expected 1"
+        )
+    lam = linalg.eigvals_hermitian(m)[..., 0]
+    bad = lam < linalg.PSD_TOL
+    if np.any(bad):
+        raise NotPSD(
+            f"density matrix: min eigenvalue = {float(linalg.first_failing(lam, bad))!r} "
+            f"below {linalg.PSD_TOL:.0e}"
+        )
+    return m
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Validated two-qubit state: Hermitian, unit trace, positive semidefinite."""
@@ -40,14 +67,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = linalg.as_matrix(self.matrix, 4)
-        linalg.require_hermitian(m, what="density matrix")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise NotUnitTrace(f"density matrix: trace = {tr.real!r}, expected 1")
-        lam = linalg.min_eigenvalue_hermitian(m)
-        if lam < linalg.PSD_TOL:
-            raise NotPSD(f"density matrix: min eigenvalue = {lam!r} below {linalg.PSD_TOL:.0e}")
+        m = density_matrices(self.matrix)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -62,8 +82,14 @@ def werner_state(eta: float) -> DensityMatrix:
     CHSH at optimal angles for eta > 1/sqrt(2)."""
     if not (0.0 <= eta <= 1.0):
         raise OutOfRange(f"werner eta = {eta!r} outside [0, 1]")
-    singlet = _BELL_MATRICES[BellState.PSI_MINUS]
-    return DensityMatrix(eta * singlet + (1.0 - eta) * linalg.I4 / 4.0)
+    return DensityMatrix(werner_matrices(eta))
+
+
+def werner_matrices(etas) -> np.ndarray:
+    """werner_state's matrix for each eta of an array, shape (*etas.shape,
+    4, 4), neither range-checked nor validated."""
+    eta = np.asarray(etas, dtype=float)[..., None, None]
+    return eta * _BELL_MATRICES[BellState.PSI_MINUS] + (1.0 - eta) * linalg.I4 / 4.0
 
 
 def custom_state(entries) -> DensityMatrix:

@@ -10,8 +10,13 @@ import stat
 import numpy as np
 import pytest
 
-from bellshot.cli import main
+from bellshot import cli
+from bellshot.belltests import ensemble_chsh, single_shot_ch_table, single_shot_chsh_table
+from bellshot.cli import SWEEP_BLOCK, ExperimentConfig, main
+from bellshot.inversion import build_kernel, invert_distribution
+from bellshot.measurement import joint_povm, observed_statistics
 from bellshot.sampler import CSV_CHUNK
+from bellshot.states import werner_state
 from conftest import ROOT_HALF, SINGLET, projector
 
 TWO_ROOT_TWO = 2.0 * np.sqrt(2.0)
@@ -286,6 +291,64 @@ def test_sweep_grid_errors(tmp_path, capsys):
                "--grid-values", "1.2"])
     assert rc == 2
     assert "outside" in capsys.readouterr().err
+    # --grid-range points are reported as plain floats, as --grid-values are
+    for axis, message in (("werner_eta", "sweep werner_eta 1.5 outside [0, 1]"),
+                          ("gamma", "sweep gamma 0.0 outside [1e-06, 1]")):
+        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path), "--axis", axis,
+                   "--grid-range", "0", "1.5", "3"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_each_main_call_reads_only_its_own_argv(tmp_path):
+    cfg = singlet_config(tmp_path, seed=5, shots=20)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--config", cfg, "--out", str(out_a), "--seed", "42", "--shots", "30"]) == 0
+    assert main(["run", "--config", cfg, "--out", str(out_b)]) == 0
+    summaries = [json.loads((out / "run_summary.json").read_text()) for out in (out_a, out_b)]
+    assert [(doc["seed"], doc["shots"]) for doc in summaries] == [(42, 30), (5, 20)]
+
+
+def per_point_werner_csv(doc: dict, grid: list[float]) -> bytes:
+    """The Werner sweep CSV built one state at a time through the
+    single-item API: the reference the blocked sweep must match byte for
+    byte."""
+    config = ExperimentConfig.from_dict(doc)
+    kernel = build_kernel(config.gammas)
+    povm = joint_povm(config.settings, config.gammas)
+    abs_s = float(np.abs(single_shot_chsh_table(kernel)).max())
+    ch = single_shot_ch_table(kernel)
+    lines = ["werner_eta,ensemble_S,abs_single_shot_S,ch_min,ch_max,min_quasi_entry,realizable"]
+    for eta in grid:
+        quasi = invert_distribution(kernel, observed_statistics(werner_state(eta), povm))
+        cells = (eta, ensemble_chsh(quasi), abs_s, float(ch.min()), float(ch.max()),
+                 quasi.min_entry())
+        lines.append(",".join("%.17g" % c for c in cells) + ",1")
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 23])
+def test_werner_sweep_blocks_match_per_point_loop(tmp_path, monkeypatch, n):
+    # block 7: n = block - 1, block, block + 1, and several blocks plus a tail
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", 7)
+    doc = near_boundary_config()
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", "werner_eta",
+                 "--grid-range", "0", "1", str(n)]) == 0
+    expected = per_point_werner_csv(doc, np.linspace(0.0, 1.0, n).tolist())
+    assert (out / "sweep_werner_eta.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("bad", ["nan", "1.0000001", "-0.5"])
+def test_werner_sweep_error_in_last_block_writes_nothing(tmp_path, capsys, bad):
+    grid = [repr(eta) for eta in np.linspace(0.0, 1.0, 3 * SWEEP_BLOCK + 9).tolist()]
+    cfg = write_config(tmp_path, near_boundary_config())
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", "werner_eta",
+                 "--grid-values", *grid, bad]) == 2
+    assert capsys.readouterr().err == f"config error: sweep werner_eta {bad} outside [0, 1]\n"
+    assert os.listdir(out) == []
 
 
 def test_validate_command(capsys):
@@ -399,17 +462,25 @@ def near_boundary_config() -> dict:
 # sha256 of outputs whose bytes the kernel algebra must keep, recorded before
 # it moved from per-entry loops to array expressions; the two gamma sweeps
 # were recorded before the sweep's axis branches became one loop, and their
-# `realizable` columns hold both 1 and 0.
+# `realizable` columns hold both 1 and 0. The 1000-point Werner sweep was
+# recorded before the Werner axis ran in blocks; it spans four of them.
 PINNED_OUTPUTS = {
     "readme_exact": "9df27df8473f207759074d3bca2cad18969bd790ced15c36619b920a684b42aa",
     "near_boundary_exact": "98d6802cd4509c212bbcaa7bdf896ea35aeefc41812fa8a31cf36a76a150ec8a",
     "near_boundary_sweep_werner_eta":
         "e1d1b3014f09d484ece3160245ab17dfecf5aa7f63e9cc9346d76df80d952c42",
+    "near_boundary_sweep_werner_eta_1000":
+        "5936908590f78fc4ea8765aed8e8c603c8ea51cff95cd7862d8b9f9ec7edbb60",
     "readme_sweep_gamma": "92f432b4196ad499f49f8fe04178f2dc2891d8ae756bbe400bfde6acea562142",
     "near_boundary_sweep_gamma":
         "f512ec98daccf9c7faa7de696e4490c1402ecee34a515d0e7efa9b1a4add8032",
 }
-SWEEP_GRIDS = {"werner_eta": ["0", "1", "11"], "gamma": ["0.3", "1", "8"]}
+# pin name suffix -> (axis, --grid-range)
+SWEEP_GRIDS = {
+    "werner_eta": ("werner_eta", ["0", "1", "11"]),
+    "gamma": ("gamma", ["0.3", "1", "8"]),
+    "werner_eta_1000": ("werner_eta", ["0", "1", "1000"]),
+}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
@@ -422,8 +493,8 @@ def test_analysis_outputs_are_pinned(tmp_path, name):
     if name.endswith("exact"):
         argv, output = ["exact"], "exact.json"
     else:
-        axis = name.split("_sweep_")[1]
-        argv = ["sweep", "--axis", axis, "--grid-range", *SWEEP_GRIDS[axis]]
+        axis, grid = SWEEP_GRIDS[name.split("_sweep_")[1]]
+        argv = ["sweep", "--axis", axis, "--grid-range", *grid]
         output = f"sweep_{axis}.csv"
     assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
     assert hashlib.sha256((out / output).read_bytes()).hexdigest() == PINNED_OUTPUTS[name]

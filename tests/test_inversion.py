@@ -19,6 +19,7 @@ from bellshot import (
     single_marginal,
 )
 from bellshot.errors import ConsistencyError, GammaOutOfRange, InvalidDistribution
+from bellshot.inversion import require_quasi_entries
 from bellshot.measurement import OUTCOMES
 
 from conftest import (
@@ -240,6 +241,13 @@ def test_quasi_distribution_validation():
     entries[3] = np.nan
     with pytest.raises(InvalidDistribution):
         QuasiDistribution(entries)
+
+
+def test_quasi_checks_name_the_first_failing_distribution():
+    stack = np.array([np.full(16, 1 / 16), np.full(16, 0.07), np.full(16, 0.08)])
+    with pytest.raises(InvalidDistribution, match=r"sums to 1\.12"):
+        require_quasi_entries(stack)
+    require_quasi_entries(stack[:1])
 
 
 def test_negative_entries_are_preserved():

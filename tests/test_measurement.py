@@ -13,8 +13,15 @@ from bellshot import (
     observed_statistics,
     random_density_matrix,
 )
-from bellshot.measurement import OUTCOMES, PAIR_ORDER, as_indices, build_joint_povm, product_povm
-from bellshot.errors import GammaOutOfRange, NotPositive, OutOfRange
+from bellshot.measurement import (
+    OUTCOMES,
+    PAIR_ORDER,
+    as_indices,
+    born_probabilities,
+    build_joint_povm,
+    product_povm,
+)
+from bellshot.errors import ConsistencyError, GammaOutOfRange, NotPositive, OutOfRange
 
 from conftest import (
     OPTIMAL_BLOCHS,
@@ -171,6 +178,20 @@ def test_observed_statistics_against_trace_oracle():
         for i in range(16):
             want = np.trace(raw @ povm.product[i]).real
             assert probs[i] == pytest.approx(want, abs=1e-12)
+
+
+def test_born_probabilities_stack_matches_observed_statistics(optimal_settings, root_half_gammas):
+    povm = joint_povm(optimal_settings, root_half_gammas)
+    rng = np.random.default_rng(5)
+    states = [random_density_matrix(rng) for _ in range(6)]
+    stack = born_probabilities(np.array([rho.matrix for rho in states]), povm)
+    assert stack.shape == (6, 16)
+    for probs, rho in zip(stack, states):
+        assert np.array_equal(probs, observed_statistics(rho, povm))
+    # the sum check names the first state that fails it
+    mixed = np.eye(4) / 4
+    with pytest.raises(ConsistencyError, match=r"sum to 1\.2"):
+        born_probabilities(np.array([mixed, 1.2 * mixed, 1.3 * mixed]), povm)
 
 
 def test_marginal_recovery_of_statistics():

@@ -10,6 +10,7 @@ from bellshot import (
     werner_state,
 )
 from bellshot.errors import NotHermitian, NotPSD, NotUnitTrace, OutOfRange
+from bellshot.states import density_matrices, werner_matrices
 
 from conftest import SINGLET, random_state_matrix
 
@@ -60,6 +61,27 @@ def test_werner_range_check():
         werner_state(-0.01)
     with pytest.raises(OutOfRange):
         werner_state(1.01)
+
+
+def test_werner_matrices_match_werner_state_bit_for_bit():
+    etas = np.linspace(0.0, 1.0, 13)
+    stack = werner_matrices(etas)
+    assert stack.shape == (13, 4, 4)
+    for eta, m in zip(etas.tolist(), stack):
+        assert np.array_equal(m, werner_state(eta).matrix)
+
+
+def test_density_matrix_checks_name_the_first_failing_matrix():
+    ok = np.eye(4) / 4
+    psd = [np.diag([0.6, 0.5, 0.0, -0.1]), np.diag([0.7, 0.5, 0.0, -0.2])]
+    with pytest.raises(NotUnitTrace, match=r"trace = np\.float64\(1\.01"):
+        density_matrices([ok, ok * 1.01, ok * 1.02], stack_axes=1)
+    with pytest.raises(NotPSD, match=r"min eigenvalue = -0\.1 below"):
+        density_matrices([[ok, *psd]], stack_axes=2)
+    assert density_matrices([ok, ok], stack_axes=1).shape == (2, 4, 4)
+    # one DensityMatrix holds one state
+    with pytest.raises(OutOfRange):
+        DensityMatrix(np.array([ok, ok]))
 
 
 def test_custom_state_accepts_valid():
