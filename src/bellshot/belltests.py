@@ -90,11 +90,6 @@ def single_shot_chsh_table(kernel: InversionKernel) -> np.ndarray:
     return closed
 
 
-def single_shot_chsh(kernel: InversionKernel, xi_prime: OutcomeIndex) -> float:
-    """CHSH value inferred from one measured outcome."""
-    return float(single_shot_chsh_table(kernel)[xi_prime.to_index()])
-
-
 def ensemble_from_shots(kernel: InversionKernel, shots) -> float:
     """Arithmetic mean of single-shot CHSH values over a shot list."""
     values = single_shot_chsh_table(kernel)[as_indices(shots)]
@@ -130,11 +125,6 @@ def single_shot_ch_table(kernel: InversionKernel) -> np.ndarray:
 def single_shot_ch(kernel: InversionKernel, xi: OutcomeIndex, xi_prime: OutcomeIndex) -> float:
     """CH value inferred from one measured outcome, for target signs xi."""
     return float(single_shot_ch_table(kernel)[xi.to_index(), xi_prime.to_index()])
-
-
-def ensemble_ch(kernel: InversionKernel, observed, xi: OutcomeIndex) -> float:
-    """Exact CH value for target signs xi, from observed statistics."""
-    return float(ch_report(kernel, observed).ensemble_C[xi.to_index()])
 
 
 @dataclass(frozen=True)

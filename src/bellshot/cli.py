@@ -30,7 +30,7 @@ from .belltests import (
     single_shot_ch_table,
     single_shot_chsh_table,
 )
-from .errors import BellshotError, ConfigError, ConsistencyError
+from .errors import BellshotError, ConfigError, ConsistencyError, NotPositive
 from .inversion import (
     build_kernel,
     gamma_free_quasi,
@@ -63,7 +63,7 @@ from .states import (
     werner_matrices,
     werner_state,
 )
-from .validate import validate_all
+from .validate import DEFAULT_TRIALS, validate_all
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -94,10 +94,7 @@ def _parse_state(raw) -> DensityMatrix:
             names = ", ".join(b.value for b in BellState)
             raise ConfigError(f"state.bell: unknown name {value!r}; expected one of {names}")
     if kind == "werner":
-        try:
-            eta = float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"state.werner: expected a real in [0, 1], got {value!r}")
+        eta = float(_reals(value, "state.werner", "a real in [0, 1]", ()))
         try:
             return werner_state(eta)
         except BellshotError as exc:
@@ -105,27 +102,32 @@ def _parse_state(raw) -> DensityMatrix:
     if kind == "custom":
         if not isinstance(value, dict) or set(value) != {"real", "imag"}:
             raise ConfigError('state.custom: expected {"real": 4x4 table, "imag": 4x4 table}')
+        real, imag = (_reals(value[k], f"state.custom.{k}", "a 4x4 table of reals", (4, 4))
+                      for k in ("real", "imag"))
         try:
-            entries = np.asarray(value["real"], dtype=float) + 1j * np.asarray(
-                value["imag"], dtype=float
-            )
-        except (TypeError, ValueError):
-            raise ConfigError("state.custom: real and imag must be 4x4 numeric tables")
-        try:
-            return custom_state(entries)
+            return custom_state(real + 1j * imag)
         except BellshotError as exc:
             raise ConfigError(f"state.custom: {exc}")
     raise ConfigError(f"state: unknown kind {kind!r}")
 
 
-def _parse_vector(raw, where: str) -> np.ndarray:
+def _reals(raw, where: str, kind: str, shape: tuple) -> np.ndarray:
+    """raw as a float array of the given shape, or ConfigError naming where.
+    Every leaf must be a JSON number: float() and numpy would read true as
+    1.0 and "0.5" as 0.5, and null as NaN."""
+    def numeric(node):
+        if isinstance(node, list):
+            return all(numeric(item) for item in node)
+        return isinstance(node, (int, float)) and not isinstance(node, bool)
+
     try:
-        v = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a 3-vector of reals, got {raw!r}")
-    if v.shape != (3,):
-        raise ConfigError(f"{where}: expected a 3-vector, got shape {v.shape}")
-    return v
+        if numeric(raw):
+            values = np.array(raw, dtype=float)
+            if values.shape == shape:
+                return values
+    except (ValueError, OverflowError):  # ragged tables; ints beyond float range
+        pass
+    raise ConfigError(f"{where}: expected {kind}, got {raw!r}")
 
 
 def _parse_observables(raw):
@@ -133,7 +135,8 @@ def _parse_observables(raw):
         return chsh_optimal_angles()
     if not isinstance(raw, dict) or set(raw) != {"x", "y", "u", "v"}:
         raise ConfigError('observables: expected keys "x", "y", "u", "v" (Bloch 3-vectors)')
-    vectors = [_parse_vector(raw[k], f"observables.{k}") for k in ("x", "y", "u", "v")]
+    vectors = [_reals(raw[k], f"observables.{k}", "a 3-vector of reals", (3,))
+               for k in ("x", "y", "u", "v")]
     try:
         return observable_set(*vectors)
     except BellshotError as exc:
@@ -141,14 +144,13 @@ def _parse_observables(raw):
 
 
 def _parse_gammas(raw) -> GammaSet:
-    if isinstance(raw, (int, float)):
-        raw = {"x": raw, "y": raw, "u": raw, "v": raw}
-    if not isinstance(raw, dict) or set(raw) != {"x", "y", "u", "v"}:
-        raise ConfigError('gammas: expected a single real or keys "x", "y", "u", "v"')
-    try:
-        values = [float(raw[k]) for k in ("x", "y", "u", "v")]
-    except (TypeError, ValueError):
-        raise ConfigError(f"gammas: entries must be reals, got {raw!r}")
+    keys = ("x", "y", "u", "v")
+    kind = 'a single real or keys "x", "y", "u", "v"'
+    if not isinstance(raw, dict):
+        raw = dict.fromkeys(keys, float(_reals(raw, "gammas", kind, ())))
+    if set(raw) != set(keys):
+        raise ConfigError(f"gammas: expected {kind}")
+    values = [float(_reals(raw[k], f"gammas.{k}", "a real", ())) for k in keys]
     try:
         gammas = GammaSet(*values)
     except BellshotError as exc:
@@ -328,7 +330,7 @@ def _gamma_rows(config: ExperimentConfig, grid: list[float]):
         try:
             joint_povm(config.settings, gammas)
             realizable = 1
-        except BellshotError:
+        except NotPositive:
             realizable = 0
         yield (value, ensemble_chsh(quasi), *kernel_columns, quasi.min_entry(), realizable)
 
@@ -428,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="randomized self-checks of every module")
     val.add_argument("--seed", type=int, default=None, help="seed for the randomized checks")
-    val.add_argument("--trials", type=int, default=25, help="trials per randomized check")
+    val.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+                     help="trials per randomized check")
     val.add_argument("--inject-fault", action="store_true",
                      help="corrupt a kernel on purpose to prove failures are caught")
     return parser
@@ -440,6 +443,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(4), "big")
             _int_field({"seed": seed}, "seed", 0, "an unsigned 64-bit integer", 0, 2**64)
+            _int_field(vars(args), "trials", DEFAULT_TRIALS, "a positive integer", 1)
             return cmd_validate(seed, args.trials, args.inject_fault)
 
         flags = {"seed": args.seed, "shots": args.shots}

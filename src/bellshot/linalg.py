@@ -22,7 +22,6 @@ I4 = np.eye(4, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def first_failing(values, bad):
@@ -46,11 +45,6 @@ def as_matrix(entries, dim: int, stack_axes: int = 0) -> np.ndarray:
     return m
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, subsystem A indices first."""
-    return np.kron(a, b)
-
-
 def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
     """tr(a b). Real up to rounding when both factors are Hermitian."""
     return complex(np.trace(a @ b))
@@ -60,10 +54,6 @@ def hermiticity_defect(m: np.ndarray):
     """Largest entry-wise deviation |m - m^H| of each matrix of a stack (a
     numpy scalar for one matrix)."""
     return np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
-
-
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return hermiticity_defect(m) <= tol
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix") -> None:

@@ -64,10 +64,6 @@ class OutcomeIndex:
     def to_index(self) -> int:
         return 8 * sign_index(self.x) + 4 * sign_index(self.y) + 2 * sign_index(self.u) + sign_index(self.v)
 
-    @staticmethod
-    def from_index(i: int) -> "OutcomeIndex":
-        return OUTCOMES[i]
-
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.x, self.y, self.u, self.v)
 

@@ -138,7 +138,6 @@ def convergence_report(kernel: InversionKernel, shots) -> dict:
         "mean_S": float(values.mean()),
         "sample_std": std,
         "std_error": std / float(np.sqrt(n)) if std is not None else None,
-        "final_running_mean": float(_running_sums(values)[-1] / n),
     }
 
 

@@ -32,7 +32,7 @@ from bellshot import (
     random_density_matrix,
     reconstructed_sharp_povm,
     s_of_xi,
-    sample_shots,
+    sample_indices,
     single_marginal,
     single_shot_ch,
     single_shot_ch_table,
@@ -319,7 +319,7 @@ def test_criterion_8_sampling_convergence():
     p = observed_statistics(bell_state(BellState.PSI_MINUS), povm)
     exact = ensemble_chsh(invert_distribution(kernel, p))
 
-    shots = sample_shots(p, 10**6, RngConfig(seed=8675309))
+    shots = sample_indices(p, 10**6, RngConfig(seed=8675309))
     empirical = ensemble_from_shots(kernel, shots)
     headline = abs(empirical - exact)
     tolerance = 5.0 * np.sqrt(8.0) / 1000.0

@@ -19,7 +19,6 @@ from bellshot import (
     chsh_verdict,
     classical_bounds_check,
     custom_state,
-    ensemble_ch,
     ensemble_chsh,
     ensemble_from_shots,
     invert_distribution,
@@ -27,7 +26,6 @@ from bellshot import (
     observed_statistics,
     s_of_xi,
     single_shot_ch_table,
-    single_shot_chsh,
     single_shot_chsh_table,
     werner_state,
 )
@@ -56,9 +54,9 @@ def test_s_of_xi_examples():
 
 
 def test_sharp_limit_single_shot_equals_s():
-    kernel = build_kernel(GammaSet.equal(1.0))
+    table = single_shot_chsh_table(build_kernel(GammaSet.equal(1.0)))
     for xi in OUTCOMES:
-        assert single_shot_chsh(kernel, xi) == pytest.approx(s_of_xi(xi), abs=1e-12)
+        assert table[xi.to_index()] == pytest.approx(s_of_xi(xi), abs=1e-12)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.9, ROOT_HALF, 0.5, 0.31])
@@ -74,7 +72,7 @@ def test_equal_gamma_magnitude_is_state_independent(gamma):
 
 def test_unequal_gamma_frozen_value():
     kernel = build_kernel(GammaSet(0.6, 0.6, 0.7, 0.5))
-    got = single_shot_chsh(kernel, OutcomeIndex(1, 1, 1, 1))
+    got = single_shot_chsh_table(kernel)[OutcomeIndex(1, 1, 1, 1).to_index()]
     assert got == pytest.approx(100.0 / 21.0, abs=1e-12)
 
 
@@ -167,16 +165,16 @@ def test_single_shot_ch_dual_path_random_gammas():
 def test_ensemble_ch_mixed_state(optimal_settings, root_half_gammas):
     povm = joint_povm(optimal_settings, root_half_gammas)
     p = observed_statistics(werner_state(0.0), povm)
-    kernel = build_kernel(root_half_gammas)
+    ensemble_C = ch_report(build_kernel(root_half_gammas), p).ensemble_C
     for xi in OUTCOMES:
-        assert ensemble_ch(kernel, p, xi) == pytest.approx(-0.5, abs=1e-12)
+        assert ensemble_C[xi.to_index()] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_ensemble_ch_singlet_optimal(optimal_settings, root_half_gammas):
     povm = joint_povm(optimal_settings, root_half_gammas)
     p = observed_statistics(bell_state(BellState.PSI_MINUS), povm)
     kernel = build_kernel(root_half_gammas)
-    values = np.array([ensemble_ch(kernel, p, xi) for xi in OUTCOMES])
+    values = ch_report(kernel, p).ensemble_C  # in OUTCOMES order
     assert values.max() == pytest.approx(ROOT_HALF - 0.5, abs=1e-9)
     assert values.min() == pytest.approx(-ROOT_HALF - 0.5, abs=1e-9)
 
@@ -201,7 +199,7 @@ def test_ensemble_ch_matches_born_oracle(optimal_settings, root_half_gammas):
 
     for _ in range(5):
         rho = random_state_matrix(rng)
-        p = observed_statistics(custom_state(rho), povm)
+        ensemble_C = ch_report(kernel, observed_statistics(custom_state(rho), povm)).ensemble_C
         for xi in (OUTCOMES[0], OUTCOMES[7], OUTCOMES[10]):
             x, y, u, v = xi.as_tuple()
             oracle = (
@@ -212,7 +210,7 @@ def test_ensemble_ch_matches_born_oracle(optimal_settings, root_half_gammas):
                 - single(rho, "y", y)
                 - single(rho, "u", u)
             )
-            assert ensemble_ch(kernel, p, xi) == pytest.approx(oracle, abs=1e-10)
+            assert ensemble_C[xi.to_index()] == pytest.approx(oracle, abs=1e-10)
 
 
 def test_tsirelson_bound_through_pipeline():

@@ -13,6 +13,7 @@ import pytest
 from bellshot import cli
 from bellshot.belltests import ensemble_chsh, single_shot_ch_table, single_shot_chsh_table
 from bellshot.cli import SWEEP_BLOCK, ExperimentConfig, main
+from bellshot.errors import OutOfRange
 from bellshot.inversion import build_kernel, invert_distribution
 from bellshot.measurement import joint_povm, observed_statistics
 from bellshot.sampler import CSV_CHUNK
@@ -58,6 +59,37 @@ def singlet_config(tmp_path, **extra):
         ({"state": {"bell": "psi_minus"}, "gammas": 0.5, "seed": True}, "seed:"),
         ({"state": {"bell": "psi_minus"}, "gammas": 0.5, "stream_count": True}, "stream_count:"),
         ({"state": {"bell": "psi_minus"}, "gammas": 0.5, "seed": 2**64}, "seed:"),
+        # reals: JSON booleans, strings, nulls and out-of-range ints are refused
+        ({"state": {"bell": "psi_minus"}, "gammas": True}, "gammas: expected a single real"),
+        ({"state": {"werner": True}, "gammas": 0.5}, "state.werner: expected a real"),
+        ({"state": {"werner": "0.5"}, "gammas": 0.5}, "state.werner: expected a real"),
+        ({"state": {"werner": 10**400}, "gammas": 0.5}, "state.werner: expected a real"),
+        (
+            {
+                "state": {"bell": "psi_minus"},
+                "gammas": 0.5,
+                "observables": {"x": [True, 0, 0], "y": [1, 0, 0], "u": [0, 1, 0], "v": [0, 0, 1]},
+            },
+            "observables.x: expected a 3-vector of reals",
+        ),
+        (
+            {"state": {"bell": "psi_minus"}, "gammas": {"x": "0.5", "y": 0.5, "u": 0.5, "v": 0.5}},
+            "gammas.x: expected a real",
+        ),
+        (
+            {"state": {"bell": "psi_minus"}, "gammas": {"x": 0.5, "y": 0.5, "u": 0.5, "v": None}},
+            "gammas.v: expected a real",
+        ),
+        ({"state": {"bell": "psi_minus"}, "gammas": "0.5"}, "gammas: expected a single real"),
+        (
+            {"state": {"custom": {"real": np.eye(4).tolist(), "imag": 0}}, "gammas": 0.5},
+            "state.custom.imag: expected a 4x4 table of reals",
+        ),
+        (
+            {"state": {"custom": {"real": (np.eye(4) / 4).tolist(),
+                                  "imag": [[False] * 4] * 4}}, "gammas": 0.5},
+            "state.custom.imag: expected a 4x4 table of reals",
+        ),
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, doc, fragment):
@@ -90,6 +122,14 @@ def test_validate_seed_out_of_range_exits_2(capsys, seed):
     assert main(["validate", "--seed", seed, "--trials", "1"]) == 2
     err = capsys.readouterr().err
     assert "seed: expected an unsigned 64-bit integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_validate_trials_below_one_exits_2(capsys, trials):
+    assert main(["validate", "--seed", "7", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: trials: expected a positive integer, got {trials}\n"
+    assert captured.out == ""
 
 
 def test_invalid_json_and_missing_file(tmp_path, capsys):
@@ -227,6 +267,20 @@ def test_sweep_gamma(tmp_path):
     assert len(ensembles) == 1
     assert float(ensembles.pop()) == pytest.approx(-TWO_ROOT_TWO, abs=1e-9)
     assert [r["realizable"] for r in rows] == ["0", "0", "1"]
+
+
+def test_sweep_gamma_broken_povm_build_exits_1(tmp_path, capsys, monkeypatch):
+    # only a non-positive joint POVM reads as realizable = 0; any other
+    # failure of the build is an error, not a table entry
+    def broken(settings, gammas):
+        raise OutOfRange("broken build")
+
+    monkeypatch.setattr(cli, "joint_povm", broken)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", singlet_config(tmp_path), "--out", str(out),
+                 "--axis", "gamma", "--grid-values", "0.7"]) == 1
+    assert capsys.readouterr().err == "error: broken build\n"
+    assert not (out / "sweep_gamma.csv").exists()
 
 
 def test_sweep_gamma_columns_are_gamma_free(tmp_path):

@@ -11,7 +11,6 @@ from bellshot import (
     GammaSet,
     InvalidDistribution,
     OUTCOMES,
-    OutcomeIndex,
     OutOfRange,
     RngConfig,
     build_kernel,
@@ -119,7 +118,7 @@ def test_stream_blocks_merge_in_stream_order():
 
 def test_empirical_frequencies():
     assert np.allclose(
-        empirical_frequencies([OutcomeIndex.from_index(4)] * 10),
+        empirical_frequencies([OUTCOMES[4]] * 10),
         np.eye(16)[4],
     )
     freqs = empirical_frequencies([0, 1] * 50)
@@ -149,7 +148,7 @@ def test_convergence_report(root_half_gammas):
     one = convergence_report(kernel, [OUTCOMES[0]])
     assert one["shots"] == 1
     assert one["sample_std"] is None and one["std_error"] is None
-    assert one["mean_S"] == one["final_running_mean"]
+    assert one["mean_S"] == shot_records(kernel, [OUTCOMES[0]])[-1].running_mean_S
 
     shots = sample_shots(singlet_optimal_probabilities(), 500, RngConfig(seed=10))
     rep = convergence_report(kernel, shots)
@@ -157,7 +156,8 @@ def test_convergence_report(root_half_gammas):
     assert rep["mean_S"] == pytest.approx(
         ensemble_from_shots(kernel, shots), abs=1e-12
     )
-    assert rep["final_running_mean"] == pytest.approx(rep["mean_S"], abs=1e-12)
+    last_running_mean = shot_records(kernel, shots)[-1].running_mean_S
+    assert last_running_mean == pytest.approx(rep["mean_S"], abs=1e-12)
     assert rep["std_error"] == pytest.approx(
         rep["sample_std"] / np.sqrt(500), abs=1e-15
     )
