@@ -51,7 +51,7 @@ def kernel_1d(gamma: float) -> np.ndarray:
     """
     g = float(gamma)
     if not np.isfinite(g) or not (GAMMA_MIN <= abs(g) <= 1.0):
-        raise GammaOutOfRange(f"gamma = {gamma!r}: |gamma| must lie in [{GAMMA_MIN:g}, 1]")
+        raise GammaOutOfRange(f"gamma = {g!r}: |gamma| must lie in [{GAMMA_MIN:g}, 1]")
     return 0.5 * (1.0 + np.outer(SIGNS, SIGNS) / g)
 
 

@@ -48,7 +48,7 @@ def density_matrices(entries, stack_axes: int = 0) -> np.ndarray:
     bad = np.abs(tr - 1.0) > TRACE_TOL
     if np.any(bad):
         raise NotUnitTrace(
-            f"density matrix: trace = {linalg.first_failing(tr, bad).real!r}, expected 1"
+            f"density matrix: trace = {float(linalg.first_failing(tr, bad).real)!r}, expected 1"
         )
     lam = linalg.eigvals_hermitian(m)[..., 0]
     bad = lam < linalg.PSD_TOL
@@ -81,7 +81,7 @@ def werner_state(eta: float) -> DensityMatrix:
     """eta * singlet + (1 - eta) * I/4. Entangled for eta > 1/3, violates
     CHSH at optimal angles for eta > 1/sqrt(2)."""
     if not (0.0 <= eta <= 1.0):
-        raise OutOfRange(f"werner eta = {eta!r} outside [0, 1]")
+        raise OutOfRange(f"werner eta = {float(eta)!r} outside [0, 1]")
     return DensityMatrix(werner_matrices(eta))
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bellshot import GammaSet, observable_set
+from bellshot.sampler import _fixed_17g
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -80,3 +81,9 @@ def optimal_settings():
 @pytest.fixture
 def root_half_gammas():
     return GammaSet.equal(ROOT_HALF)
+
+
+def fixed_17g_strings(values):
+    """The sampler's vector %.17g as one str per value, or None if it declines."""
+    chars = _fixed_17g(np.asarray(values, dtype=float))
+    return None if chars is None else [bytes(row[row != 0]).decode() for row in chars]

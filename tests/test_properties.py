@@ -24,7 +24,7 @@ from bellshot import (
 )
 from bellshot.measurement import OUTCOMES
 
-from conftest import projector
+from conftest import fixed_17g_strings, projector
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 UNIT_INTERVAL = st.floats(-1.0, 1.0, allow_nan=False)
@@ -132,3 +132,18 @@ def test_ch_table_matches_per_entry_kernel_1d_reference(drawn):
             )
             reference[i, j] = px * pu - px * pv + py * pu + py * pv - py - pu
     assert np.abs(single_shot_ch_table(build_kernel(gammas)) - reference).max() <= 1e-12
+
+
+FIXED_NOTATION = st.floats(1e-4, 1e16, exclude_max=True)
+FINITE_OR_FIXED = (
+    st.floats(allow_nan=False, allow_infinity=False) | FIXED_NOTATION | FIXED_NOTATION.map(lambda v: -v)
+)
+
+
+@FIXED
+@given(st.lists(FINITE_OR_FIXED, min_size=1, max_size=20))
+def test_fixed_17g_declines_or_is_percent_17g(values):
+    got = fixed_17g_strings(values)
+    if all(1e-4 <= abs(v) < 1e16 for v in values):
+        assert got is not None
+    assert got is None or got == ["%.17g" % v for v in values]

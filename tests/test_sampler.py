@@ -28,7 +28,7 @@ from bellshot import (
 )
 from bellshot import sampler
 from bellshot.sampler import SHOT_CSV_HEADER, sample_outcome_indices
-from conftest import ROOT_HALF
+from conftest import ROOT_HALF, fixed_17g_strings
 
 
 def singlet_optimal_probabilities():
@@ -102,6 +102,8 @@ def test_negative_shot_count_rejected():
     rng = np.random.Generator(np.random.Philox(key=[0, 0]))
     with pytest.raises(OutOfRange):
         sample_outcome_indices(np.full(16, 1.0 / 16.0), -1, rng)
+    with pytest.raises(OutOfRange):
+        sample_indices(np.full(16, 1.0 / 16.0), -1, RngConfig(seed=0, stream_count=4))
     assert sample_shots(np.full(16, 1.0 / 16.0), 0, RngConfig(seed=0)) == []
 
 
@@ -114,6 +116,11 @@ def test_stream_blocks_merge_in_stream_order():
     for stream, count in ((0, 3), (1, 3), (2, 2)):
         manual.extend(sample_outcome_indices(p, count, cfg.generator(stream)))
     assert got == manual
+    # 10 shots over 10**12 streams: one shot from each of the first 10, and
+    # no generator for the rest, which would take about a year to build
+    cfg = RngConfig(seed=99, stream_count=10**12)
+    manual = [sample_outcome_indices(p, 1, cfg.generator(stream))[0] for stream in range(10)]
+    assert sample_indices(p, 10, cfg).tolist() == manual
 
 
 def test_empirical_frequencies():
@@ -231,7 +238,11 @@ def test_sample_indices_is_the_array_behind_sample_shots():
     idx = sample_indices(p, 301, cfg)
     assert idx.dtype == np.int64 and idx.shape == (301,)
     assert idx.tolist() == [xi.to_index() for xi in sample_shots(p, 301, cfg)]
-    assert sample_indices(p, 0, cfg).shape == (0,)
+    empty = sample_indices(p, 0, cfg)
+    assert empty.shape == (0,) and empty.dtype == np.int64
+    # stream 0 still checks the probabilities when no shot is drawn
+    with pytest.raises(InvalidDistribution):
+        sample_indices(np.full(16, 1.0 / 32.0), 0, cfg)
 
 
 def sequential_shot_csv(kernel, indices) -> bytes:
@@ -248,17 +259,57 @@ def sequential_shot_csv(kernel, indices) -> bytes:
     return buf.getvalue().encode()
 
 
-@pytest.mark.parametrize("n", [6, 7, 8, 23])
-def test_chunked_csv_matches_sequential_loop(tmp_path, monkeypatch, n):
+# Shot lists whose running mean leaves _fixed_17g's range inside a chunk of
+# 7, so those chunks are formatted by %; outcomes 0 and 3 have opposite S.
+OUTSIDE_FIXED_RANGE = {
+    "zero_mean": [0, 3] * 6 + [5] * 9,  # exactly 0 at rows 2, 4, ..., 12
+    "tiny_mean": [0, 1, 2, 3] * 4 + [7] * 5,  # 2.2e-16 at row 4, written with an exponent
+}
+
+
+@pytest.mark.parametrize("case", [6, 7, 8, 23, "zero_mean", "tiny_mean"])
+def test_chunked_csv_matches_sequential_loop(tmp_path, monkeypatch, case):
     # chunk 7: n = chunk - 1, chunk, chunk + 1, and several chunks plus a tail
     monkeypatch.setattr(sampler, "CSV_CHUNK", 7)
     # unequal gammas give single-shot values that are not exact in binary
     kernel = build_kernel(GammaSet(0.61, 0.73, 0.55, 0.87))
-    idx = np.random.default_rng(n).integers(0, 16, n)
+    if case in OUTSIDE_FIXED_RANGE:
+        idx = np.array(OUTSIDE_FIXED_RANGE[case])
+    else:
+        idx = np.random.default_rng(case).integers(0, 16, case)
     path = tmp_path / "shots.csv"
     write_shot_csv(path, kernel, idx)
     expected = sequential_shot_csv(kernel, idx.tolist())
     assert path.read_bytes() == expected
     # the list view carries the same running means, bit for bit
     rows = list(csv.reader(io.StringIO(expected.decode())))[1:]
-    assert [r.running_mean_S for r in shot_records(kernel, idx)] == [float(r[6]) for r in rows]
+    means = [float(r[6]) for r in rows]
+    assert [r.running_mean_S for r in shot_records(kernel, idx)] == means
+    # these cases, and only these, reach the % fallback
+    assert (case in OUTSIDE_FIXED_RANGE) == any(abs(m) < 1e-4 for m in means)
+
+
+def powers_of_ten_and_neighbours(steps=3):
+    """10**k for k = -5..17 and the `steps` doubles on either side of each."""
+    values = []
+    for k in range(-5, 18):
+        below = above = float(f"1e{k}")
+        values.append(below)
+        for _ in range(steps):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            values += [float(below), float(above)]
+    return values
+
+
+def test_fixed_17g_exact_cases():
+    # every j / 2**17 is a tie halfway between two 17-digit decimals
+    ties = (1.0 + np.arange(2**16) / 2**17).tolist()
+    assert fixed_17g_strings(ties) == ["%.17g" % v for v in ties]
+    near = powers_of_ten_and_neighbours()
+    inside = [s * v for v in near if 1e-4 <= v < 1e16 for s in (1.0, -1.0)]
+    # one call: rows of many exponents share a matrix
+    assert fixed_17g_strings(inside) == ["%.17g" % v for v in inside]
+    for v in near:
+        assert (fixed_17g_strings([v]) is None) == (v not in inside)
+    for v in (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-5, 1e16, 1e300):
+        assert fixed_17g_strings([1.5, v]) is None
