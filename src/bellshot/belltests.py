@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, EmptyShotList
-from .inversion import InversionKernel, QuasiDistribution, invert_distribution, kernel_1d
+from .inversion import InversionKernel, QuasiDistribution, invert_distribution
 from .measurement import OUTCOMES, OutcomeIndex, as_indices
 
 DUAL_PATH_TOL = 1e-10
@@ -106,10 +106,11 @@ def single_shot_ch_table(kernel: InversionKernel) -> np.ndarray:
     -1/2 plus the four gamma-weighted sign products.
     """
     gx, gy, gu, gv = gammas = kernel.gammas.as_tuple()
-    px, py, pu, pv = (kernel_1d(g)[i[:, None], i] for g, i in zip(gammas, SIGN_INDEX))
+    x, y, u, v = products = [w[:, None] * w for w in OUTCOME_SIGNS]  # w(xi) w(xi')
+    # kernel_1d(gamma)[w, w'] = (1 + w w' / gamma) / 2 at every pair, bit for bit
+    px, py, pu, pv = (0.5 * (1.0 + ww / g) for ww, g in zip(products, gammas))
     by_substitution = px * pu - px * pv + py * pu + py * pv - py - pu
 
-    x, y, u, v = (w[:, None] * w for w in OUTCOME_SIGNS)  # w(xi) w(xi')
     closed = (
         -0.5
         - (x * v) / (4.0 * gx * gv)
@@ -174,9 +175,9 @@ class ChshReport:
 
     def as_dict(self) -> dict:
         return {
-            "s_values": [float(s) for s in self.s_values],
+            "s_values": self.s_values.tolist(),
             "ensemble_S": self.ensemble_S,
-            "single_shot_S": [float(s) for s in self.single_shot_S],
+            "single_shot_S": self.single_shot_S.tolist(),
             "bound": self.bound,
         }
 
@@ -191,8 +192,8 @@ class ChReport:
 
     def as_dict(self) -> dict:
         return {
-            "single_shot_C": [[float(c) for c in row] for row in self.single_shot_C],
-            "ensemble_C": [float(c) for c in self.ensemble_C],
+            "single_shot_C": self.single_shot_C.tolist(),
+            "ensemble_C": self.ensemble_C.tolist(),
             "bounds": list(self.bounds),
         }
 
@@ -202,7 +203,12 @@ def chsh_report(kernel: InversionKernel, observed) -> ChshReport:
     and the shot-weighted average of single-shot values coincide."""
     p = np.asarray(observed, dtype=float)
     q = invert_distribution(kernel, p)
-    table = single_shot_chsh_table(kernel)
+    return chsh_report_from(single_shot_chsh_table(kernel), p, q)
+
+
+def chsh_report_from(table: np.ndarray, p: np.ndarray, q: QuasiDistribution) -> ChshReport:
+    """chsh_report from its parts: the single-shot table of the kernel, the
+    observed statistics and their inversion through that kernel."""
     via_quasi = ensemble_chsh(q)
     _require_agreement("ensemble CHSH", np.float64(via_quasi), table @ p, lambda: "S")
     return ChshReport(s_values=S_VALUES, ensemble_S=via_quasi, single_shot_S=table)
@@ -216,9 +222,14 @@ def ch_report(kernel: InversionKernel, observed) -> ChReport:
     the sharp Born probabilities)."""
     p = np.asarray(observed, dtype=float)
     grid = single_shot_ch_table(kernel)
-    by_average = _in_order_sum(grid * p)
+    return ch_report_from(grid, p, invert_distribution(kernel, p))
 
-    m = invert_distribution(kernel, p).entries.reshape(2, 2, 2, 2)  # axes x, y, u, v
+
+def ch_report_from(grid: np.ndarray, p: np.ndarray, q: QuasiDistribution) -> ChReport:
+    """ch_report from its parts: the single-shot CH grid of the kernel, the
+    observed statistics and their inversion through that kernel."""
+    by_average = _in_order_sum(grid * p)
+    m = q.entries.reshape(2, 2, 2, 2)  # axes x, y, u, v
     ix, iy, iu, iv = SIGN_INDEX
     by_marginals = (
         m.sum(axis=(1, 3))[ix, iu]
@@ -237,14 +248,14 @@ def classical_bounds_check(report) -> dict:
     if isinstance(report, ChshReport):
         return {
             "ensemble_S": chsh_verdict(report.ensemble_S).as_dict(),
-            "single_shot_S": [chsh_verdict(float(s)).as_dict() for s in report.single_shot_S],
+            "single_shot_S": [chsh_verdict(s).as_dict() for s in report.single_shot_S.tolist()],
         }
     if isinstance(report, ChReport):
         grid = report.single_shot_C
         # ch_verdict's "violated" predicate, over the whole grid at once
         violated = (grid > CH_UPPER_BOUND + BOUNDARY_TOL) | (grid < CH_LOWER_BOUND - BOUNDARY_TOL)
         return {
-            "ensemble_C": [ch_verdict(float(c)).as_dict() for c in report.ensemble_C],
+            "ensemble_C": [ch_verdict(c).as_dict() for c in report.ensemble_C.tolist()],
             "single_shot_C": {
                 "min": float(grid.min()),
                 "max": float(grid.max()),

@@ -12,17 +12,20 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .belltests import (
-    ch_report,
+    ch_report_from,
     chsh_report,
+    chsh_report_from,
     chsh_verdict,
     classical_bounds_check,
     ensemble_chsh,
@@ -218,8 +221,41 @@ def load_config(path: str, **overrides) -> ExperimentConfig:
 
 
 def atomic_write_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json_text(payload) + "\n"
     _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
+
+
+def json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), character for character, for str keys.
+
+    With indent set, json encodes in pure Python. Here only the containers
+    recurse in Python: finite floats print by float.__repr__ and strings by
+    encode_basestring_ascii, as json's C encoder does; every other leaf,
+    NaN and +-inf included, goes through json.dumps itself.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        separator = "," + inner
+        try:  # a list of floats, in one pass
+            items = separator.join(map(float.__repr__, value))
+            finite = "n" not in items  # no "nan", "inf" or "-inf"
+        except TypeError:  # an item that is not a float
+            finite = False
+        if not finite:
+            items = separator.join([json_text(v, inner) for v in value])
+        return "[" + inner + items + indent + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
 
 
 def _atomic_write(path: str, write) -> None:
@@ -246,12 +282,12 @@ def cmd_exact(config: ExperimentConfig, out_dir: str) -> int:
     """Full exact analysis of one configuration, written as JSON."""
     kernel, observed = _analysis(config)
     quasi = invert_distribution(kernel, observed)
-    chsh = chsh_report(kernel, observed)
-    ch = ch_report(kernel, observed)
+    chsh = chsh_report_from(single_shot_chsh_table(kernel), observed, quasi)
+    ch = ch_report_from(single_shot_ch_table(kernel), observed, quasi)
     payload = {
         "ordering": OUTCOME_ORDER_DOC,
         "gammas": dict(zip(("x", "y", "u", "v"), config.gammas.as_tuple())),
-        "observed_statistics": [float(p) for p in observed],
+        "observed_statistics": observed.tolist(),
         "quasi_distribution": quasi.to_list(),
         "min_quasi_entry": quasi.min_entry(),
         "negative": quasi.is_negative(),
@@ -310,7 +346,11 @@ def _sweep_grid(args) -> list[float]:
     n = int(points)
     if n < 2:
         raise ConfigError("sweep --grid-range needs at least 2 points")
-    return np.linspace(float(start), float(stop), n).tolist()
+    try:
+        grid = np.linspace(float(start), float(stop), n)
+    except (ValueError, MemoryError) as exc:  # numpy refuses or fails to allocate n
+        raise ConfigError(f"sweep --grid-range POINTS {points!r} is too many: {exc}")
+    return grid.tolist()
 
 
 def _kernel_columns(kernel) -> tuple[float, float, float]:
@@ -448,7 +488,10 @@ def main(argv=None) -> int:
 
         flags = {"seed": args.seed, "shots": args.shots}
         config = load_config(args.config, **{k: v for k, v in flags.items() if v is not None})
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out!r}: cannot create the output directory: {exc}")
 
         if args.command == "exact":
             return cmd_exact(config, args.out)

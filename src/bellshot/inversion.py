@@ -78,10 +78,14 @@ def build_kernel(gammas: GammaSet) -> InversionKernel:
     """Product of the four one-observable kernels over all outcome pairs.
 
     x is the most significant index, as in the canonical outcome order; each
-    entry is ((kx * ky) * ku) * kv, multiplied left to right.
+    entry is ((kx * ky) * ku) * kv, multiplied left to right as the nested
+    np.kron product does, so the two tables agree bit for bit.
     """
-    kx, ky, ku, kv = (kernel_1d(g) for g in gammas.as_tuple())
-    return InversionKernel(gammas, np.kron(np.kron(np.kron(kx, ky), ku), kv))
+    # each factor as (2, 1, 1, 1, 2): broadcasting aligns trailing axes, so
+    # the product's axes are (x, y, u, v, x', y', u', v')
+    kx, ky, ku, kv = (kernel_1d(g)[:, None, None, None, :] for g in gammas.as_tuple())
+    table = ((kx[..., None, None, None] * ky[..., None, None]) * ku[..., None]) * kv
+    return InversionKernel(gammas, table.reshape(16, 16))
 
 
 @dataclass(frozen=True)
@@ -111,7 +115,7 @@ class QuasiDistribution:
     def to_list(self) -> list[float]:
         """Entries in the canonical outcome order (documented in
         measurement.OUTCOME_ORDER_DOC), ready for JSON."""
-        return [float(p) for p in self.entries]
+        return self.entries.tolist()
 
 
 def require_quasi_entries(entries: np.ndarray) -> None:

@@ -64,10 +64,11 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "ma
         raise NotHermitian(f"{what}: max |M - M^H| = {worst:.3e} exceeds {tol:.0e}")
 
 
-def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
+def eigvals_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Eigenvalues of each Hermitian 2x2 or 4x4 matrix of a stack, ascending
-    (LAPACK's Hermitian solver through ``numpy.linalg.eigvalsh``)."""
-    require_hermitian(m)
+    (LAPACK's Hermitian solver through ``numpy.linalg.eigvalsh``). A matrix
+    that is not Hermitian raises NotHermitian, named by `what`."""
+    require_hermitian(m, what=what)
     if m.shape[-2:] not in ((2, 2), (4, 4)):
         raise OutOfRange(f"only 2x2 and 4x4 supported, got shape {m.shape}")
     return np.linalg.eigvalsh(m)

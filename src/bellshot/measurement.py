@@ -34,6 +34,8 @@ PROB_SUM_TOL = 1e-10
 
 SIGNS = (+1, -1)
 PAIR_ORDER = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+# w1 and w2 of each pair, as (2, 4, 1, 1) to scale a stack of four 2x2 matrices
+PAIR_SIGNS = np.array(PAIR_ORDER, dtype=float).T[..., None, None]
 
 OUTCOME_ORDER_DOC = (
     "outcomes (x, y, u, v) ordered lexicographically with +1 before -1; "
@@ -131,7 +133,7 @@ def subsystem_elements(
     a (4, 2, 2) array not checked for positivity."""
     g1, g2 = gammas
     op1, op2 = pair[0].operator(), pair[1].operator()
-    return np.array([0.25 * (linalg.I2 + g1 * w1 * op1 + g2 * w2 * op2) for w1, w2 in PAIR_ORDER])
+    return 0.25 * (linalg.I2 + (g1 * PAIR_SIGNS[0]) * op1 + (g2 * PAIR_SIGNS[1]) * op2)
 
 
 def build_joint_povm(
@@ -141,18 +143,20 @@ def build_joint_povm(
     """Four-outcome subsystem POVM for a pair of observables.
 
     Returns a (4, 2, 2) array in PAIR_ORDER. Raises NotPositive, naming the
-    offending outcome pair and eigenvalue, when the unsharpness/angle
-    combination leaves the physical region.
+    first offending outcome pair and its eigenvalue, when the
+    unsharpness/angle combination leaves the physical region.
     """
     g1, g2 = float(gammas[0]), float(gammas[1])
     elements = subsystem_elements(pair, (g1, g2))
-    for (w1, w2), e in zip(PAIR_ORDER, elements):
-        lam = linalg.min_eigenvalue_hermitian(e)
-        if lam < linalg.PSD_TOL:
-            raise NotPositive(
-                f"joint element({w1:+d},{w2:+d}) has min eigenvalue {lam!r}; "
-                f"gammas ({g1}, {g2}) with these directions are unphysical"
-            )
+    lam = linalg.eigvals_hermitian(elements)[:, 0]
+    bad = lam < linalg.PSD_TOL
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        w1, w2 = PAIR_ORDER[i]
+        raise NotPositive(
+            f"joint element({w1:+d},{w2:+d}) has min eigenvalue {float(lam[i])!r}; "
+            f"gammas ({g1}, {g2}) with these directions are unphysical"
+        )
     elements.setflags(write=False)
     return elements
 

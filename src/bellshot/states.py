@@ -43,14 +43,14 @@ def density_matrices(entries, stack_axes: int = 0) -> np.ndarray:
     first matrix that fails it.
     """
     m = linalg.as_matrix(entries, 4, stack_axes)
-    linalg.require_hermitian(m, what="density matrix")
+    # the solver runs the Hermiticity check, so it comes before the trace's
+    lam = linalg.eigvals_hermitian(m, what="density matrix")[..., 0]
     tr = np.trace(m, axis1=-2, axis2=-1)
     bad = np.abs(tr - 1.0) > TRACE_TOL
     if np.any(bad):
         raise NotUnitTrace(
             f"density matrix: trace = {float(linalg.first_failing(tr, bad).real)!r}, expected 1"
         )
-    lam = linalg.eigvals_hermitian(m)[..., 0]
     bad = lam < linalg.PSD_TOL
     if np.any(bad):
         raise NotPSD(

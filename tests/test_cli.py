@@ -107,6 +107,9 @@ def test_config_errors_exit_2(tmp_path, capsys, doc, fragment):
         (["run", "--seed", "-1"], "seed:"),
         (["run", "--shots", "-1"], "shots:"),
         (["sweep", "--axis", "werner_eta", "--grid-range", "0", "1", "2.5"], "POINTS"),
+        # beyond numpy's size limit, so linspace refuses before allocating
+        (["sweep", "--axis", "werner_eta", "--grid-range", "0", "1", "1e300"],
+         "--grid-range POINTS 1e+300 is too many"),
     ],
 )
 def test_argv_errors_exit_2(tmp_path, capsys, argv, fragment):
@@ -140,6 +143,38 @@ def test_invalid_json_and_missing_file(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["exact", "--config", missing, "--out", str(tmp_path)]) == 2
     assert "config file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["exact", "run"])
+def test_out_that_cannot_be_created_exits_2(tmp_path, capsys, command):
+    cfg = singlet_config(tmp_path, shots=10)
+    regular_file = tmp_path / "f"
+    regular_file.write_text("")
+    for out in (regular_file / "sub", regular_file):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out {str(out)!r}") and "Traceback" not in err
+
+
+def test_exact_solves_one_eigenproblem_per_stack_and_never_encodes_in_pure_python(
+        tmp_path, monkeypatch):
+    # one eigvalsh for the state, one per subsystem's four POVM elements
+    calls = {"eigvalsh": 0, "_make_iterencode": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(np.linalg, "eigvalsh")
+    counted(json.encoder, "_make_iterencode")  # json's encoder when indent is set
+    cfg = singlet_config(tmp_path)
+    assert main(["exact", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert 0 < calls["eigvalsh"] <= 3
+    assert calls["_make_iterencode"] == 0
 
 
 def test_exact_singlet_optimal(tmp_path):

@@ -107,8 +107,26 @@ def test_sharp_gammas_on_orthogonal_pair_rejected():
     )
     with pytest.raises(NotPositive) as err:
         build_joint_povm(pair, (1.0, 1.0))
-    # the message names the offending outcome pair
-    assert "(" in str(err.value) and "eigenvalue" in str(err.value)
+    # every element fails; the message names the first in PAIR_ORDER
+    assert str(err.value) == (
+        "joint element(+1,+1) has min eigenvalue -0.10355339059327377; "
+        "gammas (1.0, 1.0) with these directions are unphysical"
+    )
+
+
+def test_rejection_names_first_failing_element_in_pair_order():
+    # n1.n2 = 0.8 with opposite gamma signs: (+1,+1) and (-1,-1) hold, the
+    # other two elements have Bloch norm 0.6 * sqrt(3.6) > 1
+    pair = (
+        ObservableSpec(ObservableLabel.X, np.array([0.0, 0.0, 1.0])),
+        ObservableSpec(ObservableLabel.Y, np.array([0.6, 0.0, 0.8])),
+    )
+    with pytest.raises(NotPositive) as err:
+        build_joint_povm(pair, (0.6, -0.6))
+    assert str(err.value) == (
+        "joint element(+1,-1) has min eigenvalue -0.034604989415154136; "
+        "gammas (0.6, -0.6) with these directions are unphysical"
+    )
 
 
 def test_subsystem_completeness():

@@ -5,11 +5,16 @@ Hypothesis runs derandomized, without an example database, so every run
 checks the same examples.
 """
 
+import json
+
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bellshot import (
+    ConsistencyError,
     GammaSet,
+    InversionKernel,
     ObservableLabel,
     build_kernel,
     cross_marginal,
@@ -22,7 +27,8 @@ from bellshot import (
     single_shot_ch_table,
     single_shot_chsh_table,
 )
-from bellshot.measurement import OUTCOMES
+from bellshot.cli import json_text
+from bellshot.measurement import GAMMA_MIN, OUTCOMES
 
 from conftest import fixed_17g_strings, projector
 
@@ -80,6 +86,25 @@ def test_kernel_is_the_loop_product_with_unit_column_sums(drawn):
     table = build_kernel(gammas).table
     assert np.array_equal(table, loop_kernel(gammas))
     assert np.abs(table.sum(axis=0) - 1.0).max() <= 1e-12
+
+
+SIGNED_GAMMA = st.floats(GAMMA_MIN, 1.0) | st.floats(GAMMA_MIN, 1.0).map(lambda g: -g)
+
+
+@settings(FIXED, max_examples=200)
+@given(st.lists(SIGNED_GAMMA, min_size=4, max_size=4))
+def test_kernel_is_the_nested_kron_product_bit_for_bit(values):
+    gammas = GammaSet(*values)
+    kx, ky, ku, kv = (kernel_1d(g) for g in values)
+    nested = np.kron(np.kron(np.kron(kx, ky), ku), kv)
+    try:
+        expected = InversionKernel(gammas, nested)
+    except ConsistencyError as exc:  # the column sums fail at small |gamma|
+        with pytest.raises(ConsistencyError) as err:
+            build_kernel(gammas)
+        assert str(err.value) == str(exc)
+    else:
+        assert build_kernel(gammas).table.tobytes() == expected.table.tobytes()
 
 
 @FIXED
@@ -147,3 +172,34 @@ def test_fixed_17g_declines_or_is_percent_17g(values):
     if all(1e-4 <= abs(v) < 1e16 for v in values):
         assert got is not None
     assert got is None or got == ["%.17g" % v for v in values]
+
+
+JSON_LEAVES = (
+    st.floats()
+    | st.floats().map(np.float64)
+    | st.sampled_from([-0.0, 5e-324, 1e-5, 1e16, float("nan"), float("inf"), float("-inf")])
+    | st.integers()
+    | st.integers(2**64, 10**300)
+    | st.booleans()
+    | st.none()
+    | st.text()
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "caf\u00e9 \u2603 \U0001f600"])
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.lists(st.floats() | st.floats().map(np.float64))
+        | st.dictionaries(st.text(), children)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(FIXED, max_examples=100)
+@given(JSON_VALUES)
+@example({"a": [1e16, -0.0, 5e-324, 1e-5], "b": [float("nan"), 1.0], "c": [[], {}, ()],
+          "d": (np.float64(0.1), float("-inf")), "e": [10**300, True, None, 'q"\\\x01\u00e9']})
+def test_json_text_is_json_dumps_indent_2(value):
+    assert json_text(value) == json.dumps(value, indent=2)

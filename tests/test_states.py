@@ -78,6 +78,11 @@ def test_density_matrix_checks_name_the_first_failing_matrix():
         density_matrices([ok, ok * 1.01, ok * 1.02], stack_axes=1)
     with pytest.raises(NotPSD, match=r"min eigenvalue = -0\.1 below"):
         density_matrices([[ok, *psd]], stack_axes=2)
+    # Hermiticity is checked first: this matrix has trace 2 as well
+    skew = 2.0 * ok + np.triu(np.full((4, 4), 0.2j), 1)
+    with pytest.raises(NotHermitian) as err:
+        density_matrices([ok, skew], stack_axes=1)
+    assert str(err.value) == "density matrix: max |M - M^H| = 2.000e-01 exceeds 1e-12"
     assert density_matrices([ok, ok], stack_axes=1).shape == (2, 4, 4)
     # one DensityMatrix holds one state
     with pytest.raises(OutOfRange):
