@@ -202,14 +202,8 @@ def chsh_report(kernel: InversionKernel, observed) -> ChshReport:
     """Build the CHSH report, verifying that the quasi-distribution average
     and the shot-weighted average of single-shot values coincide."""
     p = np.asarray(observed, dtype=float)
-    q = invert_distribution(kernel, p)
-    return chsh_report_from(single_shot_chsh_table(kernel), p, q)
-
-
-def chsh_report_from(table: np.ndarray, p: np.ndarray, q: QuasiDistribution) -> ChshReport:
-    """chsh_report from its parts: the single-shot table of the kernel, the
-    observed statistics and their inversion through that kernel."""
-    via_quasi = ensemble_chsh(q)
+    via_quasi = ensemble_chsh(invert_distribution(kernel, p))
+    table = single_shot_chsh_table(kernel)
     _require_agreement("ensemble CHSH", np.float64(via_quasi), table @ p, lambda: "S")
     return ChshReport(s_values=S_VALUES, ensemble_S=via_quasi, single_shot_S=table)
 
@@ -222,14 +216,8 @@ def ch_report(kernel: InversionKernel, observed) -> ChReport:
     the sharp Born probabilities)."""
     p = np.asarray(observed, dtype=float)
     grid = single_shot_ch_table(kernel)
-    return ch_report_from(grid, p, invert_distribution(kernel, p))
-
-
-def ch_report_from(grid: np.ndarray, p: np.ndarray, q: QuasiDistribution) -> ChReport:
-    """ch_report from its parts: the single-shot CH grid of the kernel, the
-    observed statistics and their inversion through that kernel."""
     by_average = _in_order_sum(grid * p)
-    m = q.entries.reshape(2, 2, 2, 2)  # axes x, y, u, v
+    m = invert_distribution(kernel, p).entries.reshape(2, 2, 2, 2)  # axes x, y, u, v
     ix, iy, iu, iv = SIGN_INDEX
     by_marginals = (
         m.sum(axis=(1, 3))[ix, iu]

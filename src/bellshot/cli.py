@@ -23,9 +23,8 @@ import numpy as np
 
 from . import __version__
 from .belltests import (
-    ch_report_from,
+    ch_report,
     chsh_report,
-    chsh_report_from,
     chsh_verdict,
     classical_bounds_check,
     ensemble_chsh,
@@ -33,7 +32,7 @@ from .belltests import (
     single_shot_ch_table,
     single_shot_chsh_table,
 )
-from .errors import BellshotError, ConfigError, ConsistencyError, NotPositive
+from .errors import BellshotError, ConfigError, ConsistencyError, GammaOutOfRange, NotPositive
 from .inversion import (
     build_kernel,
     gamma_free_quasi,
@@ -91,11 +90,11 @@ def _parse_state(raw) -> DensityMatrix:
         )
     (kind, value), = raw.items()
     if kind == "bell":
-        try:
-            return bell_state(BellState(value))
-        except ValueError:
-            names = ", ".join(b.value for b in BellState)
-            raise ConfigError(f"state.bell: unknown name {value!r}; expected one of {names}")
+        names = [b.value for b in BellState]
+        if value not in names:  # before BellState(value), whose error reprs value
+            raise ConfigError(f"state.bell: unknown name {_shown(value)}; "
+                              f"expected one of {', '.join(names)}")
+        return bell_state(BellState(value))
     if kind == "werner":
         eta = float(_reals(value, "state.werner", "a real in [0, 1]", ()))
         try:
@@ -117,20 +116,35 @@ def _parse_state(raw) -> DensityMatrix:
 def _reals(raw, where: str, kind: str, shape: tuple) -> np.ndarray:
     """raw as a float array of the given shape, or ConfigError naming where.
     Every leaf must be a JSON number: float() and numpy would read true as
-    1.0 and "0.5" as 0.5, and null as NaN."""
-    def numeric(node):
+    1.0 and "0.5" as 0.5, and null as NaN. Lists nested deeper than shape
+    has axes are refused unwalked."""
+    def numeric(node, depth):
         if isinstance(node, list):
-            return all(numeric(item) for item in node)
+            return depth > 0 and all(numeric(item, depth - 1) for item in node)
         return isinstance(node, (int, float)) and not isinstance(node, bool)
 
     try:
-        if numeric(raw):
+        if numeric(raw, len(shape)):
             values = np.array(raw, dtype=float)
             if values.shape == shape:
                 return values
     except (ValueError, OverflowError):  # ragged tables; ints beyond float range
         pass
-    raise ConfigError(f"{where}: expected {kind}, got {raw!r}")
+    raise ConfigError(f"{where}: expected {kind}, got {_shown(raw)}")
+
+
+def _shown(value, depth: int = 8) -> str:
+    """repr(value) for a JSON value, with containers more than depth levels
+    down shown as [...] and {...}: a config may nest as deep as json.load
+    allows, and a message must not recurse that far."""
+    if isinstance(value, list) and value:
+        inner = "..." if depth == 0 else ", ".join([_shown(v, depth - 1) for v in value])
+        return f"[{inner}]"
+    if isinstance(value, dict) and value:
+        inner = "..." if depth == 0 else ", ".join(
+            [f"{k!r}: {_shown(v, depth - 1)}" for k, v in value.items()])
+        return f"{{{inner}}}"
+    return repr(value)
 
 
 def _parse_observables(raw):
@@ -205,17 +219,23 @@ def _int_field(doc: dict, name: str, default: int, kind: str, low: int, high=flo
     # bool subclasses int, but `"shots": true` is a mistake, not a one-shot run
     value = doc.get(name, default)
     if isinstance(value, bool) or not isinstance(value, int) or not low <= value < high:
-        raise ConfigError(f"{name}: expected {kind}, got {value!r}")
+        raise ConfigError(f"{name}: expected {kind}, got {_shown(value)}")
     return value
 
 
 def load_config(path: str, **overrides) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory; no read permission
+        raise ConfigError(f"config file cannot be read: {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8 text: {path}: {exc}")
+    except RecursionError:  # json's decoder recurses once per nested container
+        raise ConfigError(f"config file nests too deeply to decode: {path}")
+    except ValueError as exc:  # JSONDecodeError; an int beyond int()'s digit limit
         raise ConfigError(f"config is not valid JSON: {exc}")
     return ExperimentConfig.from_dict(doc, **overrides)
 
@@ -262,14 +282,17 @@ def _atomic_write(path: str, write) -> None:
     """Let write(tmp) fill a new file beside path, then rename it onto path.
     The file gets 0o666 less the umask, as open() gives; mkstemp gives 0600."""
     tmp = os.path.join(os.path.dirname(path) or ".", f".bellshot-{os.urandom(8).hex()}.tmp")
-    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
-        write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        try:
+            write(tmp)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:  # path is a directory; --out is read-only or full
+        raise ConfigError(f"--out: cannot write {path}: {exc.strerror}") from exc
 
 
 def _analysis(config: ExperimentConfig):
@@ -282,8 +305,8 @@ def cmd_exact(config: ExperimentConfig, out_dir: str) -> int:
     """Full exact analysis of one configuration, written as JSON."""
     kernel, observed = _analysis(config)
     quasi = invert_distribution(kernel, observed)
-    chsh = chsh_report_from(single_shot_chsh_table(kernel), observed, quasi)
-    ch = ch_report_from(single_shot_ch_table(kernel), observed, quasi)
+    chsh = chsh_report(kernel, observed)
+    ch = ch_report(kernel, observed)
     payload = {
         "ordering": OUTCOME_ORDER_DOC,
         "gammas": dict(zip(("x", "y", "u", "v"), config.gammas.as_tuple())),
@@ -341,13 +364,16 @@ def _sweep_grid(args) -> list[float]:
     if args.grid_values is not None:
         return [float(v) for v in args.grid_values]
     start, stop, points = args.grid_range
+    for flag, value in (("START", start), ("STOP", stop), ("STOP - START", stop - start)):
+        if not math.isfinite(value):  # linspace would warn and yield NaN points
+            raise ConfigError(f"sweep --grid-range {flag} {value!r} is not finite")
     if not points.is_integer():
         raise ConfigError(f"sweep --grid-range POINTS must be an integer, got {points!r}")
     n = int(points)
     if n < 2:
         raise ConfigError("sweep --grid-range needs at least 2 points")
     try:
-        grid = np.linspace(float(start), float(stop), n)
+        grid = np.linspace(start, stop, n)
     except (ValueError, MemoryError) as exc:  # numpy refuses or fails to allocate n
         raise ConfigError(f"sweep --grid-range POINTS {points!r} is too many: {exc}")
     return grid.tolist()
@@ -363,9 +389,10 @@ def _kernel_columns(kernel) -> tuple[float, float, float]:
 def _gamma_rows(config: ExperimentConfig, grid: list[float]):
     quasi = gamma_free_quasi(config.state, config.settings)
     for value in grid:
-        if not GAMMA_MIN <= abs(value) <= 1.0:
-            raise ConfigError(f"sweep gamma {value!r} outside [{GAMMA_MIN}, 1]")
-        gammas = GammaSet.equal(value)
+        try:
+            gammas = GammaSet.equal(value)
+        except GammaOutOfRange:
+            raise ConfigError(f"sweep gamma {value!r} outside [{GAMMA_MIN}, 1]") from None
         kernel_columns = _kernel_columns(build_kernel(gammas))
         try:
             joint_povm(config.settings, gammas)
@@ -449,14 +476,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", default=".", help="output directory (default: current)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--shots", type=int, default=None, help="override the config shot count")
+        return p
 
     add_common(sub.add_parser("exact", help="exact statistics, tests, and verdicts"))
-    add_common(sub.add_parser("run", help="sample shots and summarize convergence"))
+    run = add_common(sub.add_parser("run", help="sample shots and summarize convergence"))
+    run.add_argument("--seed", type=int, default=None, help="override the config seed")
+    run.add_argument("--shots", type=int, default=None, help="override the config shot count")
 
-    sweep = sub.add_parser("sweep", help="tabulate test values along a parameter axis")
-    add_common(sweep)
+    sweep = add_common(sub.add_parser("sweep", help="tabulate test values along a parameter axis"))
     sweep.add_argument("--axis", required=True, choices=("gamma", "werner_eta"))
     group = sweep.add_mutually_exclusive_group(required=True)
     group.add_argument("--grid-values", nargs="+", type=float, help="explicit grid points")
@@ -486,8 +513,9 @@ def main(argv=None) -> int:
             _int_field(vars(args), "trials", DEFAULT_TRIALS, "a positive integer", 1)
             return cmd_validate(seed, args.trials, args.inject_fault)
 
-        flags = {"seed": args.seed, "shots": args.shots}
-        config = load_config(args.config, **{k: v for k, v in flags.items() if v is not None})
+        # only run has --seed and --shots
+        overrides = {k: v for k in ("seed", "shots") if (v := getattr(args, k, None)) is not None}
+        config = load_config(args.config, **overrides)
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:

@@ -21,13 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ConsistencyError, GammaOutOfRange, InvalidDistribution
+from .errors import ConsistencyError, InvalidDistribution
 from .measurement import (
-    GAMMA_MIN,
     SIGNS,
     JointPovm,
     GammaSet,
     born_traces,
+    checked_gamma,
     product_povm,
     subsystem_elements,
 )
@@ -49,10 +49,7 @@ def kernel_1d(gamma: float) -> np.ndarray:
 
     Columns sum to 1; the off-diagonal entries are negative for |gamma| < 1.
     """
-    g = float(gamma)
-    if not np.isfinite(g) or not (GAMMA_MIN <= abs(g) <= 1.0):
-        raise GammaOutOfRange(f"gamma = {g!r}: |gamma| must lie in [{GAMMA_MIN:g}, 1]")
-    return 0.5 * (1.0 + np.outer(SIGNS, SIGNS) / g)
+    return 0.5 * (1.0 + np.outer(SIGNS, SIGNS) / checked_gamma(gamma))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,18 @@ GAMMA_MIN = 1e-6
 PROB_CLAMP_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
 
+
+def checked_gamma(gamma, name: str = "gamma") -> float:
+    """gamma as a float, if it is finite and GAMMA_MIN <= |gamma| <= 1: the
+    one rule that admits an unsharpness factor. GammaOutOfRange names name."""
+    g = float(gamma)
+    if not np.isfinite(g):
+        raise GammaOutOfRange(f"{name} = {g!r} is not finite")
+    if not GAMMA_MIN <= abs(g) <= 1.0:
+        raise GammaOutOfRange(f"{name} = {g!r}: |gamma| must lie in [{GAMMA_MIN:g}, 1]")
+    return g
+
+
 SIGNS = (+1, -1)
 PAIR_ORDER = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 # w1 and w2 of each pair, as (2, 4, 1, 1) to scale a stack of four 2x2 matrices
@@ -105,14 +117,7 @@ class GammaSet:
 
     def __post_init__(self):
         for name in ("gamma_x", "gamma_y", "gamma_u", "gamma_v"):
-            g = float(getattr(self, name))
-            if not np.isfinite(g):
-                raise GammaOutOfRange(f"{name} = {g!r} is not finite")
-            if not (GAMMA_MIN <= abs(g) <= 1.0):
-                raise GammaOutOfRange(
-                    f"{name} = {g!r}: |gamma| must lie in [{GAMMA_MIN:g}, 1]"
-                )
-            object.__setattr__(self, name, g)
+            object.__setattr__(self, name, checked_gamma(getattr(self, name), name))
 
     @staticmethod
     def equal(gamma: float) -> "GammaSet":

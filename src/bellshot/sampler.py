@@ -49,6 +49,12 @@ class RngConfig:
     stream_count: int = 1
 
     def __post_init__(self):
+        for name in ("seed", "stream_count"):
+            value = getattr(self, name)
+            # bool subclasses int, and a float such as 1.5 would key seed 1's stream
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise OutOfRange(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 0 <= self.seed < 2**64:
             raise OutOfRange(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.stream_count < 1:

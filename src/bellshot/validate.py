@@ -231,11 +231,11 @@ def validate_all(seed: int, trials: int = DEFAULT_TRIALS, inject_fault: bool = F
     ]
     if inject_fault:
         checks.append(("inversion.fault_injection", _check_fault_injection))
+    streams = sampler.RngConfig(seed, len(checks))
     results = []
     for index, (name, check) in enumerate(checks):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
         try:
-            verdicts = list(check(rng, trials))
+            verdicts = list(check(streams.generator(index), trials))
         except BellshotError as exc:
             results.append(CheckResult(check.__name__, 0, (f"raised {exc!r}",)))
             continue

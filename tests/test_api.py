@@ -1,8 +1,12 @@
-"""The package manifest: `bellshot.__all__` against `__init__`'s imports."""
+"""The package manifest: `bellshot.__all__` against `__init__`'s imports,
+and `pyproject.toml`'s version against `bellshot.__version__`."""
 
 import ast
 import types
+import warnings
 from pathlib import Path
+
+import pytest
 
 import bellshot
 
@@ -28,3 +32,12 @@ def test_all_lists_exactly_the_imported_non_module_names():
 def test_every_exported_name_resolves():
     missing = [n for n in bellshot.__all__ if not hasattr(bellshot, n)]
     assert missing == []
+
+
+def test_pyproject_reads_its_version_from_the_package():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools calls [tool.setuptools] beta
+        project = pyprojecttoml.read_configuration(path)["project"]
+    assert project["version"] == bellshot.__version__

@@ -13,9 +13,9 @@ import pytest
 from bellshot import cli
 from bellshot.belltests import ensemble_chsh, single_shot_ch_table, single_shot_chsh_table
 from bellshot.cli import SWEEP_BLOCK, ExperimentConfig, main
-from bellshot.errors import OutOfRange
-from bellshot.inversion import build_kernel, invert_distribution
-from bellshot.measurement import joint_povm, observed_statistics
+from bellshot.errors import GammaOutOfRange, OutOfRange
+from bellshot.inversion import build_kernel, invert_distribution, kernel_1d
+from bellshot.measurement import GammaSet, joint_povm, observed_statistics
 from bellshot.sampler import CSV_CHUNK
 from bellshot.states import werner_state
 from conftest import ROOT_HALF, SINGLET, projector
@@ -143,6 +143,63 @@ def test_invalid_json_and_missing_file(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["exact", "--config", missing, "--out", str(tmp_path)]) == 2
     assert "config file not found" in capsys.readouterr().err
+
+
+def nested(value, depth: int) -> str:
+    return "[" * depth + value + "]" * depth
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "config file cannot be read: {path}: Is a directory"),
+    (b"\xff\xfe{}", "config file is not UTF-8 text: {path}: 'utf-8' codec can't decode"),
+    (b"[" * 100000, "config file nests too deeply to decode: {path}"),
+    (b'{"gammas": 1' + b"0" * 5000 + b"}", "config is not valid JSON: Exceeds the limit"),
+    # deep lists in a field are refused unwalked, and shown only 8 levels down
+    (f'{{"state": {{"bell": "psi_minus"}}, "gammas": {nested("0.5", 400)}}}'.encode(),
+     "gammas: expected a single real or keys \"x\", \"y\", \"u\", \"v\", got "
+     + nested("...", 9) + "\n"),
+    (f'{{"state": {{"bell": "psi_minus"}}, "gammas": {nested("0.5", 300)}}}'.encode(),
+     "gammas: expected a single real"),
+    (f'{{"state": {{"bell": {nested("", 400)}}}, "gammas": 0.5}}'.encode(),
+     "state.bell: unknown name " + nested("...", 9) + "; expected one of"),
+    (f'{{"state": {{"bell": "psi_minus"}}, "gammas": 0.5, "shots": {nested("", 400)}}}'.encode(),
+     "shots: expected a nonnegative integer, got " + nested("...", 9) + "\n"),
+], ids=["directory", "utf16_bom", "deep_document", "huge_int", "gammas_400_deep",
+        "gammas_300_deep", "bell_400_deep", "shots_400_deep"])
+def test_unreadable_config_exits_2_naming_file_or_field(tmp_path, capsys, content, message):
+    path = tmp_path / "config.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["exact", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert message.format(path=path) in err
+
+
+@pytest.mark.parametrize("command,output", [
+    ("exact", "exact.json"), ("run", "shots.csv"), ("sweep", "sweep_gamma.csv")])
+def test_output_that_cannot_be_written_exits_2(tmp_path, capsys, command, output):
+    cfg = singlet_config(tmp_path, shots=10)
+    out = tmp_path / "out"
+    (out / output).mkdir(parents=True)
+    extra = ["--axis", "gamma", "--grid-values", "0.5"] if command == "sweep" else []
+    assert main([command, "--config", cfg, "--out", str(out), *extra]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: --out: cannot write {out / output}: Is a directory\n")
+    assert os.listdir(out) == [output]
+
+
+@pytest.mark.parametrize("command", ["exact", "sweep"])
+@pytest.mark.parametrize("flag", ["--seed", "--shots"])
+def test_seed_and_shots_are_run_only_flags(tmp_path, capsys, command, flag):
+    cfg = singlet_config(tmp_path)
+    extra = ["--axis", "gamma", "--grid-values", "0.5"] if command == "sweep" else []
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", cfg, "--out", str(tmp_path / "out"), flag, "3", *extra])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["exact", "run"])
@@ -387,6 +444,40 @@ def test_sweep_grid_errors(tmp_path, capsys):
                    "--grid-range", "0", "1.5", "3"])
         assert rc == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("grid,message", [
+    (["0", "inf", "3"], "STOP inf is not finite"),
+    (["nan", "1", "3"], "START nan is not finite"),
+    # finite ends whose difference overflows: linspace would warn and yield NaN
+    (["1.7e308", "-1" + "0" * 308 + ".0", "3"], "STOP - START -inf is not finite"),
+])
+def test_sweep_grid_range_ends_must_be_finite(tmp_path, capsys, grid, message):
+    cfg = singlet_config(tmp_path)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--axis", "werner_eta",
+                 "--grid-range", *grid]) == 2
+    assert capsys.readouterr().err == f"config error: sweep --grid-range {message}\n"
+
+
+@pytest.mark.parametrize("value,message", [
+    (float("nan"), "= nan is not finite"),
+    (float("inf"), "= inf is not finite"),
+    (float("-inf"), "= -inf is not finite"),
+    (0.0, "= 0.0: |gamma| must lie in [1e-06, 1]"),
+    (1.0000001, "= 1.0000001: |gamma| must lie in [1e-06, 1]"),
+    (-2.0, "= -2.0: |gamma| must lie in [1e-06, 1]"),
+])
+def test_one_gamma_rule_for_gamma_set_kernel_and_sweep(tmp_path, capsys, value, message):
+    with pytest.raises(GammaOutOfRange) as info:
+        GammaSet(0.5, 0.5, 0.5, value)
+    assert str(info.value) == "gamma_v " + message
+    with pytest.raises(GammaOutOfRange) as info:
+        kernel_1d(value)
+    assert str(info.value) == "gamma " + message
+    cfg = singlet_config(tmp_path)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--axis", "gamma",
+                 f"--grid-values={value!r}"]) == 2
+    assert capsys.readouterr().err == f"config error: sweep gamma {value!r} outside [1e-06, 1]\n"
 
 
 def test_each_main_call_reads_only_its_own_argv(tmp_path):

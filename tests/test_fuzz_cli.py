@@ -1,0 +1,181 @@
+"""Exit-code fuzzing of the CLI: config documents and argv for all four
+commands end in exit 0, 1 or 2, never in an exception, and every exit 2
+names the field, flag or file at fault.
+
+Each example runs `main` in-process in a fresh temporary directory. The
+work per example is bounded: at most 1000 shots, 50 grid points, 2
+validate trials and 500 levels of nesting, so no draw asks numpy for a
+large array or Python for a long loop. Exit 1 is allowed: small admitted
+gammas can still fail the inversion's fixed tolerances (ROADMAP item 1),
+and unrealizable gammas exit 1 by design. Hypothesis runs derandomized,
+without an example database, so every run checks the same examples.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings, strategies as st
+
+from bellshot.cli import main
+
+FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+# what a config error may start with: a config field, a flag, or the file
+NAMED = ("state", "gammas", "observables", "shots", "seed", "stream_count", "trials",
+         "--out", "sweep gamma ", "sweep werner_eta ", "sweep --grid-range ",
+         "config file ", "config is ", "config root ", "unknown config fields",
+         "run requires shots")
+OUTPUTS = ("exact.json", "shots.csv", "run_summary.json", "sweep_gamma.csv",
+           "sweep_werner_eta.csv")
+
+def mostly(usual, rare):
+    """usual four draws in five, rare the fifth."""
+    return st.integers(0, 4).flatmap(lambda roll: usual if roll else rare)
+
+
+HUGE = st.sampled_from([2**63, 2**64, -2**64, 10**30, 10**400, -10**400])
+NUMBERS = st.integers(-5, 1000) | st.floats() | HUGE
+LEAVES = st.none() | st.booleans() | NUMBERS | st.text(max_size=5)
+NESTED = st.recursive(
+    LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=12,
+)
+# a leaf wrapped in up to 500 lists
+DEEP = st.builds(lambda leaf, depth: json.loads("[" * depth + json.dumps(leaf) + "]" * depth),
+                 LEAVES, st.integers(1, 500))
+ANY = NESTED | DEEP
+
+UNIT = st.floats(-1.0, 1.0)
+TABLE = st.lists(st.lists(UNIT, min_size=4, max_size=4), min_size=4, max_size=4)
+MIXED = {"custom": {"real": [[0.25 * (i == j) for j in range(4)] for i in range(4)],
+                    "imag": [[0.0] * 4] * 4}}
+OPTIMAL = {"x": [0, 0, 1], "y": [1, 0, 0], "u": [0.5**0.5, 0, 0.5**0.5], "v": [0.5**0.5, 0, -0.5**0.5]}
+# realizable on the optimal settings up to 1/sqrt(2); exit 1 beyond
+GAMMA = mostly(st.floats(0.05, 0.7), st.floats(-1.0, -0.05) | st.floats(0.7, 1.0))
+# per field: a well-formed value (None: leave the field out) and a malformed one
+FIELDS = {
+    "state": (
+        st.sampled_from([{"bell": name} for name in ("phi_plus", "psi_minus")] + [MIXED])
+        | st.builds(lambda eta: {"werner": eta}, st.floats(0.0, 1.0)),
+        st.builds(lambda eta: {"werner": eta}, NUMBERS | ANY)
+        | st.builds(lambda real, imag: {"custom": {"real": real, "imag": imag}}, TABLE | ANY, ANY)
+        | st.dictionaries(st.sampled_from(["bell", "werner", "custom", "qutrit"]), ANY, max_size=2)
+        | ANY,
+    ),
+    "gammas": (GAMMA | st.fixed_dictionaries({k: GAMMA for k in "xyuv"}),
+               NUMBERS | st.fixed_dictionaries({k: GAMMA | NUMBERS | ANY for k in "xyuv"}) | ANY),
+    "observables": (st.none() | st.just(OPTIMAL),
+                    st.fixed_dictionaries({k: st.lists(UNIT | NUMBERS, min_size=3, max_size=3) | ANY
+                                           for k in "xyuv"}) | ANY),
+    # at most 1000 shots: run draws every one of them
+    "shots": (st.integers(1, 1000),
+              st.integers(-3, 0) | ANY.filter(lambda v: not isinstance(v, int) or isinstance(v, bool))),
+    "seed": (st.integers(0, 2**64 - 1), st.integers(-2**65, 2**65) | ANY),
+    "stream_count": (st.integers(1, 8) | st.just(2**70), st.integers(-2, 0) | ANY),
+    "extra": (st.none(), ANY),
+}
+
+
+@st.composite
+def config_docs(draw):
+    """A config document: mostly an object whose fields are mostly well formed."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(ANY)
+    doc = {}
+    for key, (valid, malformed) in FIELDS.items():
+        roll = draw(st.integers(0, 19))
+        value = draw(malformed if roll == 18 else valid)
+        if roll < 19 and value is not None:
+            doc[key] = value
+    return doc
+
+
+def number_text(usual, rare):
+    return mostly(usual.map(str), rare.map(str) | st.sampled_from(["1.5", "x", ""]))
+
+
+@st.composite
+def invocations(draw):
+    """argv for one command, and what goes at its --config and --out."""
+    command = draw(st.sampled_from(["exact", "run", "sweep", "validate"]))
+    argv = [command]
+    seed = number_text(st.integers(0, 2**64 - 1), st.integers(-2**65, 2**65))
+    if command == "validate":
+        if draw(st.booleans()):
+            argv += ["--seed", draw(seed)]
+        argv += ["--trials", draw(number_text(st.integers(1, 2), st.integers(-3, 0)))]
+        if draw(st.booleans()):
+            argv.append("--inject-fault")
+        return argv, None, None
+    if command == "run":
+        if draw(st.booleans()):
+            argv += ["--seed", draw(seed)]
+        if draw(st.booleans()):
+            argv += ["--shots", draw(number_text(st.integers(1, 1000), st.integers(-3, 0)))]
+    if command == "sweep":
+        argv += ["--axis", draw(st.sampled_from(["gamma", "werner_eta"]))]
+        point = mostly(st.floats(0.0, 1.0), st.floats(0.0, 1.5) | st.floats()).map(repr)
+        if draw(st.booleans()):
+            argv += ["--grid-values", *draw(st.lists(point, min_size=1, max_size=50))]
+        else:
+            points = number_text(st.integers(2, 50), st.integers(-2, 1) | st.floats(2, 50))
+            argv += ["--grid-range", draw(point), draw(point), draw(points)]
+    config = draw(st.sampled_from(["file"] * 15 + ["missing", "directory", "not_utf8", "deep", "text"]))
+    out = draw(st.sampled_from(["new"] * 9 + ["file", "under_file", "output_is_directory"]))
+    return argv, (config, draw(config_docs())), out
+
+
+def place_config(tmp, config) -> str:
+    kind, doc = config
+    path = os.path.join(tmp, "config.json")
+    contents = {"file": json.dumps(doc).encode(), "not_utf8": b"\xff\xfe{}",
+                "deep": b"[" * 5000, "text": b"{\"state\": "}
+    if kind == "directory":
+        os.mkdir(path)
+    elif kind in contents:
+        with open(path, "wb") as fh:
+            fh.write(contents[kind])
+    return path
+
+
+def place_out(tmp, kind) -> str:
+    out = os.path.join(tmp, "out")
+    if kind in ("file", "under_file"):
+        open(out, "w").close()
+        return os.path.join(out, "sub") if kind == "under_file" else out
+    if kind == "output_is_directory":
+        for name in OUTPUTS:
+            os.makedirs(os.path.join(out, name))
+    return out
+
+
+def exit_code_and_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing argv
+            code = exc.code
+    return code, err.getvalue()
+
+
+@FIXED
+@given(invocations())
+def test_every_invocation_exits_0_1_or_2_and_names_what_is_wrong(invocation):
+    argv, config, out = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            argv = [*argv, "--config", place_config(tmp, config), "--out", place_out(tmp, out)]
+        code, err = exit_code_and_stderr(argv)
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        if ": error: " in err:  # argparse names the argument
+            assert "argument" in err, err
+        else:
+            (line,) = [line for line in err.splitlines() if line.startswith("config error: ")]
+            assert line.removeprefix("config error: ").startswith(NAMED), line

@@ -232,6 +232,20 @@ def test_rng_config_seed_is_unsigned_64_bit():
     assert len(draws) == 4
 
 
+@pytest.mark.parametrize("args", [(1.5,), (True,), (np.float64(1.0),), ("1",), (None,),
+                                  (1, 2.5), (1, False), (1, np.True_)])
+def test_rng_config_takes_only_integers(args):
+    with pytest.raises(OutOfRange, match="must be an integer"):
+        RngConfig(*args)
+
+
+def test_rng_config_takes_numpy_integers_as_ints():
+    cfg = RngConfig(np.uint64(2**64 - 1), np.int8(3))
+    assert (type(cfg.seed), type(cfg.stream_count)) == (int, int)
+    p = singlet_optimal_probabilities()
+    assert np.array_equal(sample_indices(p, 64, cfg), sample_indices(p, 64, RngConfig(2**64 - 1, 3)))
+
+
 def test_sample_indices_is_the_array_behind_sample_shots():
     p = singlet_optimal_probabilities()
     cfg = RngConfig(seed=12345, stream_count=3)

@@ -1,6 +1,7 @@
 """Randomized self-check suite: reproducibility and the fault path."""
 
 import numpy as np
+import pytest
 
 from bellshot import OutOfRange, joint_povm, validate, validate_all
 from bellshot.validate import CheckResult, random_admissible_settings
@@ -30,6 +31,12 @@ def test_fault_injection_reports_failure():
     # the corruption must actually be caught, not slip through
     assert any("as expected" in m for m in messages)
     assert all(m.startswith("inversion.fault_injection:") for m in messages)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+def test_validate_all_takes_only_unsigned_64_bit_integer_seeds(seed):
+    with pytest.raises(OutOfRange):
+        validate_all(seed, trials=1)
 
 
 def test_admissible_draws_build_positive_povms():
