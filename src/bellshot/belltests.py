@@ -16,11 +16,12 @@ are never trusted unverified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, EmptyShotList
+from .errors import ConsistencyError, EmptyShotList, OutOfRange
 from .inversion import InversionKernel, QuasiDistribution, invert_distribution
 from .measurement import OUTCOMES, OutcomeIndex, as_indices
 
@@ -143,8 +144,15 @@ class Verdict:
         return d
 
 
+def _require_finite(value: float) -> None:
+    # NaN fails every comparison, so it would fall through to "satisfied"
+    if not math.isfinite(value):
+        raise OutOfRange(f"verdict needs a finite test value, got {float(value)!r}")
+
+
 def chsh_verdict(value: float) -> Verdict:
     """|S| <= 2 check; exact saturation reports as a boundary case."""
+    _require_finite(value)
     excess = abs(value) - CHSH_BOUND
     if excess > BOUNDARY_TOL:
         return Verdict("violated", excess)
@@ -155,6 +163,7 @@ def chsh_verdict(value: float) -> Verdict:
 
 def ch_verdict(value: float) -> Verdict:
     """0 >= C >= -1 check; saturated bounds report as boundary cases."""
+    _require_finite(value)
     if value > CH_UPPER_BOUND + BOUNDARY_TOL:
         return Verdict("violated", value - CH_UPPER_BOUND, bound="upper")
     if value < CH_LOWER_BOUND - BOUNDARY_TOL:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ConsistencyError, InvalidDistribution
+from .errors import ConsistencyError, InvalidDistribution, OutOfRange
 from .measurement import (
     SIGNS,
     JointPovm,
@@ -196,7 +196,7 @@ def cross_marginal(q: QuasiDistribution, pair) -> np.ndarray:
     """
     label_a, label_b = ObservableLabel(pair[0]), ObservableLabel(pair[1])
     if label_a not in A_LABELS or label_b not in B_LABELS:
-        raise ValueError(
+        raise OutOfRange(
             f"cross marginal needs one A observable and one B observable, "
             f"got ({label_a.value}, {label_b.value})"
         )

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConsistencyError, GammaOutOfRange, NotPositive, OutOfRange
-from .observables import ObservableSet, ObservableSpec
+from .observables import ObservableLabel, ObservableSet, ObservableSpec
 
 GAMMA_MIN = 1e-6
 PROB_CLAMP_TOL = 1e-12
@@ -124,7 +124,7 @@ class GammaSet:
         return GammaSet(gamma, gamma, gamma, gamma)
 
     def of(self, label) -> float:
-        return getattr(self, f"gamma_{label.value}")
+        return getattr(self, f"gamma_{ObservableLabel(label).value}")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.gamma_x, self.gamma_y, self.gamma_u, self.gamma_v)
@@ -176,8 +176,14 @@ def product_povm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def born_traces(rho: np.ndarray, operators: np.ndarray) -> np.ndarray:
     """tr[rho E] for each 4x4 matrix rho of a stack (..., 4, 4) and each
-    operator E of a stack (k, 4, 4), as complex numbers of shape (..., k)."""
-    return np.trace(rho[..., None, :, :] @ operators, axis1=-2, axis2=-1)
+    operator E of a stack (k, 4, 4), as complex numbers of shape (..., k).
+    One matmul per rho against [E_0 | ... | E_k-1] gives the entries of every
+    rho @ E; each diagonal adds as (d0 + d1) + (d2 + d3), np.trace's order, so
+    the traces keep their bits (a sum over the strided diagonal would not)."""
+    k = len(operators)
+    prod = (rho @ operators.transpose(1, 0, 2).reshape(4, 4 * k)).reshape(*rho.shape[:-2], 4, k, 4)
+    d0, d1, d2, d3 = (prod[..., i, :, i] for i in range(4))
+    return (d0 + d1) + (d2 + d3)
 
 
 @dataclass(frozen=True)
@@ -192,6 +198,7 @@ class JointPovm:
     def marginal_element(self, label, w: int) -> np.ndarray:
         """Unsharp marginal (I + gamma w n.sigma) / 2 of one observable,
         obtained by summing out the partner outcome."""
+        label = ObservableLabel(label)
         elements = self.subsystem_a if label.value in ("x", "y") else self.subsystem_b
         first = label.value in ("x", "u")
         return elements.reshape(2, 2, 2, 2).sum(axis=1 if first else 0)[sign_index(w)]

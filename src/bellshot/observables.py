@@ -26,6 +26,10 @@ class ObservableLabel(Enum):
     U = "u"
     V = "v"
 
+    @classmethod
+    def _missing_(cls, value):  # every ObservableLabel(label) raises this, not Enum's ValueError
+        raise OutOfRange(f"unknown observable label {value!r}; expected one of x, y, u, v")
+
 
 A_LABELS = (ObservableLabel.X, ObservableLabel.Y)
 B_LABELS = (ObservableLabel.U, ObservableLabel.V)
@@ -45,6 +49,7 @@ class ObservableSpec:
     bloch: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "label", ObservableLabel(self.label))
         n = np.asarray(self.bloch, dtype=float)
         if n.shape != (3,) or not np.all(np.isfinite(n)):
             raise OutOfRange(f"bloch vector must be a finite 3-vector, got {self.bloch!r}")
@@ -52,7 +57,6 @@ class ObservableSpec:
         if abs(norm - 1.0) > BLOCH_NORM_TOL:
             raise OutOfRange(f"observable {self.label.value}: |bloch| = {norm!r}, expected 1")
         n.setflags(write=False)
-        object.__setattr__(self, "label", ObservableLabel(self.label))
         object.__setattr__(self, "bloch", n)
 
     def operator(self) -> np.ndarray:

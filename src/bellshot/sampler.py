@@ -91,20 +91,30 @@ def sample_outcome_indices(probabilities, n: int, rng: np.random.Generator) -> n
     p = _checked_probabilities(probabilities)
     cdf = np.cumsum(p)
     cdf[-1] = 1.0  # guard against cumulative rounding at the top
-    return np.searchsorted(cdf, rng.random(n), side="right").astype(np.int64)
+    return np.searchsorted(cdf, rng.random(n), side="right").astype(np.int64, copy=False)
 
 
 def sample_indices(probabilities, n: int, config: RngConfig) -> np.ndarray:
     """Draw n outcome indices, contiguous blocks per stream, merged in stream
     order; the first n % stream_count streams draw one shot more. Streams
-    that draw nothing get no generator, except stream 0, which checks p."""
+    that draw nothing get no generator, except stream 0, which checks p.
+    The output is allocated before any stream is keyed, so a count numpy
+    cannot hold raises OutOfRange at once."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise OutOfRange(f"shot count must be an integer, got {n!r}")
     if n < 0:
         raise OutOfRange(f"shot count must be nonnegative, got {n}")
+    try:
+        out = np.empty(n, np.int64)
+    except (ValueError, MemoryError) as exc:
+        raise OutOfRange(f"shot count {n} is too many: {exc}") from None
     base, extra = divmod(n, config.stream_count)
-    return np.concatenate([
-        sample_outcome_indices(probabilities, base + (stream < extra), config.generator(stream))
-        for stream in range(max(1, min(config.stream_count, n)))
-    ])
+    start = 0
+    for stream in range(max(1, min(config.stream_count, n))):
+        stop = start + base + (stream < extra)
+        out[start:stop] = sample_outcome_indices(probabilities, stop - start, config.generator(stream))
+        start = stop
+    return out
 
 
 def sample_shots(probabilities, n: int, config: RngConfig) -> list[OutcomeIndex]:

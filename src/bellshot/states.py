@@ -23,6 +23,10 @@ class BellState(Enum):
     PSI_PLUS = "psi_plus"
     PSI_MINUS = "psi_minus"
 
+    @classmethod
+    def _missing_(cls, value):  # every BellState(name) raises this, not Enum's ValueError
+        raise OutOfRange(f"unknown Bell state {value!r}; expected one of {', '.join(b.value for b in cls)}")
+
 
 _BELL_VECTORS = {
     BellState.PHI_PLUS: np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),

@@ -10,6 +10,7 @@ from bellshot import (
     GammaSet,
     OUTCOMES,
     OutcomeIndex,
+    OutOfRange,
     bell_state,
     BellState,
     build_kernel,
@@ -239,6 +240,13 @@ def test_chsh_verdicts():
     assert chsh_verdict(2.1).margin == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("verdict", [chsh_verdict, ch_verdict])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_verdicts_refuse_values_that_are_not_finite(verdict, value):
+    with pytest.raises(OutOfRange, match="finite"):
+        verdict(value)
+
+
 def test_ch_verdicts():
     up = ch_verdict(0.5)
     assert (up.status, up.bound) == ("violated", "upper")
@@ -320,7 +328,8 @@ def test_all_violated_matches_ch_verdict(value, expected):
     grid = single_shot_ch_table(build_kernel(GammaSet.equal(ROOT_HALF)))
     grid[5, 11] = value
     summary = classical_bounds_check(ChReport(single_shot_C=grid, ensemble_C=np.zeros(16)))
-    loop = all(ch_verdict(float(c)).status == "violated" for c in grid.ravel())
+    # ch_verdict refuses NaN; the summary counts it as no violation
+    loop = all(np.isfinite(c) and ch_verdict(float(c)).status == "violated" for c in grid.ravel())
     assert summary["single_shot_C"]["all_violated"] is expected is loop
 
 

@@ -335,6 +335,22 @@ def test_run_requires_shots(tmp_path, capsys):
     assert "shots >= 1" in capsys.readouterr().err
 
 
+# numpy refuses each of these counts before it allocates anything
+@pytest.mark.parametrize("stream_count", [1, 2**70])
+@pytest.mark.parametrize("shots,argv", [
+    pytest.param(2**63, [], id="config-2**63"),
+    pytest.param(10**400, [], id="config-10**400"),
+    pytest.param(None, ["--shots", str(10**23)], id="flag-10**23"),
+])
+def test_shot_count_numpy_cannot_hold_exits_2(tmp_path, capsys, shots, argv, stream_count):
+    extra = {} if shots is None else {"shots": shots}
+    cfg = singlet_config(tmp_path, stream_count=stream_count, **extra)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *argv]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: shots: shot count ") and "is too many" in line
+    assert not (tmp_path / "out" / "shots.csv").exists()
+
+
 def test_sweep_gamma(tmp_path):
     cfg = singlet_config(tmp_path)
     out = tmp_path / "out"

@@ -5,7 +5,9 @@ names the field, flag or file at fault.
 Each example runs `main` in-process in a fresh temporary directory. The
 work per example is bounded: at most 1000 shots, 50 grid points, 2
 validate trials and 500 levels of nesting, so no draw asks numpy for a
-large array or Python for a long loop. Exit 1 is allowed: small admitted
+large array or Python for a long loop. A malformed shot count, in the
+config or after --shots, may be one of the huge ints, 2**63 and up, which
+numpy refuses before it allocates. Exit 1 is allowed: small admitted
 gammas can still fail the inversion's fixed tolerances (ROADMAP item 1),
 and unrealizable gammas exit 1 by design. Hypothesis runs derandomized,
 without an example database, so every run checks the same examples.
@@ -71,9 +73,9 @@ FIELDS = {
     "observables": (st.none() | st.just(OPTIMAL),
                     st.fixed_dictionaries({k: st.lists(UNIT | NUMBERS, min_size=3, max_size=3) | ANY
                                            for k in "xyuv"}) | ANY),
-    # at most 1000 shots: run draws every one of them
+    # at most 1000 shots, or more than numpy can hold: run draws every one of them
     "shots": (st.integers(1, 1000),
-              st.integers(-3, 0) | ANY.filter(lambda v: not isinstance(v, int) or isinstance(v, bool))),
+              st.integers(-3, 0) | HUGE | ANY.filter(lambda v: type(v) is not int or not 0 < v < 2**60)),
     "seed": (st.integers(0, 2**64 - 1), st.integers(-2**65, 2**65) | ANY),
     "stream_count": (st.integers(1, 8) | st.just(2**70), st.integers(-2, 0) | ANY),
     "extra": (st.none(), ANY),
@@ -115,7 +117,7 @@ def invocations(draw):
         if draw(st.booleans()):
             argv += ["--seed", draw(seed)]
         if draw(st.booleans()):
-            argv += ["--shots", draw(number_text(st.integers(1, 1000), st.integers(-3, 0)))]
+            argv += ["--shots", draw(number_text(st.integers(1, 1000), st.integers(-3, 0) | HUGE))]
     if command == "sweep":
         argv += ["--axis", draw(st.sampled_from(["gamma", "werner_eta"]))]
         point = mostly(st.floats(0.0, 1.0), st.floats(0.0, 1.5) | st.floats()).map(repr)

@@ -8,6 +8,7 @@ from bellshot import (
     QuasiDistribution,
     bell_state,
     build_kernel,
+    chsh_optimal_angles,
     cross_marginal,
     custom_state,
     invert_distribution,
@@ -18,7 +19,7 @@ from bellshot import (
     reconstructed_sharp_povm,
     single_marginal,
 )
-from bellshot.errors import ConsistencyError, GammaOutOfRange, InvalidDistribution
+from bellshot.errors import ConsistencyError, GammaOutOfRange, InvalidDistribution, OutOfRange
 from bellshot.inversion import require_quasi_entries
 from bellshot.measurement import OUTCOMES
 
@@ -205,11 +206,42 @@ def test_cross_marginal_singlet_anticorrelation():
     assert table[1, 0] == pytest.approx(0.5, abs=1e-12)
 
 
+def singlet_optimal_kernel_and_povm():
+    gammas = GammaSet.equal(ROOT_HALF)
+    return build_kernel(gammas), joint_povm(chsh_optimal_angles(), gammas)
+
+
+UNIFORM = QuasiDistribution(np.full(16, 1.0 / 16.0))
+BAD_LABELS = {
+    "gamma_of": lambda: GammaSet.equal(0.7).of("q"),
+    "marginal_element": lambda: singlet_optimal_kernel_and_povm()[1].marginal_element("z", 1),
+    "cross_marginal_label": lambda: cross_marginal(UNIFORM, ("z", "u")),
+    "single_marginal": lambda: single_marginal(UNIFORM, "w"),
+    "reconstructed_sharp_povm": lambda: reconstructed_sharp_povm(*singlet_optimal_kernel_and_povm(), "q"),
+    "bell_state_name": lambda: bell_state("nope"),
+    "bell_state_int": lambda: bell_state(3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LABELS))
+def test_unknown_labels_and_names_raise_out_of_range_naming_the_choices(case):
+    with pytest.raises(OutOfRange) as info:
+        BAD_LABELS[case]()
+    message = str(info.value)
+    assert "x, y, u, v" in message or "psi_minus" in message
+
+
+def test_labels_may_be_given_as_strings():
+    kernel, povm = singlet_optimal_kernel_and_povm()
+    assert kernel.gammas.of("u") == kernel.gammas.of(ObservableLabel.U)
+    assert np.array_equal(povm.marginal_element("y", -1), povm.marginal_element(ObservableLabel.Y, -1))
+
+
 def test_cross_marginal_rejects_same_side_pair():
     q = QuasiDistribution(np.full(16, 1.0 / 16.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         cross_marginal(q, (ObservableLabel.X, ObservableLabel.Y))
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         cross_marginal(q, (ObservableLabel.U, ObservableLabel.V))
 
 

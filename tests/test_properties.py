@@ -28,7 +28,14 @@ from bellshot import (
     single_shot_chsh_table,
 )
 from bellshot.cli import json_text
-from bellshot.measurement import GAMMA_MIN, OUTCOMES
+from bellshot.inversion import gamma_free_quasi
+from bellshot.measurement import (
+    GAMMA_MIN,
+    OUTCOMES,
+    born_probabilities,
+    product_povm,
+    subsystem_elements,
+)
 
 from conftest import fixed_17g_strings, projector
 
@@ -107,9 +114,19 @@ def test_kernel_is_the_nested_kron_product_bit_for_bit(values):
         assert build_kernel(gammas).table.tobytes() == expected.table.tobytes()
 
 
+def traces_per_state_and_outcome(stack, operators) -> np.ndarray:
+    """Reference Born traces: one np.trace(rho @ E) per state and operator."""
+    return np.array([[np.trace(m @ e).real for e in operators] for m in stack])
+
+
+# odd stack sizes, which no batched kernel splits into even blocks
+ODD_STACKS = st.integers(0, 3).flatmap(lambda k: st.lists(state_matrices(), min_size=2 * k + 1,
+                                                            max_size=2 * k + 1))
+
+
 @FIXED
-@given(admissible_settings(), state_matrices())
-def test_povm_products_and_statistics_equal_per_outcome_loops(drawn, rho):
+@given(admissible_settings(), state_matrices(), ODD_STACKS)
+def test_povm_products_and_statistics_equal_per_outcome_loops(drawn, rho, stack):
     obs, gammas = drawn
     povm = joint_povm(obs, gammas)
     state = custom_state(rho)
@@ -117,8 +134,16 @@ def test_povm_products_and_statistics_equal_per_outcome_loops(drawn, rho):
         a = povm.subsystem_a[2 * int(xi.x < 0) + int(xi.y < 0)]
         b = povm.subsystem_b[2 * int(xi.u < 0) + int(xi.v < 0)]
         assert np.array_equal(povm.product[i], np.kron(a, b))
-    probs = np.array([np.trace(state.matrix @ e).real for e in povm.product])
+    (probs,) = traces_per_state_and_outcome([state.matrix], povm.product)
     assert np.array_equal(observed_statistics(state, povm), np.where(probs < 0.0, 0.0, probs))
+    stack = np.array(stack)
+    probs = traces_per_state_and_outcome(stack, povm.product)
+    assert np.array_equal(born_probabilities(stack, povm), np.where(probs < 0.0, 0.0, probs))
+    # the gamma = 1 operators whose traces gamma_free_quasi returns unclamped
+    sharp = product_povm(subsystem_elements((obs.x, obs.y), (1.0, 1.0)),
+                         subsystem_elements((obs.u, obs.v), (1.0, 1.0)))
+    (quasi,) = traces_per_state_and_outcome([state.matrix], sharp)
+    assert np.array_equal(gamma_free_quasi(state, obs).entries, quasi)
 
 
 @FIXED

@@ -107,6 +107,13 @@ def test_negative_shot_count_rejected():
     assert sample_shots(np.full(16, 1.0 / 16.0), 0, RngConfig(seed=0)) == []
 
 
+# counts of 2**60 and up are refused by numpy before it allocates anything
+@pytest.mark.parametrize("n", [1.5, "10", True, np.float64(3.0), 2**60, 10**23])
+def test_shot_count_must_be_an_integer_numpy_can_hold(n):
+    with pytest.raises(OutOfRange, match="shot count"):
+        sample_indices(np.full(16, 1.0 / 16.0), n, RngConfig(seed=0, stream_count=4))
+
+
 def test_stream_blocks_merge_in_stream_order():
     p = singlet_optimal_probabilities()
     cfg = RngConfig(seed=99, stream_count=3)
@@ -252,6 +259,7 @@ def test_sample_indices_is_the_array_behind_sample_shots():
     idx = sample_indices(p, 301, cfg)
     assert idx.dtype == np.int64 and idx.shape == (301,)
     assert idx.tolist() == [xi.to_index() for xi in sample_shots(p, 301, cfg)]
+    assert np.array_equal(sample_indices(p, np.int32(301), cfg), idx)
     empty = sample_indices(p, 0, cfg)
     assert empty.shape == (0,) and empty.dtype == np.int64
     # stream 0 still checks the probabilities when no shot is drawn
