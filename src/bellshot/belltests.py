@@ -73,21 +73,23 @@ def ensemble_chsh_values(entries: np.ndarray) -> np.ndarray:
 
 
 def single_shot_chsh_table(kernel: InversionKernel) -> np.ndarray:
-    """All 16 single-shot CHSH values in canonical outcome order.
+    """All 16 single-shot CHSH values in canonical outcome order."""
+    return single_shot_chsh_tables(kernel.table, kernel.gammas.as_tuple())
 
-    The sum of s(xi) against each kernel column is checked against the
-    closed form built from the gamma factors; disagreement raises, since it
-    would mean the kernel and the algebra have diverged.
-    """
-    by_sum = S_VALUES @ kernel.table
-    gx, gy, gu, gv = kernel.gammas.as_tuple()
+
+def single_shot_chsh_tables(tables: np.ndarray, gammas) -> np.ndarray:
+    """single_shot_chsh_table for each table of a stack (..., 16, 16) and its
+    gammas (..., 4). The sum of s(xi) against each kernel column must match the
+    closed form built from the gammas, or the kernel and algebra have diverged."""
+    by_sum = S_VALUES @ tables
+    gx, gy, gu, gv = np.moveaxis(np.asarray(gammas, dtype=float)[..., None], -2, 0)
     closed = (
         gy * gv * SIGNS_X * SIGNS_U
         - gy * gu * SIGNS_X * SIGNS_V
         + gx * gv * SIGNS_Y * SIGNS_U
         + gx * gu * SIGNS_Y * SIGNS_V
     ) / (gx * gy * gu * gv)
-    _require_agreement("single-shot CHSH", by_sum, closed, lambda j: OUTCOMES[j])
+    _require_agreement("single-shot CHSH", by_sum, closed, lambda *k: OUTCOMES[k[-1]])
     return closed
 
 
@@ -100,13 +102,15 @@ def ensemble_from_shots(kernel: InversionKernel, shots) -> float:
 
 
 def single_shot_ch_table(kernel: InversionKernel) -> np.ndarray:
-    """The full (xi, xi') grid of single-shot CH values, shape (16, 16).
+    """The full (xi, xi') grid of single-shot CH values, shape (16, 16)."""
+    return single_shot_ch_tables(kernel.gammas.as_tuple())
 
-    The pair probabilities of the CH combination factorize over the
-    one-observable kernels; the result is checked against the closed form
-    -1/2 plus the four gamma-weighted sign products.
-    """
-    gx, gy, gu, gv = gammas = kernel.gammas.as_tuple()
+
+def single_shot_ch_tables(gammas) -> np.ndarray:
+    """single_shot_ch_table for each gamma 4-vector of a stack (..., 4): the CH pair
+    probabilities factorize over the one-observable kernels, and are checked
+    against the closed form -1/2 plus the four gamma-weighted sign products."""
+    gx, gy, gu, gv = gammas = np.moveaxis(np.asarray(gammas, dtype=float)[..., None, None], -3, 0)
     x, y, u, v = products = [w[:, None] * w for w in OUTCOME_SIGNS]  # w(xi) w(xi')
     # kernel_1d(gamma)[w, w'] = (1 + w w' / gamma) / 2 at every pair, bit for bit
     px, py, pu, pv = (0.5 * (1.0 + ww / g) for ww, g in zip(products, gammas))
@@ -120,7 +124,7 @@ def single_shot_ch_table(kernel: InversionKernel) -> np.ndarray:
         + (y * u) / (4.0 * gy * gu)
     )
     _require_agreement("single-shot CH", by_substitution, closed,
-                       lambda i, j: f"({OUTCOMES[i]}, {OUTCOMES[j]})")
+                       lambda *k: f"({OUTCOMES[k[-2]]}, {OUTCOMES[k[-1]]})")
     return closed
 
 

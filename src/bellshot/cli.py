@@ -10,6 +10,7 @@ validation or internal consistency failure, 2 a config problem.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -17,7 +18,6 @@ import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 import numpy as np
 
@@ -29,15 +29,17 @@ from .belltests import (
     classical_bounds_check,
     ensemble_chsh,
     ensemble_chsh_values,
-    single_shot_ch_table,
-    single_shot_chsh_table,
+    single_shot_ch_tables,
+    single_shot_chsh_tables,
 )
-from .errors import BellshotError, ConfigError, ConsistencyError, GammaOutOfRange, NotPositive, OutOfRange
+from .errors import BellshotError, ConfigError, ConsistencyError, GammaOutOfRange, OutOfRange
 from .inversion import (
     build_kernel,
     gamma_free_quasi,
     invert_distribution,
     inverted_entries,
+    kernel_tables,
+    require_column_sums,
     require_quasi_entries,
 )
 from .measurement import (
@@ -47,6 +49,7 @@ from .measurement import (
     born_probabilities,
     joint_povm,
     observed_statistics,
+    realizable,
 )
 from .observables import ObservableSet, chsh_optimal_angles, observable_set
 from .sampler import (
@@ -71,12 +74,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 
-LOW_GAMMA_WARNING = 0.1
-
-# Grid points per array block of a Werner sweep. The Born traces of a block
-# hold a (SWEEP_BLOCK, 4, 16, 4) complex product, so peak RSS grows with it:
-# a 10000-point sweep peaks at 38 MB in blocks of 256, 40 MB in blocks of
-# 1024 and 79 MB as one block (numpy 2.4, Python 3.11, x86-64 Linux).
+# Grid points per array block of a sweep on either axis. A Werner block's Born
+# traces hold a (SWEEP_BLOCK, 4, 16, 4) complex product: a 10000-point Werner sweep
+# peaks at 38 MB in blocks of 256, 40 MB in blocks of 1024 and 79 MB as one block
+# (numpy 2.4, Python 3.11, x86-64 Linux).
 SWEEP_BLOCK = 256
 # every sweep column but the integer `realizable` at full float precision
 SWEEP_ROW = ",".join(["%.17g"] * 6 + ["%d"])
@@ -169,16 +170,9 @@ def _parse_gammas(raw) -> GammaSet:
         raise ConfigError(f"gammas: expected {kind}")
     values = [float(_reals(raw[k], f"gammas.{k}", "a real", ())) for k in keys]
     try:
-        gammas = GammaSet(*values)
+        return GammaSet(*values)
     except BellshotError as exc:
         raise ConfigError(f"gammas: {exc}")
-    if min(abs(g) for g in gammas.as_tuple()) < LOW_GAMMA_WARNING:
-        print(
-            "warning: an unsharpness factor below 0.1 amplifies inversion "
-            "noise by more than 10x per observable",
-            file=sys.stderr,
-        )
-    return gammas
 
 
 @dataclass(frozen=True)
@@ -241,8 +235,15 @@ def load_config(path: str, **overrides) -> ExperimentConfig:
 
 
 def atomic_write_json(path: str, payload: dict) -> None:
-    text = json_text(payload) + "\n"
-    _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
+    _atomic_write(path, _text_writer(json_text(payload) + "\n"))
+
+
+def _text_writer(text: str):
+    """An _atomic_write writer that writes text through the descriptor."""
+    def write(fd: int) -> None:
+        with open(fd, "w") as fh:
+            fh.write(text)
+    return write
 
 
 def json_text(value, indent: str = "\n") -> str:
@@ -279,15 +280,19 @@ def json_text(value, indent: str = "\n") -> str:
 
 
 def _atomic_write(path: str, write) -> None:
-    """Let write(tmp) fill a new file beside path, then rename it onto path.
-    The file gets 0o666 less the umask, as open() gives; mkstemp gives 0600."""
+    """Let write(fd) fill a new file beside path through fd, which it closes, then
+    rename it onto path. Its mode is 0o666 less the umask, as open() gives, not 0600."""
     tmp = os.path.join(os.path.dirname(path) or ".", f".bellshot-{os.urandom(8).hex()}.tmp")
     try:
-        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            write(tmp)
+            write(fd)
             os.replace(tmp, path)
         except BaseException:
+            # fd still names tmp only if write failed before it took fd over
+            with contextlib.suppress(OSError):
+                if os.path.samestat(os.fstat(fd), os.stat(tmp)):
+                    os.close(fd)
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
@@ -337,7 +342,7 @@ def cmd_run(config: ExperimentConfig, out_dir: str) -> int:
     except OutOfRange as exc:  # numpy refuses to allocate that many shots
         raise ConfigError(f"shots: {exc}") from None
     csv_path = os.path.join(out_dir, "shots.csv")
-    _atomic_write(csv_path, lambda tmp: write_shot_csv(tmp, kernel, shots))
+    _atomic_write(csv_path, lambda fd: write_shot_csv(fd, kernel, shots))
     summary = convergence_report(kernel, shots)
     freqs = empirical_frequencies(shots)
     empirical_quasi = invert_distribution(kernel, freqs)
@@ -382,72 +387,59 @@ def _sweep_grid(args) -> list[float]:
     return grid.tolist()
 
 
-def _kernel_columns(kernel) -> tuple[float, float, float]:
-    """The sweep's abs_single_shot_S, ch_min and ch_max: kernel-level only."""
-    table = np.abs(single_shot_chsh_table(kernel))
-    ch_grid = single_shot_ch_table(kernel)
-    return float(table.max()), float(ch_grid.min()), float(ch_grid.max())
+def _sweep_rows(config: ExperimentConfig, axis: str, grid: list[float]):
+    """Sweep rows, SWEEP_BLOCK grid points at a time. Along gamma, kernels and realizability
+    are stacked against one gamma-free quasi-distribution, as ensemble S and the min quasi
+    entry survive the exact inversion; along werner_eta, states and quasi-distributions are
+    stacked against kernel columns computed once. Each stack passes every one-item check."""
+    def kernel_columns(gammas, tables):  # abs_single_shot_S, ch_min, ch_max
+        chsh, ch = single_shot_chsh_tables(tables, gammas), single_shot_ch_tables(gammas)
+        return np.abs(chsh).max(axis=-1), ch.min(axis=(-2, -1)), ch.max(axis=(-2, -1))
 
-
-def _gamma_rows(config: ExperimentConfig, grid: list[float]):
-    quasi = gamma_free_quasi(config.state, config.settings)
-    for value in grid:
-        try:
-            gammas = GammaSet.equal(value)
-        except GammaOutOfRange:
-            raise ConfigError(f"sweep gamma {value!r} outside [{GAMMA_MIN}, 1]") from None
-        kernel_columns = _kernel_columns(build_kernel(gammas))
-        try:
-            joint_povm(config.settings, gammas)
-            realizable = 1
-        except NotPositive:
-            realizable = 0
-        yield (value, ensemble_chsh(quasi), *kernel_columns, quasi.min_entry(), realizable)
-
-
-def _werner_rows(config: ExperimentConfig, grid: list[float]):
-    """Werner-axis rows, SWEEP_BLOCK grid points at a time: each block's
-    states, probabilities and quasi-distributions are stacked arrays that
-    pass the same checks as one DensityMatrix, observed_statistics call and
-    QuasiDistribution do."""
-    kernel = build_kernel(config.gammas)
-    povm = joint_povm(config.settings, config.gammas)
-    kernel_columns = _kernel_columns(kernel)
+    if axis == "gamma":
+        quasi = gamma_free_quasi(config.state, config.settings).entries
+    elif axis == "werner_eta":
+        kernel = build_kernel(config.gammas)
+        povm = joint_povm(config.settings, config.gammas)
+        kernel_side, realizable_column = kernel_columns(config.gammas.as_tuple(), kernel.table), np.True_
+    else:
+        raise ConfigError(f"unknown sweep axis {axis!r}")
     for start in range(0, len(grid), SWEEP_BLOCK):
         values = grid[start:start + SWEEP_BLOCK]
-        etas = np.array(values)
-        bad = ~((0.0 <= etas) & (etas <= 1.0))
-        if np.any(bad):
-            raise ConfigError(f"sweep werner_eta {values[np.argmax(bad)]!r} outside [0, 1]")
-        rho = density_matrices(werner_matrices(etas), stack_axes=1)
-        quasi = inverted_entries(kernel, born_probabilities(rho, povm))
-        require_quasi_entries(quasi)
-        columns = ensemble_chsh_values(quasi).tolist(), quasi.min(axis=1).tolist()
-        for value, ensemble_S, min_entry in zip(values, *columns):
-            yield (value, ensemble_S, *kernel_columns, min_entry, 1)
+        if axis == "gamma":
+            gammas = np.empty((len(values), 4))
+            for row, value in zip(gammas, values):
+                try:
+                    row[:] = GammaSet.equal(value).as_tuple()
+                except GammaOutOfRange:
+                    raise ConfigError(f"sweep gamma {value!r} outside "
+                                      f"[{GAMMA_MIN ** 0.25:.4g}, 1] in magnitude") from None
+            tables = kernel_tables(gammas)
+            require_column_sums(tables)
+            kernel_side = kernel_columns(gammas, tables)
+            realizable_column = realizable(config.settings, gammas)
+        else:
+            etas = np.array(values)
+            bad = ~((0.0 <= etas) & (etas <= 1.0))
+            if np.any(bad):
+                raise ConfigError(f"sweep werner_eta {values[np.argmax(bad)]!r} outside [0, 1]")
+            rho = density_matrices(werner_matrices(etas), stack_axes=1)
+            quasi = inverted_entries(kernel, born_probabilities(rho, povm))
+            require_quasi_entries(quasi)
+        columns = (ensemble_chsh_values(quasi), *kernel_side, quasi.min(axis=-1), realizable_column)
+        # each column holds a value per grid point of the block, or one for the whole sweep
+        yield from zip(values, *(c.tolist() if np.ndim(c) else [c.item()] * len(values) for c in columns))
 
 
 def cmd_sweep(config: ExperimentConfig, out_dir: str, axis: str, grid: list[float]) -> int:
-    """One CSV row per grid point along a gamma or Werner-eta axis.
-
-    Quantities that survive the exact inversion (ensemble S, min quasi
-    entry) do not depend on gamma, so along the gamma axis they come
-    from one gamma-free quasi-distribution; the per-shot magnitudes and
-    CH extremes are kernel-level and always well defined.
-    The `realizable` column records whether a positive joint measurement
-    exists at that grid point for the configured directions.
-    """
-    if axis == "gamma":
-        rows = _gamma_rows(config, grid)
-    elif axis == "werner_eta":
-        rows = _werner_rows(config, grid)
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
+    """One CSV row per grid point along a gamma or Werner-eta axis, computed in
+    blocks of SWEEP_BLOCK points and byte-identical to a point-by-point run.
+    `realizable` says whether a positive joint measurement exists there."""
     header = (axis, "ensemble_S", "abs_single_shot_S", "ch_min", "ch_max",
               "min_quasi_entry", "realizable")
-    lines = [",".join(header), *(SWEEP_ROW % row for row in rows)]
+    lines = [",".join(header), *(SWEEP_ROW % row for row in _sweep_rows(config, axis, grid))]
     path = os.path.join(out_dir, f"sweep_{axis}.csv")
-    _atomic_write(path, lambda tmp: Path(tmp).write_text("\n".join(lines) + "\n"))
+    _atomic_write(path, _text_writer("\n".join(lines) + "\n"))
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -23,6 +23,7 @@ import numpy as np
 from . import linalg
 from .errors import ConsistencyError, InvalidDistribution, OutOfRange
 from .measurement import (
+    COLUMN_SUM_TOL,
     SIGNS,
     JointPovm,
     GammaSet,
@@ -39,7 +40,6 @@ from .observables import (
     SharpPovm,
 )
 
-COLUMN_SUM_TOL = 1e-12
 QUASI_SUM_TOL = 1e-10
 MARGINAL_CLAMP_TOL = 1e-10
 
@@ -63,26 +63,33 @@ class InversionKernel:
         t = np.array(self.table, dtype=float)
         if t.shape != (16, 16):
             raise ConsistencyError(f"kernel table shape {t.shape}, expected (16, 16)")
-        sums = t.sum(axis=0)
-        worst = float(np.max(np.abs(sums - 1.0)))
-        if worst > COLUMN_SUM_TOL:
-            raise ConsistencyError(f"kernel column sums deviate from 1 by {worst:.3e}")
+        require_column_sums(t)
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
 
 
 def build_kernel(gammas: GammaSet) -> InversionKernel:
-    """Product of the four one-observable kernels over all outcome pairs.
+    """Product of the four one-observable kernels over all outcome pairs."""
+    return InversionKernel(gammas, kernel_tables(gammas.as_tuple()))
 
-    x is the most significant index, as in the canonical outcome order; each
-    entry is ((kx * ky) * ku) * kv, multiplied left to right as the nested
-    np.kron product does, so the two tables agree bit for bit.
-    """
-    # each factor as (2, 1, 1, 1, 2): broadcasting aligns trailing axes, so
-    # the product's axes are (x, y, u, v, x', y', u', v')
-    kx, ky, ku, kv = (kernel_1d(g)[:, None, None, None, :] for g in gammas.as_tuple())
-    table = ((kx[..., None, None, None] * ky[..., None, None]) * ku[..., None]) * kv
-    return InversionKernel(gammas, table.reshape(16, 16))
+
+def kernel_tables(gammas) -> np.ndarray:
+    """The unchecked 16x16 kernel table of each gamma 4-vector of a stack (..., 4),
+    x most significant; each entry is ((kx * ky) * ku) * kv, multiplied left to
+    right as the nested np.kron product does, so the two agree bit for bit."""
+    k = 0.5 * (1.0 + np.outer(SIGNS, SIGNS) / np.asarray(gammas, dtype=float)[..., None, None])
+    lead = k.shape[:-3]  # factor i spans axes i and 4 + i of (x, y, u, v, x', y', u', v')
+    kx, ky, ku, kv = (k[..., i, :, :].reshape(lead + tuple(2 if a % 4 == i else 1 for a in range(8)))
+                      for i in range(4))
+    return (((kx * ky) * ku) * kv).reshape(lead + (16, 16))
+
+
+def require_column_sums(tables: np.ndarray) -> None:
+    """InversionKernel's column-sum check over a stack (..., 16, 16), naming the first failure."""
+    worst = np.max(np.abs(tables.sum(axis=-2) - 1.0), axis=-1)
+    if np.any(bad := worst > COLUMN_SUM_TOL):
+        worst = float(linalg.first_failing(worst, bad))
+        raise ConsistencyError(f"kernel column sums deviate from 1 by {worst:.3e}")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,11 @@ from . import linalg
 from .errors import ConsistencyError, GammaOutOfRange, NotPositive, OutOfRange
 from .observables import ObservableLabel, ObservableSet, ObservableSpec
 
-GAMMA_MIN = 1e-6
+# Rounding moves a kernel column sum by up to 16 u A, u = 2**-53, where A = prod
+# 1/|gamma_i| is the column's absolute sum (Higham, Accuracy and Stability, ch. 3-4).
+# 16 u A <= COLUMN_SUM_TOL gives A <= 562.9: |prod gamma_i| >= GAMMA_MIN; 0.2053 if equal.
+COLUMN_SUM_TOL = 1e-12
+GAMMA_MIN = 16 * 2.0**-53 / COLUMN_SUM_TOL
 PROB_CLAMP_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
 
@@ -104,7 +108,8 @@ def as_indices(shots) -> np.ndarray:
 class GammaSet:
     """Unsharpness factors of the four marginal observables.
 
-    Each satisfies gamma_min <= |gamma| <= 1. The joint-measurement
+    Each satisfies |gamma| <= 1 and |gamma_x gamma_y gamma_u gamma_v| >=
+    GAMMA_MIN, the inversion's amplification floor. The joint-measurement
     constraint for an orthogonal pair (gamma_1^2 + gamma_2^2 <= 1) is not
     imposed here; it emerges from the positivity check when the POVM is
     actually built.
@@ -118,6 +123,9 @@ class GammaSet:
     def __post_init__(self):
         for name in ("gamma_x", "gamma_y", "gamma_u", "gamma_v"):
             object.__setattr__(self, name, checked_gamma(getattr(self, name), name))
+        if (product := abs(self.gamma_x * self.gamma_y * self.gamma_u * self.gamma_v)) < GAMMA_MIN:
+            raise GammaOutOfRange(f"|gamma_x gamma_y gamma_u gamma_v| = {product:.4g} must be at least "
+                                  f"{GAMMA_MIN:.4g} (|gamma| >= {GAMMA_MIN ** 0.25:.4g} at equal gammas)")
 
     @staticmethod
     def equal(gamma: float) -> "GammaSet":
@@ -135,10 +143,26 @@ def subsystem_elements(
     gammas: tuple[float, float],
 ) -> np.ndarray:
     """(I + g1 w1 n1.sigma + g2 w2 n2.sigma) / 4 for (w1, w2) in PAIR_ORDER,
-    a (4, 2, 2) array not checked for positivity."""
-    g1, g2 = gammas
+    (..., 4, 2, 2) for g1, g2 of shape (...), not checked for positivity."""
+    g1, g2 = (np.asarray(g, dtype=float)[..., None, None, None] for g in gammas)
     op1, op2 = pair[0].operator(), pair[1].operator()
     return 0.25 * (linalg.I2 + (g1 * PAIR_SIGNS[0]) * op1 + (g2 * PAIR_SIGNS[1]) * op2)
+
+
+def nonpositive_elements(pair: tuple[ObservableSpec, ObservableSpec], gammas):
+    """subsystem_elements, each one's smallest eigenvalue (one batched eigensolve)
+    and whether that is below linalg.PSD_TOL, the one positivity rule of a POVM."""
+    elements = subsystem_elements(pair, gammas)
+    lam = linalg.eigvals_hermitian(elements)[..., 0]
+    return elements, lam, lam < linalg.PSD_TOL
+
+
+def realizable(settings: ObservableSet, gammas) -> np.ndarray:
+    """Whether joint_povm builds at each gamma 4-vector of a stack (..., 4); only
+    non-positivity reads False, and any other failure raises."""
+    g = np.moveaxis(np.asarray(gammas, dtype=float), -1, 0)
+    bad_a = nonpositive_elements((settings.x, settings.y), g[:2])[2]
+    return ~np.any(bad_a | nonpositive_elements((settings.u, settings.v), g[2:])[2], axis=-1)
 
 
 def build_joint_povm(
@@ -152,9 +176,7 @@ def build_joint_povm(
     unsharpness/angle combination leaves the physical region.
     """
     g1, g2 = float(gammas[0]), float(gammas[1])
-    elements = subsystem_elements(pair, (g1, g2))
-    lam = linalg.eigvals_hermitian(elements)[:, 0]
-    bad = lam < linalg.PSD_TOL
+    elements, lam, bad = nonpositive_elements(pair, (g1, g2))
     if np.any(bad):
         i = int(np.argmax(bad))
         w1, w2 = PAIR_ORDER[i]

@@ -87,3 +87,21 @@ def fixed_17g_strings(values):
     """The sampler's vector %.17g as one str per value, or None if it declines."""
     chars = _fixed_17g(np.asarray(values, dtype=float))
     return None if chars is None else [bytes(row[row != 0]).decode() for row in chars]
+
+
+def near_boundary_config() -> dict:
+    """A full-rank custom state on non-orthogonal settings. The x/y gamma pair
+    is scaled so the worst-case Bloch norm of its elements is 1 - 1e-9, so one
+    POVM element sits 1e-9 inside positivity."""
+    psi = np.array([1.0, 0.5j, -0.3, 0.2 + 0.1j])
+    psi /= np.linalg.norm(psi)
+    rho = 0.7 * np.outer(psi, psi.conj()) + 0.3 * np.eye(4) / 4.0
+    x, y = np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8])
+    u, v = np.array([0.8, 0.0, 0.6]), np.array([0.0, 0.6, 0.8])
+    gx, gy = 0.9, 0.7
+    scale = (1.0 - 1e-9) / np.sqrt(gx**2 + gy**2 + 2.0 * gx * gy * abs(float(x @ y)))
+    return {
+        "state": {"custom": {"real": rho.real.tolist(), "imag": rho.imag.tolist()}},
+        "observables": {"x": x.tolist(), "y": y.tolist(), "u": u.tolist(), "v": v.tolist()},
+        "gammas": {"x": gx * scale, "y": gy * scale, "u": 0.55, "v": 0.6},
+    }

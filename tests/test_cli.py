@@ -10,15 +10,15 @@ import stat
 import numpy as np
 import pytest
 
-from bellshot import cli
+from bellshot import cli, measurement
 from bellshot.belltests import ensemble_chsh, single_shot_ch_table, single_shot_chsh_table
-from bellshot.cli import SWEEP_BLOCK, ExperimentConfig, main
-from bellshot.errors import GammaOutOfRange, OutOfRange
-from bellshot.inversion import build_kernel, invert_distribution, kernel_1d
+from bellshot.cli import SWEEP_BLOCK, ExperimentConfig, _atomic_write, main
+from bellshot.errors import GammaOutOfRange, NotPositive, OutOfRange
+from bellshot.inversion import build_kernel, gamma_free_quasi, invert_distribution, kernel_1d
 from bellshot.measurement import GammaSet, joint_povm, observed_statistics
-from bellshot.sampler import CSV_CHUNK
+from bellshot.sampler import CSV_CHUNK, write_shot_csv
 from bellshot.states import werner_state
-from conftest import ROOT_HALF, SINGLET, projector
+from conftest import ROOT_HALF, SINGLET, near_boundary_config, projector
 
 TWO_ROOT_TWO = 2.0 * np.sqrt(2.0)
 
@@ -379,11 +379,11 @@ def test_sweep_gamma(tmp_path):
 
 def test_sweep_gamma_broken_povm_build_exits_1(tmp_path, capsys, monkeypatch):
     # only a non-positive joint POVM reads as realizable = 0; any other
-    # failure of the build is an error, not a table entry
-    def broken(settings, gammas):
+    # failure of the realizability check is an error, not a table entry
+    def broken(pair, gammas):
         raise OutOfRange("broken build")
 
-    monkeypatch.setattr(cli, "joint_povm", broken)
+    monkeypatch.setattr(measurement, "nonpositive_elements", broken)
     out = tmp_path / "out"
     assert main(["sweep", "--config", singlet_config(tmp_path), "--out", str(out),
                  "--axis", "gamma", "--grid-values", "0.7"]) == 1
@@ -455,7 +455,7 @@ def test_sweep_grid_errors(tmp_path, capsys):
     assert "outside" in capsys.readouterr().err
     # --grid-range points are reported as plain floats, as --grid-values are
     for axis, message in (("werner_eta", "sweep werner_eta 1.5 outside [0, 1]"),
-                          ("gamma", "sweep gamma 0.0 outside [1e-06, 1]")):
+                          ("gamma", "sweep gamma 0.0 outside [0.2053, 1] in magnitude")):
         rc = main(["sweep", "--config", cfg, "--out", str(tmp_path), "--axis", axis,
                    "--grid-range", "0", "1.5", "3"])
         assert rc == 2
@@ -479,9 +479,9 @@ def test_sweep_grid_range_ends_must_be_finite(tmp_path, capsys, grid, message):
     (float("nan"), "= nan is not finite"),
     (float("inf"), "= inf is not finite"),
     (float("-inf"), "= -inf is not finite"),
-    (0.0, "= 0.0: |gamma| must lie in [1e-06, 1]"),
-    (1.0000001, "= 1.0000001: |gamma| must lie in [1e-06, 1]"),
-    (-2.0, "= -2.0: |gamma| must lie in [1e-06, 1]"),
+    (0.0, "= 0.0: |gamma| must lie in [0.00177636, 1]"),
+    (1.0000001, "= 1.0000001: |gamma| must lie in [0.00177636, 1]"),
+    (-2.0, "= -2.0: |gamma| must lie in [0.00177636, 1]"),
 ])
 def test_one_gamma_rule_for_gamma_set_kernel_and_sweep(tmp_path, capsys, value, message):
     with pytest.raises(GammaOutOfRange) as info:
@@ -493,7 +493,8 @@ def test_one_gamma_rule_for_gamma_set_kernel_and_sweep(tmp_path, capsys, value, 
     cfg = singlet_config(tmp_path)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--axis", "gamma",
                  f"--grid-values={value!r}"]) == 2
-    assert capsys.readouterr().err == f"config error: sweep gamma {value!r} outside [1e-06, 1]\n"
+    assert capsys.readouterr().err == (
+        f"config error: sweep gamma {value!r} outside [0.2053, 1] in magnitude\n")
 
 
 def test_each_main_call_reads_only_its_own_argv(tmp_path):
@@ -536,6 +537,45 @@ def test_werner_sweep_blocks_match_per_point_loop(tmp_path, monkeypatch, n):
     assert (out / "sweep_werner_eta.csv").read_bytes() == expected
 
 
+def per_point_gamma_csv(doc: dict, grid: list[float]) -> bytes:
+    """The gamma sweep CSV built one grid point at a time through the
+    single-item API, with NotPositive from joint_povm read as realizable 0:
+    the reference the blocked sweep must match byte for byte."""
+    config = ExperimentConfig.from_dict(doc)
+    quasi = gamma_free_quasi(config.state, config.settings)
+    lines = ["gamma,ensemble_S,abs_single_shot_S,ch_min,ch_max,min_quasi_entry,realizable"]
+    for gamma in grid:
+        gammas = GammaSet.equal(gamma)
+        kernel = build_kernel(gammas)
+        ch = single_shot_ch_table(kernel)
+        try:
+            joint_povm(config.settings, gammas)
+            realizable = 1
+        except NotPositive:
+            realizable = 0
+        cells = (gamma, ensemble_chsh(quasi), float(np.abs(single_shot_chsh_table(kernel)).max()),
+                 float(ch.min()), float(ch.max()), quasi.min_entry())
+        lines.append(",".join("%.17g" % c for c in cells) + f",{realizable}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 23])
+def test_gamma_sweep_blocks_match_per_point_loop(tmp_path, monkeypatch, n):
+    # block 7: n = block - 1, block, block + 1, and several blocks plus a tail;
+    # on these settings equal gammas are realizable up to |gamma| = 0.527
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", 7)
+    doc = near_boundary_config()
+    grid = np.concatenate([np.linspace(-1.0, -0.3, n // 2), np.linspace(0.3, 1.0, n - n // 2)])
+    values = grid.tolist()
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", "gamma",
+                 "--grid-values", *map(repr, values)]) == 0
+    expected = per_point_gamma_csv(doc, values)
+    assert (out / "sweep_gamma.csv").read_bytes() == expected
+    assert {line[-1:] for line in expected.decode().splitlines()[1:]} == {"0", "1"}
+
+
 @pytest.mark.parametrize("bad", ["nan", "1.0000001", "-0.5"])
 def test_werner_sweep_error_in_last_block_writes_nothing(tmp_path, capsys, bad):
     grid = [repr(eta) for eta in np.linspace(0.0, 1.0, 3 * SWEEP_BLOCK + 9).tolist()]
@@ -571,11 +611,24 @@ def test_inject_fault_names_the_worst_outcome(capsys):
     assert abs(first - second) > 1e-10
 
 
-def test_low_gamma_warning(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"state": {"bell": "psi_minus"}, "gammas": 0.05})
+def test_gammas_below_the_amplification_floor_exit_2(tmp_path, capsys):
+    # equal gammas below 0.2053 amplify rounding past what the kernel's column
+    # sums tolerate; 0.05 and 0.06 used to exit 0 with a warning and exit 1
     out = tmp_path / "out"
-    assert main(["exact", "--config", cfg, "--out", str(out)]) == 0
-    assert "below 0.1" in capsys.readouterr().err
+    for gamma in (0.05, 0.06, 0.2052):
+        cfg = write_config(tmp_path, {"state": {"bell": "psi_minus"}, "gammas": gamma})
+        assert main(["exact", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: gammas: |gamma_x gamma_y gamma_u gamma_v| = ")
+    cfg = singlet_config(tmp_path)
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", "gamma",
+                 "--grid-values", "0.5", "0.06"]) == 2
+    assert capsys.readouterr().err == "config error: sweep gamma 0.06 outside [0.2053, 1] in magnitude\n"
+    assert os.listdir(out) == []
+    # the floor bounds the product: unequal gammas each above 0.2053 can miss it
+    doc = {"state": {"bell": "psi_minus"}, "gammas": {"x": 0.21, "y": 0.21, "u": 0.21, "v": 0.19}}
+    assert main(["exact", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert "= 0.00176" in capsys.readouterr().err
 
 
 def test_no_temp_files_left_behind(tmp_path):
@@ -586,6 +639,30 @@ def test_no_temp_files_left_behind(tmp_path):
     leftovers = [n for n in os.listdir(out) if n.endswith(".tmp")]
     assert leftovers == []
     assert sorted(os.listdir(out)) == ["exact.json", "run_summary.json", "shots.csv"]
+
+
+def open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def write_then_fail(fd):
+    with open(fd, "w") as fh:
+        fh.write("partial")
+    raise RuntimeError("failed after writing")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc")
+@pytest.mark.parametrize("writer,error", [
+    # write_shot_csv refuses the shots before it opens the descriptor
+    (lambda fd: write_shot_csv(fd, build_kernel(GammaSet.equal(0.5)), [16]), OutOfRange),
+    (write_then_fail, RuntimeError),
+], ids=["before_open", "after_open"])
+def test_atomic_write_leaks_no_descriptor_when_the_writer_fails(tmp_path, writer, error):
+    before = open_descriptors()
+    with pytest.raises(error):
+        _atomic_write(str(tmp_path / "out.csv"), writer)
+    assert open_descriptors() == before
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027])
@@ -635,24 +712,6 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "bellshot" in capsys.readouterr().out
-
-
-def near_boundary_config() -> dict:
-    """A full-rank custom state on non-orthogonal settings. The x/y gamma pair
-    is scaled so the worst-case Bloch norm of its elements is 1 - 1e-9, so one
-    POVM element sits 1e-9 inside positivity."""
-    psi = np.array([1.0, 0.5j, -0.3, 0.2 + 0.1j])
-    psi /= np.linalg.norm(psi)
-    rho = 0.7 * np.outer(psi, psi.conj()) + 0.3 * np.eye(4) / 4.0
-    x, y = np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8])
-    u, v = np.array([0.8, 0.0, 0.6]), np.array([0.0, 0.6, 0.8])
-    gx, gy = 0.9, 0.7
-    scale = (1.0 - 1e-9) / np.sqrt(gx**2 + gy**2 + 2.0 * gx * gy * abs(float(x @ y)))
-    return {
-        "state": {"custom": {"real": rho.real.tolist(), "imag": rho.imag.tolist()}},
-        "observables": {"x": x.tolist(), "y": y.tolist(), "u": u.tolist(), "v": v.tolist()},
-        "gammas": {"x": gx * scale, "y": gy * scale, "u": 0.55, "v": 0.6},
-    }
 
 
 # sha256 of outputs whose bytes the kernel algebra must keep, recorded before

@@ -7,21 +7,29 @@ work per example is bounded: at most 1000 shots, 50 grid points, 2
 validate trials and 500 levels of nesting, so no draw asks numpy for a
 large array or Python for a long loop. A malformed shot count, in the
 config or after --shots, may be one of the huge ints, 2**63 and up, which
-numpy refuses before it allocates. Exit 1 is allowed: small admitted
-gammas can still fail the inversion's fixed tolerances (ROADMAP item 1),
-and unrealizable gammas exit 1 by design. Hypothesis runs derandomized,
-without an example database, so every run checks the same examples.
+numpy refuses before it allocates. Exit 1 is allowed only where it is by
+design: for gammas no joint measurement realizes on the given directions,
+and for `validate --inject-fault`. Every admitted, realizable config exits
+0: the dense gamma scan and the `exact` search below look for one that
+does not. Hypothesis runs derandomized, without an example database, so
+every run checks the same examples.
 """
 
 import contextlib
+import csv
 import io
 import json
+import math
 import os
 import tempfile
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellshot.cli import main
+from bellshot.measurement import GAMMA_MIN
+from conftest import near_boundary_config
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -175,9 +183,76 @@ def test_every_invocation_exits_0_1_or_2_and_names_what_is_wrong(invocation):
         code, err = exit_code_and_stderr(argv)
     assert code in (0, 1, 2), (code, err)
     assert "Traceback" not in err
+    if code == 1:  # unrealizable gammas, or a validation run told to fail
+        assert err.startswith("error: joint element(") or "--inject-fault" in argv, err
     if code == 2:
         if ": error: " in err:  # argparse names the argument
             assert "argument" in err, err
         else:
             (line,) = [line for line in err.splitlines() if line.startswith("config error: ")]
             assert line.removeprefix("config error: ").startswith(NAMED), line
+
+
+README_CONFIG = {"state": {"bell": "psi_minus"}, "gammas": 0.7071067811865476}
+
+
+@pytest.mark.parametrize("doc", [README_CONFIG, near_boundary_config()], ids=["readme", "near_boundary"])
+@pytest.mark.parametrize("grid", [["0.2053", "1", "3000"], ["-1", "-0.2053", "3000"]],
+                         ids=["positive", "negative"])
+def test_dense_gamma_scan_from_the_floor_never_exits_1(tmp_path, doc, grid):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path), "--axis", "gamma",
+            "--grid-range", *grid]
+    assert exit_code_and_stderr(argv) == (0, "")
+    with open(tmp_path / "sweep_gamma.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3000 and {row["realizable"] for row in rows} == {"0", "1"}
+    for row in rows:  # equal gammas: every shot has |S| = 2 / gamma^2
+        assert float(row["abs_single_shot_S"]) == pytest.approx(2.0 / float(row["gamma"]) ** 2,
+                                                               rel=1e-12)
+
+
+@st.composite
+def exact_configs(draw):
+    """A custom state, pure or mixed, on random settings with signed, unequal
+    gammas down to 0.1 in magnitude, each pair scaled to the positivity
+    boundary (1 - 1e-9) when drawn tight or when it lies beyond it."""
+    rank = draw(st.integers(1, 4))
+    g = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=8 * rank, max_size=8 * rank)))
+    g = g.reshape(2, 4, rank)
+    m = (g[0] + 1j * g[1]) @ (g[0] + 1j * g[1]).conj().T
+    if np.trace(m).real < 1e-3:
+        m = np.eye(4)
+    rho = m / np.trace(m).real
+    blochs = []
+    for _ in range(4):
+        v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+        blochs.append(v / np.linalg.norm(v) if np.linalg.norm(v) > 0.1 else np.array([0.0, 0.0, 1.0]))
+    gs = [draw(st.floats(0.1, 1.0)) * draw(st.sampled_from([1.0, -1.0])) for _ in range(4)]
+    tight = draw(st.booleans())
+    for i, j in ((0, 1), (2, 3)):
+        worst = math.sqrt(gs[i] ** 2 + gs[j] ** 2
+                          + 2.0 * abs(gs[i] * gs[j]) * abs(float(blochs[i] @ blochs[j])))
+        if tight or worst > 1.0:
+            gs[i], gs[j] = (gamma * (1.0 - 1e-9) / worst for gamma in (gs[i], gs[j]))
+    return {
+        "state": {"custom": {"real": rho.real.tolist(), "imag": rho.imag.tolist()}},
+        "observables": {k: v.tolist() for k, v in zip("xyuv", blochs)},
+        "gammas": dict(zip("xyuv", gs)),
+    }
+
+
+@settings(FIXED, max_examples=200)
+@given(exact_configs())
+def test_exact_on_admitted_realizable_configs_never_exits_1(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "config.json")
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)
+        code, err = exit_code_and_stderr(["exact", "--config", cfg, "--out", tmp])
+    if abs(math.prod(doc["gammas"].values())) >= GAMMA_MIN:
+        assert (code, err) == (0, "")
+    else:  # below the amplification floor
+        assert code == 2, err
+        assert err.startswith("config error: gammas: |gamma_x gamma_y gamma_u gamma_v| = "), err

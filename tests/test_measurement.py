@@ -14,6 +14,7 @@ from bellshot import (
     random_density_matrix,
 )
 from bellshot.measurement import (
+    GAMMA_MIN,
     OUTCOMES,
     PAIR_ORDER,
     as_indices,
@@ -72,7 +73,13 @@ def test_as_indices_accepts_every_shot_form():
 
 def test_gamma_set_bounds():
     GammaSet.equal(1.0)
-    GammaSet.equal(1e-6)
+    # the product floor GAMMA_MIN: 0.2053 is its equal-gamma root 0.20530 rounded up
+    GammaSet.equal(-0.2053)
+    GammaSet(GAMMA_MIN, 1.0, 1.0, -1.0)
+    with pytest.raises(GammaOutOfRange, match=r"\|gamma_x gamma_y gamma_u gamma_v\| = 0.001773 must"):
+        GammaSet.equal(0.2052)
+    with pytest.raises(GammaOutOfRange, match=r"at least 0.001776 \(\|gamma\| >= 0.2053 at equal"):
+        GammaSet(GAMMA_MIN, 1.0, 1.0, np.nextafter(1.0, 0.0))
     with pytest.raises(GammaOutOfRange):
         GammaSet.equal(1.5)
     with pytest.raises(GammaOutOfRange):

@@ -6,15 +6,17 @@ checks the same examples.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from bellshot import (
-    ConsistencyError,
+    GammaOutOfRange,
     GammaSet,
     InversionKernel,
+    NotPositive,
     ObservableLabel,
     build_kernel,
     cross_marginal,
@@ -28,12 +30,14 @@ from bellshot import (
     single_shot_chsh_table,
 )
 from bellshot.cli import json_text
-from bellshot.inversion import gamma_free_quasi
+from bellshot.belltests import single_shot_ch_tables, single_shot_chsh_tables
+from bellshot.inversion import gamma_free_quasi, kernel_tables, require_column_sums
 from bellshot.measurement import (
     GAMMA_MIN,
     OUTCOMES,
     born_probabilities,
     product_povm,
+    realizable,
     subsystem_elements,
 )
 
@@ -95,23 +99,61 @@ def test_kernel_is_the_loop_product_with_unit_column_sums(drawn):
     assert np.abs(table.sum(axis=0) - 1.0).max() <= 1e-12
 
 
-SIGNED_GAMMA = st.floats(GAMMA_MIN, 1.0) | st.floats(GAMMA_MIN, 1.0).map(lambda g: -g)
+# magnitudes over the whole per-factor range, and above the equal-gamma floor
+SIGNED_GAMMA = (st.floats(GAMMA_MIN, 1.0) | st.floats(0.2053, 1.0)).flatmap(
+    lambda g: st.sampled_from([g, -g]))
 
 
 @settings(FIXED, max_examples=200)
 @given(st.lists(SIGNED_GAMMA, min_size=4, max_size=4))
 def test_kernel_is_the_nested_kron_product_bit_for_bit(values):
-    gammas = GammaSet(*values)
+    if abs(math.prod(values)) < GAMMA_MIN:  # GammaSet's amplification floor
+        with pytest.raises(GammaOutOfRange):
+            GammaSet(*values)
+        return
+    gammas = GammaSet(*values)  # admitted gammas always build a kernel
     kx, ky, ku, kv = (kernel_1d(g) for g in values)
     nested = np.kron(np.kron(np.kron(kx, ky), ku), kv)
-    try:
-        expected = InversionKernel(gammas, nested)
-    except ConsistencyError as exc:  # the column sums fail at small |gamma|
-        with pytest.raises(ConsistencyError) as err:
-            build_kernel(gammas)
-        assert str(err.value) == str(exc)
-    else:
-        assert build_kernel(gammas).table.tobytes() == expected.table.tobytes()
+    assert build_kernel(gammas).table.tobytes() == InversionKernel(gammas, nested).table.tobytes()
+
+
+@st.composite
+def gamma_stacks(draw):
+    """Settings and an odd-length stack of signed, unequal gamma 4-vectors.
+    Each pair is left as drawn, which may be unrealizable, or scaled so its
+    worst-case Bloch norm is 1 - 1e-9, 1e-9 inside positivity."""
+    blochs = [draw(unit_vectors()) for _ in range(4)]
+    rows = []
+    for _ in range(2 * draw(st.integers(0, 3)) + 1):
+        gs = [draw(st.floats(0.45, 1.0)) * draw(st.sampled_from([1.0, -1.0])) for _ in range(4)]
+        if draw(st.booleans()):
+            for i, j in ((0, 1), (2, 3)):
+                worst = np.sqrt(gs[i] ** 2 + gs[j] ** 2
+                                + 2.0 * abs(gs[i] * gs[j]) * abs(blochs[i] @ blochs[j]))
+                gs[i], gs[j] = (g * (1.0 - 1e-9) / worst for g in (gs[i], gs[j]))
+        rows.append(gs)
+    return observable_set(*blochs), np.array(rows)
+
+
+@settings(FIXED, max_examples=100)
+@given(gamma_stacks())
+def test_stacked_kernel_checks_equal_single_items_bit_for_bit(drawn):
+    settings_, stack = drawn
+    tables = kernel_tables(stack)
+    require_column_sums(tables)
+    chsh, ch = single_shot_chsh_tables(tables, stack), single_shot_ch_tables(stack)
+    positive = realizable(settings_, stack)
+    for row, values in enumerate(stack.tolist()):
+        kernel = build_kernel(GammaSet(*values))
+        assert tables[row].tobytes() == kernel.table.tobytes()
+        assert chsh[row].tobytes() == single_shot_chsh_table(kernel).tobytes()
+        assert ch[row].tobytes() == single_shot_ch_table(kernel).tobytes()
+        try:
+            joint_povm(settings_, kernel.gammas)
+            builds = True
+        except NotPositive:
+            builds = False
+        assert positive[row] == builds
 
 
 def traces_per_state_and_outcome(stack, operators) -> np.ndarray:
@@ -162,7 +204,7 @@ def test_cross_marginals_are_sharp_born_probabilities(drawn, rho):
 
 
 @FIXED
-@given(st.floats(0.05, 1.0))
+@given(st.floats(0.2053, 1.0))
 def test_equal_gamma_single_shot_magnitude(gamma):
     table = single_shot_chsh_table(build_kernel(GammaSet.equal(gamma)))
     assert np.allclose(np.abs(table), 2.0 / gamma**2, rtol=1e-12, atol=0.0)
