@@ -1,7 +1,5 @@
 """Command-line driver: exact analysis, sampled runs, sweeps, self-checks.
 
-Configs are single JSON documents; measurement directions are given as
-Bloch 3-vectors rather than angles so no axis convention can creep in.
 All files are written to a temporary name and atomically renamed, so a
 crash never leaves a partial result behind. Exit codes: 0 success, 1 a
 validation or internal consistency failure, 2 a config problem.
@@ -16,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -32,6 +29,7 @@ from .belltests import (
     single_shot_ch_tables,
     single_shot_chsh_tables,
 )
+from .config import SETTING_KEYS, ExperimentConfig, checked_int, load_config
 from .errors import BellshotError, ConfigError, ConsistencyError, GammaOutOfRange, OutOfRange
 from .inversion import (
     build_kernel,
@@ -51,7 +49,6 @@ from .measurement import (
     observed_statistics,
     realizable,
 )
-from .observables import ObservableSet, chsh_optimal_angles, observable_set
 from .sampler import (
     RngConfig,
     convergence_report,
@@ -59,15 +56,7 @@ from .sampler import (
     sample_indices,
     write_shot_csv,
 )
-from .states import (
-    BellState,
-    DensityMatrix,
-    bell_state,
-    custom_state,
-    density_matrices,
-    werner_matrices,
-    werner_state,
-)
+from .states import density_matrices, werner_matrices
 from .validate import DEFAULT_TRIALS, validate_all
 
 EXIT_OK = 0
@@ -81,157 +70,6 @@ EXIT_CONFIG = 2
 SWEEP_BLOCK = 256
 # every sweep column but the integer `realizable` at full float precision
 SWEEP_ROW = ",".join(["%.17g"] * 6 + ["%d"])
-
-
-def _parse_state(raw) -> DensityMatrix:
-    if not isinstance(raw, dict) or len(raw) != 1:
-        raise ConfigError(
-            'state: expected exactly one of {"bell": name}, {"werner": eta}, '
-            '{"custom": {"real": 4x4, "imag": 4x4}}'
-        )
-    (kind, value), = raw.items()
-    if kind == "bell":
-        names = [b.value for b in BellState]
-        if value not in names:  # before BellState(value), whose error reprs value
-            raise ConfigError(f"state.bell: unknown name {_shown(value)}; "
-                              f"expected one of {', '.join(names)}")
-        return bell_state(BellState(value))
-    if kind == "werner":
-        eta = float(_reals(value, "state.werner", "a real in [0, 1]", ()))
-        try:
-            return werner_state(eta)
-        except BellshotError as exc:
-            raise ConfigError(f"state.werner: {exc}")
-    if kind == "custom":
-        if not isinstance(value, dict) or set(value) != {"real", "imag"}:
-            raise ConfigError('state.custom: expected {"real": 4x4 table, "imag": 4x4 table}')
-        real, imag = (_reals(value[k], f"state.custom.{k}", "a 4x4 table of reals", (4, 4))
-                      for k in ("real", "imag"))
-        try:
-            return custom_state(real + 1j * imag)
-        except BellshotError as exc:
-            raise ConfigError(f"state.custom: {exc}")
-    raise ConfigError(f"state: unknown kind {kind!r}")
-
-
-def _reals(raw, where: str, kind: str, shape: tuple) -> np.ndarray:
-    """raw as a float array of the given shape, or ConfigError naming where.
-    Every leaf must be a JSON number: float() and numpy would read true as
-    1.0 and "0.5" as 0.5, and null as NaN. Lists nested deeper than shape
-    has axes are refused unwalked."""
-    def numeric(node, depth):
-        if isinstance(node, list):
-            return depth > 0 and all(numeric(item, depth - 1) for item in node)
-        return isinstance(node, (int, float)) and not isinstance(node, bool)
-
-    try:
-        if numeric(raw, len(shape)):
-            values = np.array(raw, dtype=float)
-            if values.shape == shape:
-                return values
-    except (ValueError, OverflowError):  # ragged tables; ints beyond float range
-        pass
-    raise ConfigError(f"{where}: expected {kind}, got {_shown(raw)}")
-
-
-def _shown(value, depth: int = 8) -> str:
-    """repr(value) for a JSON value, with containers more than depth levels
-    down shown as [...] and {...}: a config may nest as deep as json.load
-    allows, and a message must not recurse that far."""
-    if isinstance(value, list) and value:
-        inner = "..." if depth == 0 else ", ".join([_shown(v, depth - 1) for v in value])
-        return f"[{inner}]"
-    if isinstance(value, dict) and value:
-        inner = "..." if depth == 0 else ", ".join(
-            [f"{k!r}: {_shown(v, depth - 1)}" for k, v in value.items()])
-        return f"{{{inner}}}"
-    return repr(value)
-
-
-def _parse_observables(raw):
-    if raw is None:
-        return chsh_optimal_angles()
-    if not isinstance(raw, dict) or set(raw) != {"x", "y", "u", "v"}:
-        raise ConfigError('observables: expected keys "x", "y", "u", "v" (Bloch 3-vectors)')
-    vectors = [_reals(raw[k], f"observables.{k}", "a 3-vector of reals", (3,))
-               for k in ("x", "y", "u", "v")]
-    try:
-        return observable_set(*vectors)
-    except BellshotError as exc:
-        raise ConfigError(f"observables: {exc}")
-
-
-def _parse_gammas(raw) -> GammaSet:
-    keys = ("x", "y", "u", "v")
-    kind = 'a single real or keys "x", "y", "u", "v"'
-    if not isinstance(raw, dict):
-        raw = dict.fromkeys(keys, float(_reals(raw, "gammas", kind, ())))
-    if set(raw) != set(keys):
-        raise ConfigError(f"gammas: expected {kind}")
-    values = [float(_reals(raw[k], f"gammas.{k}", "a real", ())) for k in keys]
-    try:
-        return GammaSet(*values)
-    except BellshotError as exc:
-        raise ConfigError(f"gammas: {exc}")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated experiment description (state, settings, gammas, run plan)."""
-
-    state: DensityMatrix
-    settings: ObservableSet
-    gammas: GammaSet
-    shots: int
-    seed: int
-    stream_count: int
-
-    @classmethod
-    def from_dict(cls, doc, **overrides) -> "ExperimentConfig":
-        """Validate doc, with `overrides` (argv values) replacing its fields."""
-        if not isinstance(doc, dict):
-            raise ConfigError("config root must be a JSON object")
-        doc = {**doc, **overrides}
-        known = {"state", "observables", "gammas", "shots", "seed", "stream_count"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "state" not in doc:
-            raise ConfigError('config is missing required field "state"')
-        if "gammas" not in doc:
-            raise ConfigError('config is missing required field "gammas"')
-        state = _parse_state(doc["state"])
-        settings = _parse_observables(doc.get("observables"))
-        gammas = _parse_gammas(doc["gammas"])
-        shots = _int_field(doc, "shots", 0, "a nonnegative integer", 0)
-        seed = _int_field(doc, "seed", 0, "an unsigned 64-bit integer", 0, 2**64)
-        stream_count = _int_field(doc, "stream_count", 1, "a positive integer", 1)
-        return cls(state, settings, gammas, shots, seed, stream_count)
-
-
-def _int_field(doc: dict, name: str, default: int, kind: str, low: int, high=float("inf")) -> int:
-    # bool subclasses int, but `"shots": true` is a mistake, not a one-shot run
-    value = doc.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, int) or not low <= value < high:
-        raise ConfigError(f"{name}: expected {kind}, got {_shown(value)}")
-    return value
-
-
-def load_config(path: str, **overrides) -> ExperimentConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except OSError as exc:  # a directory; no read permission
-        raise ConfigError(f"config file cannot be read: {path}: {exc.strerror}")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file is not UTF-8 text: {path}: {exc}")
-    except RecursionError:  # json's decoder recurses once per nested container
-        raise ConfigError(f"config file nests too deeply to decode: {path}")
-    except ValueError as exc:  # JSONDecodeError; an int beyond int()'s digit limit
-        raise ConfigError(f"config is not valid JSON: {exc}")
-    return ExperimentConfig.from_dict(doc, **overrides)
 
 
 def atomic_write_json(path: str, payload: dict) -> None:
@@ -314,7 +152,7 @@ def cmd_exact(config: ExperimentConfig, out_dir: str) -> int:
     ch = ch_report(kernel, observed)
     payload = {
         "ordering": OUTCOME_ORDER_DOC,
-        "gammas": dict(zip(("x", "y", "u", "v"), config.gammas.as_tuple())),
+        "gammas": dict(zip(SETTING_KEYS, config.gammas.as_tuple())),
         "observed_statistics": observed.tolist(),
         "quasi_distribution": quasi.to_list(),
         "min_quasi_entry": quasi.min_entry(),
@@ -504,9 +342,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(4), "big")
-            _int_field({"seed": seed}, "seed", 0, "an unsigned 64-bit integer", 0, 2**64)
-            _int_field(vars(args), "trials", DEFAULT_TRIALS, "a positive integer", 1)
-            return cmd_validate(seed, args.trials, args.inject_fault)
+            return cmd_validate(checked_int("seed", seed), checked_int("trials", args.trials),
+                                args.inject_fault)
 
         # only run has --seed and --shots
         overrides = {k: v for k in ("seed", "shots") if (v := getattr(args, k, None)) is not None}
@@ -520,9 +357,7 @@ def main(argv=None) -> int:
             return cmd_exact(config, args.out)
         if args.command == "run":
             return cmd_run(config, args.out)
-        if args.command == "sweep":
-            return cmd_sweep(config, args.out, args.axis, _sweep_grid(args))
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_sweep(config, args.out, args.axis, _sweep_grid(args))  # argparse admits no other
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -84,10 +84,9 @@ class SharpPovm:
         defect = float(np.max(np.abs(plus + minus - linalg.I2)))
         if defect > COMPLETENESS_TOL:
             raise NotPSD(f"sharp elements do not sum to identity: defect {defect:.3e}")
-        plus.setflags(write=False)
-        minus.setflags(write=False)
-        object.__setattr__(self, "element_plus", plus)
-        object.__setattr__(self, "element_minus", minus)
+        for name, e in (("element_plus", plus), ("element_minus", minus)):
+            e.setflags(write=False)
+            object.__setattr__(self, name, e)
 
     def element(self, w: int) -> np.ndarray:
         return self.element_plus if w > 0 else self.element_minus
@@ -109,28 +108,18 @@ class ObservableSet:
     v: ObservableSpec
 
     def __post_init__(self):
-        expected = {
-            "x": ObservableLabel.X,
-            "y": ObservableLabel.Y,
-            "u": ObservableLabel.U,
-            "v": ObservableLabel.V,
-        }
-        for field, label in expected.items():
-            got = getattr(self, field).label
+        for label in ObservableLabel:  # slot x holds label X, and so on
+            got = getattr(self, label.value).label
             if got is not label:
-                raise OutOfRange(f"observable in slot {field!r} carries label {got.value!r}")
+                raise OutOfRange(f"observable in slot {label.value!r} carries label {got.value!r}")
 
     def get(self, label: ObservableLabel) -> ObservableSpec:
         return getattr(self, ObservableLabel(label).value)
 
 
 def observable_set(x_bloch, y_bloch, u_bloch, v_bloch) -> ObservableSet:
-    return ObservableSet(
-        ObservableSpec(ObservableLabel.X, x_bloch),
-        ObservableSpec(ObservableLabel.Y, y_bloch),
-        ObservableSpec(ObservableLabel.U, u_bloch),
-        ObservableSpec(ObservableLabel.V, v_bloch),
-    )
+    blochs = (x_bloch, y_bloch, u_bloch, v_bloch)
+    return ObservableSet(*(ObservableSpec(label, n) for label, n in zip(ObservableLabel, blochs)))
 
 
 def chsh_optimal_angles() -> ObservableSet:

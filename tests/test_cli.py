@@ -12,7 +12,8 @@ import pytest
 
 from bellshot import cli, measurement
 from bellshot.belltests import ensemble_chsh, single_shot_ch_table, single_shot_chsh_table
-from bellshot.cli import SWEEP_BLOCK, ExperimentConfig, _atomic_write, main
+from bellshot.cli import SWEEP_BLOCK, _atomic_write, main
+from bellshot.config import ExperimentConfig
 from bellshot.errors import GammaOutOfRange, NotPositive, OutOfRange
 from bellshot.inversion import build_kernel, gamma_free_quasi, invert_distribution, kernel_1d
 from bellshot.measurement import GammaSet, joint_povm, observed_statistics
