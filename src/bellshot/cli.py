@@ -49,13 +49,7 @@ from .measurement import (
     observed_statistics,
     realizable,
 )
-from .sampler import (
-    RngConfig,
-    convergence_report,
-    empirical_frequencies,
-    sample_indices,
-    write_shot_csv,
-)
+from .sampler import RngConfig, ShotDraws, stream_summary
 from .states import density_matrices, werner_matrices
 from .validate import DEFAULT_TRIALS, validate_all
 
@@ -117,14 +111,15 @@ def json_text(value, indent: str = "\n") -> str:
     return json.dumps(value)
 
 
-def _atomic_write(path: str, write) -> None:
+def _atomic_write(path: str, write):
     """Let write(fd) fill a new file beside path through fd, which it closes, then
-    rename it onto path. Its mode is 0o666 less the umask, as open() gives, not 0600."""
+    rename it onto path and return what write returned. Its mode is 0o666 less the
+    umask, as open() gives, not 0600."""
     tmp = os.path.join(os.path.dirname(path) or ".", f".bellshot-{os.urandom(8).hex()}.tmp")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            write(fd)
+            result = write(fd)
             os.replace(tmp, path)
         except BaseException:
             # fd still names tmp only if write failed before it took fd over
@@ -136,6 +131,7 @@ def _atomic_write(path: str, write) -> None:
             raise
     except OSError as exc:  # path is a directory; --out is read-only or full
         raise ConfigError(f"--out: cannot write {path}: {exc.strerror}") from exc
+    return result
 
 
 def _analysis(config: ExperimentConfig):
@@ -171,18 +167,19 @@ def cmd_exact(config: ExperimentConfig, out_dir: str) -> int:
 
 
 def cmd_run(config: ExperimentConfig, out_dir: str) -> int:
-    """Sample shots, log them as CSV, and summarize convergence as JSON."""
+    """Sample shots, log them as CSV, and summarize convergence as JSON. The shots are
+    drawn in chunks, written and summed on the way; a second pass redraws them for the
+    spread, so memory does not grow with the shot count."""
     if config.shots < 1:
         raise ConfigError("run requires shots >= 1 (set shots in config or pass --shots)")
     kernel, observed = _analysis(config)
     try:
-        shots = sample_indices(observed, config.shots, RngConfig(config.seed, config.stream_count))
-    except OutOfRange as exc:  # numpy refuses to allocate that many shots
+        shots = ShotDraws(observed, config.shots, RngConfig(config.seed, config.stream_count))
+    except OutOfRange as exc:  # more shots than a running mean can count exactly
         raise ConfigError(f"shots: {exc}") from None
     csv_path = os.path.join(out_dir, "shots.csv")
-    _atomic_write(csv_path, lambda fd: write_shot_csv(fd, kernel, shots))
-    summary = convergence_report(kernel, shots)
-    freqs = empirical_frequencies(shots)
+    counts, summary = _atomic_write(csv_path, lambda fd: stream_summary(kernel, shots, fd))
+    freqs = counts / summary["shots"]
     empirical_quasi = invert_distribution(kernel, freqs)
     exact_quasi = invert_distribution(kernel, observed)
     exact_S = ensemble_chsh(exact_quasi)

@@ -16,15 +16,17 @@ import numpy as np
 from .errors import BellshotError, ConfigError
 from .measurement import GammaSet
 from .observables import ObservableSet, chsh_optimal_angles, observable_set
+from .sampler import RNG_RANGES
 from .states import BellState, DensityMatrix, bell_state, custom_state, werner_state
 
 # every config field, in the order from_dict checks them
 FIELDS = ("state", "observables", "gammas", "shots", "seed", "stream_count")
-# integer inputs, config fields and validate's --trials alike: name -> (low, high, kind)
+# integer inputs, config fields and validate's --trials alike: name -> (low, high, kind).
+# seed and stream_count are RngConfig's own ranges; shots past the sampler's MAX_SHOTS
+# are refused by the sampler, whose message says why.
 INTEGERS = {
     "shots": (0, math.inf, "a nonnegative integer"),
-    "seed": (0, 2**64, "an unsigned 64-bit integer"),
-    "stream_count": (1, math.inf, "a positive integer"),
+    **RNG_RANGES,
     "trials": (1, math.inf, "a positive integer"),
 }
 SETTING_KEYS = ("x", "y", "u", "v")

@@ -5,23 +5,44 @@ index), so a run is reproducible for a fixed seed and stream count and
 independent streams can be drawn without coordination. Shots are split
 into contiguous blocks across streams and merged back in stream order,
 which keeps the output deterministic under the same configuration.
-A shot list is an int64 array of outcome indices; sample_shots and
-shot_records are list-of-object views of it.
+
+A run never holds its shots whole. ShotDraws redraws them from the stream
+keys, chunk by chunk, as often as they are read: one pass counts them,
+sums their single-shot values and writes their CSV rows, and a second
+sums the squared deviations from the mean. Each sum adds the values as
+numpy's pairwise summation adds the whole array, so the mean and spread
+are np.mean's and np.std(ddof=1)'s to the bit. An int64 array of outcome
+indices is read through the same passes; sample_shots and shot_records
+are list-of-object views of it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .belltests import single_shot_chsh_table
-from .errors import EmptyShotList, InvalidDistribution, OutOfRange
+from .errors import ConsistencyError, EmptyShotList, InvalidDistribution, OutOfRange
 from .inversion import InversionKernel
 from .measurement import OUTCOMES, OutcomeIndex, as_indices
 
 PROB_FLOOR = -1e-10
 PROB_SUM_SLACK = 1e-6
+
+# [low, high) and kind of each integer that keys a run's streams; the config document
+# checks the same entries. Past MAX_SHOTS a running mean's divisor is no longer exact.
+RNG_RANGES = {
+    "seed": (0, 2**64, "an unsigned 64-bit integer"),
+    "stream_count": (1, math.inf, "a positive integer"),
+}
+MAX_SHOTS = 2**53
+
+# Shots drawn, valued and counted per step of a pass, and the largest node of the pairwise
+# sum taken whole; at least numpy's pairwise block of 128. It bounds a run's arrays.
+SHOT_CHUNK = 2**16
+BUCKETS = 4096  # of [0, 1): a draw's bucket gives its outcome unless a cdf entry splits it
 
 SHOT_CSV_HEADER = ("index", "x_prime", "y_prime", "u_prime", "v_prime", "S_single", "running_mean_S")
 CSV_CHUNK = 8192  # shots formatted per write by write_shot_csv; bounds its byte matrices
@@ -49,16 +70,16 @@ class RngConfig:
     stream_count: int = 1
 
     def __post_init__(self):
-        for name in ("seed", "stream_count"):
+        for name, (low, high, _) in RNG_RANGES.items():
             value = getattr(self, name)
             # bool subclasses int, and a float such as 1.5 would key seed 1's stream
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise OutOfRange(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if not 0 <= self.seed < 2**64:
-            raise OutOfRange(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.stream_count < 1:
-            raise OutOfRange(f"stream_count must be >= 1, got {self.stream_count}")
+            value = int(value)
+            if not low <= value < high:  # a finite high is a power of two
+                rule = f"be >= {low}" if high == math.inf else f"lie in [{low}, 2**{high.bit_length() - 1})"
+                raise OutOfRange(f"{name} must {rule}, got {value}")
+            object.__setattr__(self, name, value)
 
     def generator(self, stream: int) -> np.random.Generator:
         if not 0 <= stream < self.stream_count:
@@ -84,36 +105,138 @@ def _checked_probabilities(probabilities) -> np.ndarray:
     return p / p.sum()
 
 
+def _bucket_table(p: np.ndarray):
+    """The cdf of p, and per bucket [b, b + 1) / BUCKETS the index count(cdf <= u) that
+    every u in it draws, or -1 where a cdf entry lies strictly inside and decides."""
+    cdf = np.cumsum(p)
+    cdf[-1] = 1.0  # guard against cumulative rounding at the top
+    edges = np.arange(BUCKETS + 1) / BUCKETS
+    table = np.searchsorted(cdf, edges[:-1], side="right")
+    table[np.searchsorted(cdf, edges[1:]) != table] = -1
+    return cdf, table
+
+
+def _draw(cdf: np.ndarray, table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cdf, u, side="right"), through _bucket_table's table."""
+    idx = table.take((u * BUCKETS).astype(np.intp))  # exact: BUCKETS is a power of two
+    split = np.flatnonzero(idx < 0)
+    idx[split] = np.searchsorted(cdf, u[split], side="right")
+    return idx
+
+
 def sample_outcome_indices(probabilities, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n outcome indices (0..15) by inverse transform sampling."""
     if n < 0:
         raise OutOfRange(f"shot count must be nonnegative, got {n}")
-    p = _checked_probabilities(probabilities)
-    cdf = np.cumsum(p)
-    cdf[-1] = 1.0  # guard against cumulative rounding at the top
-    return np.searchsorted(cdf, rng.random(n), side="right").astype(np.int64, copy=False)
+    return _draw(*_bucket_table(_checked_probabilities(probabilities)), rng.random(n))
+
+
+class ShotDraws:
+    """The n outcome indices drawn from p under config, redrawn from the stream keys
+    whenever they are read. Stream s draws a contiguous block, the first n % stream_count
+    streams one shot more, and the blocks follow in stream order; a stream that draws
+    nothing is never keyed. p and n are checked before any stream is keyed."""
+
+    def __init__(self, probabilities, n, config: RngConfig):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise OutOfRange(f"shot count must be an integer, got {n!r}")
+        if n < 0:
+            raise OutOfRange(f"shot count must be nonnegative, got {n}")
+        if n > MAX_SHOTS:
+            raise OutOfRange(f"shot count {n} is too many: a running mean's divisor "
+                             f"is exact only up to 2**53 = {MAX_SHOTS}")
+        self.n = int(n)
+        self.cdf, self.table = _bucket_table(_checked_probabilities(probabilities))
+        self.config = config
+
+    def _streams(self):
+        """(stop, generator) per stream that draws; its block ends before shot stop."""
+        base, extra = divmod(self.n, self.config.stream_count)
+        stop = 0
+        for stream in range(min(self.config.stream_count, self.n)):
+            stop += base + (stream < extra)
+            yield stop, self.config.generator(stream)
+
+    def reader(self):
+        """A fresh pass over the draws: take(start, stop) returns shots start..stop - 1,
+        asked for in order, drawn in one rng.random call per stream it spans."""
+        streams = self._streams()
+        block_stop, rng = 0, None
+
+        def take(start: int, stop: int) -> np.ndarray:
+            nonlocal block_stop, rng
+            pieces = []
+            while start < stop:
+                if start == block_stop:
+                    block_stop, rng = next(streams)
+                k = min(stop, block_stop) - start
+                pieces.append(_draw(self.cdf, self.table, rng.random(k)))
+                start += k
+            return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+        return take
+
+
+class _HeldShots:
+    """An outcome list or array, read through the same passes as ShotDraws."""
+
+    def __init__(self, shots):
+        self.indices = as_indices(shots)
+        self.n = len(self.indices)
+
+    def reader(self):
+        return lambda start, stop: self.indices[start:stop]
+
+
+def _source(shots):
+    return shots if isinstance(shots, ShotDraws) else _HeldShots(shots)
+
+
+def _pairwise(start: int, stop: int, leaf) -> float:
+    """Values start..stop - 1 summed as np.add.reduce sums them whole, from leaf(a, b),
+    np.add.reduce of values a..b - 1. numpy's pairwise summation (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 4.2) splits a node of more than 128 values
+    at half its length rounded down to a multiple of 8 and adds the halves' sums; here a
+    node of at most SHOT_CHUNK values is summed whole, and leaves come in order."""
+    n = stop - start
+    if n <= SHOT_CHUNK:
+        return leaf(start, stop)
+    mid = start + n // 2 - n // 2 % 8
+    return _pairwise(start, mid, leaf) + _pairwise(mid, stop, leaf)
+
+
+def _tally(shots, values=None, sink=None):
+    """One pass over a source's shots in _pairwise's leaves: the count of each outcome,
+    and values(idx) summed as np.add.reduce sums it over all the shots (0.0 without
+    values). sink(start, idx, v) sees each leaf's shots and values, in order."""
+    take = shots.reader()
+    counts = np.zeros(16, np.int64)
+
+    def leaf(start: int, stop: int) -> float:
+        idx = take(start, stop)
+        counts[:] += np.bincount(idx, minlength=16)
+        if values is None:
+            return 0.0
+        v = values(idx)
+        if sink is not None:
+            sink(start, idx, v)
+        return float(np.add.reduce(v))
+
+    return counts, _pairwise(0, shots.n, leaf) if shots.n else 0.0
 
 
 def sample_indices(probabilities, n: int, config: RngConfig) -> np.ndarray:
-    """Draw n outcome indices, contiguous blocks per stream, merged in stream
-    order; the first n % stream_count streams draw one shot more. Streams
-    that draw nothing get no generator, except stream 0, which checks p.
-    The output is allocated before any stream is keyed, so a count numpy
-    cannot hold raises OutOfRange at once."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise OutOfRange(f"shot count must be an integer, got {n!r}")
-    if n < 0:
-        raise OutOfRange(f"shot count must be nonnegative, got {n}")
+    """ShotDraws(probabilities, n, config) as one int64 array. The draws are checked
+    before any stream is keyed; a count numpy cannot hold raises OutOfRange."""
+    draws = ShotDraws(probabilities, n, config)
     try:
-        out = np.empty(n, np.int64)
+        out = np.empty(draws.n, np.int64)
     except (ValueError, MemoryError) as exc:
         raise OutOfRange(f"shot count {n} is too many: {exc}") from None
-    base, extra = divmod(n, config.stream_count)
-    start = 0
-    for stream in range(max(1, min(config.stream_count, n))):
-        stop = start + base + (stream < extra)
-        out[start:stop] = sample_outcome_indices(probabilities, stop - start, config.generator(stream))
-        start = stop
+    take = draws.reader()
+    for start in range(0, draws.n, SHOT_CHUNK):
+        stop = min(start + SHOT_CHUNK, draws.n)
+        out[start:stop] = take(start, stop)
     return out
 
 
@@ -149,29 +272,48 @@ def shot_records(kernel: InversionKernel, outcomes) -> list[ShotRecord]:
 
 def empirical_frequencies(outcomes) -> np.ndarray:
     """Relative frequency of each of the 16 outcomes in a shot list."""
-    idx = as_indices(outcomes)
-    if len(idx) == 0:
+    shots = _HeldShots(outcomes)
+    if shots.n == 0:
         raise EmptyShotList("cannot take frequencies of zero shots")
-    return np.bincount(idx, minlength=16) / len(idx)
+    return _tally(shots)[0] / shots.n
+
+
+def stream_summary(kernel: InversionKernel, shots, csv=None) -> tuple[np.ndarray, dict]:
+    """The outcome counts of shots, a ShotDraws or an outcome list, and convergence_report's
+    dict. One pass counts the shots, sums their single-shot values and, given csv (a path
+    or descriptor), writes write_shot_csv's rows there; a second pass reads the shots again
+    to sum the squared deviations from the mean, and raises ConsistencyError if its counts
+    differ. With one shot the spread and standard error are reported as absent."""
+    shots = _source(shots)
+    if shots.n == 0:
+        raise EmptyShotList("cannot summarize zero shots")
+    table = single_shot_chsh_table(kernel)
+    if csv is None:
+        counts, total = _tally(shots, table.take)
+    else:
+        with open(csv, "wb") as fh:
+            counts, total = _tally(shots, table.take, _csv_rows(fh, table))
+    mean = total / shots.n
+    std = None
+    if shots.n > 1:
+        recounts, squares = _tally(shots, lambda idx: np.square(table.take(idx) - mean))
+        if not np.array_equal(recounts, counts):
+            raise ConsistencyError(f"a second pass over the shots counted {recounts.tolist()} "
+                                   f"outcomes, the first {counts.tolist()}")
+        std = math.sqrt(squares / (shots.n - 1))
+    return counts, {
+        "shots": shots.n,
+        "mean_S": mean,
+        "sample_std": std,
+        "std_error": std / math.sqrt(shots.n) if std is not None else None,
+    }
 
 
 def convergence_report(kernel: InversionKernel, shots) -> dict:
-    """Mean, spread, and standard error of the single-shot CHSH values.
-
-    The reported mean is exactly ensemble_from_shots on the same data;
-    with one shot the spread and standard error are reported as absent.
-    """
-    values = single_shot_chsh_table(kernel)[as_indices(shots)]
-    n = len(values)
-    if n == 0:
-        raise EmptyShotList("cannot summarize zero shots")
-    std = float(values.std(ddof=1)) if n > 1 else None
-    return {
-        "shots": n,
-        "mean_S": float(values.mean()),
-        "sample_std": std,
-        "std_error": std / float(np.sqrt(n)) if std is not None else None,
-    }
+    """Mean, spread, and standard error of the single-shot CHSH values: np.mean and
+    np.std(ddof=1) of them to the bit, so the mean is exactly ensemble_from_shots on the
+    same data; with one shot the spread and standard error are reported as absent."""
+    return stream_summary(kernel, shots)[1]
 
 
 def _ascii(n: np.ndarray) -> np.ndarray:
@@ -206,8 +348,10 @@ def _fixed_17g(m: np.ndarray):
         return None
     x = np.floor(np.log10(a)).astype(np.int64)  # the decimal exponent, or one off
     n = _scaled(a, x)
-    x += (n >= 10**17).astype(np.int64) - (n < 10**16)
-    n = _scaled(a, x)  # the 17 significant digits
+    shift = (n >= 10**17).astype(np.int64) - (n < 10**16)
+    x += shift
+    moved = np.flatnonzero(shift)
+    n[moved] = _scaled(a[moved], x[moved])  # now every row holds its 17 significant digits
     ext = _ascii(n)  # 20 columns: 0 sign, 1 '.', 2 '0', 3 + j digit j
     ext[:, 0] = (m < 0) * ord("-")
     ext[:, 1:3] = ord("."), ord("0")
@@ -220,23 +364,22 @@ def _fixed_17g(m: np.ndarray):
     return chars & _KEEP.take(length, axis=0)
 
 
-def write_shot_csv(path, kernel: InversionKernel, shots) -> None:
-    """Write one CSV row per shot: 1-based index, signs as +-1 integers,
-    single-shot S and running mean at full precision, CRLF line ends. Each
-    CSV_CHUNK rows are one NUL-padded byte matrix of index, ",x,y,u,v,S," stem,
-    running mean and CRLF; % formats the means of a chunk _fixed_17g declines."""
-    idx = as_indices(shots)
-    table = single_shot_chsh_table(kernel)
+def _csv_rows(fh, table: np.ndarray):
+    """Write the header to fh, and return a _tally sink that writes each leaf's rows
+    after it: CSV_CHUNK rows at a time as one NUL-padded byte matrix of index, ",x,y,u,v,S,"
+    stem, running mean and CRLF; % formats the means of a chunk _fixed_17g declines."""
     stems = [b",%d,%d,%d,%d,%.17g," % (*xi.as_tuple(), s) for xi, s in zip(OUTCOMES, table.tolist())]
     stem_chars = np.array(stems).view(np.uint8).reshape(16, -1)
+    fh.write(",".join(SHOT_CSV_HEADER).encode() + b"\r\n")
     total = 0.0
-    with open(path, "wb") as fh:
-        fh.write(",".join(SHOT_CSV_HEADER).encode() + b"\r\n")
-        for start in range(0, len(idx), CSV_CHUNK):
-            chunk = idx[start:start + CSV_CHUNK]
-            sums = _running_sums(table[chunk], total)
+
+    def write(start: int, idx: np.ndarray, values: np.ndarray) -> None:
+        nonlocal total
+        for offset in range(0, len(idx), CSV_CHUNK):
+            chunk = idx[offset:offset + CSV_CHUNK]
+            sums = _running_sums(values[offset:offset + CSV_CHUNK], total)
             total = sums[-1]
-            numbers = np.arange(start + 1, start + len(chunk) + 1)
+            numbers = np.arange(start + offset + 1, start + offset + len(chunk) + 1)
             means = sums / numbers
             mean_chars = _fixed_17g(means)
             if mean_chars is None:
@@ -247,3 +390,15 @@ def write_shot_csv(path, kernel: InversionKernel, shots) -> None:
                 [_ascii(numbers), stem_chars.take(chunk, axis=0), mean_chars, crlf], axis=1
             )
             fh.write(chars[chars != 0].tobytes())
+
+    return write
+
+
+def write_shot_csv(path, kernel: InversionKernel, shots) -> None:
+    """Write one CSV row per shot: 1-based index, signs as +-1 integers,
+    single-shot S and running mean at full precision, CRLF line ends. The shots,
+    a ShotDraws or an outcome list, are checked before path is opened."""
+    shots = _source(shots)
+    table = single_shot_chsh_table(kernel)
+    with open(path, "wb") as fh:
+        _tally(shots, table.take, _csv_rows(fh, table))

@@ -6,22 +6,27 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bellshot import cli, measurement
+from bellshot import cli, measurement, sampler
 from bellshot.belltests import ensemble_chsh, single_shot_ch_table, single_shot_chsh_table
 from bellshot.cli import SWEEP_BLOCK, _atomic_write, main
 from bellshot.config import ExperimentConfig
-from bellshot.errors import GammaOutOfRange, NotPositive, OutOfRange
+from bellshot.errors import ConsistencyError, GammaOutOfRange, NotPositive, OutOfRange
 from bellshot.inversion import build_kernel, gamma_free_quasi, invert_distribution, kernel_1d
 from bellshot.measurement import GammaSet, joint_povm, observed_statistics
 from bellshot.sampler import CSV_CHUNK, write_shot_csv
 from bellshot.states import werner_state
 from conftest import ROOT_HALF, SINGLET, near_boundary_config, projector
+from test_sampler import searchsorted_indices, sequential_shot_csv
 
 TWO_ROOT_TWO = 2.0 * np.sqrt(2.0)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -336,7 +341,7 @@ def test_run_requires_shots(tmp_path, capsys):
     assert "shots >= 1" in capsys.readouterr().err
 
 
-# numpy refuses each of these counts before it allocates anything
+# the sampler refuses each of these counts before it keys a stream or opens a file
 @pytest.mark.parametrize("stream_count", [1, 2**70])
 @pytest.mark.parametrize("shots,argv", [
     pytest.param(2**63, [], id="config-2**63"),
@@ -350,6 +355,78 @@ def test_shot_count_numpy_cannot_hold_exits_2(tmp_path, capsys, shots, argv, str
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("config error: shots: shot count ") and "is too many" in line
     assert not (tmp_path / "out" / "shots.csv").exists()
+
+
+@pytest.mark.parametrize("shots,argv", [
+    pytest.param(2**53 + 1, [], id="config"),
+    pytest.param(None, ["--shots", str(2**53 + 1)], id="flag"),
+])
+def test_shot_count_past_two_to_the_53_exits_2(tmp_path, capsys, shots, argv):
+    extra = {} if shots is None else {"shots": shots}
+    cfg = singlet_config(tmp_path, **extra)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *argv]) == 2
+    assert capsys.readouterr().err == (
+        "config error: shots: shot count 9007199254740993 is too many: a running mean's "
+        "divisor is exact only up to 2**53 = 9007199254740992\n")
+    assert not (tmp_path / "out" / "shots.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [[], ["--shots", str(2**53)]], ids=["config", "flag"])
+def test_shot_count_two_to_the_53_is_admitted(tmp_path, capsys, monkeypatch, argv):
+    # draw only the lazy first chunk, then stop the run as a failed check would
+    seen = []
+
+    def first_chunk_only(kernel, shots, csv):
+        seen.append((shots.n, len(shots.reader()(0, sampler.SHOT_CHUNK))))
+        raise ConsistencyError("stopped after the first chunk")
+
+    monkeypatch.setattr(cli, "stream_summary", first_chunk_only)
+    cfg = singlet_config(tmp_path, shots=2**53 if not argv else 1, stream_count=3)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *argv]) == 1
+    assert seen == [(2**53, sampler.SHOT_CHUNK)]
+    assert "stopped after the first chunk" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "out") == []
+
+
+def test_run_whose_second_pass_counts_other_shots_exits_1(tmp_path, capsys, monkeypatch):
+    reader = sampler.ShotDraws.reader
+    passes = []
+
+    def all_zeros_on_the_second_pass(draws):
+        passes.append(draws)
+        return reader(draws) if len(passes) == 1 else lambda start, stop: np.zeros(stop - start, np.int64)
+
+    monkeypatch.setattr(sampler.ShotDraws, "reader", all_zeros_on_the_second_pass)
+    cfg = singlet_config(tmp_path, shots=5000, seed=3)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("internal consistency failure: a second pass")
+    assert os.listdir(tmp_path / "out") == []  # the CSV of the first pass is not published
+
+
+PEAK_RSS = """
+import sys
+from bellshot.cli import main
+main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM in /proc")
+def test_run_memory_does_not_grow_with_shots(tmp_path):
+    cfg = singlet_config(tmp_path, seed=5)
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    peak_kb = {}
+    for shots in (10_000, 2_000_000):
+        out = tmp_path / f"out{shots}"
+        proc = subprocess.run([sys.executable, "-c", PEAK_RSS, "run", "--config", cfg, "--out", str(out),
+                               "--shots", str(shots)], capture_output=True, text=True, env=env,
+                              timeout=300, check=True)
+        peak_kb[shots] = int(proc.stdout.split()[-1])
+        (out / "shots.csv").unlink()
+    # no array of a run grows with the shot count; holding the shots' indices and values
+    # whole would add about 44 MB here
+    assert peak_kb[2_000_000] - peak_kb[10_000] <= 5 * 1024, peak_kb
 
 
 def test_sweep_gamma(tmp_path):
@@ -691,6 +768,34 @@ README_RUN_SHA256 = {
     "shots.csv": "79a27145c2395e7b41ebd02b8f4a30f9741a101ee7ea2cc8cd616b2e6d64296a",
     "run_summary.json": "7530f95dec284a16524580de40fd47e90b64fc20ef42937a9c1c242816fa5c2d",
 }
+
+
+@pytest.mark.parametrize("shots", [1, 2, 137, 1000, 2177])
+def test_streamed_run_equals_the_in_memory_reference(tmp_path, monkeypatch, shots):
+    doc = {"state": {"werner": 0.9}, "gammas": {"x": 0.6, "y": 0.7, "u": 0.55, "v": 0.8},
+           "shots": shots, "seed": 77, "stream_count": 3}
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "one_chunk")]) == 0
+    # many pairwise leaves and CSV chunks, with edges off the stream blocks' edges
+    monkeypatch.setattr(sampler, "SHOT_CHUNK", 136)
+    monkeypatch.setattr(sampler, "CSV_CHUNK", 7)
+    out = tmp_path / "small_chunks"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("shots.csv", "run_summary.json"):
+        assert (out / name).read_bytes() == (tmp_path / "one_chunk" / name).read_bytes(), name
+    config = ExperimentConfig.from_dict(doc)
+    kernel = build_kernel(config.gammas)
+    p = observed_statistics(config.state, joint_povm(config.settings, config.gammas))
+    idx = searchsorted_indices(p, shots, sampler.RngConfig(77, 3))
+    assert (out / "shots.csv").read_bytes() == sequential_shot_csv(kernel, idx.tolist())
+    values = single_shot_chsh_table(kernel)[idx]
+    std = float(np.std(values, ddof=1)) if shots > 1 else None
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["empirical_S"] == float(np.mean(values))
+    assert summary["sample_std"] == std
+    assert summary["std_error"] == (std / float(np.sqrt(shots)) if shots > 1 else None)
+    quasi = invert_distribution(kernel, np.bincount(idx, minlength=16) / shots)
+    assert summary["empirical_quasi_distribution"] == quasi.to_list()
 
 
 def test_readme_run_outputs_are_pinned(tmp_path):

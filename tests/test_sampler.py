@@ -2,11 +2,14 @@
 
 import csv
 import io
+import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from bellshot import (
+    ConsistencyError,
     EmptyShotList,
     GammaSet,
     InvalidDistribution,
@@ -14,11 +17,14 @@ from bellshot import (
     OutOfRange,
     RngConfig,
     build_kernel,
+    chsh_optimal_angles,
     convergence_report,
     empirical_frequencies,
     ensemble_chsh,
     ensemble_from_shots,
     invert_distribution,
+    joint_povm,
+    observed_statistics,
     s_of_xi,
     sample_indices,
     sample_shots,
@@ -27,7 +33,8 @@ from bellshot import (
     write_shot_csv,
 )
 from bellshot import sampler
-from bellshot.sampler import SHOT_CSV_HEADER, sample_outcome_indices
+from bellshot.sampler import MAX_SHOTS, SHOT_CSV_HEADER, ShotDraws, sample_outcome_indices, stream_summary
+from bellshot.states import bell_state, werner_state
 from conftest import ROOT_HALF, fixed_17g_strings
 
 
@@ -335,3 +342,183 @@ def test_fixed_17g_exact_cases():
         assert (fixed_17g_strings([v]) is None) == (v not in inside)
     for v in (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-5, 1e16, 1e300):
         assert fixed_17g_strings([1.5, v]) is None
+
+
+def searchsorted_indices(probabilities, n, cfg):
+    """Reference: each stream's block drawn in one call and located by searchsorted."""
+    p = np.clip(np.asarray(probabilities, dtype=float), 0.0, None)
+    cdf = np.cumsum(p / p.sum())
+    cdf[-1] = 1.0
+    base, extra = divmod(n, cfg.stream_count)
+    blocks = [cfg.generator(s).random(base + (s < extra)) for s in range(min(cfg.stream_count, n))]
+    return np.searchsorted(cdf, np.concatenate([[], *blocks]), side="right").astype(np.int64)
+
+
+# lengths either side of 8, 128, the patched SHOT_CHUNK (136), its pairwise splits and
+# CSV_CHUNK (7); over 1, 3 and 7 streams their blocks end everywhere in between
+STREAM_LENGTHS = [1, 2, 7, 8, 9, 15, 127, 128, 129, 135, 136, 137, 271, 272, 273, 1000, 2177]
+
+
+@pytest.mark.parametrize("stream_count", [1, 3, 7])
+@pytest.mark.parametrize("n", STREAM_LENGTHS)
+def test_streamed_passes_equal_the_in_memory_reference(tmp_path, monkeypatch, n, stream_count):
+    monkeypatch.setattr(sampler, "SHOT_CHUNK", 136)
+    monkeypatch.setattr(sampler, "CSV_CHUNK", 7)
+    kernel = build_kernel(GammaSet(0.61, 0.73, 0.55, 0.87))  # values not exact in binary
+    p = singlet_optimal_probabilities()
+    cfg = RngConfig(seed=2024, stream_count=stream_count)
+    idx = searchsorted_indices(p, n, cfg)
+    path = tmp_path / "shots.csv"
+    counts, report = stream_summary(kernel, ShotDraws(p, n, cfg), path)
+    assert path.read_bytes() == sequential_shot_csv(kernel, idx.tolist())
+    values = single_shot_chsh_table(kernel)[idx]
+    std = float(np.std(values, ddof=1)) if n > 1 else None
+    assert report == {"shots": n, "mean_S": float(np.mean(values)), "sample_std": std,
+                      "std_error": std / float(np.sqrt(n)) if n > 1 else None}
+    assert counts.tolist() == np.bincount(idx, minlength=16).tolist()
+    assert np.array_equal(sample_indices(p, n, cfg), idx)
+    # an array reads through the same passes
+    held_counts, held_report = stream_summary(kernel, idx)
+    assert held_counts.tolist() == counts.tolist() and held_report == report
+
+
+def pairwise_lengths(top, count):
+    """Lengths around 8, 128, 136 and powers of two up to top, top itself, and count random."""
+    edges = [8, 128, 136] + [2**k for k in range(8, top.bit_length())]
+    fixed = [e + d for e in edges for d in (-1, 0, 1)] + [1, 2, top]
+    return sorted(set(fixed + np.random.default_rng(53).integers(129, top, count).tolist()))
+
+
+# the shipped chunk up to 3e6 shots; a small one, with many more leaves, on shorter lengths
+@pytest.mark.parametrize("chunk,lengths", [(2**16, pairwise_lengths(3_000_000, 20)),
+                                           (136, pairwise_lengths(20_000, 20))], ids=["2**16", "136"])
+def test_pairwise_tree_is_numpys_sum_bit_for_bit(monkeypatch, chunk, lengths):
+    monkeypatch.setattr(sampler, "SHOT_CHUNK", chunk)
+    assert len(lengths) >= 50
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal(max(lengths)) * 10.0 ** rng.uniform(-8, 8, max(lengths))
+    left_to_right_differs = 0
+    for n in lengths:
+        x = values[:n]
+        sums, starts = [], [0]
+
+        def leaf(a, b):
+            assert a == starts[-1] and b - a <= chunk  # leaves come in order, none too long
+            starts.append(b)
+            sums.append(float(np.add.reduce(x[a:b])))
+            return sums[-1]
+
+        assert sampler._pairwise(0, n, leaf) == float(np.add.reduce(x)), n
+        assert starts[-1] == n
+        # adding the leaf sums left to right would not do: the tree decides the bits
+        left_to_right_differs += sum(sums) != float(np.add.reduce(x))
+    assert left_to_right_differs > 0
+
+
+def bucket_probes(cdf):
+    """Every cdf entry, every bucket edge, and the doubles on either side of each, in [0, 1)."""
+    points = np.concatenate([cdf, np.arange(sampler.BUCKETS + 1) / sampler.BUCKETS])
+    probes = np.concatenate([points, np.nextafter(points, -1.0), np.nextafter(points, 2.0)])
+    return probes[(probes >= 0.0) & (probes < 1.0)]
+
+
+# normalized, [0.7, 0.2, 0.1] adds up to 1.0000000000000002 after its third entry
+BUCKET_CASES = {
+    "singlet": singlet_optimal_probabilities(),
+    "zeros": np.array([0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.125, 0.0] + [0.0] * 7 + [0.125]),
+    "past_one": np.array([0.7, 0.2, 0.1] + [0.0] * 13),
+    "random": np.random.default_rng(7).dirichlet(np.full(16, 0.3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUCKET_CASES))
+def test_bucket_draw_is_searchsorted(case):
+    cdf, table = sampler._bucket_table(sampler._checked_probabilities(BUCKET_CASES[case]))
+    if case == "past_one":
+        assert cdf[2] > 1.0 and cdf[-1] == 1.0
+    u = np.concatenate([bucket_probes(cdf), np.random.default_rng(1).random(100_000)])
+    assert np.array_equal(sampler._draw(cdf, table, u), np.searchsorted(cdf, u, side="right"))
+    assert (table < 0).sum() <= 15  # at most one bucket per inner cdf entry is left to searchsorted
+
+
+def test_second_pass_that_counts_other_shots_raises(root_half_gammas):
+    kernel = build_kernel(root_half_gammas)
+    p = singlet_optimal_probabilities()
+    draws = ShotDraws(p, 1000, RngConfig(seed=1))
+    readers = iter([draws.reader(), ShotDraws(p, 1000, RngConfig(seed=2)).reader()])
+    draws.reader = lambda: next(readers)
+    with pytest.raises(ConsistencyError, match="second pass"):
+        stream_summary(kernel, draws)
+
+
+def test_shot_bound_is_two_to_the_53():
+    p = singlet_optimal_probabilities()
+    with pytest.raises(OutOfRange, match=f"shot count {MAX_SHOTS + 1} is too many"):
+        ShotDraws(p, MAX_SHOTS + 1, RngConfig(seed=5))
+    with pytest.raises(OutOfRange, match="is too many"):
+        sample_indices(p, MAX_SHOTS + 1, RngConfig(seed=5))
+    # 2**53 is admitted and drawn lazily: the first chunk is stream 0's first draws
+    take = ShotDraws(p, MAX_SHOTS, RngConfig(seed=5)).reader()
+    first = take(0, sampler.SHOT_CHUNK)
+    assert np.array_equal(first, sample_indices(p, sampler.SHOT_CHUNK, RngConfig(seed=5)))
+
+
+# Sampling statistics at configs and seeds fixed in advance. Over the family of
+# 2 * len(STAT_CONFIGS) * len(STAT_SEEDS) tests, a false alarm has probability at most
+# FAMILY_ALPHA (Bonferroni). Pearson's X^2 over d + 1 outcomes is asymptotically chi^2_d,
+# and P(chi^2_d >= d + 2 sqrt(d t) + 2 t) <= exp(-t) (Laurent and Massart, Ann. Statist.
+# 28, 1302 (2000), Lemma 1); z is asymptotically standard normal.
+FAMILY_ALPHA = 1e-6
+STAT_SHOTS = 200_000
+STAT_SEEDS = (11, 12, 13)
+STAT_CONFIGS = {
+    "singlet_root_half": (bell_state("psi_minus"), GammaSet.equal(ROOT_HALF)),
+    "singlet_unequal": (bell_state("psi_minus"), GammaSet(0.6, 0.7, 0.55, 0.8)),
+    "werner_0.8": (werner_state(0.8), GammaSet.equal(0.7)),
+    "phi_plus_0.5": (bell_state("phi_plus"), GammaSet.equal(0.5)),
+}
+STAT_TEST_ALPHA = FAMILY_ALPHA / (2 * len(STAT_CONFIGS) * len(STAT_SEEDS))
+
+
+def sampling_alarms(kernel, p_drawn, p_expected, seed):
+    """Which of the chi-square and z tests reject draws from p_drawn as draws from p_expected."""
+    counts, report = stream_summary(kernel, ShotDraws(p_drawn, STAT_SHOTS, RngConfig(seed, 3)))
+    support = p_expected > 0
+    assert not counts[~support].any()
+    expected = STAT_SHOTS * p_expected[support]
+    chi2 = float(((counts[support] - expected) ** 2 / expected).sum())
+    d, t = int(support.sum()) - 1, math.log(1.0 / STAT_TEST_ALPHA)
+    table = single_shot_chsh_table(kernel)
+    exact_S = ensemble_chsh(invert_distribution(kernel, p_expected))
+    sigma = math.sqrt(float(p_expected @ table**2) - exact_S**2)
+    z = (report["mean_S"] - exact_S) * math.sqrt(STAT_SHOTS) / sigma
+    return {"chi2": chi2 > d + 2 * math.sqrt(d * t) + 2 * t,
+            "z": abs(z) > NormalDist().inv_cdf(1 - STAT_TEST_ALPHA / 2)}
+
+
+def stat_config(name):
+    state, gammas = STAT_CONFIGS[name]
+    kernel = build_kernel(gammas)
+    return kernel, observed_statistics(state, joint_povm(chsh_optimal_angles(), gammas))
+
+
+@pytest.mark.parametrize("seed", STAT_SEEDS)
+@pytest.mark.parametrize("name", sorted(STAT_CONFIGS))
+def test_sampled_counts_and_mean_fit_the_exact_distribution(name, seed):
+    kernel, p = stat_config(name)
+    assert sampling_alarms(kernel, p, p, seed) == {"chi2": False, "z": False}
+
+
+def test_spread_closed_form_at_equal_gammas():
+    kernel, p = stat_config("singlet_root_half")
+    table = single_shot_chsh_table(kernel)
+    exact_S = ensemble_chsh(invert_distribution(kernel, p))
+    assert float(p @ table**2) - exact_S**2 == pytest.approx(4 / ROOT_HALF**4 - exact_S**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(STAT_CONFIGS))
+def test_swapping_two_probabilities_sets_off_the_chi_square_alarm(name):
+    kernel, p = stat_config(name)
+    swapped = p.copy()
+    swapped[[p.argmin(), p.argmax()]] = p[[p.argmax(), p.argmin()]]
+    assert sampling_alarms(kernel, swapped, p, STAT_SEEDS[0])["chi2"]
