@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from .belltests import (
     single_shot_chsh_tables,
 )
 from .config import SETTING_KEYS, ExperimentConfig, checked_int, load_config
-from .errors import BellshotError, ConfigError, ConsistencyError, GammaOutOfRange, OutOfRange
+from .errors import BellshotError, ConfigError, ConsistencyError, OutOfRange
 from .inversion import (
     build_kernel,
     gamma_free_quasi,
@@ -63,18 +64,19 @@ EXIT_CONFIG = 2
 # (numpy 2.4, Python 3.11, x86-64 Linux).
 SWEEP_BLOCK = 256
 # every sweep column but the integer `realizable` at full float precision
-SWEEP_ROW = ",".join(["%.17g"] * 6 + ["%d"])
+SWEEP_ROW = ",".join(["%.17g"] * 6 + ["%d"]) + "\n"
 
 
 def atomic_write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, _text_writer(json_text(payload) + "\n"))
+    _atomic_write(path, _text_writer([json_text(payload) + "\n"]))
 
 
-def _text_writer(text: str):
-    """An _atomic_write writer that writes text through the descriptor."""
+def _text_writer(texts):
+    """An _atomic_write writer that writes each string of texts through the descriptor,
+    drawing the next only after the last is written."""
     def write(fd: int) -> None:
         with open(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(texts)
     return write
 
 
@@ -223,7 +225,7 @@ def _sweep_grid(args) -> list[float]:
 
 
 def _sweep_rows(config: ExperimentConfig, axis: str, grid: list[float]):
-    """Sweep rows, SWEEP_BLOCK grid points at a time. Along gamma, kernels and realizability
+    """Sweep rows, one iterable per SWEEP_BLOCK grid points. Along gamma, kernels and realizability
     are stacked against one gamma-free quasi-distribution, as ensemble S and the min quasi
     entry survive the exact inversion; along werner_eta, states and quasi-distributions are
     stacked against kernel columns computed once. Each stack passes every one-item check."""
@@ -242,13 +244,11 @@ def _sweep_rows(config: ExperimentConfig, axis: str, grid: list[float]):
     for start in range(0, len(grid), SWEEP_BLOCK):
         values = grid[start:start + SWEEP_BLOCK]
         if axis == "gamma":
-            gammas = np.empty((len(values), 4))
-            for row, value in zip(gammas, values):
-                try:
-                    row[:] = GammaSet.equal(value).as_tuple()
-                except GammaOutOfRange:
-                    raise ConfigError(f"sweep gamma {value!r} outside "
-                                      f"[{GAMMA_MIN ** 0.25:.4g}, 1] in magnitude") from None
+            gammas = np.repeat(np.array(values)[:, None], 4, axis=1)  # GammaSet.equal per row
+            bad = ~GammaSet.admits(gammas)
+            if np.any(bad):
+                raise ConfigError(f"sweep gamma {values[np.argmax(bad)]!r} outside "
+                                  f"[{GAMMA_MIN ** 0.25:.4g}, 1] in magnitude")
             tables = kernel_tables(gammas)
             require_column_sums(tables)
             kernel_side = kernel_columns(gammas, tables)
@@ -263,18 +263,18 @@ def _sweep_rows(config: ExperimentConfig, axis: str, grid: list[float]):
             require_quasi_entries(quasi)
         columns = (ensemble_chsh_values(quasi), *kernel_side, quasi.min(axis=-1), realizable_column)
         # each column holds a value per grid point of the block, or one for the whole sweep
-        yield from zip(values, *(c.tolist() if np.ndim(c) else [c.item()] * len(values) for c in columns))
+        yield zip(values, *(c.tolist() if np.ndim(c) else [c.item()] * len(values) for c in columns))
 
 
 def cmd_sweep(config: ExperimentConfig, out_dir: str, axis: str, grid: list[float]) -> int:
-    """One CSV row per grid point along a gamma or Werner-eta axis, computed in
+    """One CSV row per grid point along a gamma or Werner-eta axis, computed and written in
     blocks of SWEEP_BLOCK points and byte-identical to a point-by-point run.
     `realizable` says whether a positive joint measurement exists there."""
     header = (axis, "ensemble_S", "abs_single_shot_S", "ch_min", "ch_max",
               "min_quasi_entry", "realizable")
-    lines = [",".join(header), *(SWEEP_ROW % row for row in _sweep_rows(config, axis, grid))]
+    blocks = ("".join([SWEEP_ROW % row for row in block]) for block in _sweep_rows(config, axis, grid))
     path = os.path.join(out_dir, f"sweep_{axis}.csv")
-    _atomic_write(path, _text_writer("\n".join(lines) + "\n"))
+    _atomic_write(path, _text_writer(itertools.chain([",".join(header) + "\n"], blocks)))
     print(f"wrote {path}")
     return EXIT_OK
 

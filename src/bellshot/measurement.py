@@ -37,13 +37,19 @@ PROB_CLAMP_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
 
 
+def gamma_in_range(gamma) -> np.ndarray:
+    """Whether GAMMA_MIN <= |gamma| <= 1, elementwise, which NaN and infinities fail:
+    the one range rule for an unsharpness factor."""
+    a = np.abs(gamma)
+    return (GAMMA_MIN <= a) & (a <= 1.0)
+
+
 def checked_gamma(gamma, name: str = "gamma") -> float:
-    """gamma as a float, if it is finite and GAMMA_MIN <= |gamma| <= 1: the
-    one rule that admits an unsharpness factor. GammaOutOfRange names name."""
+    """gamma as a float, if gamma_in_range admits it. GammaOutOfRange names name."""
     g = float(gamma)
     if not np.isfinite(g):
         raise GammaOutOfRange(f"{name} = {g!r} is not finite")
-    if not GAMMA_MIN <= abs(g) <= 1.0:
+    if not gamma_in_range(g):
         raise GammaOutOfRange(f"{name} = {g!r}: |gamma| must lie in [{GAMMA_MIN:g}, 1]")
     return g
 
@@ -123,13 +129,24 @@ class GammaSet:
     def __post_init__(self):
         for name in ("gamma_x", "gamma_y", "gamma_u", "gamma_v"):
             object.__setattr__(self, name, checked_gamma(getattr(self, name), name))
-        if (product := abs(self.gamma_x * self.gamma_y * self.gamma_u * self.gamma_v)) < GAMMA_MIN:
+        if not GammaSet.admits(self.as_tuple()):
+            product = abs(self.gamma_x * self.gamma_y * self.gamma_u * self.gamma_v)
             raise GammaOutOfRange(f"|gamma_x gamma_y gamma_u gamma_v| = {product:.4g} must be at least "
                                   f"{GAMMA_MIN:.4g} (|gamma| >= {GAMMA_MIN ** 0.25:.4g} at equal gammas)")
 
     @staticmethod
     def equal(gamma: float) -> "GammaSet":
         return GammaSet(gamma, gamma, gamma, gamma)
+
+    @staticmethod
+    def admits(gammas) -> np.ndarray:
+        """Whether GammaSet admits each row (gamma_x, gamma_y, gamma_u, gamma_v) of gammas:
+        every factor in range, and |gamma_x gamma_y gamma_u gamma_v| >= GAMMA_MIN multiplied
+        in that order. The one rule it applies, over any stack of rows at once."""
+        g = np.asarray(gammas, dtype=float)
+        in_range = gamma_in_range(g).all(axis=-1)
+        g = np.where(in_range[..., None], g, 1.0)  # so that no refused row overflows its product
+        return in_range & (np.abs(g[..., 0] * g[..., 1] * g[..., 2] * g[..., 3]) >= GAMMA_MIN)
 
     def of(self, label) -> float:
         return getattr(self, f"gamma_{ObservableLabel(label).value}")

@@ -1,19 +1,18 @@
 """Finite-shot simulation of the sixteen-outcome joint measurement.
 
-Sampling uses counter-based Philox generators keyed by (seed, stream
-index), so a run is reproducible for a fixed seed and stream count and
-independent streams can be drawn without coordination. Shots are split
-into contiguous blocks across streams and merged back in stream order,
-which keeps the output deterministic under the same configuration.
+Sampling uses counter-based Philox generators keyed by (seed, stream index), so a run is
+reproducible for a fixed seed and stream count and independent streams can be drawn
+without coordination. Shots are split into contiguous blocks across streams and merged
+back in stream order, which keeps the output deterministic under the same configuration.
 
-A run never holds its shots whole. ShotDraws redraws them from the stream
-keys, chunk by chunk, as often as they are read: one pass counts them,
-sums their single-shot values and writes their CSV rows, and a second
-sums the squared deviations from the mean. Each sum adds the values as
-numpy's pairwise summation adds the whole array, so the mean and spread
-are np.mean's and np.std(ddof=1)'s to the bit. An int64 array of outcome
-indices is read through the same passes; sample_shots and shot_records
-are list-of-object views of it.
+A run never holds its shots whole. ShotDraws redraws them from the stream keys, chunk by
+chunk, as often as they are read: one pass counts them, sums their single-shot values and
+writes their CSV rows, and a second sums the squared deviations from the mean. Each sum
+adds the values as numpy's pairwise summation adds the whole array, so the mean and spread
+are np.mean's and np.std(ddof=1)'s to the bit. CSV rows are laid out CSV_CHUNK at a time
+in one reused NUL-padded byte matrix, running means through an exact array '%.17g', and
+written after one pass drops the NULs. An int64 array of outcome indices is read through
+the same passes; sample_shots and shot_records are list-of-object views of it.
 """
 
 from __future__ import annotations
@@ -45,21 +44,14 @@ SHOT_CHUNK = 2**16
 BUCKETS = 4096  # of [0, 1): a draw's bucket gives its outcome unless a cdf entry splits it
 
 SHOT_CSV_HEADER = ("index", "x_prime", "y_prime", "u_prime", "v_prime", "S_single", "running_mean_S")
-CSV_CHUNK = 8192  # shots formatted per write by write_shot_csv; bounds its byte matrices
+CSV_CHUNK = 8192  # rows per byte matrix of _csv_rows, which writes every shots.csv
 
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
 # 0..9999 as 4-byte ASCII words, zero-padded, then again from 10**4 with NUL padding
 _PREFIXES = np.arange(10**4, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16)
 _WORD_BYTES = (_PREFIXES % 10 + ord("0")).astype(np.uint8)
 _DIGIT_WORDS = np.concatenate([_WORD_BYTES, _WORD_BYTES * (_PREFIXES > 0)]).view(np.uint32).ravel()
-# the columns of _fixed_17g's ext that spell exponent x in fixed notation, 23 wide
-_DIGITS = list(range(3, 20))
-_LAYOUTS = {
-    x: np.array(([0] + ([2, 1] + [2] * (-x - 1) + _DIGITS if x < 0 else
-                        _DIGITS[:x + 1] + [1] + _DIGITS[x + 1:]) + [2] * 4)[:23])
-    for x in range(-4, 16)
-}
-_KEEP = np.tril(np.full((23, 23), 0xFF, np.uint8))  # row L keeps columns 0..L
+_POINT = np.frombuffer(b"\0" * 20 + b"0.000", np.uint8)  # [15 - x:] leads exponent x's row
 
 
 @dataclass(frozen=True)
@@ -292,7 +284,7 @@ def stream_summary(kernel: InversionKernel, shots, csv=None) -> tuple[np.ndarray
         counts, total = _tally(shots, table.take)
     else:
         with open(csv, "wb") as fh:
-            counts, total = _tally(shots, table.take, _csv_rows(fh, table))
+            counts, total = _tally(shots, table.take, _csv_rows(fh, table, shots.n))
     mean = total / shots.n
     std = None
     if shots.n > 1:
@@ -316,62 +308,79 @@ def convergence_report(kernel: InversionKernel, shots) -> dict:
     return stream_summary(kernel, shots)[1]
 
 
-def _ascii(n: np.ndarray) -> np.ndarray:
-    """Each n >= 1 as ASCII digits right-aligned in 4-byte words, leading zeros NUL."""
-    groups = np.empty((len(n), (len(str(n.max())) + 3) // 4), np.int64)
-    for j in reversed(range(groups.shape[1])):
-        n, groups[:, j] = np.divmod(n, 10**4)
-        groups[:, j] += (n == 0) * 10**4
+def _ascii(n: np.ndarray, words: int) -> np.ndarray:
+    """Each n >= 1 as ASCII digits right-aligned in that many 4-byte words, leading zeros NUL."""
+    groups = np.empty((len(n), words), np.int64)
+    for j in reversed(range(words)):
+        high = n // 10**4  # numpy divides by a scalar fast, but not in % or divmod
+        n, groups[:, j] = high, n - high * 10**4 + (high == 0) * 10**4
     return _DIGIT_WORDS.take(groups).view(np.uint8)
 
 
-def _split(a):  # Veltkamp's split into halves of at most 26 bits each
-    hi = 134217729.0 * a - (134217729.0 * a - a)  # 2**27 + 1
-    return hi, a - hi
-
-
-def _scaled(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _scaled(a: np.ndarray, x) -> np.ndarray:
     """a * 10**(16 - x) rounded half to even: Dekker's two-product (Numer. Math. 18, 1971)
     is exactly hi + lo, and with 17 digits hi >= 2**53 is even, so rint(lo) rounds as dtoa."""
     p = _POW10[16 - x]
     hi = a * p
-    (ah, al), (ph, pl) = _split(a), _split(p)
+    # Veltkamp's split into halves of at most 26 bits each; 134217729 = 2**27 + 1
+    ah, ph = (134217729.0 * v - (134217729.0 * v - v) for v in (a, p))
+    al, pl = a - ah, p - ph
     lo = al * pl - (((hi - ah * ph) - al * ph) - ah * pl)
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
-def _fixed_17g(m: np.ndarray):
-    """'%.17g' % v for each v of m as NUL-padded rows of a (len(m), 23) uint8 matrix;
-    None if some |v| is outside [1e-4, 1e16): %g's exponent form, 0 or not finite."""
+def _fixed_17g(m: np.ndarray, out=None):
+    """'%.17g' % v for each v of m, right-aligned in NUL-padded rows of a (len(m), 23) uint8
+    matrix, out if given; None if some |v| is outside [1e-4, 1e16): %g's exponent form, 0 or
+    not finite. Values of one decimal exponent, as a long run's means, share one scalar
+    scale: IEEE 754 rounds scalar and array doubles alike."""
     a = np.abs(m)
-    if not np.all((a >= 1e-4) & (a < 1e16)):
+    if not (a.min() >= 1e-4 and a.max() < 1e16):  # NaN fails both
         return None
-    x = np.floor(np.log10(a)).astype(np.int64)  # the decimal exponent, or one off
+    first, last = np.floor(np.log10([a.min(), a.max()])).astype(np.int64)  # exponent, or one off
+    x = first if first == last else np.floor(np.log10(a)).astype(np.int64)
     n = _scaled(a, x)
-    shift = (n >= 10**17).astype(np.int64) - (n < 10**16)
-    x += shift
-    moved = np.flatnonzero(shift)
-    n[moved] = _scaled(a[moved], x[moved])  # now every row holds its 17 significant digits
-    ext = _ascii(n)  # 20 columns: 0 sign, 1 '.', 2 '0', 3 + j digit j
-    ext[:, 0] = (m < 0) * ord("-")
-    ext[:, 1:3] = ord("."), ord("0")
-    k = np.maximum(16 - np.argmax(ext[:, :2:-1] != ord("0"), axis=1), x)  # last nonzero digit, or x
-    length = k + (k > x) + np.maximum(-x, 0) + 1  # without trailing zeros or a bare point
-    chars = ext.take(_LAYOUTS[x.min()], axis=1)
-    for e in range(x.min() + 1, x.max() + 1):
-        rows = x == e
-        chars[rows] = ext[rows].take(_LAYOUTS[e], axis=1)
-    return chars & _KEEP.take(length, axis=0)
+    if n.min() < 10**16 or n.max() >= 10**17:
+        x = x + (n >= 10**17) - (n < 10**16)
+        n = _scaled(a, x)  # now every row holds its 17 significant digits
+    q = n // 10**8
+    lead = q // 10**8  # then four words of four digits
+    eights = np.stack([q - lead * 10**8, n - q * 10**8]).astype(np.int32)
+    high = eights // 10**4
+    low = eights - high * 10**4
+    groups = np.stack([lead + 10**4, high[0], low[0], high[1], low[1]], axis=1)
+    digits = _DIGIT_WORDS.take(groups).view(np.uint8)  # 20 columns: 2 sign, 3 + j digit j
+    digits[:, 2] = (m < 0) * ord("-")
+    chars = np.empty((len(m), 23), np.uint8) if out is None else out
+    for e in range(np.min(x), np.max(x) + 1):
+        rows = np.flatnonzero(x == e) if np.ndim(x) else slice(None)
+        s, f = 4 + min(e, 0), 7 + max(e, -1)  # the sign's column and the fraction's first
+        chars[rows, :f] = _POINT[15 - e:15 - e + f]
+        chars[rows, s:s + f - 5] = digits[rows, 2:f - 3]
+        chars[rows, f:] = digits[rows, f - 3:]
+    zero = np.flatnonzero(digits[:, 19] == ord("0"))  # the rows with trailing zeros
+    trailing = np.argmax(digits[zero, :2:-1] != ord("0"), axis=1)
+    fraction = 16 - (x[zero] if np.ndim(x) else x)  # digits after the point
+    drop = np.minimum(trailing, fraction) + (trailing >= fraction)  # and a bare point
+    chars[zero] *= np.arange(23) < 23 - drop[:, None]
+    return chars
 
 
-def _csv_rows(fh, table: np.ndarray):
-    """Write the header to fh, and return a _tally sink that writes each leaf's rows
-    after it: CSV_CHUNK rows at a time as one NUL-padded byte matrix of index, ",x,y,u,v,S,"
-    stem, running mean and CRLF; % formats the means of a chunk _fixed_17g declines."""
+def _percent_17g(m: np.ndarray) -> np.ndarray:
+    """'%.17g' % v per v of m, right-aligned in NUL-padded rows 24 wide, enough for any double."""
+    return np.array([(b"%.17g" % v).rjust(24, b"\0") for v in m.tolist()]).view(np.uint8).reshape(-1, 24)
+
+
+def _csv_rows(fh, table: np.ndarray, n: int):
+    """Write the header to fh, and return a _tally sink that writes each leaf's rows of n
+    after it, CSV_CHUNK at a time, through one NUL-padded byte matrix compacted in one
+    pass: index, ",x,y,u,v,S," stem and a spare NUL, running mean and CRLF."""
     stems = [b",%d,%d,%d,%d,%.17g," % (*xi.as_tuple(), s) for xi, s in zip(OUTCOMES, table.tolist())]
-    stem_chars = np.array(stems).view(np.uint8).reshape(16, -1)
+    stem_chars = np.array(stems, f"S{max(map(len, stems)) + 1}").view(np.uint8).reshape(16, -1)
     fh.write(",".join(SHOT_CSV_HEADER).encode() + b"\r\n")
-    total = 0.0
+    i = (len(str(n)) + 3) // 4 * 4  # the index's columns; the running mean's are the last 23
+    total, buf = 0.0, np.zeros((min(CSV_CHUNK, n), i + stem_chars.shape[1] + 25), np.uint8)
+    buf[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
 
     def write(start: int, idx: np.ndarray, values: np.ndarray) -> None:
         nonlocal total
@@ -380,16 +389,13 @@ def _csv_rows(fh, table: np.ndarray):
             sums = _running_sums(values[offset:offset + CSV_CHUNK], total)
             total = sums[-1]
             numbers = np.arange(start + offset + 1, start + offset + len(chunk) + 1)
+            rows = buf[:len(chunk)]
+            rows[:, :i] = _ascii(numbers, i // 4)
+            rows[:, i:-25] = stem_chars.take(chunk, axis=0)
             means = sums / numbers
-            mean_chars = _fixed_17g(means)
-            if mean_chars is None:
-                mean_bytes = np.array([b"%.17g" % m for m in means.tolist()])
-                mean_chars = mean_bytes.view(np.uint8).reshape(len(means), -1)
-            crlf = np.broadcast_to(np.frombuffer(b"\r\n", np.uint8), (len(chunk), 2))
-            chars = np.concatenate(
-                [_ascii(numbers), stem_chars.take(chunk, axis=0), mean_chars, crlf], axis=1
-            )
-            fh.write(chars[chars != 0].tobytes())
+            if _fixed_17g(means, rows[:, -25:-2]) is None:
+                rows[:, -26:-2] = _percent_17g(means)  # over the stem's spare NUL
+            fh.write(rows[rows != 0])
 
     return write
 
@@ -401,4 +407,4 @@ def write_shot_csv(path, kernel: InversionKernel, shots) -> None:
     shots = _source(shots)
     table = single_shot_chsh_table(kernel)
     with open(path, "wb") as fh:
-        _tally(shots, table.take, _csv_rows(fh, table))
+        _tally(shots, table.take, _csv_rows(fh, table, shots.n))

@@ -813,6 +813,17 @@ def test_readme_run_outputs_are_pinned(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+def test_readme_run_formats_no_running_mean_row_by_row(tmp_path, monkeypatch):
+    # a silent fall back to the per-row % formatting would show only as a slower run
+    def refuse(means):
+        raise AssertionError(f"per-row %.17g fallback reached at {means[:3]}")
+
+    monkeypatch.setattr(sampler, "_percent_17g", refuse)
+    cfg = write_config(tmp_path, {"state": {"bell": "psi_minus"}, "gammas": 0.7071067811865476,
+                                  "shots": README_RUN_SHOTS, "seed": 42, "stream_count": 4})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -91,6 +91,38 @@ def test_gamma_set_bounds():
     assert g.as_tuple() == (0.6, 0.6, 0.7, 0.5)
 
 
+def test_gamma_set_admits_a_stack_as_its_constructor_does():
+    edges = [GAMMA_MIN ** 0.25, 1.0, 0.0, -0.0, float("nan"), float("inf")]
+    values = []
+    for edge in edges:
+        for sign in (1.0, -1.0):
+            below = above = sign * edge
+            values.append(below)
+            for _ in range(3):
+                below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+                values += [float(below), float(above)]
+    values += [1e-300, 0.5, 1.5, 1e300, -1e300]
+    rows = [(v, v, v, v) for v in values]
+    # unequal rows at the product floor, and a row refused by its range alone
+    floor = GAMMA_MIN
+    rows += [(1.0, 1.0, -1.0, floor), (1.0, 1.0, 1.0, float(np.nextafter(floor, 0.0))),
+             (0.5, 0.5, floor * 4, 1.0), (0.5, 0.5, float(np.nextafter(floor * 4, 0.0)), 1.0),
+             (1e300, 1e300, 1.0, 1.0)]
+
+    def admitted(row):
+        try:
+            GammaSet(*row)
+        except GammaOutOfRange:
+            return False
+        return True
+
+    expected = [admitted(row) for row in rows]
+    assert GammaSet.admits(np.array(rows)).tolist() == expected
+    # the neighbours of +floor and of +1 (7 values each) fall on both sides, as do the unequal pairs
+    assert set(expected[:7]) == set(expected[14:21]) == {True, False}
+    assert expected[-5:] == [True, False, True, False, False]
+
+
 def test_subsystem_element_boundary_case():
     # orthogonal pair at gamma = 1/sqrt(2): quarter-element Bloch norm is
     # exactly 1/4, so the smallest eigenvalue sits at zero

@@ -241,6 +241,27 @@ def test_fixed_17g_declines_or_is_percent_17g(values):
     assert got is None or got == ["%.17g" % v for v in values]
 
 
+@st.composite
+def one_decade(draw):
+    """Values of one decimal exponent in %g's fixed range, of either sign, among them short
+    decimals such as 2.5 whose 17 digits end in zeros."""
+    e = draw(st.integers(-4, 15))
+    spread = st.floats(float(f"1e{e}"), float(f"1e{e + 1}"), exclude_max=True)
+    short = st.integers(1, 4).flatmap(
+        lambda k: st.integers(10 ** (k - 1), 10**k - 1).map(lambda d: float(f"{d}e{e - k + 1}")))
+    magnitudes = draw(st.lists(spread | short, min_size=1, max_size=30))
+    return [v * draw(st.sampled_from([1.0, -1.0])) for v in magnitudes]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(one_decade())
+@example([2.5, -2.5, 3.0, 2.0000000000000004])
+@example([-0.25, 0.5, -0.125, 0.1])
+@example([1234567890123450.0, -1e15, 9999999999999998.0])
+def test_fixed_17g_is_percent_17g_within_one_decade(values):
+    assert fixed_17g_strings(values) == ["%.17g" % v for v in values]
+
+
 JSON_LEAVES = (
     st.floats()
     | st.floats().map(np.float64)

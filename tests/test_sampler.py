@@ -274,14 +274,15 @@ def test_sample_indices_is_the_array_behind_sample_shots():
         sample_indices(np.full(16, 1.0 / 32.0), 0, cfg)
 
 
-def sequential_shot_csv(kernel, indices) -> bytes:
-    """Reference: the per-shot loop, total += s and total / i, through csv.writer."""
+def sequential_shot_csv(kernel, indices, start=1) -> bytes:
+    """Reference: the per-shot loop, total += s and total / i, through csv.writer; shots
+    are numbered from start."""
     table = single_shot_chsh_table(kernel)
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(SHOT_CSV_HEADER)
     total = 0.0
-    for i, k in enumerate(indices, start=1):
+    for i, k in enumerate(indices, start=start):
         s = float(table[k])
         total += s
         writer.writerow([i, *OUTCOMES[k].as_tuple(), "%.17g" % s, "%.17g" % (total / i)])
@@ -316,6 +317,36 @@ def test_chunked_csv_matches_sequential_loop(tmp_path, monkeypatch, case):
     assert [r.running_mean_S for r in shot_records(kernel, idx)] == means
     # these cases, and only these, reach the % fallback
     assert (case in OUTSIDE_FIXED_RANGE) == any(abs(m) < 1e-4 for m in means)
+
+
+@pytest.mark.parametrize("chunk", [sampler.CSV_CHUNK, 7])
+def test_index_gains_a_digit_inside_a_chunk(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(sampler, "CSV_CHUNK", chunk)
+    kernel = build_kernel(GammaSet(0.61, 0.73, 0.55, 0.87))
+    # shot 10**4 falls inside a chunk of either size, not at its edge
+    idx = np.random.default_rng(14).integers(0, 16, 10**4 + 50)
+    path = tmp_path / "shots.csv"
+    write_shot_csv(path, kernel, idx)
+    assert path.read_bytes() == sequential_shot_csv(kernel, idx.tolist())
+    # shots 10**5 and 10**6 through the sink write_shot_csv feeds, a leaf started 10 below
+    table = single_shot_chsh_table(kernel)
+    for power in (5, 6):
+        fh = io.BytesIO()
+        sampler._csv_rows(fh, table, 10**power + 10)(10**power - 10, idx[:20], table[idx[:20]])
+        assert fh.getvalue() == sequential_shot_csv(kernel, idx[:20].tolist(), start=10**power - 9)
+
+
+def test_one_decade_is_scaled_by_one_scalar(monkeypatch):
+    calls = []
+    scaled = sampler._scaled
+    monkeypatch.setattr(sampler, "_scaled", lambda a, x: calls.append(np.ndim(x)) or scaled(a, x))
+    values = [2.5, -2.25, 2.0, 9.75, 3.0000000000000004]
+    assert fixed_17g_strings(values) == ["%.17g" % v for v in values]
+    assert calls == [0]
+    calls.clear()
+    values = [0.5, 5.0, 50.0]  # three exponents: one per row
+    assert fixed_17g_strings(values) == ["%.17g" % v for v in values]
+    assert calls == [1]
 
 
 def powers_of_ten_and_neighbours(steps=3):
