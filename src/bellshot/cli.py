@@ -8,9 +8,7 @@ validation or internal consistency failure, 2 a config problem.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
-import itertools
 import json
 import math
 import os
@@ -68,16 +66,7 @@ SWEEP_ROW = ",".join(["%.17g"] * 6 + ["%d"]) + "\n"
 
 
 def atomic_write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, _text_writer([json_text(payload) + "\n"]))
-
-
-def _text_writer(texts):
-    """An _atomic_write writer that writes each string of texts through the descriptor,
-    drawing the next only after the last is written."""
-    def write(fd: int) -> None:
-        with open(fd, "w") as fh:
-            fh.writelines(texts)
-    return write
+    _atomic_write(path, lambda fh: fh.write(json_text(payload).encode() + b"\n"))
 
 
 def json_text(value, indent: str = "\n") -> str:
@@ -114,22 +103,18 @@ def json_text(value, indent: str = "\n") -> str:
 
 
 def _atomic_write(path: str, write):
-    """Let write(fd) fill a new file beside path through fd, which it closes, then
-    rename it onto path and return what write returned. Its mode is 0o666 less the
-    umask, as open() gives, not 0600."""
+    """Let write(fh) fill a new binary file beside path, then close it, rename it onto
+    path and return what write returned. The file is created exclusively, with mode
+    0o666 less the umask, as open() gives; if anything fails after that, it is removed."""
     tmp = os.path.join(os.path.dirname(path) or ".", f".bellshot-{os.urandom(8).hex()}.tmp")
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        fh = open(tmp, "xb")  # a name that exists is never this call's to remove
         try:
-            result = write(fd)
+            with fh:
+                result = write(fh)
             os.replace(tmp, path)
         except BaseException:
-            # fd still names tmp only if write failed before it took fd over
-            with contextlib.suppress(OSError):
-                if os.path.samestat(os.fstat(fd), os.stat(tmp)):
-                    os.close(fd)
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            os.unlink(tmp)
             raise
     except OSError as exc:  # path is a directory; --out is read-only or full
         raise ConfigError(f"--out: cannot write {path}: {exc.strerror}") from exc
@@ -180,7 +165,7 @@ def cmd_run(config: ExperimentConfig, out_dir: str) -> int:
     except OutOfRange as exc:  # more shots than a running mean can count exactly
         raise ConfigError(f"shots: {exc}") from None
     csv_path = os.path.join(out_dir, "shots.csv")
-    counts, summary = _atomic_write(csv_path, lambda fd: stream_summary(kernel, shots, fd))
+    counts, summary = _atomic_write(csv_path, lambda fh: stream_summary(kernel, shots, fh))
     freqs = counts / summary["shots"]
     empirical_quasi = invert_distribution(kernel, freqs)
     exact_quasi = invert_distribution(kernel, observed)
@@ -272,9 +257,14 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str, axis: str, grid: list[floa
     `realizable` says whether a positive joint measurement exists there."""
     header = (axis, "ensemble_S", "abs_single_shot_S", "ch_min", "ch_max",
               "min_quasi_entry", "realizable")
-    blocks = ("".join([SWEEP_ROW % row for row in block]) for block in _sweep_rows(config, axis, grid))
+
+    def write(fh) -> None:
+        fh.write(",".join(header).encode() + b"\n")
+        for block in _sweep_rows(config, axis, grid):
+            fh.write("".join([SWEEP_ROW % row for row in block]).encode())
+
     path = os.path.join(out_dir, f"sweep_{axis}.csv")
-    _atomic_write(path, _text_writer(itertools.chain([",".join(header) + "\n"], blocks)))
+    _atomic_write(path, write)
     print(f"wrote {path}")
     return EXIT_OK
 

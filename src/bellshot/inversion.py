@@ -42,6 +42,7 @@ from .observables import (
 
 QUASI_SUM_TOL = 1e-10
 MARGINAL_CLAMP_TOL = 1e-10
+NEGATIVITY_TOL = 1e-10
 
 
 def kernel_1d(gamma: float) -> np.ndarray:
@@ -113,8 +114,8 @@ class QuasiDistribution:
     def min_entry(self) -> float:
         return float(self.entries.min())
 
-    def is_negative(self, tol: float = 1e-10) -> bool:
-        return self.min_entry() < -tol
+    def is_negative(self) -> bool:
+        return self.min_entry() < -NEGATIVITY_TOL
 
     def to_list(self) -> list[float]:
         """Entries in the canonical outcome order (documented in

@@ -56,12 +56,12 @@ def hermiticity_defect(m: np.ndarray):
     return np.max(np.abs(m - m.conj().swapaxes(-1, -2)), axis=(-2, -1))
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix") -> None:
+def require_hermitian(m: np.ndarray, what: str = "matrix") -> None:
     defect = hermiticity_defect(m)
-    bad = defect > tol
+    bad = defect > HERMITIAN_TOL
     if np.any(bad):
         worst = first_failing(defect, bad)
-        raise NotHermitian(f"{what}: max |M - M^H| = {worst:.3e} exceeds {tol:.0e}")
+        raise NotHermitian(f"{what}: max |M - M^H| = {worst:.3e} exceeds {HERMITIAN_TOL:.0e}")
 
 
 def eigvals_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:

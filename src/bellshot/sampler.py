@@ -116,13 +116,6 @@ def _draw(cdf: np.ndarray, table: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-def sample_outcome_indices(probabilities, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n outcome indices (0..15) by inverse transform sampling."""
-    if n < 0:
-        raise OutOfRange(f"shot count must be nonnegative, got {n}")
-    return _draw(*_bucket_table(_checked_probabilities(probabilities)), rng.random(n))
-
-
 class ShotDraws:
     """The n outcome indices drawn from p under config, redrawn from the stream keys
     whenever they are read. Stream s draws a contiguous block, the first n % stream_count
@@ -272,19 +265,15 @@ def empirical_frequencies(outcomes) -> np.ndarray:
 
 def stream_summary(kernel: InversionKernel, shots, csv=None) -> tuple[np.ndarray, dict]:
     """The outcome counts of shots, a ShotDraws or an outcome list, and convergence_report's
-    dict. One pass counts the shots, sums their single-shot values and, given csv (a path
-    or descriptor), writes write_shot_csv's rows there; a second pass reads the shots again
-    to sum the squared deviations from the mean, and raises ConsistencyError if its counts
-    differ. With one shot the spread and standard error are reported as absent."""
+    dict. One pass counts the shots, sums their single-shot values and, given csv (a binary
+    file the caller opened), writes write_shot_csv's rows to it; a second pass reads the
+    shots again to sum the squared deviations from the mean, and raises ConsistencyError if
+    its counts differ. With one shot the spread and standard error are reported as absent."""
     shots = _source(shots)
     if shots.n == 0:
         raise EmptyShotList("cannot summarize zero shots")
     table = single_shot_chsh_table(kernel)
-    if csv is None:
-        counts, total = _tally(shots, table.take)
-    else:
-        with open(csv, "wb") as fh:
-            counts, total = _tally(shots, table.take, _csv_rows(fh, table, shots.n))
+    counts, total = _tally(shots, table.take, None if csv is None else _csv_rows(csv, table, shots.n))
     mean = total / shots.n
     std = None
     if shots.n > 1:

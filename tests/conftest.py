@@ -89,6 +89,14 @@ def fixed_17g_strings(values):
     return None if chars is None else [bytes(row[row != 0]).decode() for row in chars]
 
 
+def sampling_cdf(probabilities) -> np.ndarray:
+    """The cdf the sampler draws from: negatives clamped, renormalized, last entry 1."""
+    p = np.clip(np.asarray(probabilities, dtype=float), 0.0, None)
+    cdf = np.cumsum(p / p.sum())
+    cdf[-1] = 1.0
+    return cdf
+
+
 def near_boundary_config() -> dict:
     """A full-rank custom state on non-orthogonal settings. The x/y gamma pair
     is scaled so the worst-case Bloch norm of its elements is 1 - 1e-9, so one

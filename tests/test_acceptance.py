@@ -42,8 +42,7 @@ from bellshot import (
 from bellshot.cli import main
 from bellshot.measurement import sign_index
 from bellshot.observables import ObservableLabel
-from bellshot.sampler import sample_outcome_indices
-from conftest import ROOT_HALF, SINGLET, admissible_draw, projector
+from conftest import ROOT_HALF, SINGLET, admissible_draw, projector, sampling_cdf
 
 TWO_ROOT_TWO = 2.0 * np.sqrt(2.0)
 S_VEC = np.array([float(s_of_xi(xi)) for xi in OUTCOMES])
@@ -327,12 +326,13 @@ def test_criterion_8_sampling_convergence():
     # error scaling: average |error| over 16 substreams per shot count
     table = single_shot_chsh_table(kernel)
     cfg = RngConfig(seed=8675309, stream_count=16)
+    cdf = sampling_cdf(p)
     ns = [10**3, 10**4, 10**5, 10**6]
     mean_errors = []
     for n in ns:
         errs = []
         for stream in range(16):
-            idx = sample_outcome_indices(p, n, cfg.generator(stream))
+            idx = np.searchsorted(cdf, cfg.generator(stream).random(n), side="right")
             errs.append(abs(float(table[idx].mean()) - exact))
         mean_errors.append(np.mean(errs))
     slope = np.polyfit(np.log10(ns), np.log10(mean_errors), 1)[0]

@@ -20,7 +20,7 @@ from bellshot.config import ExperimentConfig
 from bellshot.errors import ConsistencyError, GammaOutOfRange, NotPositive, OutOfRange
 from bellshot.inversion import build_kernel, gamma_free_quasi, invert_distribution, kernel_1d
 from bellshot.measurement import GammaSet, joint_povm, observed_statistics
-from bellshot.sampler import CSV_CHUNK, write_shot_csv
+from bellshot.sampler import CSV_CHUNK, stream_summary
 from bellshot.states import werner_state
 from conftest import ROOT_HALF, SINGLET, near_boundary_config, projector
 from test_sampler import searchsorted_indices, sequential_shot_csv
@@ -723,24 +723,43 @@ def open_descriptors() -> int:
     return len(os.listdir("/proc/self/fd"))
 
 
-def write_then_fail(fd):
-    with open(fd, "w") as fh:
-        fh.write("partial")
+def write_then_fail(fh):
+    fh.write(b"partial")
     raise RuntimeError("failed after writing")
+
+
+def interrupt_after_writing(fh):
+    fh.write(b"partial")
+    raise KeyboardInterrupt
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc")
 @pytest.mark.parametrize("writer,error", [
-    # write_shot_csv refuses the shots before it opens the descriptor
-    (lambda fd: write_shot_csv(fd, build_kernel(GammaSet.equal(0.5)), [16]), OutOfRange),
+    # run's writer refuses the shots before it writes anything
+    (lambda fh: stream_summary(build_kernel(GammaSet.equal(0.5)), [16], fh), OutOfRange),
     (write_then_fail, RuntimeError),
-], ids=["before_open", "after_open"])
+    (interrupt_after_writing, KeyboardInterrupt),
+], ids=["before_open", "after_open", "interrupted"])
 def test_atomic_write_leaks_no_descriptor_when_the_writer_fails(tmp_path, writer, error):
     before = open_descriptors()
     with pytest.raises(error):
         _atomic_write(str(tmp_path / "out.csv"), writer)
     assert open_descriptors() == before
     assert os.listdir(tmp_path) == []
+
+
+def test_a_temp_name_that_exists_is_left_alone(tmp_path, capsys, monkeypatch):
+    cfg = singlet_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    taken = out / f".bellshot-{bytes(8).hex()}.tmp"
+    taken.write_bytes(b"not ours")
+    monkeypatch.setattr(os, "urandom", bytes)  # os.urandom(8) names the temp file
+    assert main(["exact", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: --out: cannot write {out / 'exact.json'}: File exists\n")
+    assert taken.read_bytes() == b"not ours"
+    assert os.listdir(out) == [taken.name]
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027])

@@ -33,9 +33,9 @@ from bellshot import (
     write_shot_csv,
 )
 from bellshot import sampler
-from bellshot.sampler import MAX_SHOTS, SHOT_CSV_HEADER, ShotDraws, sample_outcome_indices, stream_summary
+from bellshot.sampler import MAX_SHOTS, SHOT_CSV_HEADER, ShotDraws, stream_summary
 from bellshot.states import bell_state, werner_state
-from conftest import ROOT_HALF, fixed_17g_strings
+from conftest import ROOT_HALF, fixed_17g_strings, sampling_cdf
 
 
 def singlet_optimal_probabilities():
@@ -82,19 +82,19 @@ def test_uniform_counts():
 
 
 def test_invalid_distributions_rejected():
-    rng = np.random.Generator(np.random.Philox(key=[0, 0]))
+    cfg = RngConfig(seed=0)
     with pytest.raises(InvalidDistribution):
-        sample_outcome_indices(np.full(15, 1.0 / 15.0), 1, rng)
+        sample_indices(np.full(15, 1.0 / 15.0), 1, cfg)
     bad = np.full(16, 1.0 / 16.0)
     bad[3] = np.nan
     with pytest.raises(InvalidDistribution):
-        sample_outcome_indices(bad, 1, rng)
+        sample_indices(bad, 1, cfg)
     neg = np.full(16, 1.0 / 16.0)
     neg[0] = -1e-6
     with pytest.raises(InvalidDistribution):
-        sample_outcome_indices(neg, 1, rng)
+        sample_indices(neg, 1, cfg)
     with pytest.raises(InvalidDistribution):
-        sample_outcome_indices(np.full(16, 1.1 / 16.0), 1, rng)
+        sample_indices(np.full(16, 1.1 / 16.0), 1, cfg)
 
 
 def test_rounding_debris_is_clamped():
@@ -106,11 +106,9 @@ def test_rounding_debris_is_clamped():
 
 
 def test_negative_shot_count_rejected():
-    rng = np.random.Generator(np.random.Philox(key=[0, 0]))
-    with pytest.raises(OutOfRange):
-        sample_outcome_indices(np.full(16, 1.0 / 16.0), -1, rng)
-    with pytest.raises(OutOfRange):
-        sample_indices(np.full(16, 1.0 / 16.0), -1, RngConfig(seed=0, stream_count=4))
+    for stream_count in (1, 4):
+        with pytest.raises(OutOfRange):
+            sample_indices(np.full(16, 1.0 / 16.0), -1, RngConfig(seed=0, stream_count=stream_count))
     assert sample_shots(np.full(16, 1.0 / 16.0), 0, RngConfig(seed=0)) == []
 
 
@@ -125,15 +123,16 @@ def test_stream_blocks_merge_in_stream_order():
     p = singlet_optimal_probabilities()
     cfg = RngConfig(seed=99, stream_count=3)
     got = [xi.to_index() for xi in sample_shots(p, 8, cfg)]
+    cdf = sampling_cdf(p)
     # 8 shots over 3 streams: blocks of 3, 3, 2
     manual = []
     for stream, count in ((0, 3), (1, 3), (2, 2)):
-        manual.extend(sample_outcome_indices(p, count, cfg.generator(stream)))
+        manual.extend(np.searchsorted(cdf, cfg.generator(stream).random(count), side="right"))
     assert got == manual
     # 10 shots over 10**12 streams: one shot from each of the first 10, and
     # no generator for the rest, which would take about a year to build
     cfg = RngConfig(seed=99, stream_count=10**12)
-    manual = [sample_outcome_indices(p, 1, cfg.generator(stream))[0] for stream in range(10)]
+    manual = [np.searchsorted(cdf, cfg.generator(stream).random(1), side="right")[0] for stream in range(10)]
     assert sample_indices(p, 10, cfg).tolist() == manual
 
 
@@ -377,12 +376,9 @@ def test_fixed_17g_exact_cases():
 
 def searchsorted_indices(probabilities, n, cfg):
     """Reference: each stream's block drawn in one call and located by searchsorted."""
-    p = np.clip(np.asarray(probabilities, dtype=float), 0.0, None)
-    cdf = np.cumsum(p / p.sum())
-    cdf[-1] = 1.0
     base, extra = divmod(n, cfg.stream_count)
     blocks = [cfg.generator(s).random(base + (s < extra)) for s in range(min(cfg.stream_count, n))]
-    return np.searchsorted(cdf, np.concatenate([[], *blocks]), side="right").astype(np.int64)
+    return np.searchsorted(sampling_cdf(probabilities), np.concatenate([[], *blocks]), side="right").astype(np.int64)
 
 
 # lengths either side of 8, 128, the patched SHOT_CHUNK (136), its pairwise splits and
@@ -400,7 +396,8 @@ def test_streamed_passes_equal_the_in_memory_reference(tmp_path, monkeypatch, n,
     cfg = RngConfig(seed=2024, stream_count=stream_count)
     idx = searchsorted_indices(p, n, cfg)
     path = tmp_path / "shots.csv"
-    counts, report = stream_summary(kernel, ShotDraws(p, n, cfg), path)
+    with open(path, "wb") as fh:
+        counts, report = stream_summary(kernel, ShotDraws(p, n, cfg), fh)
     assert path.read_bytes() == sequential_shot_csv(kernel, idx.tolist())
     values = single_shot_chsh_table(kernel)[idx]
     std = float(np.std(values, ddof=1)) if n > 1 else None
