@@ -21,12 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import ConsistencyError, EmptyShotList, OutOfRange
 from .inversion import InversionKernel, QuasiDistribution, invert_distribution
 from .measurement import OUTCOMES, OutcomeIndex, as_indices
-
-DUAL_PATH_TOL = 1e-10
-BOUNDARY_TOL = 1e-12
 
 CHSH_BOUND = 2.0
 CH_UPPER_BOUND = 0.0
@@ -53,13 +51,11 @@ def _in_order_sum(terms: np.ndarray) -> np.ndarray:
 
 def _require_agreement(what: str, first: np.ndarray, second: np.ndarray, where) -> None:
     """Raise ConsistencyError at the entry where two routes differ most, if
-    that is by more than DUAL_PATH_TOL; where(*index) names the entry."""
+    that is by more than linalg.DUAL_PATH_TOL; where(*index) names the entry."""
     gap = np.abs(first - second)
     k = np.unravel_index(np.argmax(gap), gap.shape)
-    if gap[k] > DUAL_PATH_TOL:
-        raise ConsistencyError(
-            f"{what} paths disagree at {where(*k)}: {float(first[k])!r} vs {float(second[k])!r}"
-        )
+    linalg.require(gap[k], linalg.DUAL_PATH_TOL, lambda _: ConsistencyError(
+        f"{what} paths disagree at {where(*k)}: {float(first[k])!r} vs {float(second[k])!r}"))
 
 
 def ensemble_chsh(q: QuasiDistribution) -> float:
@@ -158,9 +154,9 @@ def chsh_verdict(value: float) -> Verdict:
     """|S| <= 2 check; exact saturation reports as a boundary case."""
     _require_finite(value)
     excess = abs(value) - CHSH_BOUND
-    if excess > BOUNDARY_TOL:
+    if excess > linalg.BOUNDARY_TOL:
         return Verdict("violated", excess)
-    if abs(excess) <= BOUNDARY_TOL:
+    if abs(excess) <= linalg.BOUNDARY_TOL:
         return Verdict("satisfied (boundary)", 0.0)
     return Verdict("satisfied", -excess)
 
@@ -168,11 +164,12 @@ def chsh_verdict(value: float) -> Verdict:
 def ch_verdict(value: float) -> Verdict:
     """0 >= C >= -1 check; saturated bounds report as boundary cases."""
     _require_finite(value)
-    if value > CH_UPPER_BOUND + BOUNDARY_TOL:
+    if value > CH_UPPER_BOUND + linalg.BOUNDARY_TOL:
         return Verdict("violated", value - CH_UPPER_BOUND, bound="upper")
-    if value < CH_LOWER_BOUND - BOUNDARY_TOL:
+    if value < CH_LOWER_BOUND - linalg.BOUNDARY_TOL:
         return Verdict("violated", CH_LOWER_BOUND - value, bound="lower")
-    if abs(value - CH_UPPER_BOUND) <= BOUNDARY_TOL or abs(value - CH_LOWER_BOUND) <= BOUNDARY_TOL:
+    if (abs(value - CH_UPPER_BOUND) <= linalg.BOUNDARY_TOL
+            or abs(value - CH_LOWER_BOUND) <= linalg.BOUNDARY_TOL):
         return Verdict("satisfied (boundary)", 0.0)
     return Verdict("satisfied", min(CH_UPPER_BOUND - value, value - CH_LOWER_BOUND))
 
@@ -254,7 +251,8 @@ def classical_bounds_check(report) -> dict:
     if isinstance(report, ChReport):
         grid = report.single_shot_C
         # ch_verdict's "violated" predicate, over the whole grid at once
-        violated = (grid > CH_UPPER_BOUND + BOUNDARY_TOL) | (grid < CH_LOWER_BOUND - BOUNDARY_TOL)
+        tol = linalg.BOUNDARY_TOL
+        violated = (grid > CH_UPPER_BOUND + tol) | (grid < CH_LOWER_BOUND - tol)
         return {
             "ensemble_C": [ch_verdict(c).as_dict() for c in report.ensemble_C.tolist()],
             "single_shot_C": {

@@ -23,7 +23,6 @@ import numpy as np
 from . import linalg
 from .errors import ConsistencyError, InvalidDistribution, OutOfRange
 from .measurement import (
-    COLUMN_SUM_TOL,
     SIGNS,
     JointPovm,
     GammaSet,
@@ -39,10 +38,6 @@ from .observables import (
     ObservableSet,
     SharpPovm,
 )
-
-QUASI_SUM_TOL = 1e-10
-MARGINAL_CLAMP_TOL = 1e-10
-NEGATIVITY_TOL = 1e-10
 
 
 def kernel_1d(gamma: float) -> np.ndarray:
@@ -88,17 +83,17 @@ def kernel_tables(gammas) -> np.ndarray:
 def require_column_sums(tables: np.ndarray) -> None:
     """InversionKernel's column-sum check over a stack (..., 16, 16), naming the first failure."""
     worst = np.max(np.abs(tables.sum(axis=-2) - 1.0), axis=-1)
-    if np.any(bad := worst > COLUMN_SUM_TOL):
-        worst = float(linalg.first_failing(worst, bad))
-        raise ConsistencyError(f"kernel column sums deviate from 1 by {worst:.3e}")
+    linalg.require(worst, linalg.COLUMN_SUM_TOL,
+                   lambda k: ConsistencyError(f"kernel column sums deviate from 1 by {float(worst[k]):.3e}"))
 
 
 @dataclass(frozen=True)
 class QuasiDistribution:
     """Signed 16-entry distribution over sharp outcomes, normalized to 1.
 
-    Entries are kept unclamped: negativity is the nonclassicality witness,
-    so it must survive untouched.
+    Entries are kept unclamped, so negativity survives untouched. It shows
+    that each qubit's two observables are incompatible on the state, not
+    that the state is nonlocal: a product state can show it too.
     """
 
     entries: np.ndarray
@@ -115,7 +110,7 @@ class QuasiDistribution:
         return float(self.entries.min())
 
     def is_negative(self) -> bool:
-        return self.min_entry() < -NEGATIVITY_TOL
+        return self.min_entry() < -linalg.NEGATIVITY_TOL
 
     def to_list(self) -> list[float]:
         """Entries in the canonical outcome order (documented in
@@ -129,10 +124,8 @@ def require_quasi_entries(entries: np.ndarray) -> None:
     if not np.all(np.isfinite(entries)):
         raise InvalidDistribution("quasi-distribution has non-finite entries")
     total = entries.sum(axis=-1)
-    bad = np.abs(total - 1.0) > QUASI_SUM_TOL
-    if np.any(bad):
-        worst = float(linalg.first_failing(total, bad))
-        raise InvalidDistribution(f"quasi-distribution sums to {worst!r}, expected 1")
+    linalg.require(np.abs(total - 1.0), linalg.QUASI_SUM_TOL, lambda k: InvalidDistribution(
+        f"quasi-distribution sums to {float(total[k])!r}, expected 1"))
 
 
 def inverted_entries(kernel: InversionKernel, observed: np.ndarray) -> np.ndarray:
@@ -185,13 +178,11 @@ def gamma_free_quasi(rho, settings: ObservableSet) -> QuasiDistribution:
 
 def _clamped_marginal(q: QuasiDistribution, keep: tuple[str, ...], what: str) -> np.ndarray:
     """Sum q over the observables outside `keep`, clamping entries within
-    MARGINAL_CLAMP_TOL below zero and raising for anything worse."""
+    linalg.MARGINAL_CLAMP_TOL below zero and raising for anything worse."""
     drop = tuple(axis for axis, name in enumerate("xyuv") if name not in keep)
     out = q.entries.reshape(2, 2, 2, 2).sum(axis=drop)  # axes x, y, u, v
-    if np.any(out < -MARGINAL_CLAMP_TOL):
-        raise ConsistencyError(
-            f"{what} entry {float(out.min())!r} below -{MARGINAL_CLAMP_TOL:.0e}"
-        )
+    linalg.require(-out, linalg.MARGINAL_CLAMP_TOL, lambda _: ConsistencyError(
+        f"{what} entry {float(out.min())!r} below -{linalg.MARGINAL_CLAMP_TOL:.0e}"))
     return np.where(out < 0.0, 0.0, out)
 
 
@@ -200,7 +191,7 @@ def cross_marginal(q: QuasiDistribution, pair) -> np.ndarray:
 
     Returns a (2, 2) array indexed [w_a, w_b] with +1 first. Exactness of
     the inversion guarantees nonnegativity up to rounding; entries within
-    MARGINAL_CLAMP_TOL below zero are clamped and anything worse raises.
+    linalg.MARGINAL_CLAMP_TOL below zero are clamped and anything worse raises.
     """
     label_a, label_b = ObservableLabel(pair[0]), ObservableLabel(pair[1])
     if label_a not in A_LABELS or label_b not in B_LABELS:

@@ -6,6 +6,10 @@ validating constructors that sit on top (density matrices, POVM elements).
 Dimensions are fixed at 2 and 4, so nothing here is generic over size. The
 checks run over any leading stack axes and, on failure, report the first
 matrix of the stack that fails.
+
+This bottom module also owns every numerical check of the package: the
+tolerance table below and `require`, the one function that compares a gap
+with its tolerance and raises.
 """
 
 from __future__ import annotations
@@ -14,8 +18,27 @@ import numpy as np
 
 from .errors import NotHermitian, OutOfRange
 
-HERMITIAN_TOL = 1e-12
-PSD_TOL = -1e-10
+# Tolerances, one table for every check. A check fails where its gap exceeds its
+# tolerance; a lower bound passes its negated value as the gap. u = 2**-53.
+HERMITIAN_TOL = 1e-12  # max |M - M^H| of matrices built from O(1) entries, which round at u
+PSD_TOL = -1e-10  # eigenvalue floor: a pure state's or a boundary element's exact zero rounds to ~u
+TRACE_TOL = 1e-12  # |tr rho - 1|, a sum of four O(1) diagonal entries
+BLOCH_NORM_TOL = 1e-12  # ||n| - 1| of a unit Bloch vector, normalized at about u
+PROJECTOR_TOL = 1e-10  # |E^2 - E| of a sharp element, also one rebuilt through a 1/gamma kernel
+COMPLETENESS_TOL = 1e-12  # |E(+1) + E(-1) - I| of a sharp pair
+# Rounding moves a kernel column sum by up to 16 u A, where A = prod 1/|gamma_i| is the
+# column's absolute sum (Higham, Accuracy and Stability, ch. 3-4). 16 u A <= COLUMN_SUM_TOL
+# gives A <= 562.9: |prod gamma_i| >= measurement.GAMMA_MIN; 0.2053 if equal.
+COLUMN_SUM_TOL = 1e-12
+PROB_CLAMP_TOL = 1e-12  # Born probabilities below zero by rounding of a 4x4 trace, clamped to 0
+PROB_SUM_TOL = 1e-10  # |sum p - 1| and the imaginary part of each of 16 Born traces
+QUASI_SUM_TOL = 1e-10  # |sum q - 1|: K's unit column sums carry p's sum through the inversion
+MARGINAL_CLAMP_TOL = 1e-10  # q's marginals are Born probabilities, below zero only by amplified rounding
+NEGATIVITY_TOL = 1e-10  # how far below zero q's smallest entry must lie to count as negative
+DUAL_PATH_TOL = 1e-10  # agreement of two independent routes to one value, the README's contract
+BOUNDARY_TOL = 1e-12  # a test value this close to a classical bound reports as a boundary case
+PROB_FLOOR = -1e-10  # floor of a probability handed to the sampler, before its clamp
+PROB_SUM_SLACK = 1e-6  # |sum p - 1| of a vector handed to the sampler, which it renormalizes
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -24,11 +47,14 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def first_failing(values, bad):
-    """The entry of values at the first True of bad, in C order. values
-    starts with bad's axes; any further axes come along, and a 0-d bad
-    gives values itself."""
-    return values[np.unravel_index(np.argmax(bad), np.shape(bad))]
+def require(gap, tol, fail) -> None:
+    """Raise fail(k) if gap > tol anywhere, where k indexes the first failing
+    entry of gap in C order, or is () for a scalar gap. A NaN gap passes."""
+    if not isinstance(gap, np.ndarray):  # np.any on a scalar costs ~100x a plain compare
+        if gap > tol:
+            raise fail(())
+    elif (bad := gap > tol).any():
+        raise fail(np.unravel_index(np.argmax(bad), bad.shape))
 
 
 def as_matrix(entries, dim: int, stack_axes: int = 0) -> np.ndarray:
@@ -58,10 +84,8 @@ def hermiticity_defect(m: np.ndarray):
 
 def require_hermitian(m: np.ndarray, what: str = "matrix") -> None:
     defect = hermiticity_defect(m)
-    bad = defect > HERMITIAN_TOL
-    if np.any(bad):
-        worst = first_failing(defect, bad)
-        raise NotHermitian(f"{what}: max |M - M^H| = {worst:.3e} exceeds {HERMITIAN_TOL:.0e}")
+    require(defect, HERMITIAN_TOL,
+            lambda k: NotHermitian(f"{what}: max |M - M^H| = {defect[k]:.3e} exceeds {HERMITIAN_TOL:.0e}"))
 
 
 def eigvals_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:

@@ -28,13 +28,8 @@ from . import linalg
 from .errors import ConsistencyError, GammaOutOfRange, NotPositive, OutOfRange
 from .observables import ObservableLabel, ObservableSet, ObservableSpec
 
-# Rounding moves a kernel column sum by up to 16 u A, u = 2**-53, where A = prod
-# 1/|gamma_i| is the column's absolute sum (Higham, Accuracy and Stability, ch. 3-4).
-# 16 u A <= COLUMN_SUM_TOL gives A <= 562.9: |prod gamma_i| >= GAMMA_MIN; 0.2053 if equal.
-COLUMN_SUM_TOL = 1e-12
-GAMMA_MIN = 16 * 2.0**-53 / COLUMN_SUM_TOL
-PROB_CLAMP_TOL = 1e-12
-PROB_SUM_TOL = 1e-10
+# |prod gamma_i| at which a kernel column sum's rounding reaches linalg.COLUMN_SUM_TOL
+GAMMA_MIN = 16 * 2.0**-53 / linalg.COLUMN_SUM_TOL
 
 
 def gamma_in_range(gamma) -> np.ndarray:
@@ -193,14 +188,14 @@ def build_joint_povm(
     unsharpness/angle combination leaves the physical region.
     """
     g1, g2 = float(gammas[0]), float(gammas[1])
-    elements, lam, bad = nonpositive_elements(pair, (g1, g2))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        w1, w2 = PAIR_ORDER[i]
-        raise NotPositive(
-            f"joint element({w1:+d},{w2:+d}) has min eigenvalue {float(lam[i])!r}; "
-            f"gammas ({g1}, {g2}) with these directions are unphysical"
-        )
+    elements, lam, _ = nonpositive_elements(pair, (g1, g2))
+
+    def unphysical(k):
+        w1, w2 = PAIR_ORDER[k[0]]
+        return NotPositive(f"joint element({w1:+d},{w2:+d}) has min eigenvalue {float(lam[k])!r}; "
+                           f"gammas ({g1}, {g2}) with these directions are unphysical")
+
+    linalg.require(-lam, -linalg.PSD_TOL, unphysical)
     elements.setflags(write=False)
     return elements
 
@@ -253,8 +248,8 @@ def joint_povm(settings: ObservableSet, gammas: GammaSet) -> JointPovm:
 def observed_statistics(rho, povm: JointPovm) -> np.ndarray:
     """Outcome probabilities tr[rho * element] for all 16 outcomes.
 
-    Entries within PROB_CLAMP_TOL below zero are clamped; anything more
-    negative, or a total off by more than PROB_SUM_TOL, raises
+    Entries within linalg.PROB_CLAMP_TOL below zero are clamped; anything more
+    negative, or a total off by more than linalg.PROB_SUM_TOL, raises
     ConsistencyError since both indicate a broken POVM or state.
     """
     probs = born_probabilities(rho.matrix, povm)
@@ -268,20 +263,17 @@ def born_probabilities(rho: np.ndarray, povm: JointPovm) -> np.ndarray:
     first state that fails it."""
     traces = born_traces(rho, povm.product)
     imag = traces.imag
-    bad = np.max(np.abs(imag), axis=-1) > PROB_SUM_TOL
-    if np.any(bad):
-        row = linalg.first_failing(imag, bad)
-        i = int(np.argmax(np.abs(row)))
-        raise ConsistencyError(f"probability {i} has imaginary part {float(row[i])!r}")
+
+    def imaginary(k):
+        i = int(np.argmax(np.abs(imag[k])))
+        return ConsistencyError(f"probability {i} has imaginary part {float(imag[k][i])!r}")
+
+    linalg.require(np.max(np.abs(imag), axis=-1), linalg.PROB_SUM_TOL, imaginary)
     probs = traces.real
-    bad = np.any(probs < -PROB_CLAMP_TOL, axis=-1)
-    if np.any(bad):
-        worst = float(linalg.first_failing(probs, bad).min())
-        raise ConsistencyError(f"observed probability {worst!r} below -{PROB_CLAMP_TOL:.0e}")
+    linalg.require(-probs, linalg.PROB_CLAMP_TOL, lambda k: ConsistencyError(
+        f"observed probability {float(probs[k[:-1]].min())!r} below -{linalg.PROB_CLAMP_TOL:.0e}"))
     probs = np.where(probs < 0.0, 0.0, probs)
     total = probs.sum(axis=-1)
-    bad = np.abs(total - 1.0) > PROB_SUM_TOL
-    if np.any(bad):
-        worst = float(linalg.first_failing(total, bad))
-        raise ConsistencyError(f"observed probabilities sum to {worst!r}, expected 1")
+    linalg.require(np.abs(total - 1.0), linalg.PROB_SUM_TOL, lambda k: ConsistencyError(
+        f"observed probabilities sum to {float(total[k])!r}, expected 1"))
     return probs

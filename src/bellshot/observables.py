@@ -15,10 +15,6 @@ import numpy as np
 from . import linalg
 from .errors import NotPSD, OutOfRange
 
-BLOCH_NORM_TOL = 1e-12
-PROJECTOR_TOL = 1e-10
-COMPLETENESS_TOL = 1e-12
-
 
 class ObservableLabel(Enum):
     X = "x"
@@ -54,8 +50,8 @@ class ObservableSpec:
         if n.shape != (3,) or not np.all(np.isfinite(n)):
             raise OutOfRange(f"bloch vector must be a finite 3-vector, got {self.bloch!r}")
         norm = float(np.linalg.norm(n))
-        if abs(norm - 1.0) > BLOCH_NORM_TOL:
-            raise OutOfRange(f"observable {self.label.value}: |bloch| = {norm!r}, expected 1")
+        linalg.require(abs(norm - 1.0), linalg.BLOCH_NORM_TOL,
+                       lambda _: OutOfRange(f"observable {self.label.value}: |bloch| = {norm!r}, expected 1"))
         n.setflags(write=False)
         object.__setattr__(self, "bloch", n)
 
@@ -76,14 +72,14 @@ class SharpPovm:
         for w, e in ((+1, plus), (-1, minus)):
             linalg.require_hermitian(e, what=f"sharp element({w:+d})")
             lam = linalg.min_eigenvalue_hermitian(e)
-            if lam < linalg.PSD_TOL:
-                raise NotPSD(f"sharp element({w:+d}): min eigenvalue = {lam!r}")
+            linalg.require(-lam, -linalg.PSD_TOL,
+                           lambda _: NotPSD(f"sharp element({w:+d}): min eigenvalue = {lam!r}"))
             idem = float(np.max(np.abs(e @ e - e)))
-            if idem > PROJECTOR_TOL:
-                raise NotPSD(f"sharp element({w:+d}) is not a projector: |E^2 - E| = {idem:.3e}")
+            linalg.require(idem, linalg.PROJECTOR_TOL, lambda _: NotPSD(
+                f"sharp element({w:+d}) is not a projector: |E^2 - E| = {idem:.3e}"))
         defect = float(np.max(np.abs(plus + minus - linalg.I2)))
-        if defect > COMPLETENESS_TOL:
-            raise NotPSD(f"sharp elements do not sum to identity: defect {defect:.3e}")
+        linalg.require(defect, linalg.COMPLETENESS_TOL,
+                       lambda _: NotPSD(f"sharp elements do not sum to identity: defect {defect:.3e}"))
         for name, e in (("element_plus", plus), ("element_minus", minus)):
             e.setflags(write=False)
             object.__setattr__(self, name, e)

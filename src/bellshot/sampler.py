@@ -22,13 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .belltests import single_shot_chsh_table
 from .errors import ConsistencyError, EmptyShotList, InvalidDistribution, OutOfRange
 from .inversion import InversionKernel
 from .measurement import OUTCOMES, OutcomeIndex, as_indices
-
-PROB_FLOOR = -1e-10
-PROB_SUM_SLACK = 1e-6
 
 # [low, high) and kind of each integer that keys a run's streams; the config document
 # checks the same entries. Past MAX_SHOTS a running mean's divisor is no longer exact.
@@ -87,11 +85,12 @@ def _checked_probabilities(probabilities) -> np.ndarray:
         raise InvalidDistribution(f"expected 16 probabilities, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise InvalidDistribution("probabilities contain non-finite entries")
-    if p.min() < PROB_FLOOR:
-        raise InvalidDistribution(f"probability {float(p.min())!r} below {PROB_FLOOR}")
+    low = float(p.min())
+    linalg.require(-low, -linalg.PROB_FLOOR,
+                   lambda _: InvalidDistribution(f"probability {low!r} below {linalg.PROB_FLOOR}"))
     total = float(p.sum())
-    if abs(total - 1.0) > PROB_SUM_SLACK:
-        raise InvalidDistribution(f"probabilities sum to {total!r}, not 1")
+    linalg.require(abs(total - 1.0), linalg.PROB_SUM_SLACK,
+                   lambda _: InvalidDistribution(f"probabilities sum to {total!r}, not 1"))
     # tiny negatives are rounding debris; clamp and renormalize
     p = np.clip(p, 0.0, None)
     return p / p.sum()

@@ -14,8 +14,6 @@ import numpy as np
 from . import linalg
 from .errors import NotPSD, NotUnitTrace, OutOfRange
 
-TRACE_TOL = 1e-12
-
 
 class BellState(Enum):
     PHI_PLUS = "phi_plus"
@@ -50,17 +48,10 @@ def density_matrices(entries, stack_axes: int = 0) -> np.ndarray:
     # the solver runs the Hermiticity check, so it comes before the trace's
     lam = linalg.eigvals_hermitian(m, what="density matrix")[..., 0]
     tr = np.trace(m, axis1=-2, axis2=-1)
-    bad = np.abs(tr - 1.0) > TRACE_TOL
-    if np.any(bad):
-        raise NotUnitTrace(
-            f"density matrix: trace = {float(linalg.first_failing(tr, bad).real)!r}, expected 1"
-        )
-    bad = lam < linalg.PSD_TOL
-    if np.any(bad):
-        raise NotPSD(
-            f"density matrix: min eigenvalue = {float(linalg.first_failing(lam, bad))!r} "
-            f"below {linalg.PSD_TOL:.0e}"
-        )
+    linalg.require(np.abs(tr - 1.0), linalg.TRACE_TOL,
+                   lambda k: NotUnitTrace(f"density matrix: trace = {float(tr[k].real)!r}, expected 1"))
+    linalg.require(-lam, -linalg.PSD_TOL, lambda k: NotPSD(
+        f"density matrix: min eigenvalue = {float(lam[k])!r} below {linalg.PSD_TOL:.0e}"))
     return m
 
 

@@ -119,7 +119,7 @@ def _check_observables(rng, trials):
             observables.ObservableSpec(observables.ObservableLabel.X, n)
         )
         total = povm.element_plus + povm.element_minus
-        yield (np.abs(total - np.eye(2)).max() <= 1e-12,
+        yield (np.abs(total - np.eye(2)).max() <= linalg.COMPLETENESS_TOL,
                f"sharp POVM for {n} does not resolve identity")
 
 
@@ -128,7 +128,8 @@ def _check_measurement(rng, trials):
         settings, gammas = random_admissible_settings(rng)
         povm = measurement.joint_povm(settings, gammas)
         total = povm.product.sum(axis=0)
-        yield np.abs(total - np.eye(4)).max() <= 1e-12, "16 joint elements do not sum to identity"
+        yield (np.abs(total - np.eye(4)).max() <= linalg.COMPLETENESS_TOL,
+               "16 joint elements do not sum to identity")
         # marginal of the joint must be the unsharp single-observable element
         label = observables.ObservableLabel(["x", "y", "u", "v"][rng.integers(4)])
         w = 1 if rng.random() < 0.5 else -1
@@ -139,7 +140,7 @@ def _check_measurement(rng, trials):
                f"marginal element mismatch for {label.value}, w={w}")
         rho = states.random_density_matrix(rng)
         probs = measurement.observed_statistics(rho, povm)
-        yield (abs(probs.sum() - 1.0) <= 1e-10 and probs.min() >= 0.0,
+        yield (abs(probs.sum() - 1.0) <= linalg.PROB_SUM_TOL and probs.min() >= 0.0,
                "observed statistics not a probability vector")
 
 
@@ -147,7 +148,7 @@ def _check_inversion(rng, trials):
     for _ in range(trials):
         settings, kernel, povm, rho, observed = _random_case(rng)
         q = inversion.invert_distribution(kernel, observed)
-        yield abs(sum(q.entries) - 1.0) <= 1e-10, "quasi-distribution does not sum to 1"
+        yield abs(sum(q.entries) - 1.0) <= linalg.QUASI_SUM_TOL, "quasi-distribution does not sum to 1"
         for label in observables.ObservableLabel:
             inversion.reconstructed_sharp_povm(kernel, povm, label)
             yield True, ""
@@ -162,7 +163,7 @@ def _check_inversion(rng, trials):
                     observables.sharp_povm(settings.get(pair[1])).element(wb),
                 )
                 direct[i, j] = linalg.trace_product(rho.matrix, proj).real
-        yield (np.abs(table - direct).max() <= 1e-10,
+        yield (np.abs(table - direct).max() <= linalg.DUAL_PATH_TOL,
                "cross marginal differs from sharp Born probabilities")
 
 
@@ -193,7 +194,7 @@ def _check_sampler(rng, trials):
     freqs = sampler.empirical_frequencies(first)
     via_quasi = belltests.ensemble_chsh(inversion.invert_distribution(kernel, freqs))
     via_mean = belltests.ensemble_from_shots(kernel, first)
-    yield abs(via_quasi - via_mean) <= 1e-10, "frequency inversion and shot average disagree"
+    yield abs(via_quasi - via_mean) <= linalg.DUAL_PATH_TOL, "frequency inversion and shot average disagree"
 
 
 def _check_fault_injection(rng, trials):

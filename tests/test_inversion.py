@@ -9,6 +9,7 @@ from bellshot import (
     bell_state,
     build_kernel,
     chsh_optimal_angles,
+    chsh_report,
     cross_marginal,
     custom_state,
     invert_distribution,
@@ -140,6 +141,19 @@ def test_singlet_negativity_at_root_half(optimal_settings, root_half_gammas):
     assert q.is_negative()
     # closed form: (1 - sqrt(2)) / 16 at the 8 outcomes with s(xi) = +2
     assert q.min_entry() == pytest.approx((1.0 - np.sqrt(2.0)) / 16.0, abs=1e-12)
+
+
+def test_product_state_negativity_is_not_nonlocality(optimal_settings, root_half_gammas):
+    # psi x psi with both Bloch vectors at 45 degrees in the x-z plane: q turns negative
+    # because x, y (and u, v) are incompatible, while S stays inside |S| <= 2
+    psi = np.array([np.cos(np.pi / 8), np.sin(np.pi / 8)])
+    one = np.outer(psi, psi)
+    p = observed_statistics(custom_state(np.kron(one, one)), joint_povm(optimal_settings, root_half_gammas))
+    kernel = build_kernel(root_half_gammas)
+    q = invert_distribution(kernel, p)
+    assert q.is_negative()
+    assert q.min_entry() == pytest.approx((1.0 - np.sqrt(2.0)) / 8.0, abs=1e-12)
+    assert chsh_report(kernel, p).ensemble_S == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
 def test_reconstructed_sharp_povm_matches_projectors():

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from bellshot import linalg
 from bellshot import (
     GammaOutOfRange,
     GammaSet,
     InversionKernel,
     NotPositive,
     ObservableLabel,
+    ObservableSpec,
     build_kernel,
     cross_marginal,
     custom_state,
@@ -35,7 +37,9 @@ from bellshot.inversion import gamma_free_quasi, kernel_tables, require_column_s
 from bellshot.measurement import (
     GAMMA_MIN,
     OUTCOMES,
+    PAIR_ORDER,
     born_probabilities,
+    nonpositive_elements,
     product_povm,
     realizable,
     subsystem_elements,
@@ -154,6 +158,35 @@ def test_stacked_kernel_checks_equal_single_items_bit_for_bit(drawn):
         except NotPositive:
             builds = False
         assert positive[row] == builds
+
+
+def busch_min_eigenvalues(n1, n2, g1, g2) -> np.ndarray:
+    """(1 - |a|) / 4 with a = g1 w1 n1 + g2 w2 n2 for (w1, w2) in PAIR_ORDER: the smaller
+    eigenvalue of (I + a.sigma) / 4 (Busch, Phys. Rev. D 33, 2253 (1986)), no eigensolve."""
+    return np.array([(1.0 - np.linalg.norm(g1 * w1 * n1 + g2 * w2 * n2)) / 4.0 for w1, w2 in PAIR_ORDER])
+
+
+@settings(FIXED, max_examples=200)
+@given(unit_vectors(), unit_vectors(), unit_vectors(), unit_vectors(),
+       st.lists(SIGNED_GAMMA, min_size=4, max_size=4))
+def test_realizability_matches_the_busch_closed_form(x, y, u, v, gammas):
+    lam = [nonpositive_elements((ObservableSpec("x", x), ObservableSpec("y", y)), gammas[:2])[1],
+           nonpositive_elements((ObservableSpec("u", u), ObservableSpec("v", v)), gammas[2:])[1]]
+    closed = [busch_min_eigenvalues(x, y, *gammas[:2]), busch_min_eigenvalues(u, v, *gammas[2:])]
+    assert np.abs(np.subtract(lam, closed)).max() <= 4 * np.finfo(float).eps
+    lowest = min(map(np.min, closed))
+    if abs(lowest - linalg.PSD_TOL) > 1e-13:  # away from the edge, where rounding could flip it
+        assert realizable(observable_set(x, y, u, v), gammas) == (lowest >= linalg.PSD_TOL)
+
+
+@FIXED
+@given(unit_vectors(), unit_vectors())
+def test_largest_realizable_equal_gamma_is_closed_form(n1, n2):
+    # |a| peaks at gamma sqrt(2 (1 + |n1.n2|)) over the four sign pairs
+    edge = 1.0 / np.sqrt(2.0 * (1.0 + abs(n1 @ n2)))
+    both = observable_set(n1, n2, n1, n2)
+    assert realizable(both, [edge] * 4)
+    assert not realizable(both, [1.01 * edge] * 4)
 
 
 def traces_per_state_and_outcome(stack, operators) -> np.ndarray:

@@ -1,0 +1,64 @@
+"""Every tolerance lives in one table, at the top of `bellshot/linalg.py`.
+
+A module-level `*_TOL`, `PROB_FLOOR` or `PROB_SUM_SLACK` bound anywhere else,
+by assignment or by import, would start a second table. The sixteen values
+are pinned, so that changing one is a deliberate edit here as well.
+"""
+
+import ast
+from pathlib import Path
+
+import bellshot
+from bellshot import linalg
+
+PACKAGE = Path(bellshot.__file__).resolve().parent
+
+TOLERANCES = {
+    "HERMITIAN_TOL": 1e-12,
+    "PSD_TOL": -1e-10,
+    "TRACE_TOL": 1e-12,
+    "BLOCH_NORM_TOL": 1e-12,
+    "PROJECTOR_TOL": 1e-10,
+    "COMPLETENESS_TOL": 1e-12,
+    "COLUMN_SUM_TOL": 1e-12,
+    "PROB_CLAMP_TOL": 1e-12,
+    "PROB_SUM_TOL": 1e-10,
+    "QUASI_SUM_TOL": 1e-10,
+    "MARGINAL_CLAMP_TOL": 1e-10,
+    "NEGATIVITY_TOL": 1e-10,
+    "DUAL_PATH_TOL": 1e-10,
+    "BOUNDARY_TOL": 1e-12,
+    "PROB_FLOOR": -1e-10,
+    "PROB_SUM_SLACK": 1e-6,
+}
+
+
+def is_tolerance(name: str) -> bool:
+    return name.endswith("_TOL") or name in ("PROB_FLOOR", "PROB_SUM_SLACK")
+
+
+def module_level_tolerances(path: Path) -> list[str]:
+    """Tolerance names that the module's top-level statements bind."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.ImportFrom):
+            names += [alias.asname or alias.name for alias in node.names]
+            continue
+        else:
+            continue
+        names += [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return [name for name in names if is_tolerance(name)]
+
+
+def test_only_linalg_binds_tolerances():
+    found = {path.name: module_level_tolerances(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module for module, names in found.items() if names} == {"linalg.py"}
+    assert sorted(found["linalg.py"]) == sorted(TOLERANCES)
+
+
+def test_tolerance_values_are_pinned():
+    assert {name: getattr(linalg, name) for name in TOLERANCES} == TOLERANCES
