@@ -181,7 +181,7 @@ class ChshReport:
     s_values: np.ndarray  # (16,), s(xi)
     ensemble_S: float
     single_shot_S: np.ndarray  # (16,), indexed by xi'
-    bound: float = CHSH_BOUND
+    bound = CHSH_BOUND  # unannotated, so a class constant and not a dataclass field
 
     def as_dict(self) -> dict:
         return {
@@ -198,7 +198,7 @@ class ChReport:
 
     single_shot_C: np.ndarray  # (16, 16)
     ensemble_C: np.ndarray  # (16,)
-    bounds: tuple[float, float] = (CH_UPPER_BOUND, CH_LOWER_BOUND)
+    bounds = (CH_UPPER_BOUND, CH_LOWER_BOUND)  # unannotated: a class constant
 
     def as_dict(self) -> dict:
         return {

@@ -269,9 +269,9 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str, axis: str, grid: list[floa
     return EXIT_OK
 
 
-def cmd_validate(seed: int, trials: int, inject_fault: bool) -> int:
+def cmd_validate(seed: int, trials: int) -> int:
     """Run the randomized invariant suite and report per-module counts."""
-    report = validate_all(seed, trials=trials, inject_fault=inject_fault)
+    report = validate_all(seed, trials=trials)
     print(f"validation seed: {report.seed}")
     for result in report.results:
         status = "ok" if result.passed else "FAIL"
@@ -319,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--seed", type=int, default=None, help="seed for the randomized checks")
     val.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                      help="trials per randomized check")
-    val.add_argument("--inject-fault", action="store_true",
-                     help="corrupt a kernel on purpose to prove failures are caught")
     return parser
 
 
@@ -329,8 +327,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(4), "big")
-            return cmd_validate(checked_int("seed", seed), checked_int("trials", args.trials),
-                                args.inject_fault)
+            return cmd_validate(checked_int("seed", seed), checked_int("trials", args.trials))
 
         # only run has --seed and --shots
         overrides = {k: v for k in ("seed", "shots") if (v := getattr(args, k, None)) is not None}

@@ -93,13 +93,20 @@ _INDEX_OF = {**{i: i for i in range(16)}, **{xi: i for i, xi in enumerate(OUTCOM
 
 
 def as_indices(shots) -> np.ndarray:
-    """Shots given as an int array, ints or OutcomeIndex, as int64 indices."""
+    """Shots given as an int array, ints or OutcomeIndex, as int64 indices. Booleans are
+    refused, though numpy's safe cast and the index lookup would read them as 1 and 0."""
     try:
-        if not isinstance(shots, np.ndarray):
+        if isinstance(shots, np.ndarray):
+            booleans = shots.dtype == np.bool_
+        else:
+            shots = list(shots)
+            booleans = any(isinstance(xi, (bool, np.bool_)) for xi in shots)
             shots = np.array([_INDEX_OF[xi] for xi in shots], dtype=np.int64)
         idx = shots.astype(np.int64, casting="safe", copy=False)
     except (KeyError, TypeError) as exc:
         raise OutOfRange(f"not an outcome index or OutcomeIndex: {exc}") from None
+    if booleans:
+        raise OutOfRange("shots are booleans, not outcome indices")
     if idx.size and not 0 <= idx.min() <= idx.max() <= 15:
         raise OutOfRange(f"shot indices span {idx.min()}..{idx.max()}, outside 0..15")
     return idx

@@ -189,18 +189,16 @@ def _pairwise(start: int, stop: int, leaf) -> float:
     return _pairwise(start, mid, leaf) + _pairwise(mid, stop, leaf)
 
 
-def _tally(shots, values=None, sink=None):
+def _tally(shots, values, sink=None):
     """One pass over a source's shots in _pairwise's leaves: the count of each outcome,
-    and values(idx) summed as np.add.reduce sums it over all the shots (0.0 without
-    values). sink(start, idx, v) sees each leaf's shots and values, in order."""
+    and values(idx) summed as np.add.reduce sums it over all the shots. sink(start, idx, v)
+    sees each leaf's shots and values, in order."""
     take = shots.reader()
     counts = np.zeros(16, np.int64)
 
     def leaf(start: int, stop: int) -> float:
         idx = take(start, stop)
         counts[:] += np.bincount(idx, minlength=16)
-        if values is None:
-            return 0.0
         v = values(idx)
         if sink is not None:
             sink(start, idx, v)
@@ -256,10 +254,10 @@ def shot_records(kernel: InversionKernel, outcomes) -> list[ShotRecord]:
 
 def empirical_frequencies(outcomes) -> np.ndarray:
     """Relative frequency of each of the 16 outcomes in a shot list."""
-    shots = _HeldShots(outcomes)
-    if shots.n == 0:
+    idx = as_indices(outcomes)
+    if len(idx) == 0:
         raise EmptyShotList("cannot take frequencies of zero shots")
-    return _tally(shots)[0] / shots.n
+    return np.bincount(idx, minlength=16) / len(idx)
 
 
 def stream_summary(kernel: InversionKernel, shots, csv=None) -> tuple[np.ndarray, dict]:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -671,22 +672,76 @@ def test_validate_command(capsys):
     assert "validation seed: 123" in out
     assert "all passed" in out
 
-    assert main(["validate", "--seed", "123", "--trials", "2", "--inject-fault"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out
-    assert "FAILURES PRESENT" in out
+    # faults are patched in by tests, not asked for on the command line
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--seed", "123", "--inject-fault"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --inject-fault" in capsys.readouterr().err
 
 
-def test_inject_fault_names_the_worst_outcome(capsys):
-    assert main(["validate", "--seed", "7", "--trials", "1", "--inject-fault"]) == 1
-    out = capsys.readouterr().out
-    assert "inversion.fault_injection: 1 checks FAIL" in out
-    (line,) = [line for line in out.splitlines() if "as expected" in line]
-    found = re.search(r"at OutcomeIndex\(x=1, y=-1, u=-1, v=-1\): (\S+) vs (\S+)$", line)
+def readme_commands() -> list[str]:
+    """Each `bellshot ...` command of the README's sh blocks, continuation lines joined."""
+    text = (SRC.parent / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("bellshot ")]
+
+
+def test_every_readme_command_parses(capsys):
+    commands = readme_commands()
+    assert {shlex.split(c, comments=True)[1] for c in commands} == {"exact", "run", "sweep", "validate"}
+    for command in commands:
+        try:
+            cli.build_parser().parse_args(shlex.split(command, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"{command!r}: {capsys.readouterr().err}")
+
+
+WORST_OUTCOME = re.compile(r"single-shot CHSH paths disagree at "
+                           r"OutcomeIndex\(x=1, y=-1, u=-1, v=-1\): (\S+) vs (\S+)$")
+
+
+def assert_worst_outcome_named(line):
+    found = WORST_OUTCOME.search(line)
     assert found, line
     # plain float reprs: float() refuses "np.float64(...)"
     first, second = (float(value) for value in found.groups())
     assert abs(first - second) > 1e-10
+
+
+def test_inject_fault_names_the_worst_outcome(capsys, corrupted_kernel):
+    assert main(["validate", "--seed", "7", "--trials", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "total: 19 checks, FAILURES PRESENT"
+    failed = lines.index("  belltests.dual_paths: 0 checks FAIL")
+    assert lines[failed + 1].startswith("    raised ConsistencyError(")
+    assert_worst_outcome_named(lines[failed + 1].removesuffix("')"))
+
+
+CORRUPTIBLE_COMMANDS = {
+    "exact": ["exact"],
+    "run": ["run", "--shots", "100"],
+    "sweep_gamma": ["sweep", "--axis", "gamma", "--grid-range", "0.5", "1", "6"],
+    "sweep_werner_eta": ["sweep", "--axis", "werner_eta", "--grid-values", "0.5", "1"],
+}
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["intact", "corrupted"])
+@pytest.mark.parametrize("command", sorted(CORRUPTIBLE_COMMANDS))
+def test_a_corrupted_kernel_fails_every_command(tmp_path, capsys, request, command, corrupt):
+    if corrupt:
+        request.getfixturevalue("corrupted_kernel")
+    out = tmp_path / "out"
+    code = main([*CORRUPTIBLE_COMMANDS[command], "--config", singlet_config(tmp_path),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    if not corrupt:
+        assert (code, err) == (0, "")
+        return
+    assert code == 1
+    assert err.startswith("internal consistency failure: single-shot CHSH paths disagree at ")
+    assert_worst_outcome_named(err.rstrip("\n"))
+    assert os.listdir(out) == []  # nothing half-written is left behind
 
 
 def test_gammas_below_the_amplification_floor_exit_2(tmp_path, capsys):
@@ -895,7 +950,6 @@ def test_analysis_outputs_are_pinned(tmp_path, name):
 # yielded their verdicts to one runner: every count, message and line holds.
 @pytest.mark.parametrize("extra,code,digest", [
     ([], 0, "63a5cc1849e4e8ad3cd94651c0f425421ccd1ff5eedb5b592d4820a16d64cc02"),
-    (["--inject-fault"], 1, "71894a48b8a6f6c535a0990653978cb84b290d94e7f8b93a9abd8b8944086cf0"),
 ])
 def test_validate_stdout_is_pinned(capsys, extra, code, digest):
     assert main(["validate", "--seed", "7", "--trials", "4", *extra]) == code

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from bellshot import linalg
+from bellshot import inversion, linalg, measurement
 from bellshot import (
     GammaOutOfRange,
     GammaSet,
@@ -21,6 +21,7 @@ from bellshot import (
     ObservableLabel,
     ObservableSpec,
     build_kernel,
+    chsh_report,
     cross_marginal,
     custom_state,
     invert_distribution,
@@ -28,6 +29,7 @@ from bellshot import (
     kernel_1d,
     observable_set,
     observed_statistics,
+    single_marginal,
     single_shot_ch_table,
     single_shot_chsh_table,
 )
@@ -45,7 +47,7 @@ from bellshot.measurement import (
     subsystem_elements,
 )
 
-from conftest import fixed_17g_strings, projector
+from conftest import SX, SY, SZ, admissible_draw, fixed_17g_strings, projector, random_state_matrix
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 UNIT_INTERVAL = st.floats(-1.0, 1.0, allow_nan=False)
@@ -234,6 +236,78 @@ def test_cross_marginals_are_sharp_born_probabilities(drawn, rho):
                 for j, wb in enumerate((1, -1)):
                     op = np.kron(projector(obs.get(a).bloch, wa), projector(obs.get(b).bloch, wb))
                     assert abs(table[i, j] - np.trace(rho @ op).real) <= 1e-10
+
+
+def correlation_route(rho, obs):
+    """S = x.Tu - x.Tv + y.Tu + y.Tv from T_ij = tr[rho sigma_i x sigma_j], and each
+    observable's sharp +1 probability (1 + n.r) / 2 from the local Bloch vectors
+    r = tr[rho sigma x I] (A side) and tr[rho I x sigma] (B side). It touches no POVM,
+    kernel or inversion."""
+    paulis, one = (SX, SY, SZ), np.eye(2)
+    t = np.array([[np.trace(rho @ np.kron(a, b)).real for b in paulis] for a in paulis])
+    r_a = np.array([np.trace(rho @ np.kron(a, one)).real for a in paulis])
+    r_b = np.array([np.trace(rho @ np.kron(one, b)).real for b in paulis])
+    x, y, u, v = (obs.get(key).bloch for key in "xyuv")
+    plus = {"x": x @ r_a, "y": y @ r_a, "u": u @ r_b, "v": v @ r_b}
+    return x @ t @ u - x @ t @ v + y @ t @ u + y @ t @ v, {k: (1.0 + c) / 2.0 for k, c in plus.items()}
+
+
+def pipeline_route(rho, obs, gammas):
+    """Ensemble S and the quasi-distribution through the POVM, the kernel and the
+    inversion, looked up on their modules so that a test can patch them."""
+    kernel = inversion.build_kernel(gammas)
+    p = measurement.observed_statistics(custom_state(rho), measurement.joint_povm(obs, gammas))
+    return chsh_report(kernel, p).ensemble_S, invert_distribution(kernel, p)
+
+
+def s_gap(rho, obs, gammas) -> float:
+    return abs(pipeline_route(rho, obs, gammas)[0] - correlation_route(rho, obs)[0])
+
+
+def marginal_gap(rho, obs, gammas) -> float:
+    q, plus = pipeline_route(rho, obs, gammas)[1], correlation_route(rho, obs)[1]
+    return max(abs(single_marginal(q, k)[0] - plus[k]) for k in "xyuv")
+
+
+@FIXED
+@given(admissible_settings(), state_matrices())
+def test_correlation_matrix_route_matches_the_pipeline(drawn, rho):
+    obs, gammas = drawn
+    assert s_gap(rho, obs, gammas) <= linalg.DUAL_PATH_TOL
+    assert marginal_gap(rho, obs, gammas) <= linalg.DUAL_PATH_TOL
+
+
+def gammas_x_and_u_swapped(gammas):
+    gx, gy, gu, gv = gammas.as_tuple()
+    return GammaSet(gu, gy, gx, gv)
+
+
+# wiring bugs that pass every runtime check of `exact`, each with the part of the
+# correlation route that sees it: S sees the kernel built from wrong gammas; p reversed
+# leaves S and CH as they are (s(-xi) = s(xi)), and only the marginals see it
+KERNEL_FREE_MUTANTS = {
+    "kernel_gammas_x_u_swapped": (inversion, "build_kernel", s_gap,
+                                  lambda build: lambda g: build(gammas_x_and_u_swapped(g))),
+    "kernel_gammas_1pct_small": (inversion, "build_kernel", s_gap,
+                                 lambda build: lambda g: build(GammaSet(*(0.99 * np.array(g.as_tuple()))))),
+    "p_reversed": (measurement, "observed_statistics", marginal_gap,
+                   lambda observe: lambda rho, povm: observe(rho, povm)[::-1]),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(KERNEL_FREE_MUTANTS))
+def test_the_correlation_matrix_route_catches_each_mutant(mutant):
+    module, name, gap, wrap = KERNEL_FREE_MUTANTS[mutant]
+    rng = np.random.default_rng(1006)
+    cases = []
+    for _ in range(20):  # unequal random gammas, so that no swap or scale is a no-op
+        obs, gammas = admissible_draw(rng)
+        cases.append((random_state_matrix(rng), obs, gammas))
+    assert max(gap(*case) for case in cases) <= linalg.DUAL_PATH_TOL
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, name, wrap(getattr(module, name)))
+        gaps = [gap(*case) for case in cases]
+    assert min(gaps) > 1e-10, gaps
 
 
 @FIXED

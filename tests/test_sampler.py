@@ -188,6 +188,17 @@ def test_convergence_report(root_half_gammas):
         convergence_report(kernel, [])
 
 
+@pytest.mark.parametrize("shots", [[True, False, True], np.array([True, False, True]),
+                                   [0, np.True_, 2]], ids=["list", "array", "numpy_bool_item"])
+def test_boolean_shots_are_refused(root_half_gammas, shots):
+    # True and False would otherwise count as outcomes 1 and 0
+    kernel = build_kernel(root_half_gammas)
+    with pytest.raises(OutOfRange, match="booleans"):
+        empirical_frequencies(shots)
+    with pytest.raises(OutOfRange, match="booleans"):
+        convergence_report(kernel, shots)
+
+
 def test_write_shot_csv_roundtrip(tmp_path, root_half_gammas):
     kernel = build_kernel(root_half_gammas)
     shots = sample_shots(singlet_optimal_probabilities(), 20, RngConfig(seed=11))

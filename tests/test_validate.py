@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bellshot import OutOfRange, joint_povm, validate, validate_all
+from bellshot import OutOfRange, joint_povm, measurement, observables, validate, validate_all
 from bellshot.validate import CheckResult, random_admissible_settings
 
 
@@ -22,15 +22,56 @@ def test_same_seed_reproduces_report():
     assert validate_all(seed=7, trials=3) == validate_all(seed=7, trials=3)
 
 
-def test_fault_injection_reports_failure():
-    report = validate_all(seed=7, trials=3, inject_fault=True)
+def test_fault_injection_reports_failure(corrupted_kernel):
+    report = validate_all(seed=7, trials=3)
     assert not report.passed
-    assert report.results[-1].name == "inversion.fault_injection"
-    messages = report.failures()
-    assert messages
-    # the corruption must actually be caught, not slip through
-    assert any("as expected" in m for m in messages)
-    assert all(m.startswith("inversion.fault_injection:") for m in messages)
+    failed = {r.name: r.failures for r in report.results if not r.passed}
+    assert sorted(failed) == ["belltests.dual_paths", "inversion.kernel", "sampler.determinism"]
+    assert set(failed["inversion.kernel"]) == {"cross marginal differs from sharp Born probabilities"}
+    # the corruption is caught where the kernel-sum route meets its closed form
+    for name in ("belltests.dual_paths", "sampler.determinism"):
+        (message,) = failed[name]
+        assert message.startswith("raised ConsistencyError('single-shot CHSH paths disagree at "
+                                  "OutcomeIndex(x=1, y=-1, u=-1, v=-1): ")
+
+
+def swapped_product_elements(monkeypatch):
+    original = measurement.product_povm
+
+    def product_povm(a, b):
+        product = original(a, b).copy()
+        product[[0, 1]] = product[[1, 0]]
+        return product
+
+    monkeypatch.setattr(measurement, "product_povm", product_povm)
+
+
+def born_traces_of_the_transpose(monkeypatch):
+    original = measurement.born_traces
+    monkeypatch.setattr(measurement, "born_traces",
+                        lambda rho, operators: original(np.swapaxes(rho, -1, -2), operators))
+
+
+def swapped_sharp_elements(monkeypatch):
+    def sharp_povm(obs):
+        op = obs.operator()
+        return observables.SharpPovm(0.5 * (np.eye(2) - op), 0.5 * (np.eye(2) + op))
+
+    monkeypatch.setattr(observables, "sharp_povm", sharp_povm)
+
+
+# mutants that keep every constructor's invariants (completeness, positivity,
+# probabilities summing to 1), and the check that must still see them
+@pytest.mark.parametrize("mutate,check", [
+    (swapped_product_elements, "measurement.joint_povm"),
+    (born_traces_of_the_transpose, "measurement.joint_povm"),
+    (swapped_sharp_elements, "observables.sharp_povm"),
+])
+def test_a_mutant_the_constructors_admit_fails_its_check(monkeypatch, mutate, check):
+    assert validate_all(seed=7, trials=4).passed
+    mutate(monkeypatch)
+    (result,) = [r for r in validate_all(seed=7, trials=4).results if r.name == check]
+    assert result.checks > 0 and not result.passed, result
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
@@ -59,7 +100,7 @@ def test_a_check_that_raises_reports_no_verdicts(monkeypatch):
 
     monkeypatch.setattr(validate, "_check_observables", _check_observables)
     report = validate_all(seed=7, trials=2)
-    assert report.results[2] == CheckResult("_check_observables", 0, ("raised OutOfRange('boom')",))
+    assert report.results[2] == CheckResult("observables.sharp_povm", 0, ("raised OutOfRange('boom')",))
     assert [r.name for r in report.results[3:]] == [
         "measurement.joint_povm", "inversion.kernel", "belltests.dual_paths", "sampler.determinism"]
     assert not report.passed
