@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import inversion, linalg, measurement
 from .errors import ConsistencyError, EmptyShotList, OutOfRange
-from .inversion import InversionKernel, QuasiDistribution, invert_distribution
-from .measurement import OUTCOMES, OutcomeIndex, as_indices
+from .inversion import InversionKernel, QuasiDistribution
+from .measurement import OUTCOMES, OutcomeIndex
 
 CHSH_BOUND = 2.0
 CH_UPPER_BOUND = 0.0
@@ -91,7 +91,7 @@ def single_shot_chsh_tables(tables: np.ndarray, gammas) -> np.ndarray:
 
 def ensemble_from_shots(kernel: InversionKernel, shots) -> float:
     """Arithmetic mean of single-shot CHSH values over a shot list."""
-    values = single_shot_chsh_table(kernel)[as_indices(shots)]
+    values = single_shot_chsh_table(kernel)[measurement.as_indices(shots)]
     if len(values) == 0:
         raise EmptyShotList("cannot average single-shot CHSH over zero shots")
     return float(np.mean(values))
@@ -212,7 +212,7 @@ def chsh_report(kernel: InversionKernel, observed) -> ChshReport:
     """Build the CHSH report, verifying that the quasi-distribution average
     and the shot-weighted average of single-shot values coincide."""
     p = np.asarray(observed, dtype=float)
-    via_quasi = ensemble_chsh(invert_distribution(kernel, p))
+    via_quasi = ensemble_chsh(inversion.invert_distribution(kernel, p))
     table = single_shot_chsh_table(kernel)
     _require_agreement("ensemble CHSH", np.float64(via_quasi), table @ p, lambda: "S")
     return ChshReport(s_values=S_VALUES, ensemble_S=via_quasi, single_shot_S=table)
@@ -227,7 +227,7 @@ def ch_report(kernel: InversionKernel, observed) -> ChReport:
     p = np.asarray(observed, dtype=float)
     grid = single_shot_ch_table(kernel)
     by_average = _in_order_sum(grid * p)
-    m = invert_distribution(kernel, p).entries.reshape(2, 2, 2, 2)  # axes x, y, u, v
+    m = inversion.invert_distribution(kernel, p).entries.reshape(2, 2, 2, 2)  # axes x, y, u, v
     ix, iy, iu, iv = SIGN_INDEX
     by_marginals = (
         m.sum(axis=(1, 3))[ix, iu]

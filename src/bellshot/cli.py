@@ -17,39 +17,11 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import __version__
-from .belltests import (
-    ch_report,
-    chsh_report,
-    chsh_verdict,
-    classical_bounds_check,
-    ensemble_chsh,
-    ensemble_chsh_values,
-    single_shot_ch_tables,
-    single_shot_chsh_tables,
-)
+from . import __version__, belltests, inversion, measurement, sampler, states
 from .config import SETTING_KEYS, ExperimentConfig, checked_int, load_config
 from .errors import BellshotError, ConfigError, ConsistencyError, OutOfRange
-from .inversion import (
-    build_kernel,
-    gamma_free_quasi,
-    invert_distribution,
-    inverted_entries,
-    kernel_tables,
-    require_column_sums,
-    require_quasi_entries,
-)
-from .measurement import (
-    GAMMA_MIN,
-    OUTCOME_ORDER_DOC,
-    GammaSet,
-    born_probabilities,
-    joint_povm,
-    observed_statistics,
-    realizable,
-)
-from .sampler import RngConfig, ShotDraws, stream_summary
-from .states import density_matrices, werner_matrices
+from .measurement import GAMMA_MIN, OUTCOME_ORDER_DOC, GammaSet
+from .sampler import RngConfig, ShotDraws
 from .validate import DEFAULT_TRIALS, validate_all
 
 EXIT_OK = 0
@@ -122,17 +94,17 @@ def _atomic_write(path: str, write):
 
 
 def _analysis(config: ExperimentConfig):
-    povm = joint_povm(config.settings, config.gammas)
-    kernel = build_kernel(config.gammas)
-    return kernel, observed_statistics(config.state, povm)
+    povm = measurement.joint_povm(config.settings, config.gammas)
+    kernel = inversion.build_kernel(config.gammas)
+    return kernel, measurement.observed_statistics(config.state, povm)
 
 
 def cmd_exact(config: ExperimentConfig, out_dir: str) -> int:
     """Full exact analysis of one configuration, written as JSON."""
     kernel, observed = _analysis(config)
-    quasi = invert_distribution(kernel, observed)
-    chsh = chsh_report(kernel, observed)
-    ch = ch_report(kernel, observed)
+    quasi = inversion.invert_distribution(kernel, observed)
+    chsh = belltests.chsh_report(kernel, observed)
+    ch = belltests.ch_report(kernel, observed)
     payload = {
         "ordering": OUTCOME_ORDER_DOC,
         "gammas": dict(zip(SETTING_KEYS, config.gammas.as_tuple())),
@@ -143,8 +115,8 @@ def cmd_exact(config: ExperimentConfig, out_dir: str) -> int:
         **chsh.as_dict(),
         **ch.as_dict(),
         "verdicts": {
-            "chsh": classical_bounds_check(chsh),
-            "ch": classical_bounds_check(ch),
+            "chsh": belltests.classical_bounds_check(chsh),
+            "ch": belltests.classical_bounds_check(ch),
         },
     }
     path = os.path.join(out_dir, "exact.json")
@@ -165,11 +137,9 @@ def cmd_run(config: ExperimentConfig, out_dir: str) -> int:
     except OutOfRange as exc:  # more shots than a running mean can count exactly
         raise ConfigError(f"shots: {exc}") from None
     csv_path = os.path.join(out_dir, "shots.csv")
-    counts, summary = _atomic_write(csv_path, lambda fh: stream_summary(kernel, shots, fh))
+    counts, summary = _atomic_write(csv_path, lambda fh: sampler.stream_summary(kernel, shots, fh))
     freqs = counts / summary["shots"]
-    empirical_quasi = invert_distribution(kernel, freqs)
-    exact_quasi = invert_distribution(kernel, observed)
-    exact_S = ensemble_chsh(exact_quasi)
+    empirical_quasi = inversion.invert_distribution(kernel, freqs)
     payload = {
         "shots": summary["shots"],
         "seed": config.seed,
@@ -177,8 +147,9 @@ def cmd_run(config: ExperimentConfig, out_dir: str) -> int:
         "empirical_S": summary["mean_S"],
         "sample_std": summary["sample_std"],
         "std_error": summary["std_error"],
-        "exact_S": exact_S,
-        "verdicts": {"empirical_S": chsh_verdict(chsh_report(kernel, freqs).ensemble_S).as_dict()},
+        "exact_S": belltests.chsh_report(kernel, observed).ensemble_S,
+        "verdicts": {"empirical_S": belltests.chsh_verdict(
+            belltests.chsh_report(kernel, freqs).ensemble_S).as_dict()},
         "empirical_quasi_distribution": empirical_quasi.to_list(),
         "empirical_min_quasi_entry": empirical_quasi.min_entry(),
         "empirical_negative": empirical_quasi.is_negative(),
@@ -215,14 +186,14 @@ def _sweep_rows(config: ExperimentConfig, axis: str, grid: list[float]):
     entry survive the exact inversion; along werner_eta, states and quasi-distributions are
     stacked against kernel columns computed once. Each stack passes every one-item check."""
     def kernel_columns(gammas, tables):  # abs_single_shot_S, ch_min, ch_max
-        chsh, ch = single_shot_chsh_tables(tables, gammas), single_shot_ch_tables(gammas)
+        chsh, ch = belltests.single_shot_chsh_tables(tables, gammas), belltests.single_shot_ch_tables(gammas)
         return np.abs(chsh).max(axis=-1), ch.min(axis=(-2, -1)), ch.max(axis=(-2, -1))
 
     if axis == "gamma":
-        quasi = gamma_free_quasi(config.state, config.settings).entries
+        quasi = inversion.gamma_free_quasi(config.state, config.settings).entries
     elif axis == "werner_eta":
-        kernel = build_kernel(config.gammas)
-        povm = joint_povm(config.settings, config.gammas)
+        kernel = inversion.build_kernel(config.gammas)
+        povm = measurement.joint_povm(config.settings, config.gammas)
         kernel_side, realizable_column = kernel_columns(config.gammas.as_tuple(), kernel.table), np.True_
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}")
@@ -234,19 +205,19 @@ def _sweep_rows(config: ExperimentConfig, axis: str, grid: list[float]):
             if np.any(bad):
                 raise ConfigError(f"sweep gamma {values[np.argmax(bad)]!r} outside "
                                   f"[{GAMMA_MIN ** 0.25:.4g}, 1] in magnitude")
-            tables = kernel_tables(gammas)
-            require_column_sums(tables)
+            tables = inversion.kernel_tables(gammas)
+            inversion.require_column_sums(tables)
             kernel_side = kernel_columns(gammas, tables)
-            realizable_column = realizable(config.settings, gammas)
+            realizable_column = measurement.realizable(config.settings, gammas)
         else:
             etas = np.array(values)
             bad = ~((0.0 <= etas) & (etas <= 1.0))
             if np.any(bad):
                 raise ConfigError(f"sweep werner_eta {values[np.argmax(bad)]!r} outside [0, 1]")
-            rho = density_matrices(werner_matrices(etas), stack_axes=1)
-            quasi = inverted_entries(kernel, born_probabilities(rho, povm))
-            require_quasi_entries(quasi)
-        columns = (ensemble_chsh_values(quasi), *kernel_side, quasi.min(axis=-1), realizable_column)
+            rho = states.density_matrices(states.werner_matrices(etas), stack_axes=1)
+            quasi = inversion.inverted_entries(kernel, measurement.born_probabilities(rho, povm))
+            inversion.require_quasi_entries(quasi)
+        columns = (belltests.ensemble_chsh_values(quasi), *kernel_side, quasi.min(axis=-1), realizable_column)
         # each column holds a value per grid point of the block, or one for the whole sweep
         yield zip(values, *(c.tolist() if np.ndim(c) else [c.item()] * len(values) for c in columns))
 

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import observables, states
 from .errors import BellshotError, ConfigError
 from .measurement import GammaSet
-from .observables import ObservableSet, chsh_optimal_angles, observable_set
+from .observables import ObservableSet
 from .sampler import RNG_RANGES
-from .states import BellState, DensityMatrix, bell_state, custom_state, werner_state
+from .states import BellState, DensityMatrix
 
 # every config field, in the order from_dict checks them
 FIELDS = ("state", "observables", "gammas", "shots", "seed", "stream_count")
@@ -101,23 +102,23 @@ def _state(raw) -> DensityMatrix:
         if value not in names:
             raise ConfigError(f"state.bell: unknown name {_shown(value)}; "
                               f"expected one of {', '.join(names)}")
-        return bell_state(BellState(value))
+        return states.bell_state(BellState(value))
     if kind == "werner":
         eta = float(_reals(value, "state.werner", "a real in [0, 1]", ()))
-        return _built("state.werner", werner_state, eta)
+        return _built("state.werner", states.werner_state, eta)
     if kind == "custom":
         real, imag = _keyed(value, "state.custom", ("real", "imag"),
                             '{"real": 4x4 table, "imag": 4x4 table}', "a 4x4 table of reals", (4, 4))
-        return _built("state.custom", custom_state, real + 1j * imag)
+        return _built("state.custom", states.custom_state, real + 1j * imag)
     raise ConfigError(f"state: unknown kind {kind!r}")
 
 
 def _observables(raw) -> ObservableSet:
     if raw is None:
-        return chsh_optimal_angles()
+        return observables.chsh_optimal_angles()
     vectors = _keyed(raw, "observables", SETTING_KEYS, 'keys "x", "y", "u", "v" (Bloch 3-vectors)',
                      "a 3-vector of reals", (3,))
-    return _built("observables", observable_set, *vectors)
+    return _built("observables", observables.observable_set, *vectors)
 
 
 def _gammas(raw) -> GammaSet:

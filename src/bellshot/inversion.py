@@ -20,24 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, measurement
 from .errors import ConsistencyError, InvalidDistribution, OutOfRange
-from .measurement import (
-    SIGNS,
-    JointPovm,
-    GammaSet,
-    born_traces,
-    checked_gamma,
-    product_povm,
-    subsystem_elements,
-)
-from .observables import (
-    A_LABELS,
-    B_LABELS,
-    ObservableLabel,
-    ObservableSet,
-    SharpPovm,
-)
+from .measurement import SIGNS, GammaSet, JointPovm
+from .observables import A_LABELS, B_LABELS, ObservableLabel, ObservableSet, SharpPovm
 
 
 def kernel_1d(gamma: float) -> np.ndarray:
@@ -45,7 +31,7 @@ def kernel_1d(gamma: float) -> np.ndarray:
 
     Columns sum to 1; the off-diagonal entries are negative for |gamma| < 1.
     """
-    return 0.5 * (1.0 + np.outer(SIGNS, SIGNS) / checked_gamma(gamma))
+    return 0.5 * (1.0 + np.outer(SIGNS, SIGNS) / measurement.checked_gamma(gamma))
 
 
 @dataclass(frozen=True)
@@ -171,9 +157,9 @@ def gamma_free_quasi(rho, settings: ObservableSet) -> QuasiDistribution:
     measurement has them as elements, but the traces exist for any settings,
     including those where no shared gamma is realizable.
     """
-    a = subsystem_elements((settings.x, settings.y), (1.0, 1.0))
-    b = subsystem_elements((settings.u, settings.v), (1.0, 1.0))
-    return QuasiDistribution(born_traces(rho.matrix, product_povm(a, b)).real)
+    a = measurement.subsystem_elements((settings.x, settings.y), (1.0, 1.0))
+    b = measurement.subsystem_elements((settings.u, settings.v), (1.0, 1.0))
+    return QuasiDistribution(measurement.born_traces(rho.matrix, measurement.product_povm(a, b)).real)
 
 
 def _clamped_marginal(q: QuasiDistribution, keep: tuple[str, ...], what: str) -> np.ndarray:

@@ -22,10 +22,10 @@ from .errors import NotHermitian, OutOfRange
 # tolerance; a lower bound passes its negated value as the gap. u = 2**-53.
 HERMITIAN_TOL = 1e-12  # max |M - M^H| of matrices built from O(1) entries, which round at u
 PSD_TOL = -1e-10  # eigenvalue floor: a pure state's or a boundary element's exact zero rounds to ~u
-TRACE_TOL = 1e-12  # |tr rho - 1|, a sum of four O(1) diagonal entries
+TRACE_TOL = 1e-12  # |tr rho - 1|, a sum of four O(1) diagonal entries; also tr rho^2 against [1/4, 1]
 BLOCH_NORM_TOL = 1e-12  # ||n| - 1| of a unit Bloch vector, normalized at about u
 PROJECTOR_TOL = 1e-10  # |E^2 - E| of a sharp element, also one rebuilt through a 1/gamma kernel
-COMPLETENESS_TOL = 1e-12  # |E(+1) + E(-1) - I| of a sharp pair
+COMPLETENESS_TOL = 1e-12  # |E(+1) + E(-1) - I| of a sharp pair; a joint POVM's marginal against E(w)
 # Rounding moves a kernel column sum by up to 16 u A, where A = prod 1/|gamma_i| is the
 # column's absolute sum (Higham, Accuracy and Stability, ch. 3-4). 16 u A <= COLUMN_SUM_TOL
 # gives A <= 562.9: |prod gamma_i| >= measurement.GAMMA_MIN; 0.2053 if equal.
@@ -36,7 +36,9 @@ QUASI_SUM_TOL = 1e-10  # |sum q - 1|: K's unit column sums carry p's sum through
 MARGINAL_CLAMP_TOL = 1e-10  # q's marginals are Born probabilities, below zero only by amplified rounding
 NEGATIVITY_TOL = 1e-10  # how far below zero q's smallest entry must lie to count as negative
 DUAL_PATH_TOL = 1e-10  # agreement of two independent routes to one value, the README's contract
-BOUNDARY_TOL = 1e-12  # a test value this close to a classical bound reports as a boundary case
+# a test value this close to a classical bound reports as a boundary case; the same resolution
+# holds an equal-gamma single-shot |S| to its closed form 2 / gamma^2
+BOUNDARY_TOL = 1e-12
 PROB_FLOOR = -1e-10  # floor of a probability handed to the sampler, before its clamp
 PROB_SUM_SLACK = 1e-6  # |sum p - 1| of a vector handed to the sampler, which it renormalizes
 

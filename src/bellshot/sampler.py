@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .belltests import single_shot_chsh_table
+from . import belltests, linalg, measurement
 from .errors import ConsistencyError, EmptyShotList, InvalidDistribution, OutOfRange
 from .inversion import InversionKernel
-from .measurement import OUTCOMES, OutcomeIndex, as_indices
+from .measurement import OUTCOMES, OutcomeIndex
 
 # [low, high) and kind of each integer that keys a run's streams; the config document
 # checks the same entries. Past MAX_SHOTS a running mean's divisor is no longer exact.
@@ -165,7 +164,7 @@ class _HeldShots:
     """An outcome list or array, read through the same passes as ShotDraws."""
 
     def __init__(self, shots):
-        self.indices = as_indices(shots)
+        self.indices = measurement.as_indices(shots)
         self.n = len(self.indices)
 
     def reader(self):
@@ -245,8 +244,8 @@ class ShotRecord:
 
 def shot_records(kernel: InversionKernel, outcomes) -> list[ShotRecord]:
     """The rows write_shot_csv writes, as a list of ShotRecord."""
-    idx = as_indices(outcomes)
-    values = single_shot_chsh_table(kernel)[idx]
+    idx = measurement.as_indices(outcomes)
+    values = belltests.single_shot_chsh_table(kernel)[idx]
     means = _running_sums(values) / np.arange(1, len(idx) + 1)
     rows = zip(idx.tolist(), values.tolist(), means.tolist())
     return [ShotRecord(i, OUTCOMES[k], s, m) for i, (k, s, m) in enumerate(rows, start=1)]
@@ -254,7 +253,7 @@ def shot_records(kernel: InversionKernel, outcomes) -> list[ShotRecord]:
 
 def empirical_frequencies(outcomes) -> np.ndarray:
     """Relative frequency of each of the 16 outcomes in a shot list."""
-    idx = as_indices(outcomes)
+    idx = measurement.as_indices(outcomes)
     if len(idx) == 0:
         raise EmptyShotList("cannot take frequencies of zero shots")
     return np.bincount(idx, minlength=16) / len(idx)
@@ -269,7 +268,7 @@ def stream_summary(kernel: InversionKernel, shots, csv=None) -> tuple[np.ndarray
     shots = _source(shots)
     if shots.n == 0:
         raise EmptyShotList("cannot summarize zero shots")
-    table = single_shot_chsh_table(kernel)
+    table = belltests.single_shot_chsh_table(kernel)
     counts, total = _tally(shots, table.take, None if csv is None else _csv_rows(csv, table, shots.n))
     mean = total / shots.n
     std = None
@@ -391,6 +390,6 @@ def write_shot_csv(path, kernel: InversionKernel, shots) -> None:
     single-shot S and running mean at full precision, CRLF line ends. The shots,
     a ShotDraws or an outcome list, are checked before path is opened."""
     shots = _source(shots)
-    table = single_shot_chsh_table(kernel)
+    table = belltests.single_shot_chsh_table(kernel)
     with open(path, "wb") as fh:
         _tally(shots, table.take, _csv_rows(fh, table, shots.n))

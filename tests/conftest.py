@@ -8,7 +8,7 @@ independent computation, not against themselves.
 import numpy as np
 import pytest
 
-from bellshot import GammaSet, cli, inversion, observable_set
+from bellshot import GammaSet, inversion, observable_set
 from bellshot.sampler import _fixed_17g
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -89,7 +89,7 @@ def corrupted_kernel(monkeypatch):
     to row 0 of column 7. Each column still sums to 1, so InversionKernel admits
     the table; s(xi) is +2 at outcome 0 and -2 at outcome 3, so the kernel-sum
     route of single-shot CHSH at outcome 7 moves by 4e-3 and its closed form does
-    not. cli imported kernel_tables by name for the gamma sweep, so both are patched."""
+    not."""
     original = inversion.kernel_tables
 
     def kernel_tables(gammas):
@@ -99,7 +99,6 @@ def corrupted_kernel(monkeypatch):
         return tables
 
     monkeypatch.setattr(inversion, "kernel_tables", kernel_tables)
-    monkeypatch.setattr(cli, "kernel_tables", kernel_tables)
 
 
 def fixed_17g_strings(values):

@@ -381,7 +381,7 @@ def test_shot_count_two_to_the_53_is_admitted(tmp_path, capsys, monkeypatch, arg
         seen.append((shots.n, len(shots.reader()(0, sampler.SHOT_CHUNK))))
         raise ConsistencyError("stopped after the first chunk")
 
-    monkeypatch.setattr(cli, "stream_summary", first_chunk_only)
+    monkeypatch.setattr(sampler, "stream_summary", first_chunk_only)
     cfg = singlet_config(tmp_path, shots=2**53 if not argv else 1, stream_count=3)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *argv]) == 1
     assert seen == [(2**53, sampler.SHOT_CHUNK)]

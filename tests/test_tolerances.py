@@ -1,8 +1,9 @@
 """Every tolerance lives in one table, at the top of `bellshot/linalg.py`.
 
 A module-level `*_TOL`, `PROB_FLOOR` or `PROB_SUM_SLACK` bound anywhere else,
-by assignment or by import, would start a second table. The sixteen values
-are pinned, so that changing one is a deliberate edit here as well.
+by assignment or by import, would start a second table, and so would a small
+float literal compared against inside a function. The sixteen values are
+pinned, so that changing one is a deliberate edit here as well.
 """
 
 import ast
@@ -62,3 +63,21 @@ def test_only_linalg_binds_tolerances():
 
 def test_tolerance_values_are_pinned():
     assert {name: getattr(linalg, name) for name in TOLERANCES} == TOLERANCES
+
+
+def compared_small_literals(path: Path) -> list[float]:
+    """Float literals x with 0 < |x| <= 1e-6 anywhere inside a comparison: a
+    tolerance written where it is used rather than read from the table."""
+    return [
+        node.value
+        for compare in ast.walk(ast.parse(path.read_text()))
+        if isinstance(compare, ast.Compare)
+        for node in ast.walk(compare)
+        if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0 < abs(node.value) <= 1e-6
+    ]
+
+
+def test_no_comparison_outside_linalg_takes_a_literal_tolerance():
+    found = {path.name: compared_small_literals(path) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "linalg.py"}
+    assert {module: values for module, values in found.items() if values} == {}

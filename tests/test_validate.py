@@ -1,9 +1,11 @@
 """Randomized self-check suite: reproducibility and the fault path."""
 
+import re
+
 import numpy as np
 import pytest
 
-from bellshot import OutOfRange, joint_povm, measurement, observables, validate, validate_all
+from bellshot import OutOfRange, inversion, joint_povm, measurement, observables, validate, validate_all
 from bellshot.validate import CheckResult, random_admissible_settings
 
 
@@ -27,7 +29,14 @@ def test_fault_injection_reports_failure(corrupted_kernel):
     assert not report.passed
     failed = {r.name: r.failures for r in report.results if not r.passed}
     assert sorted(failed) == ["belltests.dual_paths", "inversion.kernel", "sampler.determinism"]
-    assert set(failed["inversion.kernel"]) == {"cross marginal differs from sharp Born probabilities"}
+    # the moved entries differ in u and v, so both marginal routes see it in every trial
+    found = [re.fullmatch(r"(.+) by (\S+) in trial (\d)", message).groups()
+             for message in failed["inversion.kernel"]]
+    assert sorted((what, trial) for what, _, trial in found) == sorted(
+        (what, trial) for trial in "012" for what in (
+            "one-observable marginals differ from sharp Born values",
+            "cross marginal (x, u) differs from sharp Born probabilities"))
+    assert all(float(gap) > 1e-10 for _, gap, _ in found)
     # the corruption is caught where the kernel-sum route meets its closed form
     for name in ("belltests.dual_paths", "sampler.determinism"):
         (message,) = failed[name]
@@ -60,12 +69,20 @@ def swapped_sharp_elements(monkeypatch):
     monkeypatch.setattr(observables, "sharp_povm", sharp_povm)
 
 
+def kernel_of_a_y_gamma_one_percent_small(monkeypatch):
+    # the x-u cross marginal sums the y factor away; only the y marginal sees it
+    original = inversion.kernel_tables
+    monkeypatch.setattr(inversion, "kernel_tables",
+                        lambda gammas: original(np.asarray(gammas) * [1.0, 0.99, 1.0, 1.0]))
+
+
 # mutants that keep every constructor's invariants (completeness, positivity,
 # probabilities summing to 1), and the check that must still see them
 @pytest.mark.parametrize("mutate,check", [
     (swapped_product_elements, "measurement.joint_povm"),
     (born_traces_of_the_transpose, "measurement.joint_povm"),
     (swapped_sharp_elements, "observables.sharp_povm"),
+    (kernel_of_a_y_gamma_one_percent_small, "inversion.kernel"),
 ])
 def test_a_mutant_the_constructors_admit_fails_its_check(monkeypatch, mutate, check):
     assert validate_all(seed=7, trials=4).passed
