@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inversion, linalg, measurement
-from .errors import ConsistencyError, EmptyShotList, OutOfRange
+from .errors import ConsistencyError, EmptyShotList, InvalidDistribution, OutOfRange
 from .inversion import InversionKernel, QuasiDistribution
 from .measurement import OUTCOMES, OutcomeIndex
 
@@ -145,9 +145,15 @@ class Verdict:
 
 
 def _require_finite(value: float) -> None:
-    # NaN fails every comparison, so it would fall through to "satisfied"
-    if not math.isfinite(value):
-        raise OutOfRange(f"verdict needs a finite test value, got {float(value)!r}")
+    # NaN fails every comparison, so it would fall through to "satisfied". A plain
+    # math.isfinite, not linalg.as_finite: exact makes 33 verdicts per call.
+    try:
+        if math.isfinite(value):
+            return
+        value = float(value)
+    except (TypeError, OverflowError):  # not a real number, or an int past float range
+        pass
+    raise OutOfRange(f"verdict needs a finite test value, got {value!r}")
 
 
 def chsh_verdict(value: float) -> Verdict:
@@ -211,7 +217,7 @@ class ChReport:
 def chsh_report(kernel: InversionKernel, observed) -> ChshReport:
     """Build the CHSH report, verifying that the quasi-distribution average
     and the shot-weighted average of single-shot values coincide."""
-    p = np.asarray(observed, dtype=float)
+    p = linalg.as_finite(observed, (16,), "observed statistics", InvalidDistribution)
     via_quasi = ensemble_chsh(inversion.invert_distribution(kernel, p))
     table = single_shot_chsh_table(kernel)
     _require_agreement("ensemble CHSH", np.float64(via_quasi), table @ p, lambda: "S")
@@ -224,7 +230,7 @@ def ch_report(kernel: InversionKernel, observed) -> ChReport:
     observed-weighted average of single-shot values, and the CH combination
     evaluated on marginals of the inverted quasi-distribution (which equal
     the sharp Born probabilities)."""
-    p = np.asarray(observed, dtype=float)
+    p = linalg.as_finite(observed, (16,), "observed statistics", InvalidDistribution)
     grid = single_shot_ch_table(kernel)
     by_average = _in_order_sum(grid * p)
     m = inversion.invert_distribution(kernel, p).entries.reshape(2, 2, 2, 2)  # axes x, y, u, v

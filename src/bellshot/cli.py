@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import __version__, belltests, inversion, measurement, sampler, states
+from . import __version__, belltests, inversion, linalg, measurement, sampler, states
 from .config import SETTING_KEYS, ExperimentConfig, checked_int, load_config
 from .errors import BellshotError, ConfigError, ConsistencyError, OutOfRange
 from .measurement import GAMMA_MIN, OUTCOME_ORDER_DOC, GammaSet
@@ -128,7 +128,9 @@ def cmd_exact(config: ExperimentConfig, out_dir: str) -> int:
 def cmd_run(config: ExperimentConfig, out_dir: str) -> int:
     """Sample shots, log them as CSV, and summarize convergence as JSON. The shots are
     drawn in chunks, written and summed on the way; a second pass redraws them for the
-    spread, so memory does not grow with the shot count."""
+    spread, so memory does not grow with the shot count. The shot mean and the inverted
+    frequencies give the empirical S along two routes, which must agree before shots.csv
+    is renamed into place."""
     if config.shots < 1:
         raise ConfigError("run requires shots >= 1 (set shots in config or pass --shots)")
     kernel, observed = _analysis(config)
@@ -137,8 +139,16 @@ def cmd_run(config: ExperimentConfig, out_dir: str) -> int:
     except OutOfRange as exc:  # more shots than a running mean can count exactly
         raise ConfigError(f"shots: {exc}") from None
     csv_path = os.path.join(out_dir, "shots.csv")
-    counts, summary = _atomic_write(csv_path, lambda fh: sampler.stream_summary(kernel, shots, fh))
-    freqs = counts / summary["shots"]
+
+    def write(fh):
+        counts, summary = sampler.stream_summary(kernel, shots, fh)
+        freqs = counts / summary["shots"]
+        via_freqs, via_mean = belltests.chsh_report(kernel, freqs).ensemble_S, summary["mean_S"]
+        linalg.require(abs(via_freqs - via_mean), linalg.DUAL_PATH_TOL, lambda _: ConsistencyError(
+            f"empirical S paths disagree: frequency inversion {via_freqs!r} vs shot mean {via_mean!r}"))
+        return freqs, summary, via_freqs
+
+    freqs, summary, via_freqs = _atomic_write(csv_path, write)
     empirical_quasi = inversion.invert_distribution(kernel, freqs)
     payload = {
         "shots": summary["shots"],
@@ -148,8 +158,7 @@ def cmd_run(config: ExperimentConfig, out_dir: str) -> int:
         "sample_std": summary["sample_std"],
         "std_error": summary["std_error"],
         "exact_S": belltests.chsh_report(kernel, observed).ensemble_S,
-        "verdicts": {"empirical_S": belltests.chsh_verdict(
-            belltests.chsh_report(kernel, freqs).ensemble_S).as_dict()},
+        "verdicts": {"empirical_S": belltests.chsh_verdict(via_freqs).as_dict()},
         "empirical_quasi_distribution": empirical_quasi.to_list(),
         "empirical_min_quasi_entry": empirical_quasi.min_entry(),
         "empirical_negative": empirical_quasi.is_negative(),

@@ -42,9 +42,7 @@ class InversionKernel:
     table: np.ndarray  # [xi, xi'] in canonical outcome order
 
     def __post_init__(self):
-        t = np.array(self.table, dtype=float)
-        if t.shape != (16, 16):
-            raise ConsistencyError(f"kernel table shape {t.shape}, expected (16, 16)")
+        t = linalg.as_finite(self.table, (16, 16), "kernel table", ConsistencyError)
         require_column_sums(t)
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
@@ -85,9 +83,7 @@ class QuasiDistribution:
     entries: np.ndarray
 
     def __post_init__(self):
-        e = np.array(self.entries, dtype=float)
-        if e.shape != (16,):
-            raise InvalidDistribution(f"quasi-distribution shape {e.shape}, expected (16,)")
+        e = linalg.as_finite(self.entries, (16,), "quasi-distribution", InvalidDistribution)
         require_quasi_entries(e)
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
@@ -125,9 +121,7 @@ def invert_distribution(kernel: InversionKernel, observed) -> QuasiDistribution:
     The kernel's unit column sums make this total-probability preserving
     whatever the input, so the output always sums to what went in.
     """
-    p = np.asarray(observed, dtype=float)
-    if p.shape != (16,):
-        raise InvalidDistribution(f"observed statistics shape {p.shape}, expected (16,)")
+    p = linalg.as_finite(observed, (16,), "observed statistics", InvalidDistribution)
     return QuasiDistribution(inverted_entries(kernel, p))
 
 

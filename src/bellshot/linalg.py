@@ -8,8 +8,9 @@ checks run over any leading stack axes and, on failure, report the first
 matrix of the stack that fails.
 
 This bottom module also owns every numerical check of the package: the
-tolerance table below and `require`, the one function that compares a gap
-with its tolerance and raises.
+tolerance table below; `require`, the one function that compares a gap with
+its tolerance and raises; and `as_finite`, the one admission rule that turns
+a numeric argument from outside into an array.
 """
 
 from __future__ import annotations
@@ -59,18 +60,23 @@ def require(gap, tol, fail) -> None:
         raise fail(np.unravel_index(np.argmax(bad), bad.shape))
 
 
-def as_matrix(entries, dim: int, stack_axes: int = 0) -> np.ndarray:
-    """Copy to a dim x dim complex array, or to a stack of them with
-    stack_axes leading axes, rejecting NaN/Inf entries.
+def as_finite(value, shape: tuple, what: str, error=OutOfRange, dtype=float, stack_axes=0) -> np.ndarray:
+    """Copy value into a dtype array of the given shape after stack_axes leading axes,
+    with every entry finite, else raise error naming what. None reads as NaN; a value
+    numpy cannot read (a ragged list, "abc", an int past float range) is refused too.
 
     Always copies, so freezing the result never locks a caller's array.
     """
-    m = np.array(entries, dtype=complex)
-    if m.shape[stack_axes:] != (dim, dim):
-        raise OutOfRange(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise OutOfRange("matrix entries must be finite (no NaN/Inf)")
-    return m
+    try:
+        a = np.array(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what} is not readable as numbers: {exc}") from None
+    if a.shape[stack_axes:] != shape:
+        raise error(f"{what} shape {a.shape}, expected {a.shape[:stack_axes] + shape}")
+    if np.count_nonzero(finite := np.isfinite(a)) < a.size:  # a third of .all()'s cost
+        require(~finite, 0, lambda k: error(
+            f"{what}{list(map(int, k)) if k else ''} = {a[k].item()!r} is not finite"))
+    return a
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> complex:

@@ -40,10 +40,8 @@ def gamma_in_range(gamma) -> np.ndarray:
 
 
 def checked_gamma(gamma, name: str = "gamma") -> float:
-    """gamma as a float, if gamma_in_range admits it. GammaOutOfRange names name."""
-    g = float(gamma)
-    if not np.isfinite(g):
-        raise GammaOutOfRange(f"{name} = {g!r} is not finite")
+    """gamma as a float, if it is finite and gamma_in_range admits it. GammaOutOfRange names name."""
+    g = float(linalg.as_finite(gamma, (), name, GammaOutOfRange))
     if not gamma_in_range(g):
         raise GammaOutOfRange(f"{name} = {g!r}: |gamma| must lie in [{GAMMA_MIN:g}, 1]")
     return g

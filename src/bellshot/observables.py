@@ -32,8 +32,8 @@ B_LABELS = (ObservableLabel.U, ObservableLabel.V)
 
 
 def bloch_operator(n) -> np.ndarray:
-    """n . sigma for a real 3-vector n."""
-    n = np.asarray(n, dtype=float)
+    """n . sigma for a finite real 3-vector n, else OutOfRange."""
+    n = linalg.as_finite(n, (3,), "bloch vector")
     return n[0] * linalg.SIGMA_X + n[1] * linalg.SIGMA_Y + n[2] * linalg.SIGMA_Z
 
 
@@ -46,9 +46,7 @@ class ObservableSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "label", ObservableLabel(self.label))
-        n = np.asarray(self.bloch, dtype=float)
-        if n.shape != (3,) or not np.all(np.isfinite(n)):
-            raise OutOfRange(f"bloch vector must be a finite 3-vector, got {self.bloch!r}")
+        n = linalg.as_finite(self.bloch, (3,), f"observable {self.label.value}: bloch vector")
         norm = float(np.linalg.norm(n))
         linalg.require(abs(norm - 1.0), linalg.BLOCH_NORM_TOL,
                        lambda _: OutOfRange(f"observable {self.label.value}: |bloch| = {norm!r}, expected 1"))
@@ -67,8 +65,8 @@ class SharpPovm:
     element_minus: np.ndarray
 
     def __post_init__(self):
-        plus = linalg.as_matrix(self.element_plus, 2)
-        minus = linalg.as_matrix(self.element_minus, 2)
+        plus, minus = (linalg.as_finite(e, (2, 2), f"sharp element({w:+d})", dtype=complex)
+                       for w, e in ((+1, self.element_plus), (-1, self.element_minus)))
         for w, e in ((+1, plus), (-1, minus)):
             linalg.require_hermitian(e, what=f"sharp element({w:+d})")
             lam = linalg.min_eigenvalue_hermitian(e)

@@ -51,6 +51,14 @@ _DIGIT_WORDS = np.concatenate([_WORD_BYTES, _WORD_BYTES * (_PREFIXES > 0)]).view
 _POINT = np.frombuffer(b"\0" * 20 + b"0.000", np.uint8)  # [15 - x:] leads exponent x's row
 
 
+def as_integer(value, what: str) -> int:
+    """value as an int, if it is a Python or numpy integer; else OutOfRange naming what.
+    bool subclasses int, and a float such as 1.5 would key seed 1's stream."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise OutOfRange(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RngConfig:
     """Reproducibility contract for a sampling run."""
@@ -60,17 +68,14 @@ class RngConfig:
 
     def __post_init__(self):
         for name, (low, high, _) in RNG_RANGES.items():
-            value = getattr(self, name)
-            # bool subclasses int, and a float such as 1.5 would key seed 1's stream
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise OutOfRange(f"{name} must be an integer, got {value!r}")
-            value = int(value)
+            value = as_integer(getattr(self, name), name)
             if not low <= value < high:  # a finite high is a power of two
                 rule = f"be >= {low}" if high == math.inf else f"lie in [{low}, 2**{high.bit_length() - 1})"
                 raise OutOfRange(f"{name} must {rule}, got {value}")
             object.__setattr__(self, name, value)
 
     def generator(self, stream: int) -> np.random.Generator:
+        stream = as_integer(stream, "stream")
         if not 0 <= stream < self.stream_count:
             raise OutOfRange(f"stream {stream} outside [0, {self.stream_count})")
         # a plain list would go through float64 for seeds >= 2**63, merging seeds
@@ -79,11 +84,7 @@ class RngConfig:
 
 
 def _checked_probabilities(probabilities) -> np.ndarray:
-    p = np.asarray(probabilities, dtype=float)
-    if p.shape != (16,):
-        raise InvalidDistribution(f"expected 16 probabilities, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise InvalidDistribution("probabilities contain non-finite entries")
+    p = linalg.as_finite(probabilities, (16,), "probabilities", InvalidDistribution)
     low = float(p.min())
     linalg.require(-low, -linalg.PROB_FLOOR,
                    lambda _: InvalidDistribution(f"probability {low!r} below {linalg.PROB_FLOOR}"))
@@ -121,14 +122,13 @@ class ShotDraws:
     nothing is never keyed. p and n are checked before any stream is keyed."""
 
     def __init__(self, probabilities, n, config: RngConfig):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise OutOfRange(f"shot count must be an integer, got {n!r}")
+        n = as_integer(n, "shot count")
         if n < 0:
             raise OutOfRange(f"shot count must be nonnegative, got {n}")
         if n > MAX_SHOTS:
             raise OutOfRange(f"shot count {n} is too many: a running mean's divisor "
                              f"is exact only up to 2**53 = {MAX_SHOTS}")
-        self.n = int(n)
+        self.n = n
         self.cdf, self.table = _bucket_table(_checked_probabilities(probabilities))
         self.config = config
 

@@ -44,7 +44,7 @@ def density_matrices(entries, stack_axes: int = 0) -> np.ndarray:
     NotHermitian, NotUnitTrace or NotPSD naming the offending value of the
     first matrix that fails it.
     """
-    m = linalg.as_matrix(entries, 4, stack_axes)
+    m = linalg.as_finite(entries, (4, 4), "density matrix", dtype=complex, stack_axes=stack_axes)
     # the solver runs the Hermiticity check, so it comes before the trace's
     lam = linalg.eigvals_hermitian(m, what="density matrix")[..., 0]
     tr = np.trace(m, axis1=-2, axis2=-1)
@@ -75,8 +75,9 @@ def bell_state(which: BellState) -> DensityMatrix:
 def werner_state(eta: float) -> DensityMatrix:
     """eta * singlet + (1 - eta) * I/4. Entangled for eta > 1/3, violates
     CHSH at optimal angles for eta > 1/sqrt(2)."""
-    if not (0.0 <= eta <= 1.0):
-        raise OutOfRange(f"werner eta = {float(eta)!r} outside [0, 1]")
+    eta = float(linalg.as_finite(eta, (), "werner eta"))
+    if not 0.0 <= eta <= 1.0:
+        raise OutOfRange(f"werner eta = {eta!r} outside [0, 1]")
     return DensityMatrix(werner_matrices(eta))
 
 
@@ -90,10 +91,10 @@ def werner_matrices(etas) -> np.ndarray:
 def custom_state(entries) -> DensityMatrix:
     """Validate an arbitrary 4x4 table as a density matrix.
 
-    Raises NotHermitian, NotUnitTrace or NotPSD naming the violated
-    invariant and the offending value.
+    Raises OutOfRange, NotHermitian, NotUnitTrace or NotPSD naming the
+    violated invariant and the offending value.
     """
-    return DensityMatrix(linalg.as_matrix(entries, 4))
+    return DensityMatrix(entries)
 
 
 def random_density_matrix(rng: np.random.Generator) -> DensityMatrix:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import belltests, inversion, linalg, measurement, observables, sampler, states
-from .errors import BellshotError
+from .errors import BellshotError, OutOfRange
 
 DEFAULT_TRIALS = 25
 
@@ -219,7 +219,10 @@ def _check_sampler(rng, trials):
 def validate_all(seed: int, trials: int = DEFAULT_TRIALS) -> ValidationReport:
     """Run every module's randomized invariant suite under one seed. Each
     check yields one (passed, message) pair per invariant it tests, and a
-    constructor that enforces its own invariants passes once it returns."""
+    constructor that enforces its own invariants passes once it returns. trials below
+    1 raise OutOfRange, since checks that ran no trial would pass vacuously."""
+    if sampler.as_integer(trials, "trials") < 1:
+        raise OutOfRange(f"trials must be >= 1, got {trials}")
     checks = [
         ("linalg.eigvals_hermitian", _check_linalg),
         ("states.density_matrices", _check_states),

@@ -1,7 +1,8 @@
 """The package manifest: `bellshot.__all__` against `__init__`'s imports,
-`pyproject.toml`'s version against `bellshot.__version__`, and the rule that
+`pyproject.toml`'s version against `bellshot.__version__`, the rule that
 a pipeline function has one binding, on the module that defines it, so a
-stage patched there is the stage every command calls."""
+stage patched there is the stage every command calls, and the rule that a
+public entry point refuses a bad argument with a BellshotError."""
 
 import ast
 import importlib
@@ -11,11 +12,36 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bellshot
-from bellshot import inversion, measurement
+from bellshot import (
+    BellshotError,
+    GammaSet,
+    InversionKernel,
+    QuasiDistribution,
+    RngConfig,
+    SharpPovm,
+    bloch_operator,
+    build_kernel,
+    ch_report,
+    ch_verdict,
+    chsh_report,
+    chsh_verdict,
+    custom_state,
+    invert_distribution,
+    inversion,
+    kernel_1d,
+    measurement,
+    observable_set,
+    sample_indices,
+    validate_all,
+    werner_state,
+)
 from bellshot.cli import main
+from bellshot.sampler import ShotDraws
+from conftest import OPTIMAL_BLOCHS, ROOT_HALF
 from test_cli import CORRUPTIBLE_COMMANDS, singlet_config
 
 PACKAGE = Path(bellshot.__file__).resolve().parent
@@ -103,3 +129,45 @@ def test_a_stage_patched_on_its_module_reaches_every_command(tmp_path, monkeypat
     argv = [*CORRUPTIBLE_COMMANDS[command], "--config", singlet_config(tmp_path)]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 0
     assert calls == STAGE_CALLS[command]
+
+
+def kernel():
+    return build_kernel(GammaSet.equal(ROOT_HALF))
+
+
+# each public entry point as a function of the one argument under test
+NUMERIC = {
+    "GammaSet": lambda v: GammaSet(0.5, 0.5, 0.5, v),
+    "GammaSet.equal": GammaSet.equal,
+    "kernel_1d": kernel_1d,
+    "werner_state": werner_state,
+    "custom_state": custom_state,
+    "observable_set": lambda v: observable_set(v, *(OPTIMAL_BLOCHS[k] for k in "yuv")),
+    "bloch_operator": bloch_operator,
+    "SharpPovm": lambda v: SharpPovm(v, np.diag([0.0, 1.0])),
+    "InversionKernel": lambda v: InversionKernel(GammaSet.equal(ROOT_HALF), v),
+    "QuasiDistribution": QuasiDistribution,
+    "invert_distribution": lambda v: invert_distribution(kernel(), v),
+    "chsh_report": lambda v: chsh_report(kernel(), v),
+    "ch_report": lambda v: ch_report(kernel(), v),
+    "sample_indices": lambda v: sample_indices(v, 10, RngConfig(1)),
+    "ShotDraws": lambda v: ShotDraws(v, 10, RngConfig(1)),
+    "chsh_verdict": chsh_verdict,
+    "ch_verdict": ch_verdict,
+}
+INTEGER = {
+    "RngConfig.generator": lambda v: RngConfig(5, 3).generator(v),
+    "validate_all": lambda v: validate_all(7, trials=v),
+}
+ENTRY_POINTS = {**NUMERIC, **INTEGER}
+BAD = {"abc": "abc", "None": None, "ragged": [[1.0], [1.0, 2.0]], "nan": float("nan"), "10**400": 10**400,
+       "1.5": 1.5}
+CASES = [(entry, bad) for entry in NUMERIC for bad in BAD if bad != "1.5"] + [
+    # 10**400 trials is an integer count, admitted as the CLI admits it, and would never end
+    (entry, bad) for entry in INTEGER for bad in BAD if (entry, bad) != ("validate_all", "10**400")]
+
+
+@pytest.mark.parametrize("entry,bad", CASES)
+def test_public_entry_points_refuse_bad_arguments_with_a_bellshot_error(entry, bad):
+    with pytest.raises(BellshotError):
+        ENTRY_POINTS[entry](BAD[bad])

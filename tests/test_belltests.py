@@ -241,7 +241,7 @@ def test_chsh_verdicts():
 
 
 @pytest.mark.parametrize("verdict", [chsh_verdict, ch_verdict])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "a", None, 10**400])
 def test_verdicts_refuse_values_that_are_not_finite(verdict, value):
     with pytest.raises(OutOfRange, match="finite"):
         verdict(value)

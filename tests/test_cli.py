@@ -404,6 +404,20 @@ def test_run_whose_second_pass_counts_other_shots_exits_1(tmp_path, capsys, monk
     assert os.listdir(tmp_path / "out") == []  # the CSV of the first pass is not published
 
 
+def test_run_whose_shot_mean_misses_the_inverted_frequencies_exits_1(tmp_path, capsys, monkeypatch):
+    summary = sampler.stream_summary
+
+    def mean_off_by_1e_6(kernel, shots, csv):
+        counts, report = summary(kernel, shots, csv)
+        return counts, {**report, "mean_S": report["mean_S"] + 1e-6}
+
+    monkeypatch.setattr(sampler, "stream_summary", mean_off_by_1e_6)
+    cfg = singlet_config(tmp_path, shots=1000, seed=3)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("internal consistency failure: empirical S paths disagree")
+    assert os.listdir(tmp_path / "out") == []
+
+
 PEAK_RSS = """
 import sys
 from bellshot.cli import main

@@ -4,6 +4,7 @@ import pytest
 from bellshot import (
     BellState,
     GammaSet,
+    InversionKernel,
     ObservableLabel,
     QuasiDistribution,
     bell_state,
@@ -103,6 +104,15 @@ def test_build_kernel_column_sums():
         _, gammas = admissible_draw(rng)
         kernel = build_kernel(gammas)
         assert np.abs(kernel.table.sum(axis=0) - 1.0).max() < 1e-12
+
+
+def test_kernel_table_must_be_finite():
+    # a NaN gap passes the column-sum check, so the table's own admission must refuse it
+    gammas = GammaSet.equal(0.8)
+    table = build_kernel(gammas).table.copy()
+    table[2, 5] = np.nan
+    with pytest.raises(ConsistencyError, match=r"^kernel table\[2, 5\] = nan is not finite$"):
+        InversionKernel(gammas, table)
 
 
 def test_invert_identity_kernel_passthrough():

@@ -74,12 +74,12 @@ def test_hermiticity_defect_value():
     assert linalg.hermiticity_defect(m) == pytest.approx(1e-8)
 
 
-def test_as_matrix_validation():
+def test_as_finite_validation():
     with pytest.raises(OutOfRange):
-        linalg.as_matrix(np.zeros((2, 3)), 2)
+        linalg.as_finite(np.zeros((2, 3)), (2, 2), "matrix", dtype=complex)
     with pytest.raises(OutOfRange):
-        linalg.as_matrix([[np.nan, 0], [0, 0]], 2)
-    m = linalg.as_matrix([[1, 0], [0, 1]], 2)
+        linalg.as_finite([[np.nan, 0], [0, 0]], (2, 2), "matrix", dtype=complex)
+    m = linalg.as_finite([[1, 0], [0, 1]], (2, 2), "matrix", dtype=complex)
     assert m.dtype == complex
 
 

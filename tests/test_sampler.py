@@ -263,6 +263,15 @@ def test_rng_config_takes_only_integers(args):
         RngConfig(*args)
 
 
+@pytest.mark.parametrize("stream", [1.5, True, np.float64(1.0), "abc", None])
+def test_generator_takes_only_integer_streams(stream):
+    # 1.5 and True would otherwise key stream 1's generator
+    with pytest.raises(OutOfRange, match="stream must be an integer"):
+        RngConfig(5, 3).generator(stream)
+    key = RngConfig(5, 3).generator(np.int8(1)).bit_generator.state["state"]["key"]
+    assert key.tolist() == [5, 1]
+
+
 def test_rng_config_takes_numpy_integers_as_ints():
     cfg = RngConfig(np.uint64(2**64 - 1), np.int8(3))
     assert (type(cfg.seed), type(cfg.stream_count)) == (int, int)

@@ -97,6 +97,13 @@ def test_validate_all_takes_only_unsigned_64_bit_integer_seeds(seed):
         validate_all(seed, trials=1)
 
 
+@pytest.mark.parametrize("trials", [0, -3, 2.5, True, "abc", None])
+def test_validate_all_takes_only_positive_integer_trials(trials):
+    # trials=0 would pass a report whose checks ran no trial
+    with pytest.raises(OutOfRange, match="trials must be"):
+        validate_all(7, trials=trials)
+
+
 def test_admissible_draws_build_positive_povms():
     rng = np.random.Generator(np.random.Philox(key=[71, 0]))
     for _ in range(20):
