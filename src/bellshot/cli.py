@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__, belltests, inversion, linalg, measurement, sampler, states
-from .config import SETTING_KEYS, ExperimentConfig, checked_int, load_config
+from .config import SETTING_KEYS, ExperimentConfig, load_config
 from .errors import BellshotError, ConfigError, ConsistencyError, OutOfRange
 from .measurement import GAMMA_MIN, OUTCOME_ORDER_DOC, GammaSet
 from .sampler import RngConfig, ShotDraws
@@ -307,7 +307,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(4), "big")
-            return cmd_validate(checked_int("seed", seed), checked_int("trials", args.trials))
+            return cmd_validate(sampler.checked_integer("seed", seed, ConfigError),
+                                sampler.checked_integer("trials", args.trials, ConfigError))
 
         # only run has --seed and --shots
         overrides = {k: v for k in ("seed", "shots") if (v := getattr(args, k, None)) is not None}

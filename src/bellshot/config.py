@@ -1,4 +1,5 @@
-"""Experiment configs: the JSON document format and every input rule.
+"""Experiment configs: the JSON document format and every input rule. The integer
+fields share sampler.checked_integer with argv and the API.
 
 A config is a single JSON document; measurement directions are given as
 Bloch 3-vectors rather than angles so no axis convention can creep in.
@@ -8,28 +9,19 @@ Every refusal is a ConfigError whose message starts with the field at fault.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import observables, states
-from .errors import BellshotError, ConfigError
+from . import observables, sampler, states
+from .errors import BellshotError, ConfigError, shown
 from .measurement import GammaSet
 from .observables import ObservableSet
-from .sampler import RNG_RANGES
 from .states import BellState, DensityMatrix
 
-# every config field, in the order from_dict checks them
+# every config field, in the order from_dict checks them; the integer ones are admitted
+# by sampler.checked_integer, the rule the API and argv share
 FIELDS = ("state", "observables", "gammas", "shots", "seed", "stream_count")
-# integer inputs, config fields and validate's --trials alike: name -> (low, high, kind).
-# seed and stream_count are RngConfig's own ranges; shots past the sampler's MAX_SHOTS
-# are refused by the sampler, whose message says why.
-INTEGERS = {
-    "shots": (0, math.inf, "a nonnegative integer"),
-    **RNG_RANGES,
-    "trials": (1, math.inf, "a positive integer"),
-}
 SETTING_KEYS = ("x", "y", "u", "v")
 
 
@@ -56,9 +48,12 @@ class ExperimentConfig:
             if name not in doc:
                 raise ConfigError(f'config is missing required field "{name}"')
         state = _state(doc["state"])
-        settings = _observables(doc.get("observables"))
+        # absent means the CHSH-optimal default; null is refused, as in every other field
+        settings = (_observables(doc["observables"]) if "observables" in doc
+                    else observables.chsh_optimal_angles())
         gammas = _gammas(doc["gammas"])
-        integers = {name: checked_int(name, doc[name]) for name in INTEGERS if name in doc}
+        integers = {name: sampler.checked_integer(name, doc[name], ConfigError)
+                    for name in FIELDS if name in sampler.INTEGERS and name in doc}
         return cls(state, settings, gammas, **integers)
 
 
@@ -79,15 +74,6 @@ def load_config(path: str, **overrides) -> ExperimentConfig:
     return ExperimentConfig.from_dict(doc, **overrides)
 
 
-def checked_int(name: str, value) -> int:
-    """value if it is an integer in INTEGERS[name]'s range, else ConfigError naming name."""
-    low, high, kind = INTEGERS[name]
-    # bool subclasses int, but `"shots": true` is a mistake, not a one-shot run
-    if isinstance(value, bool) or not isinstance(value, int) or not low <= value < high:
-        raise ConfigError(f"{name}: expected {kind}, got {_shown(value)}")
-    return value
-
-
 def _state(raw) -> DensityMatrix:
     if not isinstance(raw, dict) or len(raw) != 1:
         raise ConfigError(
@@ -98,9 +84,9 @@ def _state(raw) -> DensityMatrix:
     if kind == "bell":
         names = [b.value for b in BellState]
         # a message guard, not a second rule: BellState(value) refuses the same names, but
-        # its message shows value's whole repr, however deep, where _shown bounds it
+        # its message shows value's whole repr, however deep, where shown bounds it
         if value not in names:
-            raise ConfigError(f"state.bell: unknown name {_shown(value)}; "
+            raise ConfigError(f"state.bell: unknown name {shown(value)}; "
                               f"expected one of {', '.join(names)}")
         return states.bell_state(BellState(value))
     if kind == "werner":
@@ -114,8 +100,6 @@ def _state(raw) -> DensityMatrix:
 
 
 def _observables(raw) -> ObservableSet:
-    if raw is None:
-        return observables.chsh_optimal_angles()
     vectors = _keyed(raw, "observables", SETTING_KEYS, 'keys "x", "y", "u", "v" (Bloch 3-vectors)',
                      "a 3-vector of reals", (3,))
     return _built("observables", observables.observable_set, *vectors)
@@ -162,18 +146,4 @@ def _reals(raw, where: str, kind: str, shape: tuple) -> np.ndarray:
                 return values
     except (ValueError, OverflowError):  # ragged tables; ints beyond float range
         pass
-    raise ConfigError(f"{where}: expected {kind}, got {_shown(raw)}")
-
-
-def _shown(value, depth: int = 8) -> str:
-    """repr(value) for a JSON value, with containers more than depth levels
-    down shown as [...] and {...}: a config may nest as deep as json.load
-    allows, and a message must not recurse that far."""
-    if isinstance(value, list) and value:
-        inner = "..." if depth == 0 else ", ".join([_shown(v, depth - 1) for v in value])
-        return f"[{inner}]"
-    if isinstance(value, dict) and value:
-        inner = "..." if depth == 0 else ", ".join(
-            [f"{k!r}: {_shown(v, depth - 1)}" for k, v in value.items()])
-        return f"{{{inner}}}"
-    return repr(value)
+    raise ConfigError(f"{where}: expected {kind}, got {shown(raw)}")

@@ -1,5 +1,5 @@
 """Exception taxonomy. Every validation failure names the violated invariant
-and the offending value in its message."""
+and the offending value in its message; shown bounds the repr of a nested one."""
 
 
 class BellshotError(Exception):
@@ -46,3 +46,17 @@ class ConsistencyError(BellshotError):
 
 class ConfigError(BellshotError):
     """Experiment configuration file is malformed or inconsistent."""
+
+
+def shown(value, depth: int = 8) -> str:
+    """repr(value) for a message, with lists and dicts more than depth levels
+    down shown as [...] and {...}: a config may nest as deep as json.load
+    allows, and a message must not recurse that far."""
+    if isinstance(value, list) and value:
+        inner = "..." if depth == 0 else ", ".join([shown(v, depth - 1) for v in value])
+        return f"[{inner}]"
+    if isinstance(value, dict) and value:
+        inner = "..." if depth == 0 else ", ".join(
+            [f"{k!r}: {shown(v, depth - 1)}" for k, v in value.items()])
+        return f"{{{inner}}}"
+    return repr(value)

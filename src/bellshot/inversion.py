@@ -101,10 +101,8 @@ class QuasiDistribution:
 
 
 def require_quasi_entries(entries: np.ndarray) -> None:
-    """QuasiDistribution's checks over a stack (..., 16): finite entries
-    summing to 1. Each names the first distribution that fails it."""
-    if not np.all(np.isfinite(entries)):
-        raise InvalidDistribution("quasi-distribution has non-finite entries")
+    """QuasiDistribution's sum check over a stack (..., 16): entries summing to 1,
+    which a non-finite entry cannot. It names the first distribution that fails."""
     total = entries.sum(axis=-1)
     linalg.require(np.abs(total - 1.0), linalg.QUASI_SUM_TOL, lambda k: InvalidDistribution(
         f"quasi-distribution sums to {float(total[k])!r}, expected 1"))

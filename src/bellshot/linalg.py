@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import NotHermitian, OutOfRange
 
-# Tolerances, one table for every check. A check fails where its gap exceeds its
-# tolerance; a lower bound passes its negated value as the gap. u = 2**-53.
+# Tolerances, one table for every check. A check fails where its gap is not within its
+# tolerance, NaN included; a lower bound passes its negated value as the gap. u = 2**-53.
 HERMITIAN_TOL = 1e-12  # max |M - M^H| of matrices built from O(1) entries, which round at u
 PSD_TOL = -1e-10  # eigenvalue floor: a pure state's or a boundary element's exact zero rounds to ~u
 TRACE_TOL = 1e-12  # |tr rho - 1|, a sum of four O(1) diagonal entries; also tr rho^2 against [1/4, 1]
@@ -51,13 +51,14 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def require(gap, tol, fail) -> None:
-    """Raise fail(k) if gap > tol anywhere, where k indexes the first failing
-    entry of gap in C order, or is () for a scalar gap. A NaN gap passes."""
-    if not isinstance(gap, np.ndarray):  # np.any on a scalar costs ~100x a plain compare
-        if gap > tol:
+    """Raise fail(k) unless gap <= tol everywhere, where k indexes the first failing
+    entry of gap in C order, or is () for a scalar gap. A NaN gap fails: no check
+    can vouch for a value that is not a number."""
+    if not isinstance(gap, np.ndarray):  # np.all on a scalar costs ~100x a plain compare
+        if not gap <= tol:
             raise fail(())
-    elif (bad := gap > tol).any():
-        raise fail(np.unravel_index(np.argmax(bad), bad.shape))
+    elif not (ok := gap <= tol).all():
+        raise fail(np.unravel_index(np.argmin(ok), ok.shape))
 
 
 def as_finite(value, shape: tuple, what: str, error=OutOfRange, dtype=float, stack_axes=0) -> np.ndarray:

@@ -23,15 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import belltests, linalg, measurement
-from .errors import ConsistencyError, EmptyShotList, InvalidDistribution, OutOfRange
+from .errors import ConsistencyError, EmptyShotList, InvalidDistribution, OutOfRange, shown
 from .inversion import InversionKernel
 from .measurement import OUTCOMES, OutcomeIndex
 
-# [low, high) and kind of each integer that keys a run's streams; the config document
-# checks the same entries. Past MAX_SHOTS a running mean's divisor is no longer exact.
-RNG_RANGES = {
+# [low, high) and kind of every integer input, from a config document, argv or a call:
+# checked_integer admits each. Past MAX_SHOTS a running mean's divisor is no longer exact.
+INTEGERS = {
+    "shots": (0, math.inf, "a nonnegative integer"),
     "seed": (0, 2**64, "an unsigned 64-bit integer"),
     "stream_count": (1, math.inf, "a positive integer"),
+    "stream": (0, math.inf, "a nonnegative integer"),
+    "trials": (1, math.inf, "a positive integer"),
 }
 MAX_SHOTS = 2**53
 
@@ -51,11 +54,14 @@ _DIGIT_WORDS = np.concatenate([_WORD_BYTES, _WORD_BYTES * (_PREFIXES > 0)]).view
 _POINT = np.frombuffer(b"\0" * 20 + b"0.000", np.uint8)  # [15 - x:] leads exponent x's row
 
 
-def as_integer(value, what: str) -> int:
-    """value as an int, if it is a Python or numpy integer; else OutOfRange naming what.
-    bool subclasses int, and a float such as 1.5 would key seed 1's stream."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise OutOfRange(f"{what} must be an integer, got {value!r}")
+def checked_integer(name: str, value, error=OutOfRange) -> int:
+    """value as an int, if it is a Python or numpy integer in INTEGERS[name]'s [low, high);
+    else error naming name. bool subclasses int, but `"shots": true` is a mistake, not a
+    one-shot run, and a float such as 1.5 would key seed 1's stream."""
+    low, high, kind = INTEGERS[name]
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and low <= int(value) < high):
+        raise error(f"{name}: expected {kind}, got {shown(value)}")
     return int(value)
 
 
@@ -67,16 +73,12 @@ class RngConfig:
     stream_count: int = 1
 
     def __post_init__(self):
-        for name, (low, high, _) in RNG_RANGES.items():
-            value = as_integer(getattr(self, name), name)
-            if not low <= value < high:  # a finite high is a power of two
-                rule = f"be >= {low}" if high == math.inf else f"lie in [{low}, 2**{high.bit_length() - 1})"
-                raise OutOfRange(f"{name} must {rule}, got {value}")
-            object.__setattr__(self, name, value)
+        for name in ("seed", "stream_count"):
+            object.__setattr__(self, name, checked_integer(name, getattr(self, name)))
 
     def generator(self, stream: int) -> np.random.Generator:
-        stream = as_integer(stream, "stream")
-        if not 0 <= stream < self.stream_count:
+        stream = checked_integer("stream", stream)
+        if stream >= self.stream_count:
             raise OutOfRange(f"stream {stream} outside [0, {self.stream_count})")
         # a plain list would go through float64 for seeds >= 2**63, merging seeds
         key = np.array([self.seed, stream], dtype=np.uint64)
@@ -122,9 +124,7 @@ class ShotDraws:
     nothing is never keyed. p and n are checked before any stream is keyed."""
 
     def __init__(self, probabilities, n, config: RngConfig):
-        n = as_integer(n, "shot count")
-        if n < 0:
-            raise OutOfRange(f"shot count must be nonnegative, got {n}")
+        n = checked_integer("shots", n)
         if n > MAX_SHOTS:
             raise OutOfRange(f"shot count {n} is too many: a running mean's divisor "
                              f"is exact only up to 2**53 = {MAX_SHOTS}")

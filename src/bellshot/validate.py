@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import belltests, inversion, linalg, measurement, observables, sampler, states
-from .errors import BellshotError, OutOfRange
+from .errors import BellshotError
 
 DEFAULT_TRIALS = 25
 
@@ -84,16 +84,22 @@ def _random_case(rng):
     return settings, kernel, povm, rho, measurement.observed_statistics(rho, povm)
 
 
+def _verdict(passed, message):
+    """(passed, message()), or (passed, "") for a check that passes: a failure message
+    is formatted only when its check fails, and before the check moves on."""
+    return passed, "" if passed else message()
+
+
 def _check_linalg(rng, trials):
     for _ in range(trials):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         m = g + g.conj().T
         vals = linalg.eigvals_hermitian(m)
         # eigenvalues must reproduce the trace and the Frobenius norm
-        yield (abs(vals.sum() - np.trace(m).real) <= linalg.DUAL_PATH_TOL,
-               f"eigenvalue sum != trace for {m!r}")
-        yield (abs((vals**2).sum() - np.trace(m @ m).real) <= linalg.DUAL_PATH_TOL,
-               f"eigenvalue squares != tr(m^2) for {m!r}")
+        yield _verdict(abs(vals.sum() - np.trace(m).real) <= linalg.DUAL_PATH_TOL,
+                       lambda: f"eigenvalue sum != trace for {m!r}")
+        yield _verdict(abs((vals**2).sum() - np.trace(m @ m).real) <= linalg.DUAL_PATH_TOL,
+                       lambda: f"eigenvalue squares != tr(m^2) for {m!r}")
         yield np.all(np.diff(vals) >= 0.0), "eigenvalues not sorted"
 
 
@@ -101,12 +107,13 @@ def _check_states(rng, trials):
     for _ in range(trials):
         rho = states.random_density_matrix(rng)
         purity = linalg.trace_product(rho.matrix, rho.matrix).real
-        yield (0.25 - linalg.TRACE_TOL <= purity <= 1.0 + linalg.TRACE_TOL,
-               f"purity {purity} outside [1/4, 1]")
+        yield _verdict(0.25 - linalg.TRACE_TOL <= purity <= 1.0 + linalg.TRACE_TOL,
+                       lambda: f"purity {purity} outside [1/4, 1]")
     for which in states.BellState:
         rho = states.bell_state(which)
         purity = linalg.trace_product(rho.matrix, rho.matrix).real
-        yield abs(purity - 1.0) <= linalg.TRACE_TOL, f"{which.value} not pure: purity {purity}"
+        yield _verdict(abs(purity - 1.0) <= linalg.TRACE_TOL,
+                       lambda: f"{which.value} not pure: purity {purity}")
     eta = float(rng.uniform(0.0, 1.0))
     states.werner_state(eta)  # constructor enforces PSD/trace
     yield True, ""
@@ -120,8 +127,8 @@ def _check_observables(rng, trials):
         )
         vecs = np.linalg.eigh(observables.bloch_operator(n))[1]
         plus = np.outer(vecs[:, 1], vecs[:, 1].conj())  # eigh sorts the +1 eigenvalue last
-        yield (np.abs(povm.element_plus - plus).max() <= linalg.PROJECTOR_TOL,
-               f"sharp POVM for {n} is not the +1 eigenprojector of n.sigma")
+        yield _verdict(np.abs(povm.element_plus - plus).max() <= linalg.PROJECTOR_TOL,
+                       lambda: f"sharp POVM for {n} is not the +1 eigenprojector of n.sigma")
 
 
 def _check_measurement(rng, trials):
@@ -137,8 +144,8 @@ def _check_measurement(rng, trials):
         got = povm.marginal_element(label, w)
         n = settings.get(label).bloch
         expected = 0.5 * (np.eye(2) + gammas.of(label) * w * observables.bloch_operator(n))
-        yield (np.abs(got - expected).max() <= linalg.COMPLETENESS_TOL,
-               f"marginal element mismatch for {label.value}, w={w}")
+        yield _verdict(np.abs(got - expected).max() <= linalg.COMPLETENESS_TOL,
+                       lambda: f"marginal element mismatch for {label.value}, w={w}")
         rho = states.random_density_matrix(rng)
         probs = measurement.observed_statistics(rho, povm)
         # each A-B pair marginal of p against tr[rho (E_a(w) x E_b(w'))], with the
@@ -149,8 +156,8 @@ def _check_measurement(rng, trials):
         gap = max(abs(m.sum(axis=(1 - a, 5 - b))[i, j]
                       - np.trace(rho.matrix @ np.kron(unsharp[a][i], unsharp[b][j])).real)
                   for a in (0, 1) for b in (2, 3) for i in (0, 1) for j in (0, 1))
-        yield (gap <= linalg.DUAL_PATH_TOL,
-               f"A-B pair marginals differ from Born values by {float(gap)!r}")
+        yield _verdict(gap <= linalg.DUAL_PATH_TOL,
+                       lambda: f"A-B pair marginals differ from Born values by {float(gap)!r}")
 
 
 def _check_inversion(rng, trials):
@@ -166,8 +173,8 @@ def _check_inversion(rng, trials):
             born = 0.5 * (1.0 + np.trace(rho.matrix @ local).real)
             gaps.append(abs(inversion.single_marginal(q, key)[0] - born))
         gap = np.max(gaps)  # NaN, if any, fails the check
-        yield (gap <= linalg.DUAL_PATH_TOL,
-               f"one-observable marginals differ from sharp Born values by {float(gap)!r} in trial {trial}")
+        yield _verdict(gap <= linalg.DUAL_PATH_TOL, lambda: f"one-observable marginals differ "
+                       f"from sharp Born values by {float(gap)!r} in trial {trial}")
         for label in observables.ObservableLabel:
             inversion.reconstructed_sharp_povm(kernel, povm, label)
             yield True, ""
@@ -183,8 +190,8 @@ def _check_inversion(rng, trials):
                 )
                 direct[i, j] = linalg.trace_product(rho.matrix, proj).real
         gap = np.abs(table - direct).max()
-        yield (gap <= linalg.DUAL_PATH_TOL, f"cross marginal (x, u) differs from sharp Born "
-               f"probabilities by {float(gap)!r} in trial {trial}")
+        yield _verdict(gap <= linalg.DUAL_PATH_TOL, lambda: f"cross marginal (x, u) differs "
+                       f"from sharp Born probabilities by {float(gap)!r} in trial {trial}")
 
 
 def _check_belltests(rng, trials):
@@ -198,8 +205,8 @@ def _check_belltests(rng, trials):
     gamma = float(rng.uniform(0.4, 0.7))
     kernel = inversion.build_kernel(measurement.GammaSet.equal(gamma))
     values = np.abs(belltests.single_shot_chsh_table(kernel))
-    yield (np.abs(values - 2.0 / gamma**2).max() <= linalg.BOUNDARY_TOL,
-           f"equal-gamma single-shot magnitude != 2/gamma^2 at {gamma}")
+    yield _verdict(np.abs(values - 2.0 / gamma**2).max() <= linalg.BOUNDARY_TOL,
+                   lambda: f"equal-gamma single-shot magnitude != 2/gamma^2 at {gamma}")
 
 
 def _check_sampler(rng, trials):
@@ -208,7 +215,8 @@ def _check_sampler(rng, trials):
     cfg = sampler.RngConfig(seed=seed, stream_count=3)
     first = sampler.sample_indices(observed, 200, cfg)
     second = sampler.sample_indices(observed, 200, cfg)
-    yield np.array_equal(first, second), f"resampling with seed {seed} not reproducible"
+    yield _verdict(np.array_equal(first, second),
+                   lambda: f"resampling with seed {seed} not reproducible")
     # two routes from the same shots to an ensemble value must agree
     freqs = sampler.empirical_frequencies(first)
     via_quasi = belltests.ensemble_chsh(inversion.invert_distribution(kernel, freqs))
@@ -221,8 +229,7 @@ def validate_all(seed: int, trials: int = DEFAULT_TRIALS) -> ValidationReport:
     check yields one (passed, message) pair per invariant it tests, and a
     constructor that enforces its own invariants passes once it returns. trials below
     1 raise OutOfRange, since checks that ran no trial would pass vacuously."""
-    if sampler.as_integer(trials, "trials") < 1:
-        raise OutOfRange(f"trials must be >= 1, got {trials}")
+    trials = sampler.checked_integer("trials", trials)
     checks = [
         ("linalg.eigvals_hermitian", _check_linalg),
         ("states.density_matrices", _check_states),
@@ -242,4 +249,4 @@ def validate_all(seed: int, trials: int = DEFAULT_TRIALS) -> ValidationReport:
             continue
         failures = tuple(message for passed, message in verdicts if not passed)
         results.append(CheckResult(name, len(verdicts), failures))
-    return ValidationReport(seed=seed, results=tuple(results))
+    return ValidationReport(seed=streams.seed, results=tuple(results))

@@ -4,6 +4,7 @@ a pipeline function has one binding, on the module that defines it, so a
 stage patched there is the stage every command calls, and the rule that a
 public entry point refuses a bad argument with a BellshotError."""
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -36,11 +37,15 @@ from bellshot import (
     measurement,
     observable_set,
     sample_indices,
+    validate,
     validate_all,
     werner_state,
 )
+from bellshot import cli
 from bellshot.cli import main
-from bellshot.sampler import ShotDraws
+from bellshot.config import ExperimentConfig
+from bellshot.errors import ConfigError, OutOfRange
+from bellshot.sampler import MAX_SHOTS, ShotDraws
 from conftest import OPTIMAL_BLOCHS, ROOT_HALF
 from test_cli import CORRUPTIBLE_COMMANDS, singlet_config
 
@@ -171,3 +176,73 @@ CASES = [(entry, bad) for entry in NUMERIC for bad in BAD if bad != "1.5"] + [
 def test_public_entry_points_refuse_bad_arguments_with_a_bellshot_error(entry, bad):
     with pytest.raises(BellshotError):
         ENTRY_POINTS[entry](BAD[bad])
+
+
+def admitted(side, value, error) -> "int | str":
+    """The int side(value) admits value as, or the text of the error it raises, which
+    must be of type error."""
+    try:
+        got = side(value)
+    except BellshotError as exc:
+        assert type(exc) is error, repr(exc)
+        return str(exc)
+    assert type(got) is int
+    return got
+
+
+def trials_through_main(monkeypatch, capsys):
+    """validate's --trials as main admits it: a parser that hands main the value, and a
+    cmd_validate that records what it gets; a refusal is re-raised from its exit-2 line."""
+    def side(value):
+        seen = []
+        args = argparse.Namespace(command="validate", seed=7, trials=value)
+        monkeypatch.setattr(cli, "build_parser", lambda: types.SimpleNamespace(parse_args=lambda argv: args))
+        monkeypatch.setattr(cli, "cmd_validate", lambda seed, trials: seen.append(trials) or 0)
+        if main([]) == 2:
+            raise ConfigError(capsys.readouterr().err.removeprefix("config error: ").removesuffix("\n"))
+        return seen[0]
+    return side
+
+
+def trials_through_validate_all(monkeypatch):
+    """validate_all's trials as it admits them, recorded by stand-in checks that run none."""
+    def side(value):
+        seen = []
+
+        def check(rng, trials):
+            seen.append(trials)
+            yield True, ""
+
+        for name in [n for n in vars(validate) if n.startswith("_check_")]:
+            monkeypatch.setattr(validate, name, check)
+        assert validate_all(7, trials=value).passed
+        return seen[0]
+    return side
+
+
+def from_dict(name):
+    """The config field name as from_dict admits it."""
+    doc = {"state": {"bell": "psi_minus"}, "gammas": 0.5}
+    return lambda v: getattr(ExperimentConfig.from_dict({**doc, name: v}), name)
+
+
+INTEGER_VALUES = {"-1": -1, "0": 0, "1.5": 1.5, "True": True, "None": None, "'1'": "1",
+                  "np.int64(3)": np.int64(3), "2**64": 2**64, "10**400": 10**400}
+
+
+@pytest.mark.parametrize("value", INTEGER_VALUES)
+@pytest.mark.parametrize("name", ["seed", "stream_count", "shots", "trials"])
+def test_a_config_and_the_api_admit_the_same_integers(monkeypatch, capsys, name, value):
+    v = INTEGER_VALUES[value]
+    config_side, api_side = {
+        "seed": (from_dict("seed"), lambda v: RngConfig(v).seed),
+        "stream_count": (from_dict("stream_count"), lambda v: RngConfig(0, v).stream_count),
+        "shots": (from_dict("shots"), lambda v: ShotDraws(np.full(16, 1 / 16), v, RngConfig(0)).n),
+        "trials": (trials_through_main(monkeypatch, capsys), trials_through_validate_all(monkeypatch)),
+    }[name]
+    config, api = admitted(config_side, v, ConfigError), admitted(api_side, v, OutOfRange)
+    if name == "shots" and isinstance(config, int) and config > MAX_SHOTS:
+        # the rule admits it; the sampler's own bound refuses it, as it refuses it to run
+        assert api.startswith(f"shot count {config} is too many: ")
+    else:
+        assert config == api

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellshot import cli, measurement, sampler
+from bellshot import cli, inversion, measurement, sampler
 from bellshot.belltests import ensemble_chsh, single_shot_ch_table, single_shot_chsh_table
 from bellshot.cli import SWEEP_BLOCK, _atomic_write, main
 from bellshot.config import ExperimentConfig
@@ -756,6 +756,24 @@ def test_a_corrupted_kernel_fails_every_command(tmp_path, capsys, request, comma
     assert err.startswith("internal consistency failure: single-shot CHSH paths disagree at ")
     assert_worst_outcome_named(err.rstrip("\n"))
     assert os.listdir(out) == []  # nothing half-written is left behind
+
+
+def test_a_nan_in_the_stacked_kernel_tables_fails_the_gamma_sweep(tmp_path, capsys, monkeypatch):
+    # the sweep checks its stack of tables by column sums alone, and a NaN sum must fail them
+    original = inversion.kernel_tables
+
+    def kernel_tables(gammas):
+        tables = original(gammas)
+        tables[..., 3, 5] = np.nan
+        return tables
+
+    monkeypatch.setattr(inversion, "kernel_tables", kernel_tables)
+    out = tmp_path / "out"
+    code = main(["sweep", "--axis", "gamma", "--grid-values", "0.6", "0.7",
+                 "--config", singlet_config(tmp_path), "--out", str(out)])
+    assert (code, *capsys.readouterr()) == (
+        1, "", "internal consistency failure: kernel column sums deviate from 1 by nan\n")
+    assert os.listdir(out) == []
 
 
 def test_gammas_below_the_amplification_floor_exit_2(tmp_path, capsys):

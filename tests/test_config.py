@@ -71,6 +71,8 @@ DOCUMENTS = {
                        "state.custom: density matrix: min eigenvalue = -0.5 below -1e-10"),
     "observables_not_object": (doc(observables=[1, 2]),
                                'observables: expected keys "x", "y", "u", "v" (Bloch 3-vectors)'),
+    "observables_null": (doc(observables=None),
+                         'observables: expected keys "x", "y", "u", "v" (Bloch 3-vectors)'),
     "observables_keys": (doc(observables={k: SETTINGS[k] for k in "xyu"}),
                          'observables: expected keys "x", "y", "u", "v" (Bloch 3-vectors)'),
     "observables_x_shape": (doc(observables={**SETTINGS, "x": [1, 0]}),

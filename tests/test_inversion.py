@@ -107,7 +107,7 @@ def test_build_kernel_column_sums():
 
 
 def test_kernel_table_must_be_finite():
-    # a NaN gap passes the column-sum check, so the table's own admission must refuse it
+    # the table's admission refuses a NaN, naming its entry, before the column-sum check sees it
     gammas = GammaSet.equal(0.8)
     table = build_kernel(gammas).table.copy()
     table[2, 5] = np.nan
@@ -304,6 +304,14 @@ def test_quasi_checks_name_the_first_failing_distribution():
     with pytest.raises(InvalidDistribution, match=r"sums to 1\.12"):
         require_quasi_entries(stack)
     require_quasi_entries(stack[:1])
+
+
+@pytest.mark.parametrize("bad,total", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+def test_a_non_finite_entry_fails_the_stacked_sum_check(bad, total):
+    stack = np.full((3, 16), 1 / 16)
+    stack[1, 4] = bad
+    with pytest.raises(InvalidDistribution, match=rf"^quasi-distribution sums to {total}, expected 1$"):
+        require_quasi_entries(stack)
 
 
 def test_negative_entries_are_preserved():

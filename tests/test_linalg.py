@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -86,3 +88,17 @@ def test_as_finite_validation():
 def test_eigvals_rejects_other_shapes():
     with pytest.raises(OutOfRange):
         linalg.eigvals_hermitian(np.eye(3, dtype=complex))
+
+
+@pytest.mark.parametrize("gap,index", [
+    (float("nan"), ()),
+    (np.float64("nan"), ()),
+    (np.array([[0.0, 0.0], [np.nan, 0.0]]), (1, 0)),
+    (np.array([0.0, 1.0, np.nan]), (1,)),  # the first failing entry, a NaN or not
+])
+def test_require_fails_closed_on_nan(gap, index):
+    # NaN compares false with any tolerance, so a check that can vouch for nothing fails
+    with pytest.raises(OutOfRange, match=rf"^{re.escape(str(index))}$"):
+        linalg.require(gap, 1e-12, lambda k: OutOfRange(str(tuple(map(int, k)))))
+    linalg.require(np.zeros((2, 2)), 1e-12, lambda k: OutOfRange(str(k)))
+    linalg.require(0.0, 1e-12, lambda k: OutOfRange(str(k)))

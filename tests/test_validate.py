@@ -22,6 +22,9 @@ def test_validate_all_passes():
 
 def test_same_seed_reproduces_report():
     assert validate_all(seed=7, trials=3) == validate_all(seed=7, trials=3)
+    # a numpy seed is admitted as the int it holds, and reported as that int
+    report = validate_all(seed=np.uint64(7), trials=3)
+    assert type(report.seed) is int and report == validate_all(seed=7, trials=3)
 
 
 def test_fault_injection_reports_failure(corrupted_kernel):
@@ -100,7 +103,7 @@ def test_validate_all_takes_only_unsigned_64_bit_integer_seeds(seed):
 @pytest.mark.parametrize("trials", [0, -3, 2.5, True, "abc", None])
 def test_validate_all_takes_only_positive_integer_trials(trials):
     # trials=0 would pass a report whose checks ran no trial
-    with pytest.raises(OutOfRange, match="trials must be"):
+    with pytest.raises(OutOfRange, match="^trials: expected a positive integer, got "):
         validate_all(7, trials=trials)
 
 
