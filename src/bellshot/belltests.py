@@ -49,9 +49,10 @@ def _in_order_sum(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(terms, axis=-1)[..., -1]
 
 
-def _require_agreement(what: str, first: np.ndarray, second: np.ndarray, where) -> None:
-    """Raise ConsistencyError at the entry where two routes differ most, if
-    that is by more than linalg.DUAL_PATH_TOL; where(*index) names the entry."""
+def require_agreement(what: str, first, second, where) -> None:
+    """The one route check: raise ConsistencyError at the entry where two routes differ
+    most, if that is by more than linalg.DUAL_PATH_TOL; where(*index) names the entry."""
+    first, second = np.asarray(first, dtype=float), np.asarray(second, dtype=float)
     gap = np.abs(first - second)
     k = np.unravel_index(np.argmax(gap), gap.shape)
     linalg.require(gap[k], linalg.DUAL_PATH_TOL, lambda _: ConsistencyError(
@@ -85,7 +86,7 @@ def single_shot_chsh_tables(tables: np.ndarray, gammas) -> np.ndarray:
         + gx * gv * SIGNS_Y * SIGNS_U
         + gx * gu * SIGNS_Y * SIGNS_V
     ) / (gx * gy * gu * gv)
-    _require_agreement("single-shot CHSH", by_sum, closed, lambda *k: OUTCOMES[k[-1]])
+    require_agreement("single-shot CHSH", by_sum, closed, lambda *k: OUTCOMES[k[-1]])
     return closed
 
 
@@ -119,8 +120,8 @@ def single_shot_ch_tables(gammas) -> np.ndarray:
         + (x * u) / (4.0 * gx * gu)
         + (y * u) / (4.0 * gy * gu)
     )
-    _require_agreement("single-shot CH", by_substitution, closed,
-                       lambda *k: f"({OUTCOMES[k[-2]]}, {OUTCOMES[k[-1]]})")
+    require_agreement("single-shot CH", by_substitution, closed,
+                      lambda *k: f"({OUTCOMES[k[-2]]}, {OUTCOMES[k[-1]]})")
     return closed
 
 
@@ -144,40 +145,34 @@ class Verdict:
         return d
 
 
-def _require_finite(value: float) -> None:
-    # NaN fails every comparison, so it would fall through to "satisfied". A plain
-    # math.isfinite, not linalg.as_finite: exact makes 33 verdicts per call.
-    try:
-        if math.isfinite(value):
-            return
-        value = float(value)
+def _bound_verdict(value: float, low: float, high: float, names=("upper", "lower")) -> Verdict:
+    """The one classical-bound rule, low <= value <= high, judged on the gap to each bound:
+    past one by more than linalg.BOUNDARY_TOL is a violation, naming that bound as names
+    (upper, lower) name it; within it, a boundary case."""
+    try:  # a plain math.isfinite, not linalg.as_finite: exact makes 33 verdicts per call
+        finite = math.isfinite(value)  # NaN fails every comparison, so it would read "satisfied"
+        value = value if finite else float(value)  # a numpy nan shows as nan
     except (TypeError, OverflowError):  # not a real number, or an int past float range
-        pass
-    raise OutOfRange(f"verdict needs a finite test value, got {value!r}")
+        finite = False
+    if not finite:
+        raise OutOfRange(f"verdict needs a finite test value, got {value!r}")
+    for bound, gap in zip(names, (value - high, low - value)):
+        if gap > linalg.BOUNDARY_TOL:
+            return Verdict("violated", gap, bound)
+    margin = min(high - value, value - low)
+    if margin <= linalg.BOUNDARY_TOL:
+        return Verdict("satisfied (boundary)", 0.0)
+    return Verdict("satisfied", margin)
 
 
 def chsh_verdict(value: float) -> Verdict:
-    """|S| <= 2 check; exact saturation reports as a boundary case."""
-    _require_finite(value)
-    excess = abs(value) - CHSH_BOUND
-    if excess > linalg.BOUNDARY_TOL:
-        return Verdict("violated", excess)
-    if abs(excess) <= linalg.BOUNDARY_TOL:
-        return Verdict("satisfied (boundary)", 0.0)
-    return Verdict("satisfied", -excess)
+    """|S| <= 2 check: _bound_verdict on [-2, 2], naming no bound."""
+    return _bound_verdict(value, -CHSH_BOUND, CHSH_BOUND, (None, None))
 
 
 def ch_verdict(value: float) -> Verdict:
-    """0 >= C >= -1 check; saturated bounds report as boundary cases."""
-    _require_finite(value)
-    if value > CH_UPPER_BOUND + linalg.BOUNDARY_TOL:
-        return Verdict("violated", value - CH_UPPER_BOUND, bound="upper")
-    if value < CH_LOWER_BOUND - linalg.BOUNDARY_TOL:
-        return Verdict("violated", CH_LOWER_BOUND - value, bound="lower")
-    if (abs(value - CH_UPPER_BOUND) <= linalg.BOUNDARY_TOL
-            or abs(value - CH_LOWER_BOUND) <= linalg.BOUNDARY_TOL):
-        return Verdict("satisfied (boundary)", 0.0)
-    return Verdict("satisfied", min(CH_UPPER_BOUND - value, value - CH_LOWER_BOUND))
+    """0 >= C >= -1 check: _bound_verdict on [-1, 0]."""
+    return _bound_verdict(value, CH_LOWER_BOUND, CH_UPPER_BOUND)
 
 
 @dataclass(frozen=True)
@@ -220,7 +215,7 @@ def chsh_report(kernel: InversionKernel, observed) -> ChshReport:
     p = linalg.as_finite(observed, (16,), "observed statistics", InvalidDistribution)
     via_quasi = ensemble_chsh(inversion.invert_distribution(kernel, p))
     table = single_shot_chsh_table(kernel)
-    _require_agreement("ensemble CHSH", np.float64(via_quasi), table @ p, lambda: "S")
+    require_agreement("ensemble CHSH", via_quasi, table @ p, lambda: "S")
     return ChshReport(s_values=S_VALUES, ensemble_S=via_quasi, single_shot_S=table)
 
 
@@ -243,7 +238,7 @@ def ch_report(kernel: InversionKernel, observed) -> ChReport:
         - m.sum(axis=(0, 2, 3))[iy]
         - m.sum(axis=(0, 1, 3))[iu]
     )
-    _require_agreement("ensemble CH", by_average, by_marginals, lambda j: OUTCOMES[j])
+    require_agreement("ensemble CH", by_average, by_marginals, lambda j: OUTCOMES[j])
     return ChReport(single_shot_C=grid, ensemble_C=by_average)
 
 
@@ -258,7 +253,7 @@ def classical_bounds_check(report) -> dict:
         grid = report.single_shot_C
         # ch_verdict's "violated" predicate, over the whole grid at once
         tol = linalg.BOUNDARY_TOL
-        violated = (grid > CH_UPPER_BOUND + tol) | (grid < CH_LOWER_BOUND - tol)
+        violated = (grid - CH_UPPER_BOUND > tol) | (CH_LOWER_BOUND - grid > tol)
         return {
             "ensemble_C": [ch_verdict(c).as_dict() for c in report.ensemble_C.tolist()],
             "single_shot_C": {

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import __version__, belltests, inversion, linalg, measurement, sampler, states
+from . import __version__, belltests, inversion, measurement, sampler, states
 from .config import SETTING_KEYS, ExperimentConfig, load_config
 from .errors import BellshotError, ConfigError, ConsistencyError, OutOfRange
 from .measurement import GAMMA_MIN, OUTCOME_ORDER_DOC, GammaSet
@@ -142,14 +142,13 @@ def cmd_run(config: ExperimentConfig, out_dir: str) -> int:
 
     def write(fh):
         counts, summary = sampler.stream_summary(kernel, shots, fh)
-        freqs = counts / summary["shots"]
-        via_freqs, via_mean = belltests.chsh_report(kernel, freqs).ensemble_S, summary["mean_S"]
-        linalg.require(abs(via_freqs - via_mean), linalg.DUAL_PATH_TOL, lambda _: ConsistencyError(
-            f"empirical S paths disagree: frequency inversion {via_freqs!r} vs shot mean {via_mean!r}"))
-        return freqs, summary, via_freqs
+        quasi = inversion.invert_distribution(kernel, counts / summary["shots"])
+        via_freqs = belltests.ensemble_chsh(quasi)
+        belltests.require_agreement("empirical S", via_freqs, summary["mean_S"],
+                                    lambda: "frequency inversion vs shot mean")
+        return summary, quasi, via_freqs
 
-    freqs, summary, via_freqs = _atomic_write(csv_path, write)
-    empirical_quasi = inversion.invert_distribution(kernel, freqs)
+    summary, empirical_quasi, via_freqs = _atomic_write(csv_path, write)
     payload = {
         "shots": summary["shots"],
         "seed": config.seed,
@@ -191,19 +190,21 @@ def _sweep_grid(args) -> list[float]:
 
 def _sweep_rows(config: ExperimentConfig, axis: str, grid: list[float]):
     """Sweep rows, one iterable per SWEEP_BLOCK grid points. Along gamma, kernels and realizability
-    are stacked against one gamma-free quasi-distribution, as ensemble S and the min quasi
-    entry survive the exact inversion; along werner_eta, states and quasi-distributions are
-    stacked against kernel columns computed once. Each stack passes every one-item check."""
-    def kernel_columns(gammas, tables):  # abs_single_shot_S, ch_min, ch_max
-        chsh, ch = belltests.single_shot_chsh_tables(tables, gammas), belltests.single_shot_ch_tables(gammas)
+    are stacked against one gamma-free quasi-distribution, whose ensemble S (on that one route)
+    and min entry survive the exact inversion; along werner_eta, states and quasi-distributions
+    are stacked against kernel columns computed once, and ensemble S passes both routes."""
+    def kernel_columns(chsh, gammas):  # abs_single_shot_S, ch_min, ch_max
+        ch = belltests.single_shot_ch_tables(gammas)
         return np.abs(chsh).max(axis=-1), ch.min(axis=(-2, -1)), ch.max(axis=(-2, -1))
 
     if axis == "gamma":
         quasi = inversion.gamma_free_quasi(config.state, config.settings).entries
+        ensemble_S = belltests.ensemble_chsh_values(quasi)
     elif axis == "werner_eta":
         kernel = inversion.build_kernel(config.gammas)
         povm = measurement.joint_povm(config.settings, config.gammas)
-        kernel_side, realizable_column = kernel_columns(config.gammas.as_tuple(), kernel.table), np.True_
+        chsh = belltests.single_shot_chsh_tables(kernel.table, config.gammas.as_tuple())
+        kernel_side, realizable_column = kernel_columns(chsh, config.gammas.as_tuple()), np.True_
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     for start in range(0, len(grid), SWEEP_BLOCK):
@@ -216,7 +217,7 @@ def _sweep_rows(config: ExperimentConfig, axis: str, grid: list[float]):
                                   f"[{GAMMA_MIN ** 0.25:.4g}, 1] in magnitude")
             tables = inversion.kernel_tables(gammas)
             inversion.require_column_sums(tables)
-            kernel_side = kernel_columns(gammas, tables)
+            kernel_side = kernel_columns(belltests.single_shot_chsh_tables(tables, gammas), gammas)
             realizable_column = measurement.realizable(config.settings, gammas)
         else:
             etas = np.array(values)
@@ -224,9 +225,13 @@ def _sweep_rows(config: ExperimentConfig, axis: str, grid: list[float]):
             if np.any(bad):
                 raise ConfigError(f"sweep werner_eta {values[np.argmax(bad)]!r} outside [0, 1]")
             rho = states.density_matrices(states.werner_matrices(etas), stack_axes=1)
-            quasi = inversion.inverted_entries(kernel, measurement.born_probabilities(rho, povm))
+            p = measurement.born_probabilities(rho, povm)
+            quasi = inversion.inverted_entries(kernel, p)
             inversion.require_quasi_entries(quasi)
-        columns = (belltests.ensemble_chsh_values(quasi), *kernel_side, quasi.min(axis=-1), realizable_column)
+            ensemble_S = belltests.ensemble_chsh_values(quasi)
+            belltests.require_agreement("ensemble CHSH", ensemble_S, p @ chsh,
+                                        lambda i: f"werner_eta {values[i]!r}")
+        columns = (ensemble_S, *kernel_side, quasi.min(axis=-1), realizable_column)
         # each column holds a value per grid point of the block, or one for the whole sweep
         yield zip(values, *(c.tolist() if np.ndim(c) else [c.item()] * len(values) for c in columns))
 

@@ -171,7 +171,10 @@ def cross_marginal(q: QuasiDistribution, pair) -> np.ndarray:
     the inversion guarantees nonnegativity up to rounding; entries within
     linalg.MARGINAL_CLAMP_TOL below zero are clamped and anything worse raises.
     """
-    label_a, label_b = ObservableLabel(pair[0]), ObservableLabel(pair[1])
+    try:
+        label_a, label_b = map(ObservableLabel, pair)
+    except (TypeError, ValueError):  # not iterable, or not two items
+        raise OutOfRange(f"cross marginal needs a pair of observable labels, got {pair!r}") from None
     if label_a not in A_LABELS or label_b not in B_LABELS:
         raise OutOfRange(
             f"cross marginal needs one A observable and one B observable, "

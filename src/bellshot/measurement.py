@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, observables
 from .errors import ConsistencyError, GammaOutOfRange, NotPositive, OutOfRange
 from .observables import ObservableLabel, ObservableSet, ObservableSpec
 
@@ -74,9 +74,7 @@ class OutcomeIndex:
 
     def __post_init__(self):
         for name in ("x", "y", "u", "v"):
-            w = getattr(self, name)
-            if w not in (-1, 1):
-                raise OutOfRange(f"outcome component {name} = {w!r}, must be +1 or -1")
+            observables.checked_sign(getattr(self, name), f"outcome component {name}")
 
     def to_index(self) -> int:
         return 8 * sign_index(self.x) + 4 * sign_index(self.y) + 2 * sign_index(self.u) + sign_index(self.v)
@@ -91,7 +89,7 @@ _INDEX_OF = {**{i: i for i in range(16)}, **{xi: i for i, xi in enumerate(OUTCOM
 
 
 def as_indices(shots) -> np.ndarray:
-    """Shots given as an int array, ints or OutcomeIndex, as int64 indices. Booleans are
+    """Shots given as a 1-D int array, ints or OutcomeIndex, as int64 indices. Booleans are
     refused, though numpy's safe cast and the index lookup would read them as 1 and 0."""
     try:
         if isinstance(shots, np.ndarray):
@@ -105,6 +103,8 @@ def as_indices(shots) -> np.ndarray:
         raise OutOfRange(f"not an outcome index or OutcomeIndex: {exc}") from None
     if booleans:
         raise OutOfRange("shots are booleans, not outcome indices")
+    if idx.ndim != 1:
+        raise OutOfRange(f"shots have shape {idx.shape}, expected one outcome index per shot")
     if idx.size and not 0 <= idx.min() <= idx.max() <= 15:
         raise OutOfRange(f"shot indices span {idx.min()}..{idx.max()}, outside 0..15")
     return idx
@@ -237,7 +237,7 @@ class JointPovm:
     def marginal_element(self, label, w: int) -> np.ndarray:
         """Unsharp marginal (I + gamma w n.sigma) / 2 of one observable,
         obtained by summing out the partner outcome."""
-        label = ObservableLabel(label)
+        label, w = ObservableLabel(label), observables.checked_sign(w, "outcome sign w")
         elements = self.subsystem_a if label.value in ("x", "y") else self.subsystem_b
         first = label.value in ("x", "u")
         return elements.reshape(2, 2, 2, 2).sum(axis=1 if first else 0)[sign_index(w)]

@@ -31,6 +31,16 @@ A_LABELS = (ObservableLabel.X, ObservableLabel.Y)
 B_LABELS = (ObservableLabel.U, ObservableLabel.V)
 
 
+def checked_sign(w, what: str) -> int:
+    """w if it is +1 or -1, else OutOfRange naming what: the one rule for an outcome sign."""
+    try:
+        if w in (-1, 1):
+            return w
+    except ValueError:  # an array of several entries has no single truth value
+        pass
+    raise OutOfRange(f"{what} = {w!r}, must be +1 or -1")
+
+
 def bloch_operator(n) -> np.ndarray:
     """n . sigma for a finite real 3-vector n, else OutOfRange."""
     n = linalg.as_finite(n, (3,), "bloch vector")
@@ -83,7 +93,7 @@ class SharpPovm:
             object.__setattr__(self, name, e)
 
     def element(self, w: int) -> np.ndarray:
-        return self.element_plus if w > 0 else self.element_minus
+        return self.element_plus if checked_sign(w, "outcome sign w") > 0 else self.element_minus
 
 
 def sharp_povm(obs: ObservableSpec) -> SharpPovm:

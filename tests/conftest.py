@@ -101,6 +101,23 @@ def corrupted_kernel(monkeypatch):
     monkeypatch.setattr(inversion, "kernel_tables", kernel_tables)
 
 
+@pytest.fixture
+def corrupted_inversion(monkeypatch):
+    """Every inversion, of one observed distribution or a Werner sweep's stack, with
+    1e-6 moved from outcome 3 to outcome 0. Each quasi-distribution still sums to 1,
+    so QuasiDistribution admits it; s(xi) is +2 at outcome 0 and -2 at outcome 3,
+    so ensemble S moves by 4e-6 and the observed-weighted single-shot route does not."""
+    original = inversion.inverted_entries
+
+    def inverted_entries(kernel, observed):
+        entries = original(kernel, observed)
+        entries[..., 0] += 1e-6
+        entries[..., 3] -= 1e-6
+        return entries
+
+    monkeypatch.setattr(inversion, "inverted_entries", inverted_entries)
+
+
 def fixed_17g_strings(values):
     """The sampler's vector %.17g as one str per value, or None if it declines."""
     chars = _fixed_17g(np.asarray(values, dtype=float))

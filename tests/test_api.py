@@ -8,6 +8,7 @@ import argparse
 import ast
 import importlib
 import inspect
+import re
 import types
 import warnings
 from collections import Counter
@@ -24,22 +25,32 @@ from bellshot import (
     QuasiDistribution,
     RngConfig,
     SharpPovm,
+    belltests,
     bloch_operator,
     build_kernel,
     ch_report,
     ch_verdict,
+    chsh_optimal_angles,
     chsh_report,
     chsh_verdict,
+    convergence_report,
+    cross_marginal,
     custom_state,
+    empirical_frequencies,
+    ensemble_from_shots,
     invert_distribution,
     inversion,
+    joint_povm,
     kernel_1d,
     measurement,
     observable_set,
     sample_indices,
+    sharp_povm,
+    shot_records,
     validate,
     validate_all,
     werner_state,
+    write_shot_csv,
 )
 from bellshot import cli
 from bellshot.cli import main
@@ -105,16 +116,19 @@ def test_pipeline_functions_are_called_through_their_module():
 
 
 STAGES = {measurement: ("born_traces", "product_povm", "born_probabilities"),
-          inversion: ("kernel_tables", "invert_distribution")}
+          inversion: ("kernel_tables", "invert_distribution"),
+          belltests: ("single_shot_chsh_tables",)}
 
 # the calls each command makes to each stage, directly or through another stage
-ALL_FIVE = {"born_traces": 1, "product_povm": 1, "born_probabilities": 1, "kernel_tables": 1,
-            "invert_distribution": 3}
+ALL_FOUR = {"born_traces": 1, "product_povm": 1, "born_probabilities": 1, "kernel_tables": 1}
 STAGE_CALLS = {
-    "exact": ALL_FIVE,
-    "run": ALL_FIVE,
-    "sweep_gamma": {"born_traces": 1, "product_povm": 1, "kernel_tables": 1},
-    "sweep_werner_eta": {"born_traces": 1, "product_povm": 1, "born_probabilities": 1, "kernel_tables": 1},
+    # chsh_report, ch_report and exact.json's quasi-distribution each invert
+    "exact": {**ALL_FOUR, "invert_distribution": 3, "single_shot_chsh_tables": 1},
+    # the frequencies once, checked against the shot mean; the exact S once, in chsh_report
+    "run": {**ALL_FOUR, "invert_distribution": 2, "single_shot_chsh_tables": 2},
+    "sweep_gamma": {"born_traces": 1, "product_povm": 1, "kernel_tables": 1, "single_shot_chsh_tables": 1},
+    "sweep_werner_eta": {"born_traces": 1, "product_povm": 1, "born_probabilities": 1, "kernel_tables": 1,
+                         "single_shot_chsh_tables": 1},
 }
 
 
@@ -246,3 +260,48 @@ def test_a_config_and_the_api_admit_the_same_integers(monkeypatch, capsys, name,
         assert api.startswith(f"shot count {config} is too many: ")
     else:
         assert config == api
+
+
+# each entry point that takes shots, as a function of the shots and a CSV path
+SHOT_TAKERS = {
+    "empirical_frequencies": lambda shots, path: empirical_frequencies(shots),
+    "convergence_report": lambda shots, path: convergence_report(kernel(), shots),
+    "write_shot_csv": lambda shots, path: write_shot_csv(path, kernel(), shots),
+    "shot_records": lambda shots, path: shot_records(kernel(), shots),
+    "ensemble_from_shots": lambda shots, path: ensemble_from_shots(kernel(), shots),
+}
+
+
+@pytest.mark.parametrize("shots", [np.array([[1, 2], [3, 4]]), np.array(3)], ids=["2-D", "0-D"])
+@pytest.mark.parametrize("entry", sorted(SHOT_TAKERS))
+def test_shots_that_are_not_one_index_per_shot_are_refused(tmp_path, entry, shots):
+    path = tmp_path / "shots.csv"
+    with pytest.raises(OutOfRange, match=rf"^shots have shape {re.escape(str(shots.shape))}, "):
+        SHOT_TAKERS[entry](shots, path)
+    assert list(tmp_path.iterdir()) == []  # refused before write_shot_csv opens its path
+
+
+def marginal_element(w):
+    return joint_povm(chsh_optimal_angles(), GammaSet.equal(ROOT_HALF)).marginal_element("u", w)
+
+
+SIGN_TAKERS = {
+    "JointPovm.marginal_element": marginal_element,
+    "SharpPovm.element": lambda w: sharp_povm(chsh_optimal_angles().x).element(w),
+    "OutcomeIndex": lambda w: measurement.OutcomeIndex(1, w, 1, 1),
+}
+
+
+@pytest.mark.parametrize("w", [0, "a", 2, None, 0.5, np.array([1, -1])], ids=repr)
+@pytest.mark.parametrize("entry", sorted(SIGN_TAKERS))
+def test_a_sign_is_plus_or_minus_one(entry, w):
+    what = "outcome component y" if entry == "OutcomeIndex" else "outcome sign w"
+    with pytest.raises(OutOfRange, match=rf"^{what} = .*, must be \+1 or -1$"):
+        SIGN_TAKERS[entry](w)
+
+
+@pytest.mark.parametrize("pair", [("x",), ("x", "u", "v"), ("x", "u", "y"), (), None, 5, "xuv"], ids=repr)
+def test_cross_marginal_takes_exactly_two_labels(pair):
+    q = QuasiDistribution(np.full(16, 1 / 16))
+    with pytest.raises(OutOfRange, match=r"^cross marginal needs a pair of observable labels, got "):
+        cross_marginal(q, pair)

@@ -1,7 +1,10 @@
 """CHSH and CH evaluators: closed forms, dual-path checks, verdicts."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bellshot import (
     ChReport,
@@ -24,6 +27,7 @@ from bellshot import (
     ensemble_from_shots,
     invert_distribution,
     joint_povm,
+    linalg,
     observed_statistics,
     s_of_xi,
     single_shot_ch_table,
@@ -247,6 +251,52 @@ def test_verdicts_refuse_values_that_are_not_finite(verdict, value):
         verdict(value)
 
 
+def reference_chsh_verdict(value: float) -> tuple:
+    """The |S| - 2 formula chsh_verdict used before CHSH and CH shared one bound rule,
+    kept as the reference that rule must reproduce bit for bit."""
+    excess = abs(value) - 2.0
+    if excess > linalg.BOUNDARY_TOL:
+        return ("violated", excess.hex())
+    if abs(excess) <= linalg.BOUNDARY_TOL:
+        return ("satisfied (boundary)", 0.0.hex())
+    return ("satisfied", (-excess).hex())
+
+
+def ulps_around(value: float, ulps: int = 3) -> list[float]:
+    below, above = [value], [value]
+    for _ in range(ulps):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+def with_examples(values):
+    """Hypothesis @example for each of values."""
+    def decorate(test):
+        for value in values:
+            test = example(value)(test)
+        return test
+    return decorate
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(st.floats(-4.0, 4.0) | st.floats(allow_nan=False, allow_infinity=False))
+@with_examples([v for base in (2 + 1e-12, 2 - 1e-12, -2 + 1e-12, -2 - 1e-12, -1.000000000001)
+                for v in ulps_around(base)])
+def test_one_bound_rule_judges_chsh_and_ch(value):
+    for verdict in (chsh_verdict, ch_verdict):
+        v = verdict(value)
+        assert v.status != "satisfied" or v.margin >= 0.0, (verdict.__name__, v)
+    v = chsh_verdict(value)
+    assert (v.status, v.margin.hex()) == reference_chsh_verdict(value) and v.bound is None
+
+
+def test_the_double_at_minus_one_minus_the_tolerance_violates_ch():
+    # -1 - BOUNDARY_TOL rounds to a double more than BOUNDARY_TOL below -1
+    v = ch_verdict(-1.000000000001)
+    assert (v.status, v.margin, v.bound) == ("violated", 1.000088900582341e-12, "lower")
+
+
 def test_ch_verdicts():
     up = ch_verdict(0.5)
     assert (up.status, up.bound) == ("violated", "upper")
@@ -321,6 +371,7 @@ def test_classical_bounds_check_structure(optimal_settings, root_half_gammas):
     (2e-12, True),
     (-1.0 - 0.5e-12, False),
     (-1.0 - 2e-12, True),
+    (-1.000000000001, True),  # -1 - BOUNDARY_TOL, which rounds to 1.000088900582341e-12 below -1
     (float("nan"), False),
 ])
 def test_all_violated_matches_ch_verdict(value, expected):

@@ -758,6 +758,31 @@ def test_a_corrupted_kernel_fails_every_command(tmp_path, capsys, request, comma
     assert os.listdir(out) == []  # nothing half-written is left behind
 
 
+# the route check each command fails under corrupted_inversion, None if it never inverts
+CORRUPTED_INVERSION_FAILS = {
+    "exact": "ensemble CHSH paths disagree at S: ",
+    "run": "empirical S paths disagree at frequency inversion vs shot mean: ",
+    # ensemble_S comes from the gamma-free quasi-distribution, built by Born traces alone
+    "sweep_gamma": None,
+    "sweep_werner_eta": "ensemble CHSH paths disagree at werner_eta ",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CORRUPTIBLE_COMMANDS))
+def test_a_corrupted_inversion_fails_every_command_that_inverts(tmp_path, capsys, corrupted_inversion,
+                                                                command):
+    out = tmp_path / "out"
+    code = main([*CORRUPTIBLE_COMMANDS[command], "--config", singlet_config(tmp_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    route = CORRUPTED_INVERSION_FAILS[command]
+    if route is None:
+        assert (code, err) == (0, "")
+        return
+    assert code == 1
+    assert err.startswith(f"internal consistency failure: {route}"), err
+    assert os.listdir(out) == []
+
+
 def test_a_nan_in_the_stacked_kernel_tables_fails_the_gamma_sweep(tmp_path, capsys, monkeypatch):
     # the sweep checks its stack of tables by column sums alone, and a NaN sum must fail them
     original = inversion.kernel_tables

@@ -81,3 +81,21 @@ def test_no_comparison_outside_linalg_takes_a_literal_tolerance():
     found = {path.name: compared_small_literals(path) for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "linalg.py"}
     assert {module: values for module, values in found.items() if values} == {}
+
+
+ROUTE_AND_BOUND_TOLERANCES = ("DUAL_PATH_TOL", "BOUNDARY_TOL")
+
+
+def reads(path: Path, names) -> bool:
+    """Whether the module reads any of names, as linalg.NAME or as a bare name."""
+    return any((isinstance(node, ast.Attribute) and node.attr in names)
+               or (isinstance(node, ast.Name) and node.id in names)
+               for node in ast.walk(ast.parse(path.read_text())))
+
+
+def test_only_belltests_and_validate_judge_routes_and_bounds():
+    # linalg defines the two tolerances; belltests holds the one route check that raises
+    # and the one bound rule; validate reports against them and never raises. A route
+    # check or bound comparison written anywhere else, as in a command, fails here.
+    found = {path.name for path in PACKAGE.glob("*.py") if reads(path, ROUTE_AND_BOUND_TOLERANCES)}
+    assert found == {"linalg.py", "belltests.py", "validate.py"}
