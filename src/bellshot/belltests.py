@@ -16,19 +16,22 @@ are never trusted unverified.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import inversion, linalg, measurement
-from .errors import ConsistencyError, EmptyShotList, InvalidDistribution, OutOfRange
+from .errors import ConsistencyError, EmptyShotList, InvalidDistribution
 from .inversion import InversionKernel, QuasiDistribution
 from .measurement import OUTCOMES, OutcomeIndex
 
 CHSH_BOUND = 2.0
 CH_UPPER_BOUND = 0.0
 CH_LOWER_BOUND = -1.0
+# (low, high, names) of each bound_rule: |S| <= 2 names no bound, 0 >= C >= -1 its upper and lower
+CHSH_RULE = (-CHSH_BOUND, CHSH_BOUND, (None, None))
+CH_RULE = (CH_LOWER_BOUND, CH_UPPER_BOUND, ("upper", "lower"))
+STATUSES = np.array(["satisfied", "satisfied (boundary)", "violated"])
 
 # the signs of x, y, u and v at each outcome, shape (4, 16), and their
 # kernel_1d indices (0 for +1, 1 for -1)
@@ -36,6 +39,10 @@ OUTCOME_SIGNS = np.array([xi.as_tuple() for xi in OUTCOMES], dtype=float).T
 SIGN_INDEX = (OUTCOME_SIGNS < 0).astype(int)
 SIGNS_X, SIGNS_Y, SIGNS_U, SIGNS_V = OUTCOME_SIGNS
 S_VALUES = SIGNS_X * SIGNS_U - SIGNS_X * SIGNS_V + SIGNS_Y * SIGNS_U + SIGNS_Y * SIGNS_V
+
+# sigma_mu x sigma_nu, indexed [mu, nu], for sigma_0 = I and the three Pauli matrices
+PAULIS = (linalg.I2, linalg.SIGMA_X, linalg.SIGMA_Y, linalg.SIGMA_Z)
+PAULI_PRODUCTS = np.array([[np.kron(s, t) for t in PAULIS] for s in PAULIS])
 
 
 def s_of_xi(xi: OutcomeIndex) -> int:
@@ -130,6 +137,23 @@ def single_shot_ch(kernel: InversionKernel, xi: OutcomeIndex, xi_prime: OutcomeI
     return float(single_shot_ch_table(kernel)[xi.to_index(), xi_prime.to_index()])
 
 
+def pauli_correlations(rho) -> np.ndarray:
+    """C[mu, nu] = tr[rho sigma_mu x sigma_nu], sigma_0 = I, for one 4x4 state or a stack
+    (..., 4, 4): row 0 is B's Bloch vector, column 0 A's, and C[1:, 1:] the correlation
+    matrix T of Horodecki et al., Phys. Lett. A 200, 340 (1995). It reads rho and the
+    Pauli matrices only: no POVM, kernel, inversion or bloch_operator."""
+    return np.einsum("...ij,mnji->...mn", rho, PAULI_PRODUCTS).real
+
+
+def pair_probabilities(c, a, b, gamma_a=1.0, gamma_b=1.0) -> np.ndarray:
+    """P[i, j] = tr[rho E_a(w_i) x E_b(w_j)], w = (+1, -1), E_n(w) = (I + w gamma n.sigma) / 2,
+    for an A direction a and a B direction b, from rho's pauli_correlations c as
+    (1, w_a gamma_a a) . c . (1, w_b gamma_b b) / 4; gamma = 1 is a sharp measurement."""
+    left, right = (np.array([[1.0, *(w * g * np.asarray(n, dtype=float))] for w in measurement.SIGNS])
+                   for n, g in ((a, gamma_a), (b, gamma_b)))
+    return left @ c @ right.T / 4.0
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of a classical-bound check for one scalar quantity."""
@@ -139,40 +163,40 @@ class Verdict:
     bound: str | None = None  # which bound a violation broke: "upper"/"lower"
 
     def as_dict(self) -> dict:
-        d = {"status": self.status, "margin": self.margin}
-        if self.bound is not None:
-            d["bound"] = self.bound
-        return d
+        return {key: value for key, value in vars(self).items() if value is not None}
 
 
-def _bound_verdict(value: float, low: float, high: float, names=("upper", "lower")) -> Verdict:
-    """The one classical-bound rule, low <= value <= high, judged on the gap to each bound:
-    past one by more than linalg.BOUNDARY_TOL is a violation, naming that bound as names
-    (upper, lower) name it; within it, a boundary case."""
-    try:  # a plain math.isfinite, not linalg.as_finite: exact makes 33 verdicts per call
-        finite = math.isfinite(value)  # NaN fails every comparison, so it would read "satisfied"
-        value = value if finite else float(value)  # a numpy nan shows as nan
-    except (TypeError, OverflowError):  # not a real number, or an int past float range
-        finite = False
-    if not finite:
-        raise OutOfRange(f"verdict needs a finite test value, got {value!r}")
-    for bound, gap in zip(names, (value - high, low - value)):
-        if gap > linalg.BOUNDARY_TOL:
-            return Verdict("violated", gap, bound)
-    margin = min(high - value, value - low)
-    if margin <= linalg.BOUNDARY_TOL:
-        return Verdict("satisfied (boundary)", 0.0)
-    return Verdict("satisfied", margin)
+def bound_rule(values, low, high, names):
+    """The one classical-bound rule, low <= value <= high, as (status, margin, bound) arrays
+    over a float array of values. Past the upper, then the lower bound by more than BOUNDARY_TOL
+    is "violated" by that margin, bound as names (upper, lower) name it; within it of one is
+    "satisfied (boundary)", margin 0; else "satisfied" by the gap to the nearer bound."""
+    over, under = values - high, low - values
+    gap = np.maximum(over, under)  # how far outside [low, high]; -gap is the distance inside
+    tol = linalg.BOUNDARY_TOL
+    violated, boundary = gap > tol, -gap <= tol  # a violation passes the boundary test too
+    status = STATUSES[np.where(violated, 2, boundary)]
+    margin = np.where(violated, gap, np.where(boundary, 0.0, -gap))
+    return status, margin, np.array([None, *names], dtype=object)[np.where(over > tol, 1, 2 * violated)]
+
+
+def _verdicts(values, ndim: int, rule) -> list[dict]:
+    """bound_rule's verdict under rule, as Verdict.as_dict gives it, on each entry of values,
+    admitted as ndim axes of finite numbers: a NaN, past every comparison, reads "satisfied"."""
+    checked = linalg.as_finite(values, (), "finite verdict test value", stack_axes=ndim)
+    status, margin, bound = (np.ravel(a).tolist() for a in bound_rule(checked, *rule))
+    return [{"status": s, "margin": m} | ({} if b is None else {"bound": b})
+            for s, m, b in zip(status, margin, bound)]
 
 
 def chsh_verdict(value: float) -> Verdict:
-    """|S| <= 2 check: _bound_verdict on [-2, 2], naming no bound."""
-    return _bound_verdict(value, -CHSH_BOUND, CHSH_BOUND, (None, None))
+    """|S| <= 2 check: bound_rule on [-2, 2], naming no bound."""
+    return Verdict(**_verdicts(value, 0, CHSH_RULE)[0])
 
 
 def ch_verdict(value: float) -> Verdict:
-    """0 >= C >= -1 check: _bound_verdict on [-1, 0]."""
-    return _bound_verdict(value, CH_LOWER_BOUND, CH_UPPER_BOUND)
+    """0 >= C >= -1 check: bound_rule on [-1, 0]."""
+    return Verdict(**_verdicts(value, 0, CH_RULE)[0])
 
 
 @dataclass(frozen=True)
@@ -243,23 +267,18 @@ def ch_report(kernel: InversionKernel, observed) -> ChReport:
 
 
 def classical_bounds_check(report) -> dict:
-    """Per-quantity verdicts for a ChshReport or a ChReport."""
+    """Per-quantity verdicts for a ChshReport or a ChReport, one bound_rule call per array."""
     if isinstance(report, ChshReport):
-        return {
-            "ensemble_S": chsh_verdict(report.ensemble_S).as_dict(),
-            "single_shot_S": [chsh_verdict(s).as_dict() for s in report.single_shot_S.tolist()],
-        }
+        ensemble, *single_shot = _verdicts(np.append(report.ensemble_S, report.single_shot_S), 1, CHSH_RULE)
+        return {"ensemble_S": ensemble, "single_shot_S": single_shot}
     if isinstance(report, ChReport):
         grid = report.single_shot_C
-        # ch_verdict's "violated" predicate, over the whole grid at once
-        tol = linalg.BOUNDARY_TOL
-        violated = (grid - CH_UPPER_BOUND > tol) | (CH_LOWER_BOUND - grid > tol)
         return {
-            "ensemble_C": [ch_verdict(c).as_dict() for c in report.ensemble_C.tolist()],
+            "ensemble_C": _verdicts(report.ensemble_C, 1, CH_RULE),
             "single_shot_C": {
                 "min": float(grid.min()),
                 "max": float(grid.max()),
-                "all_violated": bool(np.all(violated)),
+                "all_violated": bool(np.all(bound_rule(grid, *CH_RULE)[0] == "violated")),  # NaN is not
             },
         }
     raise TypeError(f"expected ChshReport or ChReport, got {type(report).__name__}")

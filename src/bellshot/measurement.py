@@ -73,8 +73,8 @@ class OutcomeIndex:
     v: int
 
     def __post_init__(self):
-        for name in ("x", "y", "u", "v"):
-            observables.checked_sign(getattr(self, name), f"outcome component {name}")
+        for name, w in zip("xyuv", self.as_tuple()):
+            object.__setattr__(self, name, observables.checked_sign(w, f"outcome component {name}"))
 
     def to_index(self) -> int:
         return 8 * sign_index(self.x) + 4 * sign_index(self.y) + 2 * sign_index(self.u) + sign_index(self.v)

@@ -32,12 +32,11 @@ B_LABELS = (ObservableLabel.U, ObservableLabel.V)
 
 
 def checked_sign(w, what: str) -> int:
-    """w if it is +1 or -1, else OutOfRange naming what: the one rule for an outcome sign."""
-    try:
-        if w in (-1, 1):
-            return w
-    except ValueError:  # an array of several entries has no single truth value
-        pass
+    """w as an int, if it is a Python or numpy integer +1 or -1, else OutOfRange naming what:
+    the one rule for an outcome sign. bool subclasses int and 1.0 equals 1, but neither is a
+    sign, as sampler.checked_integer refuses them as counts."""
+    if isinstance(w, (int, np.integer)) and not isinstance(w, bool) and w in (-1, 1):
+        return int(w)
     raise OutOfRange(f"{what} = {w!r}, must be +1 or -1")
 
 

@@ -31,17 +31,12 @@ def random_admissible_settings(rng: np.random.Generator):
     """
     blochs = [random_unit_vector(rng) for _ in range(4)]
     gammas = list(rng.uniform(0.3, 0.95, size=4))
-    for first, second in ((0, 1), (2, 3)):
-        overlap = abs(float(blochs[first] @ blochs[second]))
-        worst = np.sqrt(
-            gammas[first] ** 2
-            + gammas[second] ** 2
-            + 2.0 * gammas[first] * gammas[second] * overlap
-        )
+    for i, j in ((0, 1), (2, 3)):
+        overlap = abs(float(blochs[i] @ blochs[j]))
+        worst = np.sqrt(gammas[i] ** 2 + gammas[j] ** 2 + 2.0 * gammas[i] * gammas[j] * overlap)
         if worst > 1.0:
             scale = (1.0 - 1e-9) / worst
-            gammas[first] *= scale
-            gammas[second] *= scale
+            gammas[i], gammas[j] = gammas[i] * scale, gammas[j] * scale
     settings = observables.observable_set(*blochs)
     return settings, measurement.GammaSet(*gammas)
 
@@ -122,9 +117,7 @@ def _check_states(rng, trials):
 def _check_observables(rng, trials):
     for _ in range(trials):
         n = random_unit_vector(rng)
-        povm = observables.sharp_povm(
-            observables.ObservableSpec(observables.ObservableLabel.X, n)
-        )
+        povm = observables.sharp_povm(observables.ObservableSpec("x", n))
         vecs = np.linalg.eigh(observables.bloch_operator(n))[1]
         plus = np.outer(vecs[:, 1], vecs[:, 1].conj())  # eigh sorts the +1 eigenvalue last
         yield _verdict(np.abs(povm.element_plus - plus).max() <= linalg.PROJECTOR_TOL,
@@ -148,14 +141,13 @@ def _check_measurement(rng, trials):
                        lambda: f"marginal element mismatch for {label.value}, w={w}")
         rho = states.random_density_matrix(rng)
         probs = measurement.observed_statistics(rho, povm)
-        # each A-B pair marginal of p against tr[rho (E_a(w) x E_b(w'))], with the
-        # unsharp elements built from the Bloch vectors, never from the joint POVM
-        unsharp = [[0.5 * (np.eye(2) + gammas.of(key) * sign * observables.bloch_operator(
-            settings.get(key).bloch)) for sign in measurement.SIGNS] for key in "xyuv"]
+        # each A-B pair marginal of p against its Born values, from rho's Pauli correlations
+        # and the Bloch vectors: no POVM, no bloch_operator
+        c = belltests.pauli_correlations(rho.matrix)
         m = probs.reshape(2, 2, 2, 2)  # axes x, y, u, v; index 0 for +1
-        gap = max(abs(m.sum(axis=(1 - a, 5 - b))[i, j]
-                      - np.trace(rho.matrix @ np.kron(unsharp[a][i], unsharp[b][j])).real)
-                  for a in (0, 1) for b in (2, 3) for i in (0, 1) for j in (0, 1))
+        gap = max(np.abs(m.sum(axis=(1 - a, 3 - b)) - belltests.pair_probabilities(
+            c, settings.get(ka).bloch, settings.get(kb).bloch, gammas.of(ka), gammas.of(kb))).max()
+            for a, ka in enumerate("xy") for b, kb in enumerate("uv"))
         yield _verdict(gap <= linalg.DUAL_PATH_TOL,
                        lambda: f"A-B pair marginals differ from Born values by {float(gap)!r}")
 
@@ -164,32 +156,21 @@ def _check_inversion(rng, trials):
     for trial in range(trials):
         settings, kernel, povm, rho, observed = _random_case(rng)
         q = inversion.invert_distribution(kernel, observed)
-        # each one-observable marginal against the sharp Born value (1 + n.r) / 2, where r is
-        # the local Bloch vector tr[rho sigma_i x I] or tr[rho I x sigma_i]: no POVM, no kernel
-        gaps = []
-        for key in "xyuv":
-            n_sigma = observables.bloch_operator(settings.get(key).bloch)
-            local = np.kron(n_sigma, linalg.I2) if key in "xy" else np.kron(linalg.I2, n_sigma)
-            born = 0.5 * (1.0 + np.trace(rho.matrix @ local).real)
-            gaps.append(abs(inversion.single_marginal(q, key)[0] - born))
-        gap = np.max(gaps)  # NaN, if any, fails the check
+        # each one-observable marginal against the sharp Born value (1 + n.r) / 2, with r the
+        # local Bloch vector: column 0 of rho's Pauli correlations on A, row 0 on B. The Born
+        # values here read no POVM, kernel or bloch_operator
+        c = belltests.pauli_correlations(rho.matrix)
+        local = {"x": c[1:, 0], "y": c[1:, 0], "u": c[0, 1:], "v": c[0, 1:]}
+        gap = np.max([abs(inversion.single_marginal(q, key)[0]
+                          - 0.5 * (1.0 + settings.get(key).bloch @ local[key])) for key in "xyuv"])
         yield _verdict(gap <= linalg.DUAL_PATH_TOL, lambda: f"one-observable marginals differ "
                        f"from sharp Born values by {float(gap)!r} in trial {trial}")
         for label in observables.ObservableLabel:
             inversion.reconstructed_sharp_povm(kernel, povm, label)
             yield True, ""
         # cross marginals must be genuine sharp-measurement statistics
-        pair = (observables.ObservableLabel.X, observables.ObservableLabel.U)
-        table = inversion.cross_marginal(q, pair)
-        direct = np.empty((2, 2))
-        for i, wa in enumerate((1, -1)):
-            for j, wb in enumerate((1, -1)):
-                proj = np.kron(
-                    observables.sharp_povm(settings.get(pair[0])).element(wa),
-                    observables.sharp_povm(settings.get(pair[1])).element(wb),
-                )
-                direct[i, j] = linalg.trace_product(rho.matrix, proj).real
-        gap = np.abs(table - direct).max()
+        direct = belltests.pair_probabilities(c, settings.x.bloch, settings.u.bloch)
+        gap = np.abs(inversion.cross_marginal(q, ("x", "u")) - direct).max()
         yield _verdict(gap <= linalg.DUAL_PATH_TOL, lambda: f"cross marginal (x, u) differs "
                        f"from sharp Born probabilities by {float(gap)!r} in trial {trial}")
 

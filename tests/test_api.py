@@ -292,12 +292,23 @@ SIGN_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("w", [0, "a", 2, None, 0.5, np.array([1, -1])], ids=repr)
+# True, 1.0 and np.float64(-1.0) equal +1 or -1, but a sign is an integer, as a shot is
+@pytest.mark.parametrize("w", [0, "a", 2, None, 0.5, np.array([1, -1]), True, np.bool_(True), 1.0,
+                               np.float64(-1.0)], ids=repr)
 @pytest.mark.parametrize("entry", sorted(SIGN_TAKERS))
 def test_a_sign_is_plus_or_minus_one(entry, w):
     what = "outcome component y" if entry == "OutcomeIndex" else "outcome sign w"
     with pytest.raises(OutOfRange, match=rf"^{what} = .*, must be \+1 or -1$"):
         SIGN_TAKERS[entry](w)
+
+
+def test_a_numpy_integer_sign_is_admitted_and_stored_as_an_int():
+    xi = measurement.OutcomeIndex(np.int64(1), -1, np.int8(-1), 1)
+    assert xi.as_tuple() == (1, -1, -1, 1) and {type(w) for w in xi.as_tuple()} == {int}
+    assert xi == measurement.OUTCOMES[6] and xi.to_index() == 6
+    assert np.array_equal(marginal_element(np.int64(-1)), marginal_element(-1))
+    povm = sharp_povm(chsh_optimal_angles().x)
+    assert povm.element(np.int32(-1)) is povm.element_minus
 
 
 @pytest.mark.parametrize("pair", [("x",), ("x", "u", "v"), ("x", "u", "y"), (), None, 5, "xuv"], ids=repr)

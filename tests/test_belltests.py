@@ -34,10 +34,23 @@ from bellshot import (
     single_shot_chsh_table,
     werner_state,
 )
+from bellshot.belltests import (
+    CH_RULE,
+    CHSH_RULE,
+    S_VALUES,
+    ChshReport,
+    Verdict,
+    bound_rule,
+    pair_probabilities,
+    pauli_correlations,
+)
 from conftest import (
     OPTIMAL_BLOCHS,
     ROOT_HALF,
     SINGLET,
+    SX,
+    SY,
+    SZ,
     admissible_draw,
     projector,
     random_state_matrix,
@@ -289,6 +302,76 @@ def test_one_bound_rule_judges_chsh_and_ch(value):
         assert v.status != "satisfied" or v.margin >= 0.0, (verdict.__name__, v)
     v = chsh_verdict(value)
     assert (v.status, v.margin.hex()) == reference_chsh_verdict(value) and v.bound is None
+
+
+def scalar_bound_verdict(value: float, low: float, high: float, names=("upper", "lower")) -> Verdict:
+    """The scalar bound rule that judged one value per call before the rule took arrays,
+    copied as the reference the array rule must reproduce bit for bit."""
+    try:
+        finite = math.isfinite(value)
+        value = value if finite else float(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise OutOfRange(f"verdict needs a finite test value, got {value!r}")
+    for bound, gap in zip(names, (value - high, low - value)):
+        if gap > linalg.BOUNDARY_TOL:
+            return Verdict("violated", gap, bound)
+    margin = min(high - value, value - low)
+    if margin <= linalg.BOUNDARY_TOL:
+        return Verdict("satisfied (boundary)", 0.0)
+    return Verdict("satisfied", margin)
+
+
+def bits(verdict: Verdict) -> tuple:
+    return verdict.status, float(verdict.margin).hex(), verdict.bound
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(st.floats(-4.0, 4.0) | st.floats(allow_nan=False, allow_infinity=False))
+@with_examples([v for base in (2 + 1e-12, 2 - 1e-12, -2 + 1e-12, -2 - 1e-12, -1 - 1e-12, -1 + 1e-12,
+                               1e-12, -1e-12, -1.000000000001) for v in ulps_around(base)])
+def test_the_array_bound_rule_reproduces_the_scalar_rule(value):
+    for verdict, rule in ((chsh_verdict, CHSH_RULE), (ch_verdict, CH_RULE)):
+        expected = scalar_bound_verdict(value, *rule)
+        assert bits(verdict(value)) == bits(expected), verdict.__name__
+        # the same value as one entry of an array, as classical_bounds_check judges it
+        status, margin, bound = bound_rule(np.array([0.5 * value, value]), *rule)
+        assert bits(Verdict(status[1], margin[1], bound[1])) == bits(expected)
+    chsh = classical_bounds_check(ChshReport(S_VALUES, value, np.full(16, value)))
+    assert chsh["ensemble_S"] == chsh["single_shot_S"][7] == scalar_bound_verdict(value, *CHSH_RULE).as_dict()
+    ch = classical_bounds_check(ChReport(np.full((16, 16), value), np.full(16, value)))
+    expected = scalar_bound_verdict(value, *CH_RULE)
+    assert ch["ensemble_C"][3] == expected.as_dict()
+    assert ch["single_shot_C"]["all_violated"] is (expected.status == "violated")
+
+
+PAULIS_BY_HAND = (np.eye(2), SX, SY, SZ)
+
+
+def test_pauli_correlations_are_the_traces_against_each_pauli_product():
+    rng = np.random.default_rng(22)
+    stack = np.array([random_state_matrix(rng) for _ in range(5)])
+    by_trace = np.array([[[np.trace(rho @ np.kron(s, t)).real for t in PAULIS_BY_HAND]
+                          for s in PAULIS_BY_HAND] for rho in stack])
+    assert pauli_correlations(stack).shape == (5, 4, 4)
+    assert np.abs(pauli_correlations(stack) - by_trace).max() <= 1e-15
+    assert np.abs(pauli_correlations(stack[2]) - by_trace[2]).max() <= 1e-15
+    # the singlet: tr rho = 1, no local Bloch vector, T = -I
+    assert np.array_equal(pauli_correlations(SINGLET), np.diag([1.0, -1.0, -1.0, -1.0]))
+
+
+def unsharp(n, gamma, w):
+    """(I + w gamma n.sigma) / 2, built from the sharp projector."""
+    return 0.5 * (1.0 - gamma) * np.eye(2) + gamma * projector(n, w)
+
+
+def test_pair_probabilities_are_born_values_of_unsharp_products():
+    rho = random_state_matrix(np.random.default_rng(23))
+    a, b, ga, gb = OPTIMAL_BLOCHS["y"], OPTIMAL_BLOCHS["v"], 0.6, 0.8
+    by_trace = [[np.trace(rho @ np.kron(unsharp(a, ga, wa), unsharp(b, gb, wb))).real for wb in (1, -1)]
+                for wa in (1, -1)]
+    assert np.abs(pair_probabilities(pauli_correlations(rho), a, b, ga, gb) - by_trace).max() <= 1e-15
 
 
 def test_the_double_at_minus_one_minus_the_tolerance_violates_ch():

@@ -34,7 +34,12 @@ from bellshot import (
     single_shot_chsh_table,
 )
 from bellshot.cli import json_text
-from bellshot.belltests import single_shot_ch_tables, single_shot_chsh_tables
+from bellshot.belltests import (
+    pair_probabilities,
+    pauli_correlations,
+    single_shot_ch_tables,
+    single_shot_chsh_tables,
+)
 from bellshot.inversion import gamma_free_quasi, kernel_tables, require_column_sums
 from bellshot.measurement import (
     GAMMA_MIN,
@@ -275,6 +280,23 @@ def test_correlation_matrix_route_matches_the_pipeline(drawn, rho):
     obs, gammas = drawn
     assert s_gap(rho, obs, gammas) <= linalg.DUAL_PATH_TOL
     assert marginal_gap(rho, obs, gammas) <= linalg.DUAL_PATH_TOL
+
+
+@FIXED
+@given(admissible_settings(), state_matrices())
+def test_pauli_correlations_give_the_correlation_route(drawn, rho):
+    # belltests' route for validate: sharp pair probabilities from C, their sign-weighted
+    # sums E(a, b) = sum w_a w_b P(w_a, w_b) into S, and their row and column sums into the
+    # one-observable +1 probabilities
+    obs, _ = drawn
+    c = pauli_correlations(rho)
+    pair = {a + b: pair_probabilities(c, obs.get(a).bloch, obs.get(b).bloch) for a in "xy" for b in "uv"}
+    e = {ab: float(np.array([1.0, -1.0]) @ p @ np.array([1.0, -1.0])) for ab, p in pair.items()}
+    s, plus = correlation_route(rho, obs)
+    assert abs(e["xu"] - e["xv"] + e["yu"] + e["yv"] - s) <= 1e-12
+    got = {"x": pair["xu"].sum(axis=1)[0], "y": pair["yv"].sum(axis=1)[0],
+           "u": pair["xu"].sum(axis=0)[0], "v": pair["yv"].sum(axis=0)[0]}
+    assert max(abs(got[k] - plus[k]) for k in "xyuv") <= 1e-12
 
 
 def gammas_x_and_u_swapped(gammas):

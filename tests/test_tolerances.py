@@ -88,9 +88,21 @@ ROUTE_AND_BOUND_TOLERANCES = ("DUAL_PATH_TOL", "BOUNDARY_TOL")
 
 def reads(path: Path, names) -> bool:
     """Whether the module reads any of names, as linalg.NAME or as a bare name."""
+    return names_in(ast.parse(path.read_text()), names)
+
+
+def names_in(tree: ast.AST, names) -> bool:
+    """Whether tree reads any of names, as module.NAME or as a bare name."""
     return any((isinstance(node, ast.Attribute) and node.attr in names)
                or (isinstance(node, ast.Name) and node.id in names)
-               for node in ast.walk(ast.parse(path.read_text())))
+               for node in ast.walk(tree))
+
+
+def top_level_readers(path: Path, names) -> set[str]:
+    """The top-level functions and classes of the module that read any of names, and
+    "<module>" if a statement outside them does."""
+    return {getattr(node, "name", "<module>") for node in ast.parse(path.read_text()).body
+            if names_in(node, names)}
 
 
 def test_only_belltests_and_validate_judge_routes_and_bounds():
@@ -99,3 +111,16 @@ def test_only_belltests_and_validate_judge_routes_and_bounds():
     # check or bound comparison written anywhere else, as in a command, fails here.
     found = {path.name for path in PACKAGE.glob("*.py") if reads(path, ROUTE_AND_BOUND_TOLERANCES)}
     assert found == {"linalg.py", "belltests.py", "validate.py"}
+
+
+def test_belltests_compares_against_the_boundary_tolerance_only_in_its_bound_rule():
+    # every verdict, list of verdicts and grid summary is judged by bound_rule, so a
+    # violation predicate restated beside it fails here
+    assert top_level_readers(PACKAGE / "belltests.py", ("BOUNDARY_TOL",)) == {"bound_rule"}
+
+
+def test_validate_builds_no_born_operator_with_kron():
+    # validate's reference Born values come from belltests.pauli_correlations, which reads
+    # rho and the Pauli matrices only; a product operator built here from bloch_operator or
+    # a POVM would share the code it checks
+    assert not names_in(ast.parse((PACKAGE / "validate.py").read_text()), ("kron",))

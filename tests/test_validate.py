@@ -5,7 +5,16 @@ import re
 import numpy as np
 import pytest
 
-from bellshot import OutOfRange, inversion, joint_povm, measurement, observables, validate, validate_all
+from bellshot import (
+    OutOfRange,
+    inversion,
+    joint_povm,
+    linalg,
+    measurement,
+    observables,
+    validate,
+    validate_all,
+)
 from bellshot.validate import CheckResult, random_admissible_settings
 
 
@@ -79,6 +88,16 @@ def kernel_of_a_y_gamma_one_percent_small(monkeypatch):
                         lambda gammas: original(np.asarray(gammas) * [1.0, 0.99, 1.0, 1.0]))
 
 
+def bloch_operator_with_y_and_z_swapped(monkeypatch):
+    # a unit Bloch operator still, so every POVM builds; the Born values validate checks
+    # against come from rho's Pauli correlations, which never call bloch_operator
+    def bloch_operator(n):
+        n = np.asarray(n, dtype=float)
+        return n[0] * linalg.SIGMA_X + n[2] * linalg.SIGMA_Y + n[1] * linalg.SIGMA_Z
+
+    monkeypatch.setattr(observables, "bloch_operator", bloch_operator)
+
+
 # mutants that keep every constructor's invariants (completeness, positivity,
 # probabilities summing to 1), and the check that must still see them
 @pytest.mark.parametrize("mutate,check", [
@@ -86,6 +105,7 @@ def kernel_of_a_y_gamma_one_percent_small(monkeypatch):
     (born_traces_of_the_transpose, "measurement.joint_povm"),
     (swapped_sharp_elements, "observables.sharp_povm"),
     (kernel_of_a_y_gamma_one_percent_small, "inversion.kernel"),
+    (bloch_operator_with_y_and_z_swapped, "measurement.joint_povm"),
 ])
 def test_a_mutant_the_constructors_admit_fails_its_check(monkeypatch, mutate, check):
     assert validate_all(seed=7, trials=4).passed
