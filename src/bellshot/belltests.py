@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import inversion, linalg, measurement
+from . import linalg, measurement
 from .errors import ConsistencyError, EmptyShotList, InvalidDistribution
 from .inversion import InversionKernel, QuasiDistribution
 from .measurement import OUTCOMES, OutcomeIndex
@@ -38,6 +38,11 @@ STATUSES = np.array(["satisfied", "satisfied (boundary)", "violated"])
 OUTCOME_SIGNS = np.array([xi.as_tuple() for xi in OUTCOMES], dtype=float).T
 SIGN_INDEX = (OUTCOME_SIGNS < 0).astype(int)
 SIGNS_X, SIGNS_Y, SIGNS_U, SIGNS_V = OUTCOME_SIGNS
+# The sign pattern of each outcome pair (xi, xi'), shape (16, 16): the index of the outcome
+# whose signs are w(xi) w(xi') of x, y, u and v, which is xi's index XOR xi''s, one bit per
+# sign. A single-shot CH value depends on the pair through its pattern alone, so each route
+# computes 16 pattern values and spreads them over the grid.
+SIGN_PATTERN = np.arange(16)[:, None] ^ np.arange(16)
 S_VALUES = SIGNS_X * SIGNS_U - SIGNS_X * SIGNS_V + SIGNS_Y * SIGNS_U + SIGNS_Y * SIGNS_V
 
 # sigma_mu x sigma_nu, indexed [mu, nu], for sigma_0 = I and the three Pauli matrices
@@ -61,9 +66,13 @@ def require_agreement(what: str, first, second, where) -> None:
     most, if that is by more than linalg.DUAL_PATH_TOL; where(*index) names the entry."""
     first, second = np.asarray(first, dtype=float), np.asarray(second, dtype=float)
     gap = np.abs(first - second)
-    k = np.unravel_index(np.argmax(gap), gap.shape)
-    linalg.require(gap[k], linalg.DUAL_PATH_TOL, lambda _: ConsistencyError(
-        f"{what} paths disagree at {where(*k)}: {float(first[k])!r} vs {float(second[k])!r}"))
+
+    def disagree(_):
+        k = np.unravel_index(np.argmax(gap), gap.shape)  # the first NaN, if there is one
+        return ConsistencyError(
+            f"{what} paths disagree at {where(*k)}: {float(first[k])!r} vs {float(second[k])!r}")
+
+    linalg.require(gap.max(), linalg.DUAL_PATH_TOL, disagree)
 
 
 def ensemble_chsh(q: QuasiDistribution) -> float:
@@ -86,7 +95,8 @@ def single_shot_chsh_tables(tables: np.ndarray, gammas) -> np.ndarray:
     gammas (..., 4). The sum of s(xi) against each kernel column must match the
     closed form built from the gammas, or the kernel and algebra have diverged."""
     by_sum = S_VALUES @ tables
-    gx, gy, gu, gv = np.moveaxis(np.asarray(gammas, dtype=float)[..., None], -2, 0)
+    g = np.asarray(gammas, dtype=float)
+    gx, gy, gu, gv = (g[..., i, None] for i in range(4))
     closed = (
         gy * gv * SIGNS_X * SIGNS_U
         - gy * gu * SIGNS_X * SIGNS_V
@@ -114,11 +124,12 @@ def single_shot_ch_tables(gammas) -> np.ndarray:
     """single_shot_ch_table for each gamma 4-vector of a stack (..., 4): the CH pair
     probabilities factorize over the one-observable kernels, and are checked
     against the closed form -1/2 plus the four gamma-weighted sign products."""
-    gx, gy, gu, gv = gammas = np.moveaxis(np.asarray(gammas, dtype=float)[..., None, None], -3, 0)
-    x, y, u, v = products = [w[:, None] * w for w in OUTCOME_SIGNS]  # w(xi) w(xi')
-    # kernel_1d(gamma)[w, w'] = (1 + w w' / gamma) / 2 at every pair, bit for bit
-    px, py, pu, pv = (0.5 * (1.0 + ww / g) for ww, g in zip(products, gammas))
-    by_substitution = px * pu - px * pv + py * pu + py * pv - py - pu
+    g = np.asarray(gammas, dtype=float)
+    gx, gy, gu, gv = factors = [g[..., i, None] for i in range(4)]
+    x, y, u, v = OUTCOME_SIGNS  # w(xi) w(xi') at each sign pattern
+    # kernel_1d(gamma)[w, w'] = (1 + w w' / gamma) / 2 at every pattern, bit for bit
+    px, py, pu, pv = (0.5 * (1.0 + ww / gamma) for ww, gamma in zip(OUTCOME_SIGNS, factors))
+    by_substitution = (px * pu - px * pv + py * pu + py * pv - py - pu)[..., SIGN_PATTERN]
 
     closed = (
         -0.5
@@ -126,7 +137,7 @@ def single_shot_ch_tables(gammas) -> np.ndarray:
         + (y * v) / (4.0 * gy * gv)
         + (x * u) / (4.0 * gx * gu)
         + (y * u) / (4.0 * gy * gu)
-    )
+    )[..., SIGN_PATTERN]
     require_agreement("single-shot CH", by_substitution, closed,
                       lambda *k: f"({OUTCOMES[k[-2]]}, {OUTCOMES[k[-1]]})")
     return closed
@@ -166,37 +177,40 @@ class Verdict:
         return {key: value for key, value in vars(self).items() if value is not None}
 
 
-def bound_rule(values, low, high, names):
+def bound_rule(values, low, high, names, violated_only=False):
     """The one classical-bound rule, low <= value <= high, as (status, margin, bound) arrays
     over a float array of values. Past the upper, then the lower bound by more than BOUNDARY_TOL
     is "violated" by that margin, bound as names (upper, lower) name it; within it of one is
-    "satisfied (boundary)", margin 0; else "satisfied" by the gap to the nearer bound."""
+    "satisfied (boundary)", margin 0; else "satisfied" by the gap to the nearer bound.
+    With violated_only, only the violation test: whether each value is "violated"."""
     over, under = values - high, low - values
     gap = np.maximum(over, under)  # how far outside [low, high]; -gap is the distance inside
     tol = linalg.BOUNDARY_TOL
+    if violated_only:
+        return gap > tol
     violated, boundary = gap > tol, -gap <= tol  # a violation passes the boundary test too
     status = STATUSES[np.where(violated, 2, boundary)]
     margin = np.where(violated, gap, np.where(boundary, 0.0, -gap))
     return status, margin, np.array([None, *names], dtype=object)[np.where(over > tol, 1, 2 * violated)]
 
 
-def _verdicts(values, ndim: int, rule) -> list[dict]:
+def _verdicts(values: np.ndarray, rule) -> list[dict]:
     """bound_rule's verdict under rule, as Verdict.as_dict gives it, on each entry of values,
-    admitted as ndim axes of finite numbers: a NaN, past every comparison, reads "satisfied"."""
-    checked = linalg.as_finite(values, (), "finite verdict test value", stack_axes=ndim)
-    status, margin, bound = (np.ravel(a).tolist() for a in bound_rule(checked, *rule))
-    return [{"status": s, "margin": m} | ({} if b is None else {"bound": b})
+    a float array that linalg.as_finite admitted: a NaN, past every comparison, would read
+    "satisfied"."""
+    status, margin, bound = (np.ravel(a).tolist() for a in bound_rule(values, *rule))
+    return [{"status": s, "margin": m} if b is None else {"status": s, "margin": m, "bound": b}
             for s, m, b in zip(status, margin, bound)]
 
 
 def chsh_verdict(value: float) -> Verdict:
     """|S| <= 2 check: bound_rule on [-2, 2], naming no bound."""
-    return Verdict(**_verdicts(value, 0, CHSH_RULE)[0])
+    return Verdict(**_verdicts(linalg.as_finite(value, (), "finite verdict test value"), CHSH_RULE)[0])
 
 
 def ch_verdict(value: float) -> Verdict:
     """0 >= C >= -1 check: bound_rule on [-1, 0]."""
-    return Verdict(**_verdicts(value, 0, CH_RULE)[0])
+    return Verdict(**_verdicts(linalg.as_finite(value, (), "finite verdict test value"), CH_RULE)[0])
 
 
 @dataclass(frozen=True)
@@ -233,26 +247,34 @@ class ChReport:
         }
 
 
-def chsh_report(kernel: InversionKernel, observed) -> ChshReport:
-    """Build the CHSH report, verifying that the quasi-distribution average
-    and the shot-weighted average of single-shot values coincide."""
+def _quasi(quasi) -> QuasiDistribution:
+    """quasi, if it is a QuasiDistribution, whose constructor admitted its entries."""
+    if not isinstance(quasi, QuasiDistribution):
+        raise InvalidDistribution(f"expected a QuasiDistribution, got {type(quasi).__name__}")
+    return quasi
+
+
+def chsh_report(kernel: InversionKernel, observed, quasi) -> ChshReport:
+    """Build the CHSH report from the observed statistics and quasi, their inversion through
+    kernel, verifying that the quasi-distribution average and the shot-weighted average of
+    single-shot values coincide."""
     p = linalg.as_finite(observed, (16,), "observed statistics", InvalidDistribution)
-    via_quasi = ensemble_chsh(inversion.invert_distribution(kernel, p))
+    via_quasi = ensemble_chsh(_quasi(quasi))
     table = single_shot_chsh_table(kernel)
     require_agreement("ensemble CHSH", via_quasi, table @ p, lambda: "S")
     return ChshReport(s_values=S_VALUES, ensemble_S=via_quasi, single_shot_S=table)
 
 
-def ch_report(kernel: InversionKernel, observed) -> ChReport:
-    """Build the CH report. The exact value for each of the 16 target signs
-    xi comes along two routes that must agree to rounding: the
-    observed-weighted average of single-shot values, and the CH combination
-    evaluated on marginals of the inverted quasi-distribution (which equal
-    the sharp Born probabilities)."""
+def ch_report(kernel: InversionKernel, observed, quasi) -> ChReport:
+    """Build the CH report from the observed statistics and quasi, their inversion through
+    kernel. The exact value for each of the 16 target signs xi comes along two routes that
+    must agree to rounding: the observed-weighted average of single-shot values, and the CH
+    combination evaluated on marginals of the quasi-distribution (which equal the sharp Born
+    probabilities)."""
     p = linalg.as_finite(observed, (16,), "observed statistics", InvalidDistribution)
     grid = single_shot_ch_table(kernel)
     by_average = _in_order_sum(grid * p)
-    m = inversion.invert_distribution(kernel, p).entries.reshape(2, 2, 2, 2)  # axes x, y, u, v
+    m = _quasi(quasi).entries.reshape(2, 2, 2, 2)  # axes x, y, u, v
     ix, iy, iu, iv = SIGN_INDEX
     by_marginals = (
         m.sum(axis=(1, 3))[ix, iu]
@@ -267,18 +289,21 @@ def ch_report(kernel: InversionKernel, observed) -> ChReport:
 
 
 def classical_bounds_check(report) -> dict:
-    """Per-quantity verdicts for a ChshReport or a ChReport, one bound_rule call per array."""
+    """Per-quantity verdicts for a ChshReport or a ChReport, one bound_rule call per array.
+    Each array is admitted by linalg.as_finite at its shape, which raises OutOfRange."""
     if isinstance(report, ChshReport):
-        ensemble, *single_shot = _verdicts(np.append(report.ensemble_S, report.single_shot_S), 1, CHSH_RULE)
+        values = np.append(linalg.as_finite(report.ensemble_S, (), "ensemble_S"),
+                           linalg.as_finite(report.single_shot_S, (16,), "single_shot_S"))
+        ensemble, *single_shot = _verdicts(values, CHSH_RULE)
         return {"ensemble_S": ensemble, "single_shot_S": single_shot}
     if isinstance(report, ChReport):
-        grid = report.single_shot_C
+        grid = linalg.as_finite(report.single_shot_C, (16, 16), "single_shot_C")
         return {
-            "ensemble_C": _verdicts(report.ensemble_C, 1, CH_RULE),
+            "ensemble_C": _verdicts(linalg.as_finite(report.ensemble_C, (16,), "ensemble_C"), CH_RULE),
             "single_shot_C": {
                 "min": float(grid.min()),
                 "max": float(grid.max()),
-                "all_violated": bool(np.all(bound_rule(grid, *CH_RULE)[0] == "violated")),  # NaN is not
+                "all_violated": bool(bound_rule(grid, *CH_RULE, violated_only=True).all()),
             },
         }
     raise TypeError(f"expected ChshReport or ChReport, got {type(report).__name__}")

@@ -41,31 +41,59 @@ def atomic_write_json(path: str, payload: dict) -> None:
     _atomic_write(path, lambda fh: fh.write(json_text(payload).encode() + b"\n"))
 
 
-def json_text(value, indent: str = "\n") -> str:
+def json_text(value) -> str:
     """json.dumps(value, indent=2), character for character, for str keys.
 
     With indent set, json encodes in pure Python. Here only the containers
     recurse in Python: finite floats print by float.__repr__ and strings by
     encode_basestring_ascii, as json's C encoder does; every other leaf,
-    NaN and +-inf included, goes through json.dumps itself.
+    NaN and +-inf included, goes through json.dumps itself. Each distinct
+    float is formatted once per document, through a table made for this call.
     """
+    return _json_text(value, "\n", _FloatTexts())
+
+
+class _FloatTexts(dict):
+    """The JSON text of each float of one document, formatted on first lookup. Only
+    exact floats are looked up, so an int, a bool or a numpy float, equal to a float
+    but printed otherwise, never reads its entry; and only finite nonzero floats are
+    kept, since 0.0 equals -0.0 and NaN equals nothing."""
+
+    __slots__ = ()
+
+    def __missing__(self, value: float) -> str:
+        if not math.isfinite(value):
+            return json.dumps(value)
+        text = float.__repr__(value)
+        if value:
+            self[value] = text
+        return text
+
+
+_FLOAT_ONLY = frozenset({float})
+
+
+def _json_text(value, indent: str, floats: _FloatTexts) -> str:
+    if type(value) is float:
+        return floats[value]
+    if type(value) is str:
+        return encode_basestring_ascii(value)
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in value.items()]
+        items = [encode_basestring_ascii(k) + ": "
+                 + (floats[v] if type(v) is float else _json_text(v, inner, floats))
+                 for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         separator = "," + inner
-        try:  # a list of floats, in one pass
-            items = separator.join(map(float.__repr__, value))
-            finite = "n" not in items  # no "nan", "inf" or "-inf"
-        except TypeError:  # an item that is not a float
-            finite = False
-        if not finite:
-            items = separator.join([json_text(v, inner) for v in value])
+        if set(map(type, value)) == _FLOAT_ONLY:  # a list of floats, in one pass
+            items = separator.join(map(floats.__getitem__, value))
+        else:
+            items = separator.join([_json_text(v, inner, floats) for v in value])
         return "[" + inner + items + indent + "]"
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -102,9 +130,9 @@ def _analysis(config: ExperimentConfig):
 def cmd_exact(config: ExperimentConfig, out_dir: str) -> int:
     """Full exact analysis of one configuration, written as JSON."""
     kernel, observed = _analysis(config)
-    quasi = inversion.invert_distribution(kernel, observed)
-    chsh = belltests.chsh_report(kernel, observed)
-    ch = belltests.ch_report(kernel, observed)
+    quasi = inversion.invert_distribution(kernel, observed)  # the one inversion, for both reports
+    chsh = belltests.chsh_report(kernel, observed, quasi)
+    ch = belltests.ch_report(kernel, observed, quasi)
     payload = {
         "ordering": OUTCOME_ORDER_DOC,
         "gammas": dict(zip(SETTING_KEYS, config.gammas.as_tuple())),
@@ -149,6 +177,7 @@ def cmd_run(config: ExperimentConfig, out_dir: str) -> int:
         return summary, quasi, via_freqs
 
     summary, empirical_quasi, via_freqs = _atomic_write(csv_path, write)
+    exact_quasi = inversion.invert_distribution(kernel, observed)
     payload = {
         "shots": summary["shots"],
         "seed": config.seed,
@@ -156,7 +185,7 @@ def cmd_run(config: ExperimentConfig, out_dir: str) -> int:
         "empirical_S": summary["mean_S"],
         "sample_std": summary["sample_std"],
         "std_error": summary["std_error"],
-        "exact_S": belltests.chsh_report(kernel, observed).ensemble_S,
+        "exact_S": belltests.chsh_report(kernel, observed, exact_quasi).ensemble_S,
         "verdicts": {"empirical_S": belltests.chsh_verdict(via_freqs).as_dict()},
         "empirical_quasi_distribution": empirical_quasi.to_list(),
         "empirical_min_quasi_entry": empirical_quasi.min_entry(),

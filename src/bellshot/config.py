@@ -132,18 +132,21 @@ def _built(where: str, build, *args):
 def _reals(raw, where: str, kind: str, shape: tuple) -> np.ndarray:
     """raw as a float array of the given shape, or ConfigError naming where.
     Every leaf must be a JSON number: float() and numpy would read true as
-    1.0 and "0.5" as 0.5, and null as NaN. Lists nested deeper than shape
-    has axes are refused unwalked."""
-    def numeric(node, depth):
-        if isinstance(node, list):
-            return depth > 0 and all(numeric(item, depth - 1) for item in node)
-        return isinstance(node, (int, float)) and not isinstance(node, bool)
-
-    try:
-        if numeric(raw, len(shape)):
-            values = np.array(raw, dtype=float)
-            if values.shape == shape:
-                return values
-    except (ValueError, OverflowError):  # ragged tables; ints beyond float range
-        pass
+    1.0 and "0.5" as 0.5, and null as NaN. Each axis of shape flattens one
+    level of lists, so lists nested deeper than shape has axes are refused
+    unwalked, and the leaves are tested in one pass."""
+    leaves = [raw]
+    for _ in shape:
+        if not all(issubclass(kind, list) for kind in set(map(type, leaves))):
+            break
+        leaves = [item for node in leaves for item in node]
+    else:
+        kinds = set(map(type, leaves))
+        try:
+            if all(issubclass(kind, (int, float)) and not issubclass(kind, bool) for kind in kinds):
+                values = np.array(raw, dtype=float)
+                if values.shape == shape:
+                    return values
+        except (ValueError, OverflowError):  # ragged tables; ints beyond float range
+            pass
     raise ConfigError(f"{where}: expected {kind}, got {shown(raw)}")

@@ -26,12 +26,16 @@ from .measurement import SIGNS, GammaSet, JointPovm
 from .observables import A_LABELS, B_LABELS, ObservableLabel, ObservableSet, SharpPovm
 
 
+# w w' at each [w, w'] of a one-observable table, +1 first
+SIGN_PRODUCTS = np.outer(SIGNS, SIGNS)
+
+
 def kernel_1d(gamma: float) -> np.ndarray:
     """One-observable inversion table, indexed [w, w'] with +1 first.
 
     Columns sum to 1; the off-diagonal entries are negative for |gamma| < 1.
     """
-    return 0.5 * (1.0 + np.outer(SIGNS, SIGNS) / measurement.checked_gamma(gamma))
+    return 0.5 * (1.0 + SIGN_PRODUCTS / measurement.checked_gamma(gamma))
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,7 @@ def kernel_tables(gammas) -> np.ndarray:
     """The unchecked 16x16 kernel table of each gamma 4-vector of a stack (..., 4),
     x most significant; each entry is ((kx * ky) * ku) * kv, multiplied left to
     right as the nested np.kron product does, so the two agree bit for bit."""
-    k = 0.5 * (1.0 + np.outer(SIGNS, SIGNS) / np.asarray(gammas, dtype=float)[..., None, None])
+    k = 0.5 * (1.0 + SIGN_PRODUCTS / np.asarray(gammas, dtype=float)[..., None, None])
     lead = k.shape[:-3]  # factor i spans axes i and 4 + i of (x, y, u, v, x', y', u', v')
     kx, ky, ku, kv = (k[..., i, :, :].reshape(lead + tuple(2 if a % 4 == i else 1 for a in range(8)))
                       for i in range(4))
@@ -149,8 +153,7 @@ def gamma_free_quasi(rho, settings: ObservableSet) -> QuasiDistribution:
     measurement has them as elements, but the traces exist for any settings,
     including those where no shared gamma is realizable.
     """
-    a = measurement.subsystem_elements((settings.x, settings.y), (1.0, 1.0))
-    b = measurement.subsystem_elements((settings.u, settings.v), (1.0, 1.0))
+    a, b = measurement.subsystem_elements(settings, (1.0, 1.0, 1.0, 1.0))
     return QuasiDistribution(measurement.born_traces(rho.matrix, measurement.product_povm(a, b)).real)
 
 

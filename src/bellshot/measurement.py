@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg, observables
 from .errors import ConsistencyError, GammaOutOfRange, NotPositive, OutOfRange
-from .observables import ObservableLabel, ObservableSet, ObservableSpec
+from .observables import ObservableLabel, ObservableSet
 
 # |prod gamma_i| at which a kernel column sum's rounding reaches linalg.COLUMN_SUM_TOL
 GAMMA_MIN = 16 * 2.0**-53 / linalg.COLUMN_SUM_TOL
@@ -127,12 +127,20 @@ class GammaSet:
     gamma_v: float
 
     def __post_init__(self):
-        for name in ("gamma_x", "gamma_y", "gamma_u", "gamma_v"):
-            object.__setattr__(self, name, checked_gamma(getattr(self, name), name))
-        if not GammaSet.admits(self.as_tuple()):
-            product = abs(self.gamma_x * self.gamma_y * self.gamma_u * self.gamma_v)
+        names = ("gamma_x", "gamma_y", "gamma_u", "gamma_v")
+        raw = [getattr(self, name) for name in names]
+        try:  # the four factors in one pass
+            g = linalg.as_finite(raw, (4,), "gammas", GammaOutOfRange).tolist()
+        except GammaOutOfRange:  # checked_gamma names the factor at fault
+            g = [checked_gamma(value, name) for value, name in zip(raw, names)]
+        if not GammaSet.admits(g):
+            for value, name in zip(g, names):  # a factor out of range is named before the product
+                checked_gamma(value, name)
+            product = abs(g[0] * g[1] * g[2] * g[3])
             raise GammaOutOfRange(f"|gamma_x gamma_y gamma_u gamma_v| = {product:.4g} must be at least "
                                   f"{GAMMA_MIN:.4g} (|gamma| >= {GAMMA_MIN ** 0.25:.4g} at equal gammas)")
+        for name, value in zip(names, g):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def equal(gamma: float) -> "GammaSet":
@@ -155,21 +163,23 @@ class GammaSet:
         return (self.gamma_x, self.gamma_y, self.gamma_u, self.gamma_v)
 
 
-def subsystem_elements(
-    pair: tuple[ObservableSpec, ObservableSpec],
-    gammas: tuple[float, float],
-) -> np.ndarray:
-    """(I + g1 w1 n1.sigma + g2 w2 n2.sigma) / 4 for (w1, w2) in PAIR_ORDER,
-    (..., 4, 2, 2) for g1, g2 of shape (...), not checked for positivity."""
-    g1, g2 = (np.asarray(g, dtype=float)[..., None, None, None] for g in gammas)
-    op1, op2 = pair[0].operator(), pair[1].operator()
+def subsystem_elements(settings: ObservableSet, gammas) -> np.ndarray:
+    """(I + g1 w1 n1.sigma + g2 w2 n2.sigma) / 4 for (w1, w2) in PAIR_ORDER, for the pair
+    (n1, n2) = (x, y) of subsystem A and (u, v) of B, not checked for positivity: shape
+    (..., 2, 4, 2, 2), A then B, for gammas (..., 4) ordered x, y, u, v."""
+    # n1.sigma and n2.sigma of each subsystem, as (subsystem, 1, 2, 2) against PAIR_SIGNS
+    op1 = np.array([[settings.x.operator()], [settings.u.operator()]])
+    op2 = np.array([[settings.y.operator()], [settings.v.operator()]])
+    g = np.asarray(gammas, dtype=float)
+    g1, g2 = (g[..., i::2, None, None, None] for i in (0, 1))  # (..., subsystem, 1, 1, 1)
     return 0.25 * (linalg.I2 + (g1 * PAIR_SIGNS[0]) * op1 + (g2 * PAIR_SIGNS[1]) * op2)
 
 
-def nonpositive_elements(pair: tuple[ObservableSpec, ObservableSpec], gammas):
-    """subsystem_elements, each one's smallest eigenvalue (one batched eigensolve)
-    and whether that is below linalg.PSD_TOL, the one positivity rule of a POVM."""
-    elements = subsystem_elements(pair, gammas)
+def nonpositive_elements(settings: ObservableSet, gammas):
+    """subsystem_elements, each one's smallest eigenvalue (one batched eigensolve over
+    both subsystems) and whether that is below linalg.PSD_TOL, the one positivity rule
+    of a POVM."""
+    elements = subsystem_elements(settings, gammas)
     lam = linalg.eigvals_hermitian(elements)[..., 0]
     return elements, lam, lam < linalg.PSD_TOL
 
@@ -177,32 +187,7 @@ def nonpositive_elements(pair: tuple[ObservableSpec, ObservableSpec], gammas):
 def realizable(settings: ObservableSet, gammas) -> np.ndarray:
     """Whether joint_povm builds at each gamma 4-vector of a stack (..., 4); only
     non-positivity reads False, and any other failure raises."""
-    g = np.moveaxis(np.asarray(gammas, dtype=float), -1, 0)
-    bad_a = nonpositive_elements((settings.x, settings.y), g[:2])[2]
-    return ~np.any(bad_a | nonpositive_elements((settings.u, settings.v), g[2:])[2], axis=-1)
-
-
-def build_joint_povm(
-    pair: tuple[ObservableSpec, ObservableSpec],
-    gammas: tuple[float, float],
-) -> np.ndarray:
-    """Four-outcome subsystem POVM for a pair of observables.
-
-    Returns a (4, 2, 2) array in PAIR_ORDER. Raises NotPositive, naming the
-    first offending outcome pair and its eigenvalue, when the
-    unsharpness/angle combination leaves the physical region.
-    """
-    g1, g2 = float(gammas[0]), float(gammas[1])
-    elements, lam, _ = nonpositive_elements(pair, (g1, g2))
-
-    def unphysical(k):
-        w1, w2 = PAIR_ORDER[k[0]]
-        return NotPositive(f"joint element({w1:+d},{w2:+d}) has min eigenvalue {float(lam[k])!r}; "
-                           f"gammas ({g1}, {g2}) with these directions are unphysical")
-
-    linalg.require(-lam, -linalg.PSD_TOL, unphysical)
-    elements.setflags(write=False)
-    return elements
+    return ~np.any(nonpositive_elements(settings, gammas)[2], axis=(-2, -1))
 
 
 def product_povm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -244,9 +229,23 @@ class JointPovm:
 
 
 def joint_povm(settings: ObservableSet, gammas: GammaSet) -> JointPovm:
-    """Assemble the full measurement for the given settings."""
-    a = build_joint_povm((settings.x, settings.y), (gammas.gamma_x, gammas.gamma_y))
-    b = build_joint_povm((settings.u, settings.v), (gammas.gamma_u, gammas.gamma_v))
+    """Assemble the full measurement for the given settings. Both subsystems' elements
+    are built as one stack and checked by one eigensolve; NotPositive names the first
+    element whose smallest eigenvalue falls below linalg.PSD_TOL, A's before B's, in
+    PAIR_ORDER, with its eigenvalue and its subsystem's gammas."""
+    g = gammas.as_tuple()
+    elements, lam, _ = nonpositive_elements(settings, g)
+
+    def unphysical(k):
+        subsystem, element = k
+        w1, w2 = PAIR_ORDER[element]
+        g1, g2 = g[2 * subsystem:2 * subsystem + 2]
+        return NotPositive(f"joint element({w1:+d},{w2:+d}) has min eigenvalue {float(lam[k])!r}; "
+                           f"gammas ({g1}, {g2}) with these directions are unphysical")
+
+    linalg.require(-lam, -linalg.PSD_TOL, unphysical)
+    elements.setflags(write=False)
+    a, b = elements
     return JointPovm(gammas, a, b, product_povm(a, b))
 
 

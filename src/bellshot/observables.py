@@ -7,6 +7,7 @@ subsystem: X, Y on A and U, V on B.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -56,7 +57,7 @@ class ObservableSpec:
     def __post_init__(self):
         object.__setattr__(self, "label", ObservableLabel(self.label))
         n = linalg.as_finite(self.bloch, (3,), f"observable {self.label.value}: bloch vector")
-        norm = float(np.linalg.norm(n))
+        norm = math.sqrt(n.dot(n))  # np.linalg.norm of a real vector, without its dispatch
         linalg.require(abs(norm - 1.0), linalg.BLOCH_NORM_TOL,
                        lambda _: OutOfRange(f"observable {self.label.value}: |bloch| = {norm!r}, expected 1"))
         n.setflags(write=False)

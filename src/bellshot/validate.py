@@ -79,6 +79,12 @@ def _random_case(rng):
     return settings, kernel, povm, rho, measurement.observed_statistics(rho, povm)
 
 
+def _n_sigma(n) -> np.ndarray:
+    """n . sigma from belltests.PAULIS: a reference that does not call bloch_operator,
+    which the checked constructors do."""
+    return np.tensordot(n, belltests.PAULIS[1:], axes=1)
+
+
 def _verdict(passed, message):
     """(passed, message()), or (passed, "") for a check that passes: a failure message
     is formatted only when its check fails, and before the check moves on."""
@@ -118,7 +124,7 @@ def _check_observables(rng, trials):
     for _ in range(trials):
         n = random_unit_vector(rng)
         povm = observables.sharp_povm(observables.ObservableSpec("x", n))
-        vecs = np.linalg.eigh(observables.bloch_operator(n))[1]
+        vecs = np.linalg.eigh(_n_sigma(n))[1]
         plus = np.outer(vecs[:, 1], vecs[:, 1].conj())  # eigh sorts the +1 eigenvalue last
         yield _verdict(np.abs(povm.element_plus - plus).max() <= linalg.PROJECTOR_TOL,
                        lambda: f"sharp POVM for {n} is not the +1 eigenprojector of n.sigma")
@@ -136,7 +142,7 @@ def _check_measurement(rng, trials):
         w = 1 if rng.random() < 0.5 else -1
         got = povm.marginal_element(label, w)
         n = settings.get(label).bloch
-        expected = 0.5 * (np.eye(2) + gammas.of(label) * w * observables.bloch_operator(n))
+        expected = 0.5 * (np.eye(2) + gammas.of(label) * w * _n_sigma(n))
         yield _verdict(np.abs(got - expected).max() <= linalg.COMPLETENESS_TOL,
                        lambda: f"marginal element mismatch for {label.value}, w={w}")
         rho = states.random_density_matrix(rng)
@@ -178,10 +184,11 @@ def _check_inversion(rng, trials):
 def _check_belltests(rng, trials):
     for _ in range(trials):
         _, kernel, _, _, observed = _random_case(rng)
+        quasi = inversion.invert_distribution(kernel, observed)
         # report constructors run the dual-path assertions internally
-        belltests.chsh_report(kernel, observed)
+        belltests.chsh_report(kernel, observed, quasi)
         yield True, ""
-        belltests.ch_report(kernel, observed)
+        belltests.ch_report(kernel, observed, quasi)
         yield True, ""
     gamma = float(rng.uniform(0.4, 0.7))
     kernel = inversion.build_kernel(measurement.GammaSet.equal(gamma))

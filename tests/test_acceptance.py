@@ -72,7 +72,8 @@ def test_criterion_1_universal_single_shot_violation():
     ensembles = []
     for _ in range(20):
         rho = random_density_matrix(rng)
-        rep = chsh_report(kernel, observed_statistics(rho, povm))
+        p = observed_statistics(rho, povm)
+        rep = chsh_report(kernel, p, invert_distribution(kernel, p))
         worst = max(worst, np.abs(rep.single_shot_S - reference).max())
         ensembles.append(rep.ensemble_S)
     spread = max(ensembles) - min(ensembles)

@@ -20,6 +20,8 @@ import pytest
 import bellshot
 from bellshot import (
     BellshotError,
+    ChReport,
+    ChshReport,
     GammaSet,
     InversionKernel,
     QuasiDistribution,
@@ -33,6 +35,7 @@ from bellshot import (
     chsh_optimal_angles,
     chsh_report,
     chsh_verdict,
+    classical_bounds_check,
     convergence_report,
     cross_marginal,
     custom_state,
@@ -42,6 +45,7 @@ from bellshot import (
     inversion,
     joint_povm,
     kernel_1d,
+    linalg,
     measurement,
     observable_set,
     sample_indices,
@@ -122,14 +126,32 @@ STAGES = {measurement: ("born_traces", "product_povm", "born_probabilities"),
 # the calls each command makes to each stage, directly or through another stage
 ALL_FOUR = {"born_traces": 1, "product_povm": 1, "born_probabilities": 1, "kernel_tables": 1}
 STAGE_CALLS = {
-    # chsh_report, ch_report and exact.json's quasi-distribution each invert
-    "exact": {**ALL_FOUR, "invert_distribution": 3, "single_shot_chsh_tables": 1},
+    # once, for exact.json's quasi-distribution and both reports
+    "exact": {**ALL_FOUR, "invert_distribution": 1, "single_shot_chsh_tables": 1},
     # the frequencies once, checked against the shot mean; the exact S once, in chsh_report
     "run": {**ALL_FOUR, "invert_distribution": 2, "single_shot_chsh_tables": 2},
     "sweep_gamma": {"born_traces": 1, "product_povm": 1, "kernel_tables": 1, "single_shot_chsh_tables": 1},
     "sweep_werner_eta": {"born_traces": 1, "product_povm": 1, "born_probabilities": 1, "kernel_tables": 1,
                          "single_shot_chsh_tables": 1},
 }
+
+
+def test_readme_exact_admission_count_is_pinned(tmp_path, monkeypatch):
+    # 19 linalg.as_finite calls: the state and the four gammas (one pass); the four
+    # observables and their four Bloch operators; the kernel table, and the observed
+    # statistics and quasi-distribution of the one inversion; the observed statistics again
+    # in each report; the four report arrays in classical_bounds_check
+    calls = Counter()
+    admit = linalg.as_finite
+
+    def counted(value, shape, what, *args, **kwargs):
+        calls[what] += 1
+        return admit(value, shape, what, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "as_finite", counted)
+    assert main(["exact", "--config", singlet_config(tmp_path), "--out", str(tmp_path / "out")]) == 0
+    assert sum(calls.values()) == 19, calls
+    assert calls["observed statistics"] == 3 and calls["quasi-distribution"] == 1
 
 
 @pytest.mark.parametrize("command", sorted(CORRUPTIBLE_COMMANDS))
@@ -154,6 +176,9 @@ def kernel():
     return build_kernel(GammaSet.equal(ROOT_HALF))
 
 
+UNIFORM = np.full(16, 1 / 16)  # observed statistics whose inversion is a QuasiDistribution
+
+
 # each public entry point as a function of the one argument under test
 NUMERIC = {
     "GammaSet": lambda v: GammaSet(0.5, 0.5, 0.5, v),
@@ -167,8 +192,14 @@ NUMERIC = {
     "InversionKernel": lambda v: InversionKernel(GammaSet.equal(ROOT_HALF), v),
     "QuasiDistribution": QuasiDistribution,
     "invert_distribution": lambda v: invert_distribution(kernel(), v),
-    "chsh_report": lambda v: chsh_report(kernel(), v),
-    "ch_report": lambda v: ch_report(kernel(), v),
+    "chsh_report": lambda v: chsh_report(kernel(), v, invert_distribution(kernel(), UNIFORM)),
+    "chsh_report quasi": lambda v: chsh_report(kernel(), UNIFORM, v),
+    "ch_report": lambda v: ch_report(kernel(), v, invert_distribution(kernel(), UNIFORM)),
+    "ch_report quasi": lambda v: ch_report(kernel(), UNIFORM, v),
+    "classical_bounds_check ensemble_S": lambda v: classical_bounds_check(ChshReport(None, v, np.zeros(16))),
+    "classical_bounds_check single_shot_S": lambda v: classical_bounds_check(ChshReport(None, 0.0, v)),
+    "classical_bounds_check single_shot_C": lambda v: classical_bounds_check(ChReport(v, np.zeros(16))),
+    "classical_bounds_check ensemble_C": lambda v: classical_bounds_check(ChReport(np.zeros((16, 16)), v)),
     "sample_indices": lambda v: sample_indices(v, 10, RngConfig(1)),
     "ShotDraws": lambda v: ShotDraws(v, 10, RngConfig(1)),
     "chsh_verdict": chsh_verdict,
@@ -179,8 +210,10 @@ INTEGER = {
     "validate_all": lambda v: validate_all(7, trials=v),
 }
 ENTRY_POINTS = {**NUMERIC, **INTEGER}
+NAN_GRID = np.zeros((16, 16))
+NAN_GRID[5, 11] = np.nan
 BAD = {"abc": "abc", "None": None, "ragged": [[1.0], [1.0, 2.0]], "nan": float("nan"), "10**400": 10**400,
-       "1.5": 1.5}
+       "1.5": 1.5, "[[0.5]]": [[0.5]], "nan_in_16x16": NAN_GRID}
 CASES = [(entry, bad) for entry in NUMERIC for bad in BAD if bad != "1.5"] + [
     # 10**400 trials is an integer count, admitted as the CLI admits it, and would never end
     (entry, bad) for entry in INTEGER for bad in BAD if (entry, bad) != ("validate_all", "10**400")]

@@ -183,7 +183,8 @@ def test_single_shot_ch_dual_path_random_gammas():
 def test_ensemble_ch_mixed_state(optimal_settings, root_half_gammas):
     povm = joint_povm(optimal_settings, root_half_gammas)
     p = observed_statistics(werner_state(0.0), povm)
-    ensemble_C = ch_report(build_kernel(root_half_gammas), p).ensemble_C
+    kernel = build_kernel(root_half_gammas)
+    ensemble_C = ch_report(kernel, p, invert_distribution(kernel, p)).ensemble_C
     for xi in OUTCOMES:
         assert ensemble_C[xi.to_index()] == pytest.approx(-0.5, abs=1e-12)
 
@@ -192,7 +193,7 @@ def test_ensemble_ch_singlet_optimal(optimal_settings, root_half_gammas):
     povm = joint_povm(optimal_settings, root_half_gammas)
     p = observed_statistics(bell_state(BellState.PSI_MINUS), povm)
     kernel = build_kernel(root_half_gammas)
-    values = ch_report(kernel, p).ensemble_C  # in OUTCOMES order
+    values = ch_report(kernel, p, invert_distribution(kernel, p)).ensemble_C  # in OUTCOMES order
     assert values.max() == pytest.approx(ROOT_HALF - 0.5, abs=1e-9)
     assert values.min() == pytest.approx(-ROOT_HALF - 0.5, abs=1e-9)
 
@@ -217,7 +218,8 @@ def test_ensemble_ch_matches_born_oracle(optimal_settings, root_half_gammas):
 
     for _ in range(5):
         rho = random_state_matrix(rng)
-        ensemble_C = ch_report(kernel, observed_statistics(custom_state(rho), povm)).ensemble_C
+        p = observed_statistics(custom_state(rho), povm)
+        ensemble_C = ch_report(kernel, p, invert_distribution(kernel, p)).ensemble_C
         for xi in (OUTCOMES[0], OUTCOMES[7], OUTCOMES[10]):
             x, y, u, v = xi.as_tuple()
             oracle = (
@@ -398,7 +400,7 @@ def test_chsh_report_fields(optimal_settings, root_half_gammas):
     povm = joint_povm(optimal_settings, root_half_gammas)
     p = observed_statistics(bell_state(BellState.PSI_MINUS), povm)
     kernel = build_kernel(root_half_gammas)
-    report = chsh_report(kernel, p)
+    report = chsh_report(kernel, p, invert_distribution(kernel, p))
     assert report.ensemble_S == pytest.approx(-TWO_ROOT_TWO, abs=1e-10)
     assert np.all(np.abs(report.s_values) == 2.0)
     assert np.allclose(np.abs(report.single_shot_S), 4.0, atol=1e-12)
@@ -416,8 +418,9 @@ def test_reports_on_random_states():
         rho = custom_state(random_state_matrix(rng))
         p = observed_statistics(rho, povm)
         kernel = build_kernel(gammas)
-        chsh = chsh_report(kernel, p)  # dual-path checks run inside
-        ch = ch_report(kernel, p)
+        q = invert_distribution(kernel, p)
+        chsh = chsh_report(kernel, p, q)  # dual-path checks run inside
+        ch = ch_report(kernel, p, q)
         assert abs(chsh.ensemble_S) <= TWO_ROOT_TWO + 1e-9
         assert ch.single_shot_C.shape == (16, 16)
         assert ch.ensemble_C.shape == (16,)
@@ -431,12 +434,13 @@ def test_classical_bounds_check_structure(optimal_settings, root_half_gammas):
     p = observed_statistics(bell_state(BellState.PSI_MINUS), povm)
     kernel = build_kernel(root_half_gammas)
 
-    out = classical_bounds_check(chsh_report(kernel, p))
+    q = invert_distribution(kernel, p)
+    out = classical_bounds_check(chsh_report(kernel, p, q))
     assert out["ensemble_S"]["status"] == "violated"
     assert len(out["single_shot_S"]) == 16
     assert all(v["status"] == "violated" for v in out["single_shot_S"])
 
-    out = classical_bounds_check(ch_report(kernel, p))
+    out = classical_bounds_check(ch_report(kernel, p, q))
     assert len(out["ensemble_C"]) == 16
     grid_summary = out["single_shot_C"]
     assert grid_summary["all_violated"] is True
@@ -455,15 +459,21 @@ def test_classical_bounds_check_structure(optimal_settings, root_half_gammas):
     (-1.0 - 0.5e-12, False),
     (-1.0 - 2e-12, True),
     (-1.000000000001, True),  # -1 - BOUNDARY_TOL, which rounds to 1.000088900582341e-12 below -1
-    (float("nan"), False),
+    (float("nan"), None),  # refused, as ch_verdict refuses it
 ])
 def test_all_violated_matches_ch_verdict(value, expected):
     # the singlet grid at gamma = 1/sqrt(2) holds only 0.5 and -1.5, all violated
     grid = single_shot_ch_table(build_kernel(GammaSet.equal(ROOT_HALF)))
     grid[5, 11] = value
-    summary = classical_bounds_check(ChReport(single_shot_C=grid, ensemble_C=np.zeros(16)))
-    # ch_verdict refuses NaN; the summary counts it as no violation
-    loop = all(np.isfinite(c) and ch_verdict(float(c)).status == "violated" for c in grid.ravel())
+    report = ChReport(single_shot_C=grid, ensemble_C=np.zeros(16))
+    if expected is None:
+        with pytest.raises(OutOfRange, match=r"^single_shot_C\[5, 11\] = nan is not finite$"):
+            classical_bounds_check(report)
+        with pytest.raises(OutOfRange):
+            ch_verdict(value)
+        return
+    summary = classical_bounds_check(report)
+    loop = all(ch_verdict(float(c)).status == "violated" for c in grid.ravel())
     assert summary["single_shot_C"]["all_violated"] is expected is loop
 
 
@@ -479,10 +489,10 @@ def test_chsh_report_ensemble_routes_must_agree(monkeypatch, optimal_settings,
     monkeypatch.setattr(belltests, "ensemble_chsh", lambda q: ensemble(q) + offset)
     if offset > 1e-10:
         with pytest.raises(ConsistencyError, match="ensemble CHSH paths disagree at S: "):
-            chsh_report(kernel, p)
+            chsh_report(kernel, p, invert_distribution(kernel, p))
     else:
         expected = ensemble(invert_distribution(kernel, p)) + offset
-        assert chsh_report(kernel, p).ensemble_S == expected
+        assert chsh_report(kernel, p, invert_distribution(kernel, p)).ensemble_S == expected
 
 
 def test_corrupted_kernel_trips_dual_path_check(root_half_gammas):

@@ -163,7 +163,7 @@ def test_product_state_negativity_is_not_nonlocality(optimal_settings, root_half
     q = invert_distribution(kernel, p)
     assert q.is_negative()
     assert q.min_entry() == pytest.approx((1.0 - np.sqrt(2.0)) / 8.0, abs=1e-12)
-    assert chsh_report(kernel, p).ensemble_S == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert chsh_report(kernel, p, q).ensemble_S == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
 def test_reconstructed_sharp_povm_matches_projectors():

@@ -4,12 +4,14 @@ import pytest
 from bellshot import (
     GammaSet,
     ObservableLabel,
+    ObservableSet,
     ObservableSpec,
     OutcomeIndex,
     bell_state,
     BellState,
     custom_state,
     joint_povm,
+    observable_set,
     observed_statistics,
     random_density_matrix,
 )
@@ -19,7 +21,6 @@ from bellshot.measurement import (
     PAIR_ORDER,
     as_indices,
     born_probabilities,
-    build_joint_povm,
     product_povm,
 )
 from bellshot.errors import ConsistencyError, GammaOutOfRange, NotPositive, OutOfRange
@@ -123,6 +124,13 @@ def test_gamma_set_admits_a_stack_as_its_constructor_does():
     assert expected[-5:] == [True, False, True, False, False]
 
 
+def subsystem_a(pair, gammas):
+    """joint_povm's subsystem A for a pair of A observables and their gammas. B holds
+    the optimal directions at gamma 1/sqrt(2), where its elements are positive."""
+    b_pair = (ObservableSpec(label, OPTIMAL_BLOCHS[label]) for label in "uv")
+    return joint_povm(ObservableSet(*pair, *b_pair), GammaSet(*gammas, ROOT_HALF, ROOT_HALF)).subsystem_a
+
+
 def test_subsystem_element_boundary_case():
     # orthogonal pair at gamma = 1/sqrt(2): quarter-element Bloch norm is
     # exactly 1/4, so the smallest eigenvalue sits at zero
@@ -130,7 +138,7 @@ def test_subsystem_element_boundary_case():
         ObservableSpec(ObservableLabel.X, np.array([0.0, 0.0, 1.0])),
         ObservableSpec(ObservableLabel.Y, np.array([1.0, 0.0, 0.0])),
     )
-    elements = build_joint_povm(pair, (ROOT_HALF, ROOT_HALF))
+    elements = subsystem_a(pair, (ROOT_HALF, ROOT_HALF))
     want = 0.25 * (np.eye(2) + (bloch_matrix([0, 0, 1]) + bloch_matrix([1, 0, 0])) * ROOT_HALF)
     assert np.abs(elements[0] - want).max() < 1e-15
     for e in elements:
@@ -145,7 +153,7 @@ def test_sharp_gammas_on_orthogonal_pair_rejected():
         ObservableSpec(ObservableLabel.Y, np.array([1.0, 0.0, 0.0])),
     )
     with pytest.raises(NotPositive) as err:
-        build_joint_povm(pair, (1.0, 1.0))
+        subsystem_a(pair, (1.0, 1.0))
     # every element fails; the message names the first in PAIR_ORDER
     assert str(err.value) == (
         "joint element(+1,+1) has min eigenvalue -0.10355339059327377; "
@@ -161,10 +169,27 @@ def test_rejection_names_first_failing_element_in_pair_order():
         ObservableSpec(ObservableLabel.Y, np.array([0.6, 0.0, 0.8])),
     )
     with pytest.raises(NotPositive) as err:
-        build_joint_povm(pair, (0.6, -0.6))
+        subsystem_a(pair, (0.6, -0.6))
     assert str(err.value) == (
         "joint element(+1,-1) has min eigenvalue -0.034604989415154136; "
         "gammas (0.6, -0.6) with these directions are unphysical"
+    )
+
+
+def test_rejection_names_b_alone_and_a_before_b():
+    # B carries the pair above; A the optimal pair, positive at 1/sqrt(2), not at 1
+    settings = observable_set(OPTIMAL_BLOCHS["x"], OPTIMAL_BLOCHS["y"], [0.0, 0.0, 1.0], [0.6, 0.0, 0.8])
+    with pytest.raises(NotPositive) as err:
+        joint_povm(settings, GammaSet(ROOT_HALF, ROOT_HALF, 0.6, -0.6))
+    assert str(err.value) == (
+        "joint element(+1,-1) has min eigenvalue -0.034604989415154136; "
+        "gammas (0.6, -0.6) with these directions are unphysical"
+    )
+    with pytest.raises(NotPositive) as err:
+        joint_povm(settings, GammaSet(1.0, 1.0, 0.6, -0.6))
+    assert str(err.value) == (
+        "joint element(+1,+1) has min eigenvalue -0.10355339059327377; "
+        "gammas (1.0, 1.0) with these directions are unphysical"
     )
 
 
@@ -172,8 +197,9 @@ def test_subsystem_completeness():
     rng = np.random.default_rng(41)
     for _ in range(25):
         settings, gammas = admissible_draw(rng)
-        a = build_joint_povm((settings.x, settings.y), (gammas.gamma_x, gammas.gamma_y))
-        assert np.abs(a.sum(axis=0) - np.eye(2)).max() < 1e-12
+        povm = joint_povm(settings, gammas)
+        for elements in (povm.subsystem_a, povm.subsystem_b):
+            assert np.abs(elements.sum(axis=0) - np.eye(2)).max() < 1e-12
 
 
 def test_product_povm_structure(optimal_settings, root_half_gammas):
@@ -287,6 +313,6 @@ def test_overfull_parallel_pair_rejected():
         ObservableSpec(ObservableLabel.Y, n),
     )
     with pytest.raises(NotPositive):
-        build_joint_povm(pair, (1.0, 0.5))
+        subsystem_a(pair, (1.0, 0.5))
     # at the boundary (norm exactly 1) construction succeeds
-    build_joint_povm(pair, (0.5, 0.5))
+    subsystem_a(pair, (0.5, 0.5))

@@ -26,7 +26,7 @@ from bellshot import (
     werner_state,
 )
 from bellshot.inversion import require_column_sums, require_quasi_entries
-from bellshot.measurement import born_probabilities, build_joint_povm
+from bellshot.measurement import born_probabilities
 from conftest import OPTIMAL_BLOCHS, ROOT_HALF
 
 
@@ -50,8 +50,9 @@ FAILURES = {
     "werner_eta": lambda: werner_state(np.float64(1.5)),
     "sample_probability_floor": lambda: sample_indices(with_entry(0, -0.1), 10, RngConfig(1)),
     "sample_probability_sum": lambda: sample_indices(np.full(16, 1.0 / 32.0), 10, RngConfig(1)),
-    "joint_element_eigenvalue": lambda: build_joint_povm(
-        (spec("x", [0.0, 0.0, 1.0]), spec("y", [1.0, 0.0, 0.0])), (np.float64(0.9), np.float64(0.9))
+    "joint_element_eigenvalue": lambda: joint_povm(
+        observable_set(*(OPTIMAL_BLOCHS[k] for k in "xyuv")),
+        GammaSet(np.float64(0.9), np.float64(0.9), ROOT_HALF, ROOT_HALF),
     ),
     "observed_probability_floor": lambda: born_probabilities(np.diag([1.5, -0.5, 0.0, 0.0]), optimal_povm()),
     "observed_probability_sum": lambda: born_probabilities(np.eye(4) / 2.0, optimal_povm()),

@@ -19,7 +19,6 @@ from bellshot import (
     InversionKernel,
     NotPositive,
     ObservableLabel,
-    ObservableSpec,
     build_kernel,
     chsh_report,
     cross_marginal,
@@ -177,8 +176,7 @@ def busch_min_eigenvalues(n1, n2, g1, g2) -> np.ndarray:
 @given(unit_vectors(), unit_vectors(), unit_vectors(), unit_vectors(),
        st.lists(SIGNED_GAMMA, min_size=4, max_size=4))
 def test_realizability_matches_the_busch_closed_form(x, y, u, v, gammas):
-    lam = [nonpositive_elements((ObservableSpec("x", x), ObservableSpec("y", y)), gammas[:2])[1],
-           nonpositive_elements((ObservableSpec("u", u), ObservableSpec("v", v)), gammas[2:])[1]]
+    lam = nonpositive_elements(observable_set(x, y, u, v), gammas)[1]  # rows A, B
     closed = [busch_min_eigenvalues(x, y, *gammas[:2]), busch_min_eigenvalues(u, v, *gammas[2:])]
     assert np.abs(np.subtract(lam, closed)).max() <= 4 * np.finfo(float).eps
     lowest = min(map(np.min, closed))
@@ -222,8 +220,7 @@ def test_povm_products_and_statistics_equal_per_outcome_loops(drawn, rho, stack)
     probs = traces_per_state_and_outcome(stack, povm.product)
     assert np.array_equal(born_probabilities(stack, povm), np.where(probs < 0.0, 0.0, probs))
     # the gamma = 1 operators whose traces gamma_free_quasi returns unclamped
-    sharp = product_povm(subsystem_elements((obs.x, obs.y), (1.0, 1.0)),
-                         subsystem_elements((obs.u, obs.v), (1.0, 1.0)))
+    sharp = product_povm(*subsystem_elements(obs, (1.0, 1.0, 1.0, 1.0)))
     (quasi,) = traces_per_state_and_outcome([state.matrix], sharp)
     assert np.array_equal(gamma_free_quasi(state, obs).entries, quasi)
 
@@ -262,7 +259,8 @@ def pipeline_route(rho, obs, gammas):
     inversion, looked up on their modules so that a test can patch them."""
     kernel = inversion.build_kernel(gammas)
     p = measurement.observed_statistics(custom_state(rho), measurement.joint_povm(obs, gammas))
-    return chsh_report(kernel, p).ensemble_S, invert_distribution(kernel, p)
+    q = invert_distribution(kernel, p)
+    return chsh_report(kernel, p, q).ensemble_S, q
 
 
 def s_gap(rho, obs, gammas) -> float:
@@ -413,10 +411,17 @@ JSON_VALUES = st.recursive(
     max_leaves=40,
 )
 
+NAN = float("nan")
+
 
 @settings(FIXED, max_examples=100)
 @given(JSON_VALUES)
 @example({"a": [1e16, -0.0, 5e-324, 1e-5], "b": [float("nan"), 1.0], "c": [[], {}, ()],
           "d": (np.float64(0.1), float("-inf")), "e": [10**300, True, None, 'q"\\\x01\u00e9']})
+# the float table's traps: values equal to a formatted float that print otherwise
+@example([[0.0, -0.0, 0.0], [-0.0], [0.0], -0.0, 0.0])  # zeros in one list and across lists
+@example([1.0, 1, True, np.float64(1.0), [1.0, 1, True], [1.0, np.float64(1.0)], {"k": 1}])
+@example([NAN, NAN, float("nan"), [NAN], {"k": NAN}])  # NaN after NaN, the same object and another
+@example([0.1, [0.1, [0.1, [0.1, 0.1]]], {"k": [0.1, -0.1]}, (0.1,)])  # one value repeated in nested lists
 def test_json_text_is_json_dumps_indent_2(value):
     assert json_text(value) == json.dumps(value, indent=2)

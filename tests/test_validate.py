@@ -89,8 +89,8 @@ def kernel_of_a_y_gamma_one_percent_small(monkeypatch):
 
 
 def bloch_operator_with_y_and_z_swapped(monkeypatch):
-    # a unit Bloch operator still, so every POVM builds; the Born values validate checks
-    # against come from rho's Pauli correlations, which never call bloch_operator
+    # a unit Bloch operator still, so every POVM builds; validate's references come from
+    # belltests.PAULIS and rho's Pauli correlations, which never call bloch_operator
     def bloch_operator(n):
         n = np.asarray(n, dtype=float)
         return n[0] * linalg.SIGMA_X + n[2] * linalg.SIGMA_Y + n[1] * linalg.SIGMA_Z
@@ -106,6 +106,7 @@ def bloch_operator_with_y_and_z_swapped(monkeypatch):
     (swapped_sharp_elements, "observables.sharp_povm"),
     (kernel_of_a_y_gamma_one_percent_small, "inversion.kernel"),
     (bloch_operator_with_y_and_z_swapped, "measurement.joint_povm"),
+    (bloch_operator_with_y_and_z_swapped, "observables.sharp_povm"),
 ])
 def test_a_mutant_the_constructors_admit_fails_its_check(monkeypatch, mutate, check):
     assert validate_all(seed=7, trials=4).passed
