@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -33,8 +34,6 @@ EXIT_CONFIG = 2
 # peaks at 38 MB in blocks of 256, 40 MB in blocks of 1024 and 79 MB as one block
 # (numpy 2.4, Python 3.11, x86-64 Linux).
 SWEEP_BLOCK = 256
-# every sweep column but the integer `realizable` at full float precision
-SWEEP_ROW = ",".join(["%.17g"] * 6 + ["%d"]) + "\n"
 
 
 def atomic_write_json(path: str, payload: dict) -> None:
@@ -217,29 +216,32 @@ def _sweep_grid(args) -> list[float]:
     return grid.tolist()
 
 
-def _sweep_rows(config: ExperimentConfig, axis: str, grid: list[float]):
-    """Sweep rows, one iterable per SWEEP_BLOCK grid points. Along gamma, kernels and realizability
+def _sweep_columns(config: ExperimentConfig, axis: str, grid: list[float]):
+    """Sweep columns, one tuple per SWEEP_BLOCK grid points. Along gamma, kernels and realizability
     are stacked against one gamma-free quasi-distribution, whose ensemble S (on that one route)
     and min entry survive the exact inversion; along werner_eta, states and quasi-distributions
-    are stacked against kernel columns computed once, and ensemble S passes both routes."""
+    are stacked against kernel columns computed once, and ensemble S passes both routes. A column
+    that is the same over the whole sweep is given once, as its CSV text."""
     def kernel_columns(chsh, gammas):  # abs_single_shot_S, ch_min, ch_max
         ch = belltests.single_shot_ch_tables(gammas)
         return np.abs(chsh).max(axis=-1), ch.min(axis=(-2, -1)), ch.max(axis=(-2, -1))
 
     if axis == "gamma":
         quasi = inversion.gamma_free_quasi(config.state, config.settings).entries
-        ensemble_S = belltests.ensemble_chsh_values(quasi)
+        ensemble_S, min_quasi = (_text(v) for v in (belltests.ensemble_chsh_values(quasi), quasi.min()))
     elif axis == "werner_eta":
         kernel = inversion.build_kernel(config.gammas)
         povm = measurement.joint_povm(config.settings, config.gammas)
         chsh = belltests.single_shot_chsh_tables(kernel.table, config.gammas.as_tuple())
-        kernel_side, realizable_column = kernel_columns(chsh, config.gammas.as_tuple()), np.True_
+        kernel_side = tuple(map(_text, kernel_columns(chsh, config.gammas.as_tuple())))
+        realizable_column = b"1"
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     for start in range(0, len(grid), SWEEP_BLOCK):
         values = grid[start:start + SWEEP_BLOCK]
+        points = np.array(values)
         if axis == "gamma":
-            gammas = np.repeat(np.array(values)[:, None], 4, axis=1)  # GammaSet.equal per row
+            gammas = np.repeat(points[:, None], 4, axis=1)  # GammaSet.equal per row
             bad = ~GammaSet.admits(gammas)
             if np.any(bad):
                 raise ConfigError(f"sweep gamma {values[np.argmax(bad)]!r} outside "
@@ -249,20 +251,49 @@ def _sweep_rows(config: ExperimentConfig, axis: str, grid: list[float]):
             kernel_side = kernel_columns(belltests.single_shot_chsh_tables(tables, gammas), gammas)
             realizable_column = measurement.realizable(config.settings, gammas)
         else:
-            etas = np.array(values)
-            bad = ~((0.0 <= etas) & (etas <= 1.0))
+            bad = ~((0.0 <= points) & (points <= 1.0))
             if np.any(bad):
                 raise ConfigError(f"sweep werner_eta {values[np.argmax(bad)]!r} outside [0, 1]")
-            rho = states.density_matrices(states.werner_matrices(etas), stack_axes=1)
+            rho = states.density_matrices(states.werner_matrices(points), stack_axes=1)
             p = measurement.born_probabilities(rho, povm)
             quasi = inversion.inverted_entries(kernel, p)
             inversion.require_quasi_entries(quasi)
             ensemble_S = belltests.ensemble_chsh_values(quasi)
             belltests.require_agreement("ensemble CHSH", ensemble_S, p @ chsh,
                                         lambda i: f"werner_eta {values[i]!r}")
-        columns = (ensemble_S, *kernel_side, quasi.min(axis=-1), realizable_column)
-        # each column holds a value per grid point of the block, or one for the whole sweep
-        yield zip(values, *(c.tolist() if np.ndim(c) else [c.item()] * len(values) for c in columns))
+            min_quasi = quasi.min(axis=-1)
+        yield points, ensemble_S, *kernel_side, min_quasi, realizable_column
+
+
+def _text(value) -> bytes:
+    """One float's '%.17g' text, for a column the whole sweep shares."""
+    return b"%.17g" % float(value)
+
+
+def _csv_lines(columns) -> bytes:
+    """The CSV lines of one sweep block, from columns of a value per row (floats, written
+    '%.17g' through one sampler._fixed_17g call, or booleans, written 0 or 1) and the text
+    of columns the whole sweep shares. The cells are laid side by side in a NUL-padded byte
+    matrix, and one pass drops the NULs."""
+    floats = [c for c in columns if not isinstance(c, bytes) and c.dtype != bool]
+    n = len(floats[0])
+    texts = iter(sampler._fixed_17g(np.stack(floats, axis=1).ravel()).reshape(n, len(floats), 24)
+                 .transpose(1, 0, 2))
+    cells, shared = [], b""
+    for c in columns:
+        if isinstance(c, bytes):
+            shared += c + b","
+            continue
+        cells += [np.frombuffer(shared, np.uint8),
+                  next(texts) if c.dtype != bool else (c.view(np.uint8) + ord("0"))[:, None]]
+        shared = b","
+    cells.append(np.frombuffer(shared[:-1] + b"\n", np.uint8))
+    rows = np.empty((n, sum(c.shape[-1] for c in cells)), np.uint8)
+    at = 0
+    for c in cells:
+        rows[:, at:at + c.shape[-1]] = c
+        at += c.shape[-1]
+    return rows[rows != 0].tobytes()
 
 
 def cmd_sweep(config: ExperimentConfig, out_dir: str, axis: str, grid: list[float]) -> int:
@@ -274,8 +305,8 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str, axis: str, grid: list[floa
 
     def write(fh) -> None:
         fh.write(",".join(header).encode() + b"\n")
-        for block in _sweep_rows(config, axis, grid):
-            fh.write("".join([SWEEP_ROW % row for row in block]).encode())
+        for columns in _sweep_columns(config, axis, grid):
+            fh.write(_csv_lines(columns))
 
     path = os.path.join(out_dir, f"sweep_{axis}.csv")
     _atomic_write(path, write)
@@ -368,5 +399,13 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
 
+def process_main() -> int:
+    """main in a process of its own: `python -m bellshot.cli` and the bellshot script. The
+    objects that importing made live until exit; frozen first, they are not walked again by
+    the collections at interpreter exit. main() leaves an in-process caller's collector be."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

@@ -314,14 +314,21 @@ def _scaled(a: np.ndarray, x) -> np.ndarray:
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
-def _fixed_17g(m: np.ndarray, out=None):
-    """'%.17g' % v for each v of m, right-aligned in NUL-padded rows of a (len(m), 23) uint8
-    matrix, out if given; None if some |v| is outside [1e-4, 1e16): %g's exponent form, 0 or
-    not finite. Values of one decimal exponent, as a long run's means, share one scalar
+def _fixed_17g(m: np.ndarray, out=None) -> np.ndarray:
+    """'%.17g' % v for each v of m, right-aligned in NUL-padded rows of a (len(m), 24) uint8
+    matrix, out if given. Entries with |v| outside [1e-4, 1e16), which %g writes with an
+    exponent, as 0 or not finite, go one by one through _percent_17g; the rest are laid out
+    in arrays. Values of one decimal exponent, as a long run's means, share one scalar
     scale: IEEE 754 rounds scalar and array doubles alike."""
+    chars = np.empty((len(m), 24), np.uint8) if out is None else out
     a = np.abs(m)
-    if not (a.min() >= 1e-4 and a.max() < 1e16):  # NaN fails both
-        return None
+    inside = (1e-4 <= a) & (a < 1e16)  # NaN fails both
+    whole = inside.all()
+    if not whole:
+        chars[~inside] = _percent_17g(m[~inside])
+        m, a = m[inside], a[inside]
+    if not len(m):
+        return chars
     first, last = np.floor(np.log10([a.min(), a.max()])).astype(np.int64)  # exponent, or one off
     x = first if first == last else np.floor(np.log10(a)).astype(np.int64)
     n = _scaled(a, x)
@@ -336,18 +343,22 @@ def _fixed_17g(m: np.ndarray, out=None):
     groups = np.stack([lead + 10**4, high[0], low[0], high[1], low[1]], axis=1)
     digits = _DIGIT_WORDS.take(groups).view(np.uint8)  # 20 columns: 2 sign, 3 + j digit j
     digits[:, 2] = (m < 0) * ord("-")
-    chars = np.empty((len(m), 23), np.uint8) if out is None else out
+    fixed = chars if whole else np.empty((len(m), 24), np.uint8)
+    fixed[:, 0] = 0  # a fixed-notation text is at most 23 bytes, laid out in text
+    text = fixed[:, 1:]
     for e in range(np.min(x), np.max(x) + 1):
         rows = np.flatnonzero(x == e) if np.ndim(x) else slice(None)
         s, f = 4 + min(e, 0), 7 + max(e, -1)  # the sign's column and the fraction's first
-        chars[rows, :f] = _POINT[15 - e:15 - e + f]
-        chars[rows, s:s + f - 5] = digits[rows, 2:f - 3]
-        chars[rows, f:] = digits[rows, f - 3:]
+        text[rows, :f] = _POINT[15 - e:15 - e + f]
+        text[rows, s:s + f - 5] = digits[rows, 2:f - 3]
+        text[rows, f:] = digits[rows, f - 3:]
     zero = np.flatnonzero(digits[:, 19] == ord("0"))  # the rows with trailing zeros
     trailing = np.argmax(digits[zero, :2:-1] != ord("0"), axis=1)
     fraction = 16 - (x[zero] if np.ndim(x) else x)  # digits after the point
     drop = np.minimum(trailing, fraction) + (trailing >= fraction)  # and a bare point
-    chars[zero] *= np.arange(23) < 23 - drop[:, None]
+    text[zero] *= np.arange(23) < 23 - drop[:, None]
+    if not whole:
+        chars[inside] = fixed
     return chars
 
 
@@ -359,12 +370,12 @@ def _percent_17g(m: np.ndarray) -> np.ndarray:
 def _csv_rows(fh, table: np.ndarray, n: int):
     """Write the header to fh, and return a _tally sink that writes each leaf's rows of n
     after it, CSV_CHUNK at a time, through one NUL-padded byte matrix compacted in one
-    pass: index, ",x,y,u,v,S," stem and a spare NUL, running mean and CRLF."""
+    pass: index, ",x,y,u,v,S," stem, running mean and CRLF."""
     stems = [b",%d,%d,%d,%d,%.17g," % (*xi.as_tuple(), s) for xi, s in zip(OUTCOMES, table.tolist())]
-    stem_chars = np.array(stems, f"S{max(map(len, stems)) + 1}").view(np.uint8).reshape(16, -1)
+    stem_chars = np.array(stems, f"S{max(map(len, stems))}").view(np.uint8).reshape(16, -1)
     fh.write(",".join(SHOT_CSV_HEADER).encode() + b"\r\n")
-    i = (len(str(n)) + 3) // 4 * 4  # the index's columns; the running mean's are the last 23
-    total, buf = 0.0, np.zeros((min(CSV_CHUNK, n), i + stem_chars.shape[1] + 25), np.uint8)
+    i = (len(str(n)) + 3) // 4 * 4  # the index's columns; the running mean's are the last 24
+    total, buf = 0.0, np.zeros((min(CSV_CHUNK, n), i + stem_chars.shape[1] + 26), np.uint8)
     buf[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
 
     def write(start: int, idx: np.ndarray, values: np.ndarray) -> None:
@@ -376,10 +387,8 @@ def _csv_rows(fh, table: np.ndarray, n: int):
             numbers = np.arange(start + offset + 1, start + offset + len(chunk) + 1)
             rows = buf[:len(chunk)]
             rows[:, :i] = _ascii(numbers, i // 4)
-            rows[:, i:-25] = stem_chars.take(chunk, axis=0)
-            means = sums / numbers
-            if _fixed_17g(means, rows[:, -25:-2]) is None:
-                rows[:, -26:-2] = _percent_17g(means)  # over the stem's spare NUL
+            rows[:, i:-26] = stem_chars.take(chunk, axis=0)
+            _fixed_17g(sums / numbers, rows[:, -26:-2])
             fh.write(rows[rows != 0])
 
     return write

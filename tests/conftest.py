@@ -119,9 +119,8 @@ def corrupted_inversion(monkeypatch):
 
 
 def fixed_17g_strings(values):
-    """The sampler's vector %.17g as one str per value, or None if it declines."""
-    chars = _fixed_17g(np.asarray(values, dtype=float))
-    return None if chars is None else [bytes(row[row != 0]).decode() for row in chars]
+    """The sampler's vector %.17g as one str per value."""
+    return [bytes(row[row != 0]).decode() for row in _fixed_17g(np.asarray(values, dtype=float))]
 
 
 def sampling_cdf(probabilities) -> np.ndarray:

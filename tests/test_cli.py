@@ -258,6 +258,31 @@ def test_in_process_exact_leaves_no_cyclic_garbage(tmp_path):
         gc.enable()
 
 
+@pytest.mark.parametrize("entry", [
+    "runpy.run_module('bellshot.cli', run_name='__main__')",  # python -m bellshot.cli
+    "from bellshot.cli import process_main; process_main()",  # the bellshot script
+], ids=["module", "script"])
+def test_a_bellshot_process_freezes_its_import_time_objects(entry):
+    code = ("import atexit, gc, runpy, sys; atexit.register(lambda: print(gc.get_freeze_count())); "
+            f"sys.argv = ['bellshot', '--version']; {entry}")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    version, frozen = proc.stdout.splitlines()
+    assert version.startswith("bellshot ")
+    assert int(frozen) > 0
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    assert '\nbellshot = "bellshot.cli:process_main"\n' in pyproject
+
+
+def test_in_process_main_leaves_the_collector_unfrozen(tmp_path):
+    cfg = write_config(tmp_path, near_boundary_config())
+    frozen = gc.get_freeze_count()
+    assert main(["exact", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
 def test_exact_singlet_optimal(tmp_path):
     cfg = singlet_config(tmp_path)
     out = tmp_path / "out"
@@ -686,6 +711,25 @@ def test_gamma_sweep_blocks_match_per_point_loop(tmp_path, monkeypatch, n):
     assert {line[-1:] for line in expected.decode().splitlines()[1:]} == {"0", "1"}
 
 
+@pytest.mark.parametrize("axis, grid", [
+    ("werner_eta", ["0.5", "0", "1e-300", "-0.0", "1e-05", "0.7071067811865476", "1", "5e-324", "0.25"]),
+    ("gamma", ["-0.7071067811865476", "0.25", "-1", "0.5", "1", "-0.3", "0.6", "-0.25", "0.3"]),
+])
+def test_sweep_cells_outside_fixed_notation_match_per_point_loop(tmp_path, monkeypatch, axis, grid):
+    # zeros, -0.0, tiny etas and a maximally mixed state's zero S put cells that %.17g writes
+    # with an exponent, or as 0, among fixed-notation ones of the same block of 7
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", 7)
+    doc = {**near_boundary_config(), "state": {"werner": 0.0}}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", axis,
+                 "--grid-values", *grid]) == 0
+    per_point = per_point_werner_csv if axis == "werner_eta" else per_point_gamma_csv
+    written = (out / f"sweep_{axis}.csv").read_bytes()
+    assert written == per_point(doc, [float(v) for v in grid])
+    assert b",0," in written  # the zero S
+
+
 @pytest.mark.parametrize("bad", ["nan", "1.0000001", "-0.5"])
 def test_werner_sweep_error_in_last_block_writes_nothing(tmp_path, capsys, bad):
     grid = [repr(eta) for eta in np.linspace(0.0, 1.0, 3 * SWEEP_BLOCK + 9).tolist()]
@@ -970,6 +1014,23 @@ def test_readme_run_formats_no_running_mean_row_by_row(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, {"state": {"bell": "psi_minus"}, "gammas": 0.7071067811865476,
                                   "shots": README_RUN_SHOTS, "seed": 42, "stream_count": 4})
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_run_formats_only_out_of_range_running_means_row_by_row(tmp_path, monkeypatch):
+    # a maximally mixed state's running mean wanders about 0, down to exact zeros and
+    # rounding debris such as 2.2e-16, which %.17g writes with an exponent
+    seen = []
+    percent = sampler._percent_17g
+    monkeypatch.setattr(sampler, "_percent_17g", lambda m: seen.extend(m.tolist()) or percent(m))
+    cfg = write_config(tmp_path, {"state": {"werner": 0.0}, "gammas": 0.7071067811865476,
+                                  "shots": 3 * CSV_CHUNK + 5000, "seed": 0})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "shots.csv", newline="") as fh:
+        means = [row[-1] for row in list(csv.reader(fh))[1:]]
+    outside = [m for m in means if not 1e-4 <= abs(float(m)) < 1e16]
+    assert 0 < len(outside) < CSV_CHUNK
+    assert ["%.17g" % v for v in seen] == outside
 
 
 def test_version_flag(capsys):

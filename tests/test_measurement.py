@@ -21,6 +21,7 @@ from bellshot.measurement import (
     PAIR_ORDER,
     as_indices,
     born_probabilities,
+    born_traces,
     product_povm,
 )
 from bellshot.errors import ConsistencyError, GammaOutOfRange, NotPositive, OutOfRange
@@ -274,6 +275,19 @@ def test_born_probabilities_stack_matches_observed_statistics(optimal_settings, 
     mixed = np.eye(4) / 4
     with pytest.raises(ConsistencyError, match=r"sum to 1\.2"):
         born_probabilities(np.array([mixed, 1.2 * mixed, 1.3 * mixed]), povm)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (256,), (3, 5)])
+def test_born_traces_of_a_stack_are_each_states_to_the_bit(shape):
+    # the stack goes through one 2-D matmul of all its rows, each state alone through its own
+    rng = np.random.default_rng(len(shape) * 1000 + shape[0])
+    povm = joint_povm(*admissible_draw(rng))
+    stack = np.array([random_state_matrix(rng) for _ in range(np.prod(shape))]).reshape(*shape, 4, 4)
+    traces = born_traces(stack, povm.product)
+    assert traces.shape == (*shape, 16)
+    for rho, row in zip(stack.reshape(-1, 4, 4), traces.reshape(-1, 16)):
+        assert np.array_equal(row, born_traces(rho, povm.product))
+        assert np.array_equal(row, [np.trace(rho @ e) for e in povm.product])
 
 
 def test_marginal_recovery_of_statistics():

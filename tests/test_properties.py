@@ -354,18 +354,14 @@ def test_ch_table_matches_per_entry_kernel_1d_reference(drawn):
 
 
 FIXED_NOTATION = st.floats(1e-4, 1e16, exclude_max=True)
-FINITE_OR_FIXED = (
-    st.floats(allow_nan=False, allow_infinity=False) | FIXED_NOTATION | FIXED_NOTATION.map(lambda v: -v)
-)
+ANY_OR_FIXED = st.floats() | FIXED_NOTATION | FIXED_NOTATION.map(lambda v: -v)
 
 
 @FIXED
-@given(st.lists(FINITE_OR_FIXED, min_size=1, max_size=20))
-def test_fixed_17g_declines_or_is_percent_17g(values):
-    got = fixed_17g_strings(values)
-    if all(1e-4 <= abs(v) < 1e16 for v in values):
-        assert got is not None
-    assert got is None or got == ["%.17g" % v for v in values]
+@given(st.lists(ANY_OR_FIXED, min_size=1, max_size=20))
+@example([0.0, -0.0, 5e-324, 1e-5, 1e16, 1e300, math.nan, math.inf, 2.5])
+def test_fixed_17g_is_percent_17g(values):
+    assert fixed_17g_strings(values) == ["%.17g" % v for v in values]
 
 
 @st.composite

@@ -391,9 +391,23 @@ def test_fixed_17g_exact_cases():
     # one call: rows of many exponents share a matrix
     assert fixed_17g_strings(inside) == ["%.17g" % v for v in inside]
     for v in near:
-        assert (fixed_17g_strings([v]) is None) == (v not in inside)
+        assert fixed_17g_strings([v]) == ["%.17g" % v]
     for v in (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-5, 1e16, 1e300):
-        assert fixed_17g_strings([1.5, v]) is None
+        assert fixed_17g_strings([1.5, v]) == ["1.5", "%.17g" % v]
+
+
+def test_fixed_17g_formats_only_out_of_range_entries_one_by_one(monkeypatch):
+    seen = []
+    percent = sampler._percent_17g
+    monkeypatch.setattr(sampler, "_percent_17g", lambda m: seen.extend(m.tolist()) or percent(m))
+    outside = [0.0, -0.0, 5e-324, 1e-5, -9.9999999999999991e-05, 1e16, 1e300, math.nan, -math.inf]
+    inside = [2.5, -1e-4, 0.3, 9999999999999998.0, -2.2250738585072014e-1]
+    values = [v for pair in zip(outside, inside + inside) for v in pair]
+    assert fixed_17g_strings(values) == ["%.17g" % v for v in values]
+    assert [repr(v) for v in seen] == [repr(v) for v in outside]
+    seen.clear()
+    assert fixed_17g_strings(inside) == ["%.17g" % v for v in inside]
+    assert seen == []
 
 
 def searchsorted_indices(probabilities, n, cfg):
