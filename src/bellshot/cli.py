@@ -156,8 +156,8 @@ def cmd_run(config: ExperimentConfig, out_dir: str) -> int:
     """Sample shots, log them as CSV, and summarize convergence as JSON. The shots are
     drawn in chunks, written and summed on the way; a second pass redraws them for the
     spread, so memory does not grow with the shot count. The shot mean and the inverted
-    frequencies give the empirical S along two routes, which must agree before shots.csv
-    is renamed into place."""
+    frequencies give the empirical S along two routes, which must agree, and the exact S
+    must pass chsh_report's route check, before shots.csv is renamed into place."""
     if config.shots < 1:
         raise ConfigError("run requires shots >= 1 (set shots in config or pass --shots)")
     kernel, observed = _analysis(config)
@@ -173,10 +173,10 @@ def cmd_run(config: ExperimentConfig, out_dir: str) -> int:
         via_freqs = belltests.ensemble_chsh(quasi)
         belltests.require_agreement("empirical S", via_freqs, summary["mean_S"],
                                     lambda: "frequency inversion vs shot mean")
-        return summary, quasi, via_freqs
+        exact = belltests.chsh_report(kernel, observed, inversion.invert_distribution(kernel, observed))
+        return summary, quasi, via_freqs, exact.ensemble_S
 
-    summary, empirical_quasi, via_freqs = _atomic_write(csv_path, write)
-    exact_quasi = inversion.invert_distribution(kernel, observed)
+    summary, empirical_quasi, via_freqs, exact_S = _atomic_write(csv_path, write)
     payload = {
         "shots": summary["shots"],
         "seed": config.seed,
@@ -184,7 +184,7 @@ def cmd_run(config: ExperimentConfig, out_dir: str) -> int:
         "empirical_S": summary["mean_S"],
         "sample_std": summary["sample_std"],
         "std_error": summary["std_error"],
-        "exact_S": belltests.chsh_report(kernel, observed, exact_quasi).ensemble_S,
+        "exact_S": exact_S,
         "verdicts": {"empirical_S": belltests.chsh_verdict(via_freqs).as_dict()},
         "empirical_quasi_distribution": empirical_quasi.to_list(),
         "empirical_min_quasi_entry": empirical_quasi.min_entry(),

@@ -9,10 +9,10 @@ A run never holds its shots whole. ShotDraws redraws them from the stream keys, 
 chunk, as often as they are read: one pass counts them, sums their single-shot values and
 writes their CSV rows, and a second sums the squared deviations from the mean. Each sum
 adds the values as numpy's pairwise summation adds the whole array, so the mean and spread
-are np.mean's and np.std(ddof=1)'s to the bit. CSV rows are laid out CSV_CHUNK at a time
-in one reused NUL-padded byte matrix, running means through an exact array '%.17g', and
-written after one pass drops the NULs. An int64 array of outcome indices is read through
-the same passes; sample_shots and shot_records are list-of-object views of it.
+are np.mean's and np.std(ddof=1)'s to the bit. Each step's CSV rows are laid out in one
+reused NUL-padded byte matrix, running means through an exact array '%.17g', and written
+after one pass drops the NULs. An int64 array of outcome indices is read through the same
+passes; sample_shots and shot_records are list-of-object views of it.
 """
 
 from __future__ import annotations
@@ -38,13 +38,12 @@ INTEGERS = {
 }
 MAX_SHOTS = 2**53
 
-# Shots drawn, valued and counted per step of a pass, and the largest node of the pairwise
-# sum taken whole; at least numpy's pairwise block of 128. It bounds a run's arrays.
-SHOT_CHUNK = 2**16
+# Shots drawn, valued, counted and written per step of a pass, and the largest node of the
+# pairwise sum taken whole; at least numpy's pairwise block of 128. It bounds a run's arrays.
+SHOT_CHUNK = 2**13
 BUCKETS = 4096  # of [0, 1): a draw's bucket gives its outcome unless a cdf entry splits it
 
 SHOT_CSV_HEADER = ("index", "x_prime", "y_prime", "u_prime", "v_prime", "S_single", "running_mean_S")
-CSV_CHUNK = 8192  # rows per byte matrix of _csv_rows, which writes every shots.csv
 
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
 # 0..9999 as 4-byte ASCII words, zero-padded, then again from 10**4 with NUL padding
@@ -335,13 +334,7 @@ def _fixed_17g(m: np.ndarray, out=None) -> np.ndarray:
     if n.min() < 10**16 or n.max() >= 10**17:
         x = x + (n >= 10**17) - (n < 10**16)
         n = _scaled(a, x)  # now every row holds its 17 significant digits
-    q = n // 10**8
-    lead = q // 10**8  # then four words of four digits
-    eights = np.stack([q - lead * 10**8, n - q * 10**8]).astype(np.int32)
-    high = eights // 10**4
-    low = eights - high * 10**4
-    groups = np.stack([lead + 10**4, high[0], low[0], high[1], low[1]], axis=1)
-    digits = _DIGIT_WORDS.take(groups).view(np.uint8)  # 20 columns: 2 sign, 3 + j digit j
+    digits = _ascii(n, 5)  # 20 columns: 2 sign, 3 + j digit j
     digits[:, 2] = (m < 0) * ord("-")
     fixed = chars if whole else np.empty((len(m), 24), np.uint8)
     fixed[:, 0] = 0  # a fixed-notation text is at most 23 bytes, laid out in text
@@ -369,27 +362,25 @@ def _percent_17g(m: np.ndarray) -> np.ndarray:
 
 def _csv_rows(fh, table: np.ndarray, n: int):
     """Write the header to fh, and return a _tally sink that writes each leaf's rows of n
-    after it, CSV_CHUNK at a time, through one NUL-padded byte matrix compacted in one
-    pass: index, ",x,y,u,v,S," stem, running mean and CRLF."""
+    after it, through one NUL-padded byte matrix of SHOT_CHUNK rows compacted in one pass:
+    index, ",x,y,u,v,S," stem, running mean and CRLF."""
     stems = [b",%d,%d,%d,%d,%.17g," % (*xi.as_tuple(), s) for xi, s in zip(OUTCOMES, table.tolist())]
     stem_chars = np.array(stems, f"S{max(map(len, stems))}").view(np.uint8).reshape(16, -1)
     fh.write(",".join(SHOT_CSV_HEADER).encode() + b"\r\n")
     i = (len(str(n)) + 3) // 4 * 4  # the index's columns; the running mean's are the last 24
-    total, buf = 0.0, np.zeros((min(CSV_CHUNK, n), i + stem_chars.shape[1] + 26), np.uint8)
+    total, buf = 0.0, np.zeros((min(SHOT_CHUNK, n), i + stem_chars.shape[1] + 26), np.uint8)
     buf[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
 
     def write(start: int, idx: np.ndarray, values: np.ndarray) -> None:
         nonlocal total
-        for offset in range(0, len(idx), CSV_CHUNK):
-            chunk = idx[offset:offset + CSV_CHUNK]
-            sums = _running_sums(values[offset:offset + CSV_CHUNK], total)
-            total = sums[-1]
-            numbers = np.arange(start + offset + 1, start + offset + len(chunk) + 1)
-            rows = buf[:len(chunk)]
-            rows[:, :i] = _ascii(numbers, i // 4)
-            rows[:, i:-26] = stem_chars.take(chunk, axis=0)
-            _fixed_17g(sums / numbers, rows[:, -26:-2])
-            fh.write(rows[rows != 0])
+        sums = _running_sums(values, total)
+        total = sums[-1]
+        numbers = np.arange(start + 1, start + len(idx) + 1)
+        rows = buf[:len(idx)]
+        rows[:, :i] = _ascii(numbers, i // 4)
+        rows[:, i:-26] = stem_chars.take(idx, axis=0)
+        _fixed_17g(sums / numbers, rows[:, -26:-2])
+        fh.write(rows[rows != 0])
 
     return write
 

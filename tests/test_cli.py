@@ -15,14 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellshot import cli, inversion, measurement, sampler
+from bellshot import belltests, cli, inversion, measurement, sampler
 from bellshot.belltests import ensemble_chsh, single_shot_ch_table, single_shot_chsh_table
 from bellshot.cli import SWEEP_BLOCK, _atomic_write, main
 from bellshot.config import ExperimentConfig
 from bellshot.errors import ConsistencyError, GammaOutOfRange, NotPositive, OutOfRange
 from bellshot.inversion import build_kernel, gamma_free_quasi, invert_distribution, kernel_1d
 from bellshot.measurement import GammaSet, joint_povm, observed_statistics
-from bellshot.sampler import CSV_CHUNK, stream_summary
+from bellshot.sampler import SHOT_CHUNK, stream_summary
 from bellshot.states import werner_state
 from conftest import ROOT_HALF, SINGLET, near_boundary_config, projector
 from test_sampler import searchsorted_indices, sequential_shot_csv
@@ -844,6 +844,23 @@ def test_a_corrupted_inversion_fails_every_command_that_inverts(tmp_path, capsys
     assert os.listdir(out) == []
 
 
+def test_run_whose_exact_check_fails_leaves_no_shots_csv(tmp_path, capsys, monkeypatch):
+    # the exact S's route check, like the empirical one, runs before shots.csv is renamed
+    check = belltests.require_agreement
+
+    def fail_ensemble_chsh(what, first, second, where):
+        if what == "ensemble CHSH":
+            raise ConsistencyError("ensemble CHSH paths disagree at S: forced")
+        check(what, first, second, where)
+
+    monkeypatch.setattr(belltests, "require_agreement", fail_ensemble_chsh)
+    out = tmp_path / "out"
+    assert main(["run", "--shots", "100", "--config", singlet_config(tmp_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "internal consistency failure: ensemble CHSH paths disagree at S: forced\n")
+    assert os.listdir(out) == []
+
+
 def test_a_nan_in_the_stacked_kernel_tables_fails_the_gamma_sweep(tmp_path, capsys, monkeypatch):
     # the sweep checks its stack of tables by column sums alone, and a NaN sum must fail them
     original = inversion.kernel_tables
@@ -968,9 +985,8 @@ def test_streamed_run_equals_the_in_memory_reference(tmp_path, monkeypatch, shot
            "shots": shots, "seed": 77, "stream_count": 3}
     cfg = write_config(tmp_path, doc)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "one_chunk")]) == 0
-    # many pairwise leaves and CSV chunks, with edges off the stream blocks' edges
+    # many pairwise leaves, with edges off the stream blocks' edges
     monkeypatch.setattr(sampler, "SHOT_CHUNK", 136)
-    monkeypatch.setattr(sampler, "CSV_CHUNK", 7)
     out = tmp_path / "small_chunks"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     for name in ("shots.csv", "run_summary.json"):
@@ -991,7 +1007,7 @@ def test_streamed_run_equals_the_in_memory_reference(tmp_path, monkeypatch, shot
 
 
 def test_readme_run_outputs_are_pinned(tmp_path):
-    assert README_RUN_SHOTS > CSV_CHUNK
+    assert README_RUN_SHOTS > SHOT_CHUNK
     cfg = write_config(tmp_path, {
         "state": {"bell": "psi_minus"},
         "gammas": 0.7071067811865476,
@@ -1023,13 +1039,13 @@ def test_run_formats_only_out_of_range_running_means_row_by_row(tmp_path, monkey
     percent = sampler._percent_17g
     monkeypatch.setattr(sampler, "_percent_17g", lambda m: seen.extend(m.tolist()) or percent(m))
     cfg = write_config(tmp_path, {"state": {"werner": 0.0}, "gammas": 0.7071067811865476,
-                                  "shots": 3 * CSV_CHUNK + 5000, "seed": 0})
+                                  "shots": 3 * SHOT_CHUNK + 5000, "seed": 0})
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     with open(out / "shots.csv", newline="") as fh:
         means = [row[-1] for row in list(csv.reader(fh))[1:]]
     outside = [m for m in means if not 1e-4 <= abs(float(m)) < 1e16]
-    assert 0 < len(outside) < CSV_CHUNK
+    assert 0 < len(outside) < SHOT_CHUNK
     assert ["%.17g" % v for v in seen] == outside
 
 

@@ -355,11 +355,22 @@ def test_ch_table_matches_per_entry_kernel_1d_reference(drawn):
 
 FIXED_NOTATION = st.floats(1e-4, 1e16, exclude_max=True)
 ANY_OR_FIXED = st.floats() | FIXED_NOTATION | FIXED_NOTATION.map(lambda v: -v)
+# the edges of the 17-digit integer: exactly 10**16 (1.0, 0.0001, 1e15), the largest any
+# double in fixed notation reaches (0.99999999999999989: 10**17 - 11; 10**17 - 1 is none's)
+# and tops of decades; log10 puts 9999999999999998.0 in the decade above, one off
+DIGIT_EDGES = [1.0, 0.0001, 1e15, 9999999999999998.0, 0.99999999999999989, 9.9999999999999982]
 
 
 @FIXED
 @given(st.lists(ANY_OR_FIXED, min_size=1, max_size=20))
 @example([0.0, -0.0, 5e-324, 1e-5, 1e16, 1e300, math.nan, math.inf, 2.5])
+@example(DIGIT_EDGES + [-v for v in DIGIT_EDGES])
+@example([1.0, -1.0])
+@example([0.0001, -0.0001])
+@example([1e15, -1e15])
+@example([9999999999999998.0, -9999999999999998.0])
+@example([0.99999999999999989, -0.99999999999999989])
+@example([9.9999999999999982, -9.9999999999999982])
 def test_fixed_17g_is_percent_17g(values):
     assert fixed_17g_strings(values) == ["%.17g" % v for v in values]
 

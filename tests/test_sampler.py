@@ -310,18 +310,19 @@ def sequential_shot_csv(kernel, indices, start=1) -> bytes:
     return buf.getvalue().encode()
 
 
-# Shot lists whose running mean leaves _fixed_17g's range inside a chunk of
-# 7, so those chunks are formatted by %; outcomes 0 and 3 have opposite S.
+# Shot lists of 149 whose running mean leaves _fixed_17g's range in both of their leaves
+# under a SHOT_CHUNK of 136, [0, 72) and [72, 149), so those rows are formatted by %;
+# outcomes 0 and 3 have opposite S.
 OUTSIDE_FIXED_RANGE = {
-    "zero_mean": [0, 3] * 6 + [5] * 9,  # exactly 0 at rows 2, 4, ..., 12
-    "tiny_mean": [0, 1, 2, 3] * 4 + [7] * 5,  # 2.2e-16 at row 4, written with an exponent
+    "zero_mean": [0, 3] * 70 + [5] * 9,  # exactly 0 at rows 2, 4, ..., 140
+    "tiny_mean": [0, 1, 2, 3] * 36 + [7] * 5,  # 2.2e-16 / k at row 4k, written with an exponent
 }
 
 
-@pytest.mark.parametrize("case", [6, 7, 8, 23, "zero_mean", "tiny_mean"])
+@pytest.mark.parametrize("case", [135, 136, 137, 3 * 136 + 5, "zero_mean", "tiny_mean"])
 def test_chunked_csv_matches_sequential_loop(tmp_path, monkeypatch, case):
-    # chunk 7: n = chunk - 1, chunk, chunk + 1, and several chunks plus a tail
-    monkeypatch.setattr(sampler, "CSV_CHUNK", 7)
+    # leaves of 136: n = leaf - 1, leaf, leaf + 1, and several leaves
+    monkeypatch.setattr(sampler, "SHOT_CHUNK", 136)
     # unequal gammas give single-shot values that are not exact in binary
     kernel = build_kernel(GammaSet(0.61, 0.73, 0.55, 0.87))
     if case in OUTSIDE_FIXED_RANGE:
@@ -340,11 +341,11 @@ def test_chunked_csv_matches_sequential_loop(tmp_path, monkeypatch, case):
     assert (case in OUTSIDE_FIXED_RANGE) == any(abs(m) < 1e-4 for m in means)
 
 
-@pytest.mark.parametrize("chunk", [sampler.CSV_CHUNK, 7])
+@pytest.mark.parametrize("chunk", [sampler.SHOT_CHUNK, 136])
 def test_index_gains_a_digit_inside_a_chunk(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(sampler, "CSV_CHUNK", chunk)
+    monkeypatch.setattr(sampler, "SHOT_CHUNK", chunk)
     kernel = build_kernel(GammaSet(0.61, 0.73, 0.55, 0.87))
-    # shot 10**4 falls inside a chunk of either size, not at its edge
+    # shot 10**4 falls inside a leaf of either size, not at its edge
     idx = np.random.default_rng(14).integers(0, 16, 10**4 + 50)
     path = tmp_path / "shots.csv"
     write_shot_csv(path, kernel, idx)
@@ -417,8 +418,8 @@ def searchsorted_indices(probabilities, n, cfg):
     return np.searchsorted(sampling_cdf(probabilities), np.concatenate([[], *blocks]), side="right").astype(np.int64)
 
 
-# lengths either side of 8, 128, the patched SHOT_CHUNK (136), its pairwise splits and
-# CSV_CHUNK (7); over 1, 3 and 7 streams their blocks end everywhere in between
+# lengths either side of 8, 128, the patched SHOT_CHUNK (136) and its pairwise splits;
+# over 1, 3 and 7 streams their blocks end everywhere in between
 STREAM_LENGTHS = [1, 2, 7, 8, 9, 15, 127, 128, 129, 135, 136, 137, 271, 272, 273, 1000, 2177]
 
 
@@ -426,7 +427,6 @@ STREAM_LENGTHS = [1, 2, 7, 8, 9, 15, 127, 128, 129, 135, 136, 137, 271, 272, 273
 @pytest.mark.parametrize("n", STREAM_LENGTHS)
 def test_streamed_passes_equal_the_in_memory_reference(tmp_path, monkeypatch, n, stream_count):
     monkeypatch.setattr(sampler, "SHOT_CHUNK", 136)
-    monkeypatch.setattr(sampler, "CSV_CHUNK", 7)
     kernel = build_kernel(GammaSet(0.61, 0.73, 0.55, 0.87))  # values not exact in binary
     p = singlet_optimal_probabilities()
     cfg = RngConfig(seed=2024, stream_count=stream_count)
@@ -453,9 +453,12 @@ def pairwise_lengths(top, count):
     return sorted(set(fixed + np.random.default_rng(53).integers(129, top, count).tolist()))
 
 
-# the shipped chunk up to 3e6 shots; a small one, with many more leaves, on shorter lengths
-@pytest.mark.parametrize("chunk,lengths", [(2**16, pairwise_lengths(3_000_000, 20)),
-                                           (136, pairwise_lengths(20_000, 20))], ids=["2**16", "136"])
+# the shipped chunk and a larger one up to 3e6 shots; a small one, with many more leaves, on
+# shorter lengths
+@pytest.mark.parametrize("chunk,lengths", [(2**13, pairwise_lengths(3_000_000, 20)),
+                                           (2**16, pairwise_lengths(3_000_000, 20)),
+                                           (136, pairwise_lengths(20_000, 20))],
+                         ids=["2**13", "2**16", "136"])
 def test_pairwise_tree_is_numpys_sum_bit_for_bit(monkeypatch, chunk, lengths):
     monkeypatch.setattr(sampler, "SHOT_CHUNK", chunk)
     assert len(lengths) >= 50

@@ -124,3 +124,18 @@ def test_validate_builds_no_born_operator_with_kron():
     # rho and the Pauli matrices only; a product operator built here from bloch_operator or
     # a POVM would share the code it checks
     assert not names_in(ast.parse((PACKAGE / "validate.py").read_text()), ("kron",))
+
+
+def loads(tree: ast.AST, name: str) -> bool:
+    """Whether tree reads name, as module.name or as a bare name; binding it is no read."""
+    return any(isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+               and name in (getattr(node, "id", None), getattr(node, "attr", None))
+               for node in ast.walk(tree))
+
+
+def test_only_ascii_reads_the_digit_words():
+    # one routine writes integers as ASCII digit words, for the shot index and the 17 digits
+    # of '%.17g' alike; a second digit grouping written anywhere else fails here
+    found = {(path.name, getattr(node, "name", "<module>")) for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.parse(path.read_text()).body if loads(node, "_DIGIT_WORDS")}
+    assert found == {("sampler.py", "_ascii")}
