@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, measurement
+from . import inversion, linalg, measurement
 from .errors import ConsistencyError, EmptyShotList, InvalidDistribution
 from .inversion import InversionKernel, QuasiDistribution
 from .measurement import OUTCOMES, OutcomeIndex
@@ -43,6 +43,11 @@ SIGNS_X, SIGNS_Y, SIGNS_U, SIGNS_V = OUTCOME_SIGNS
 # sign. A single-shot CH value depends on the pair through its pattern alone, so each route
 # computes 16 pattern values and spreads them over the grid.
 SIGN_PATTERN = np.arange(16)[:, None] ^ np.arange(16)
+SIGN_COLUMN = np.array(measurement.SIGNS, dtype=float)[:, None]  # +1 then -1, one per row
+# PAIR_MARGINALS[xi, (a, b, i, j)] is 1 where outcome xi has sign index i on the A observable a
+# of (x, y) and j on the B observable b of (u, v): p @ PAIR_MARGINALS is p's four A-B pair marginals
+PAIR_MARGINALS = np.array([(SIGN_INDEX[a] == i) & (SIGN_INDEX[b] == j)
+                           for a in (0, 1) for b in (2, 3) for i in (0, 1) for j in (0, 1)], dtype=float).T
 S_VALUES = SIGNS_X * SIGNS_U - SIGNS_X * SIGNS_V + SIGNS_Y * SIGNS_U + SIGNS_Y * SIGNS_V
 
 # sigma_mu x sigma_nu, indexed [mu, nu], for sigma_0 = I and the three Pauli matrices
@@ -156,13 +161,20 @@ def pauli_correlations(rho) -> np.ndarray:
     return np.einsum("...ij,mnji->...mn", rho, PAULI_PRODUCTS).real
 
 
-def pair_probabilities(c, a, b, gamma_a=1.0, gamma_b=1.0) -> np.ndarray:
-    """P[i, j] = tr[rho E_a(w_i) x E_b(w_j)], w = (+1, -1), E_n(w) = (I + w gamma n.sigma) / 2,
-    for an A direction a and a B direction b, from rho's pauli_correlations c as
-    (1, w_a gamma_a a) . c . (1, w_b gamma_b b) / 4; gamma = 1 is a sharp measurement."""
-    left, right = (np.array([[1.0, *(w * g * np.asarray(n, dtype=float))] for w in measurement.SIGNS])
-                   for n, g in ((a, gamma_a), (b, gamma_b)))
-    return left @ c @ right.T / 4.0
+def pair_probabilities(c, blochs, gammas=(1.0, 1.0, 1.0, 1.0)) -> np.ndarray:
+    """P[..., a, b, i, j] = tr[rho E_a(w_i) x E_b(w_j)] for the A directions a of (x, y), the
+    B directions b of (u, v) and w = (+1, -1), with E_n(w) = (I + w gamma n.sigma) / 2: all
+    four A-B pairs at once, from rho's pauli_correlations c (..., 4, 4), the Bloch vectors x,
+    y, u, v (4, 3) and their gammas (..., 4), as (1, w_a gamma_a a) . c . (1, w_b gamma_b b) / 4.
+    gamma = 1 is a sharp measurement."""
+    n = np.zeros((4, 4))
+    n[:, 1:] = blochs
+    rows = (np.asarray(gammas, dtype=float)[..., None] * n)[..., None, :] * SIGN_COLUMN
+    rows[..., 0] = 1.0  # (1, w gamma n) per observable and sign w: (..., 4, 2, 4)
+    lead = rows.shape[:-3]
+    left, right = (rows[..., k:k + 2, :, :].reshape(lead + (4, 4)) for k in (0, 2))
+    p = left @ c @ np.swapaxes(right, -1, -2) / 4.0  # (..., a and i, b and j)
+    return p.reshape(p.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2)
 
 
 @dataclass(frozen=True)
@@ -307,3 +319,25 @@ def classical_bounds_check(report) -> dict:
             },
         }
     raise TypeError(f"expected ChshReport or ChReport, got {type(report).__name__}")
+
+
+def exact_analysis(state, settings, gammas):
+    """The exact analysis of one configuration, without I/O, as (kernel, observed, quasi, chsh,
+    ch): the joint POVM's statistics of state, their one inversion and both reports, each
+    with its route checks. Last comes one kernel-free route check: the four A-B pair
+    marginals of the observed statistics against their unsharp Born values, and those of
+    the quasi-distribution against their sharp ones, from rho's pauli_correlations, the
+    Bloch vectors and the gammas alone. That check reads no POVM, kernel or bloch_operator,
+    so a wiring fault in any of them shows."""
+    povm = measurement.joint_povm(settings, gammas)
+    kernel = inversion.build_kernel(gammas)
+    observed = measurement.observed_statistics(state, povm)
+    quasi = inversion.invert_distribution(kernel, observed)
+    chsh, ch = chsh_report(kernel, observed, quasi), ch_report(kernel, observed, quasi)
+    marginals = np.array([observed, quasi.entries]) @ PAIR_MARGINALS  # (route, 16)
+    blochs = (settings.x.bloch, settings.y.bloch, settings.u.bloch, settings.v.bloch)
+    born = pair_probabilities(pauli_correlations(state.matrix), blochs, [gammas.as_tuple(), (1.0,) * 4])
+    require_agreement("A-B pair marginal", marginals.reshape(born.shape), born,
+                      lambda r, a, b, i, j: f"{('observed', 'quasi')[r]} ({'xy'[a]}, {'uv'[b]}) "
+                      f"= ({measurement.SIGNS[i]:+d}, {measurement.SIGNS[j]:+d})")
+    return kernel, observed, quasi, chsh, ch

@@ -120,18 +120,9 @@ def _atomic_write(path: str, write):
     return result
 
 
-def _analysis(config: ExperimentConfig):
-    povm = measurement.joint_povm(config.settings, config.gammas)
-    kernel = inversion.build_kernel(config.gammas)
-    return kernel, measurement.observed_statistics(config.state, povm)
-
-
 def cmd_exact(config: ExperimentConfig, out_dir: str) -> int:
     """Full exact analysis of one configuration, written as JSON."""
-    kernel, observed = _analysis(config)
-    quasi = inversion.invert_distribution(kernel, observed)  # the one inversion, for both reports
-    chsh = belltests.chsh_report(kernel, observed, quasi)
-    ch = belltests.ch_report(kernel, observed, quasi)
+    _, observed, quasi, chsh, ch = belltests.exact_analysis(config.state, config.settings, config.gammas)
     payload = {
         "ordering": OUTCOME_ORDER_DOC,
         "gammas": dict(zip(SETTING_KEYS, config.gammas.as_tuple())),
@@ -155,12 +146,12 @@ def cmd_exact(config: ExperimentConfig, out_dir: str) -> int:
 def cmd_run(config: ExperimentConfig, out_dir: str) -> int:
     """Sample shots, log them as CSV, and summarize convergence as JSON. The shots are
     drawn in chunks, written and summed on the way; a second pass redraws them for the
-    spread, so memory does not grow with the shot count. The shot mean and the inverted
-    frequencies give the empirical S along two routes, which must agree, and the exact S
-    must pass chsh_report's route check, before shots.csv is renamed into place."""
+    spread, so memory does not grow with the shot count. The exact analysis, with its route
+    checks, runs before any shot is drawn; the shot mean and the inverted frequencies give
+    the empirical S along two routes, which must agree before shots.csv is renamed into place."""
     if config.shots < 1:
         raise ConfigError("run requires shots >= 1 (set shots in config or pass --shots)")
-    kernel, observed = _analysis(config)
+    kernel, observed, _, chsh, _ = belltests.exact_analysis(config.state, config.settings, config.gammas)
     try:
         shots = ShotDraws(observed, config.shots, RngConfig(config.seed, config.stream_count))
     except OutOfRange as exc:  # more shots than a running mean can count exactly
@@ -168,15 +159,14 @@ def cmd_run(config: ExperimentConfig, out_dir: str) -> int:
     csv_path = os.path.join(out_dir, "shots.csv")
 
     def write(fh):
-        counts, summary = sampler.stream_summary(kernel, shots, fh)
+        counts, summary = sampler.stream_summary(chsh.single_shot_S, shots, fh)
         quasi = inversion.invert_distribution(kernel, counts / summary["shots"])
         via_freqs = belltests.ensemble_chsh(quasi)
         belltests.require_agreement("empirical S", via_freqs, summary["mean_S"],
                                     lambda: "frequency inversion vs shot mean")
-        exact = belltests.chsh_report(kernel, observed, inversion.invert_distribution(kernel, observed))
-        return summary, quasi, via_freqs, exact.ensemble_S
+        return summary, quasi, via_freqs
 
-    summary, empirical_quasi, via_freqs, exact_S = _atomic_write(csv_path, write)
+    summary, empirical_quasi, via_freqs = _atomic_write(csv_path, write)
     payload = {
         "shots": summary["shots"],
         "seed": config.seed,
@@ -184,7 +174,7 @@ def cmd_run(config: ExperimentConfig, out_dir: str) -> int:
         "empirical_S": summary["mean_S"],
         "sample_std": summary["sample_std"],
         "std_error": summary["std_error"],
-        "exact_S": exact_S,
+        "exact_S": chsh.ensemble_S,
         "verdicts": {"empirical_S": belltests.chsh_verdict(via_freqs).as_dict()},
         "empirical_quasi_distribution": empirical_quasi.to_list(),
         "empirical_min_quasi_entry": empirical_quasi.min_entry(),
@@ -299,7 +289,8 @@ def _csv_lines(columns) -> bytes:
 def cmd_sweep(config: ExperimentConfig, out_dir: str, axis: str, grid: list[float]) -> int:
     """One CSV row per grid point along a gamma or Werner-eta axis, computed and written in
     blocks of SWEEP_BLOCK points and byte-identical to a point-by-point run.
-    `realizable` says whether a positive joint measurement exists there."""
+    `realizable` says whether the product-form joint POVM is positive there, not whether any
+    positive joint measurement exists: another form can be positive where it is not."""
     header = (axis, "ensemble_S", "abs_single_shot_S", "ch_min", "ch_max",
               "min_quasi_entry", "realizable")
 

@@ -258,16 +258,16 @@ def empirical_frequencies(outcomes) -> np.ndarray:
     return np.bincount(idx, minlength=16) / len(idx)
 
 
-def stream_summary(kernel: InversionKernel, shots, csv=None) -> tuple[np.ndarray, dict]:
+def stream_summary(table: np.ndarray, shots, csv=None) -> tuple[np.ndarray, dict]:
     """The outcome counts of shots, a ShotDraws or an outcome list, and convergence_report's
-    dict. One pass counts the shots, sums their single-shot values and, given csv (a binary
-    file the caller opened), writes write_shot_csv's rows to it; a second pass reads the
-    shots again to sum the squared deviations from the mean, and raises ConsistencyError if
-    its counts differ. With one shot the spread and standard error are reported as absent."""
+    dict, for table, the 16 single-shot CHSH values that single_shot_chsh_table checked. One
+    pass counts the shots, sums their single-shot values and, given csv (a binary file the
+    caller opened), writes write_shot_csv's rows to it; a second pass reads the shots again
+    to sum the squared deviations from the mean, and raises ConsistencyError if its counts
+    differ. With one shot the spread and standard error are reported as absent."""
     shots = _source(shots)
     if shots.n == 0:
         raise EmptyShotList("cannot summarize zero shots")
-    table = belltests.single_shot_chsh_table(kernel)
     counts, total = _tally(shots, table.take, None if csv is None else _csv_rows(csv, table, shots.n))
     mean = total / shots.n
     std = None
@@ -289,7 +289,7 @@ def convergence_report(kernel: InversionKernel, shots) -> dict:
     """Mean, spread, and standard error of the single-shot CHSH values: np.mean and
     np.std(ddof=1) of them to the bit, so the mean is exactly ensemble_from_shots on the
     same data; with one shot the spread and standard error are reported as absent."""
-    return stream_summary(kernel, shots)[1]
+    return stream_summary(belltests.single_shot_chsh_table(kernel), shots)[1]
 
 
 def _ascii(n: np.ndarray, words: int) -> np.ndarray:

@@ -128,8 +128,9 @@ ALL_FOUR = {"born_traces": 1, "product_povm": 1, "born_probabilities": 1, "kerne
 STAGE_CALLS = {
     # once, for exact.json's quasi-distribution and both reports
     "exact": {**ALL_FOUR, "invert_distribution": 1, "single_shot_chsh_tables": 1},
-    # the frequencies once, checked against the shot mean; the exact S once, in chsh_report
-    "run": {**ALL_FOUR, "invert_distribution": 2, "single_shot_chsh_tables": 2},
+    # the exact analysis once, whose single-shot table the shots are valued by; the
+    # frequencies once, checked against the shot mean
+    "run": {**ALL_FOUR, "invert_distribution": 2, "single_shot_chsh_tables": 1},
     "sweep_gamma": {"born_traces": 1, "product_povm": 1, "kernel_tables": 1, "single_shot_chsh_tables": 1},
     "sweep_werner_eta": {"born_traces": 1, "product_povm": 1, "born_probabilities": 1, "kernel_tables": 1,
                          "single_shot_chsh_tables": 1},

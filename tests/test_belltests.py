@@ -54,6 +54,7 @@ from conftest import (
     admissible_draw,
     projector,
     random_state_matrix,
+    random_unit,
 )
 
 TWO_ROOT_TWO = 2.0 * np.sqrt(2.0)
@@ -369,11 +370,14 @@ def unsharp(n, gamma, w):
 
 
 def test_pair_probabilities_are_born_values_of_unsharp_products():
-    rho = random_state_matrix(np.random.default_rng(23))
-    a, b, ga, gb = OPTIMAL_BLOCHS["y"], OPTIMAL_BLOCHS["v"], 0.6, 0.8
-    by_trace = [[np.trace(rho @ np.kron(unsharp(a, ga, wa), unsharp(b, gb, wb))).real for wb in (1, -1)]
-                for wa in (1, -1)]
-    assert np.abs(pair_probabilities(pauli_correlations(rho), a, b, ga, gb) - by_trace).max() <= 1e-15
+    rng = np.random.default_rng(23)
+    rho = random_state_matrix(rng)
+    blochs = [OPTIMAL_BLOCHS["x"], OPTIMAL_BLOCHS["y"], random_unit(rng), random_unit(rng)]
+    gammas = [0.6, 0.7, 0.8, 0.5]
+    by_trace = [[[[np.trace(rho @ np.kron(unsharp(blochs[a], gammas[a], wa),
+                                          unsharp(blochs[b], gammas[b], wb))).real
+                   for wb in (1, -1)] for wa in (1, -1)] for b in (2, 3)] for a in (0, 1)]
+    assert np.abs(pair_probabilities(pauli_correlations(rho), blochs, gammas) - by_trace).max() <= 1e-15
 
 
 def test_the_double_at_minus_one_minus_the_tolerance_violates_ch():

@@ -26,6 +26,12 @@ from bellshot.sampler import SHOT_CHUNK, stream_summary
 from bellshot.states import werner_state
 from conftest import ROOT_HALF, SINGLET, near_boundary_config, projector
 from test_sampler import searchsorted_indices, sequential_shot_csv
+from test_validate import (
+    bloch_operator_with_y_and_z_swapped,
+    born_traces_of_the_transpose,
+    inversion_of_the_reversed_statistics,
+    swapped_product_elements,
+)
 
 TWO_ROOT_TWO = 2.0 * np.sqrt(2.0)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -419,7 +425,7 @@ def test_shot_count_two_to_the_53_is_admitted(tmp_path, capsys, monkeypatch, arg
     # draw only the lazy first chunk, then stop the run as a failed check would
     seen = []
 
-    def first_chunk_only(kernel, shots, csv):
+    def first_chunk_only(table, shots, csv):
         seen.append((shots.n, len(shots.reader()(0, sampler.SHOT_CHUNK))))
         raise ConsistencyError("stopped after the first chunk")
 
@@ -449,8 +455,8 @@ def test_run_whose_second_pass_counts_other_shots_exits_1(tmp_path, capsys, monk
 def test_run_whose_shot_mean_misses_the_inverted_frequencies_exits_1(tmp_path, capsys, monkeypatch):
     summary = sampler.stream_summary
 
-    def mean_off_by_1e_6(kernel, shots, csv):
-        counts, report = summary(kernel, shots, csv)
+    def mean_off_by_1e_6(table, shots, csv):
+        counts, report = summary(table, shots, csv)
         return counts, {**report, "mean_S": report["mean_S"] + 1e-6}
 
     monkeypatch.setattr(sampler, "stream_summary", mean_off_by_1e_6)
@@ -787,10 +793,14 @@ def assert_worst_outcome_named(line):
 def test_inject_fault_names_the_worst_outcome(capsys, corrupted_kernel):
     assert main(["validate", "--seed", "7", "--trials", "1"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "total: 19 checks, FAILURES PRESENT"
-    failed = lines.index("  belltests.dual_paths: 0 checks FAIL")
-    assert lines[failed + 1].startswith("    raised ConsistencyError(")
-    assert_worst_outcome_named(lines[failed + 1].removesuffix("')"))
+    assert lines[-1] == "total: 8 checks, FAILURES PRESENT"
+    raised = lines.index("  inversion.kernel: 0 checks FAIL")
+    assert lines[raised + 1].startswith("    raised ConsistencyError(")
+    assert_worst_outcome_named(lines[raised + 1].removesuffix("')"))
+    # the exact analysis fails its one trial, and the check goes on
+    failed = lines.index("  belltests.exact_analysis: 1 checks FAIL")
+    assert lines[failed + 1].startswith("    trial 0: single-shot CHSH paths disagree at ")
+    assert_worst_outcome_named(lines[failed + 1])
 
 
 CORRUPTIBLE_COMMANDS = {
@@ -822,7 +832,8 @@ def test_a_corrupted_kernel_fails_every_command(tmp_path, capsys, request, comma
 # the route check each command fails under corrupted_inversion, None if it never inverts
 CORRUPTED_INVERSION_FAILS = {
     "exact": "ensemble CHSH paths disagree at S: ",
-    "run": "empirical S paths disagree at frequency inversion vs shot mean: ",
+    # the exact analysis runs first, before any shot is drawn
+    "run": "ensemble CHSH paths disagree at S: ",
     # ensemble_S comes from the gamma-free quasi-distribution, built by Born traces alone
     "sweep_gamma": None,
     "sweep_werner_eta": "ensemble CHSH paths disagree at werner_eta ",
@@ -845,7 +856,7 @@ def test_a_corrupted_inversion_fails_every_command_that_inverts(tmp_path, capsys
 
 
 def test_run_whose_exact_check_fails_leaves_no_shots_csv(tmp_path, capsys, monkeypatch):
-    # the exact S's route check, like the empirical one, runs before shots.csv is renamed
+    # the exact S's route check runs in the exact analysis, before any shot is drawn
     check = belltests.require_agreement
 
     def fail_ensemble_chsh(what, first, second, where):
@@ -859,6 +870,30 @@ def test_run_whose_exact_check_fails_leaves_no_shots_csv(tmp_path, capsys, monke
     assert capsys.readouterr().err == (
         "internal consistency failure: ensemble CHSH paths disagree at S: forced\n")
     assert os.listdir(out) == []
+
+
+# wiring faults that every constructor and every report's route check admit; the A-B pair
+# marginals of the observed or the quasi-distribution (where p's gap is amplified) miss
+# their kernel-free Born values
+PAIR_ROUTE_MUTANTS = {mutate.__name__: mutate for mutate in (
+    born_traces_of_the_transpose, swapped_product_elements, inversion_of_the_reversed_statistics,
+    bloch_operator_with_y_and_z_swapped)}
+
+
+@pytest.mark.parametrize("command", ["exact", "run"])
+@pytest.mark.parametrize("mutant", sorted(PAIR_ROUTE_MUTANTS))
+def test_a_wiring_mutant_fails_exact_and_run_on_the_pair_route(tmp_path, capsys, monkeypatch, mutant,
+                                                               command):
+    cfg = write_config(tmp_path, near_boundary_config())
+    argv = CORRUPTIBLE_COMMANDS[command]
+    assert main([*argv, "--config", cfg, "--out", str(tmp_path / "intact")]) == 0
+    PAIR_ROUTE_MUTANTS[mutant](monkeypatch)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"internal consistency failure: A-B pair marginal paths disagree at "
+                    r"(observed|quasi) \([xy], [uv]\) = \([+-]1, [+-]1\): \S+ vs \S+\n$", err), err
+    assert os.listdir(out) == []  # no exact.json, no shots.csv
 
 
 def test_a_nan_in_the_stacked_kernel_tables_fails_the_gamma_sweep(tmp_path, capsys, monkeypatch):
@@ -926,7 +961,8 @@ def interrupt_after_writing(fh):
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc")
 @pytest.mark.parametrize("writer,error", [
     # run's writer refuses the shots before it writes anything
-    (lambda fh: stream_summary(build_kernel(GammaSet.equal(0.5)), [16], fh), OutOfRange),
+    (lambda fh: stream_summary(single_shot_chsh_table(build_kernel(GammaSet.equal(0.5))), [16], fh),
+     OutOfRange),
     (write_then_fail, RuntimeError),
     (interrupt_after_writing, KeyboardInterrupt),
 ], ids=["before_open", "after_open", "interrupted"])
@@ -1097,10 +1133,9 @@ def test_analysis_outputs_are_pinned(tmp_path, name):
     assert hashlib.sha256((out / output).read_bytes()).hexdigest() == PINNED_OUTPUTS[name]
 
 
-# sha256 of `validate --seed 7 --trials 4` stdout, recorded before the checks
-# yielded their verdicts to one runner: every count, message and line holds.
+# sha256 of `validate --seed 7 --trials 4` stdout: every count, message and line holds.
 @pytest.mark.parametrize("extra,code,digest", [
-    ([], 0, "63a5cc1849e4e8ad3cd94651c0f425421ccd1ff5eedb5b592d4820a16d64cc02"),
+    ([], 0, "cb46e1953a1f04f20c17aa9be3d941a97d22a332fd30818bd3b1a7c4e8aefe74"),
 ])
 def test_validate_stdout_is_pinned(capsys, extra, code, digest):
     assert main(["validate", "--seed", "7", "--trials", "4", *extra]) == code

@@ -51,7 +51,16 @@ from bellshot.measurement import (
     subsystem_elements,
 )
 
-from conftest import SX, SY, SZ, admissible_draw, fixed_17g_strings, projector, random_state_matrix
+from conftest import (
+    SX,
+    SY,
+    SZ,
+    admissible_draw,
+    bloch_matrix,
+    fixed_17g_strings,
+    projector,
+    random_state_matrix,
+)
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 UNIT_INTERVAL = st.floats(-1.0, 1.0, allow_nan=False)
@@ -168,7 +177,9 @@ def test_stacked_kernel_checks_equal_single_items_bit_for_bit(drawn):
 
 def busch_min_eigenvalues(n1, n2, g1, g2) -> np.ndarray:
     """(1 - |a|) / 4 with a = g1 w1 n1 + g2 w2 n2 for (w1, w2) in PAIR_ORDER: the smaller
-    eigenvalue of (I + a.sigma) / 4 (Busch, Phys. Rev. D 33, 2253 (1986)), no eigensolve."""
+    eigenvalue of (I + a.sigma) / 4, no eigensolve. That is the product form's element, so
+    its positivity is the product form's region, not Busch's joint-measurability criterion
+    |a1 + a2| + |a1 - a2| <= 2 (Phys. Rev. D 33, 2253 (1986)), which is larger when n1.n2 != 0."""
     return np.array([(1.0 - np.linalg.norm(g1 * w1 * n1 + g2 * w2 * n2)) / 4.0 for w1, w2 in PAIR_ORDER])
 
 
@@ -283,18 +294,46 @@ def test_correlation_matrix_route_matches_the_pipeline(drawn, rho):
 @FIXED
 @given(admissible_settings(), state_matrices())
 def test_pauli_correlations_give_the_correlation_route(drawn, rho):
-    # belltests' route for validate: sharp pair probabilities from C, their sign-weighted
+    # belltests' route for exact_analysis: sharp pair probabilities from C, their sign-weighted
     # sums E(a, b) = sum w_a w_b P(w_a, w_b) into S, and their row and column sums into the
     # one-observable +1 probabilities
     obs, _ = drawn
-    c = pauli_correlations(rho)
-    pair = {a + b: pair_probabilities(c, obs.get(a).bloch, obs.get(b).bloch) for a in "xy" for b in "uv"}
+    probs = pair_probabilities(pauli_correlations(rho), [obs.get(k).bloch for k in "xyuv"])
+    pair = {a + b: probs[i, j] for i, a in enumerate("xy") for j, b in enumerate("uv")}
     e = {ab: float(np.array([1.0, -1.0]) @ p @ np.array([1.0, -1.0])) for ab, p in pair.items()}
     s, plus = correlation_route(rho, obs)
     assert abs(e["xu"] - e["xv"] + e["yu"] + e["yv"] - s) <= 1e-12
     got = {"x": pair["xu"].sum(axis=1)[0], "y": pair["yv"].sum(axis=1)[0],
            "u": pair["xu"].sum(axis=0)[0], "v": pair["yv"].sum(axis=0)[0]}
     assert max(abs(got[k] - plus[k]) for k in "xyuv") <= 1e-12
+
+
+def kron_trace_pairs(rho, blochs, gammas) -> np.ndarray:
+    """Reference A-B pair probabilities [a, b, i, j]: one np.trace(rho @ np.kron(E_a, E_b)) per
+    pair and outcome, E_n(w) = (I + w gamma n.sigma) / 2 built from conftest's Pauli matrices."""
+    def element(k, w):
+        return 0.5 * (np.eye(2) + w * gammas[k] * bloch_matrix(blochs[k]))
+
+    return np.array([[[[np.trace(rho @ np.kron(element(a, wa), element(b, wb))).real for wb in (1, -1)]
+                       for wa in (1, -1)] for b in (2, 3)] for a in (0, 1)])
+
+
+@FIXED
+@given(admissible_settings(), state_matrices(), ODD_STACKS)
+def test_stacked_pair_probabilities_equal_the_kron_trace_oracle(drawn, rho, stack):
+    # the one call of exact_analysis (unsharp and sharp gammas stacked, one state), and a
+    # stack of states at one gamma 4-vector, as a Werner block would ask
+    obs, gammas = drawn
+    blochs = [obs.get(k).bloch for k in "xyuv"]
+    both = pair_probabilities(pauli_correlations(rho), blochs, [gammas.as_tuple(), (1.0,) * 4])
+    assert both.shape == (2, 2, 2, 2, 2)
+    for got, g in zip(both, (gammas.as_tuple(), (1.0,) * 4)):
+        assert np.abs(got - kron_trace_pairs(rho, blochs, g)).max() <= 1e-15
+    stack = np.array(stack)
+    got = pair_probabilities(pauli_correlations(stack), blochs, gammas.as_tuple())
+    assert got.shape == (len(stack), 2, 2, 2, 2)
+    for probs, m in zip(got, stack):
+        assert np.abs(probs - kron_trace_pairs(m, blochs, gammas.as_tuple())).max() <= 1e-15
 
 
 def gammas_x_and_u_swapped(gammas):

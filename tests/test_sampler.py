@@ -433,7 +433,7 @@ def test_streamed_passes_equal_the_in_memory_reference(tmp_path, monkeypatch, n,
     idx = searchsorted_indices(p, n, cfg)
     path = tmp_path / "shots.csv"
     with open(path, "wb") as fh:
-        counts, report = stream_summary(kernel, ShotDraws(p, n, cfg), fh)
+        counts, report = stream_summary(single_shot_chsh_table(kernel), ShotDraws(p, n, cfg), fh)
     assert path.read_bytes() == sequential_shot_csv(kernel, idx.tolist())
     values = single_shot_chsh_table(kernel)[idx]
     std = float(np.std(values, ddof=1)) if n > 1 else None
@@ -442,7 +442,7 @@ def test_streamed_passes_equal_the_in_memory_reference(tmp_path, monkeypatch, n,
     assert counts.tolist() == np.bincount(idx, minlength=16).tolist()
     assert np.array_equal(sample_indices(p, n, cfg), idx)
     # an array reads through the same passes
-    held_counts, held_report = stream_summary(kernel, idx)
+    held_counts, held_report = stream_summary(single_shot_chsh_table(kernel), idx)
     assert held_counts.tolist() == counts.tolist() and held_report == report
 
 
@@ -515,7 +515,7 @@ def test_second_pass_that_counts_other_shots_raises(root_half_gammas):
     readers = iter([draws.reader(), ShotDraws(p, 1000, RngConfig(seed=2)).reader()])
     draws.reader = lambda: next(readers)
     with pytest.raises(ConsistencyError, match="second pass"):
-        stream_summary(kernel, draws)
+        stream_summary(single_shot_chsh_table(kernel), draws)
 
 
 def test_shot_bound_is_two_to_the_53():
@@ -549,7 +549,8 @@ STAT_TEST_ALPHA = FAMILY_ALPHA / (2 * len(STAT_CONFIGS) * len(STAT_SEEDS))
 
 def sampling_alarms(kernel, p_drawn, p_expected, seed):
     """Which of the chi-square and z tests reject draws from p_drawn as draws from p_expected."""
-    counts, report = stream_summary(kernel, ShotDraws(p_drawn, STAT_SHOTS, RngConfig(seed, 3)))
+    counts, report = stream_summary(single_shot_chsh_table(kernel),
+                                   ShotDraws(p_drawn, STAT_SHOTS, RngConfig(seed, 3)))
     support = p_expected > 0
     assert not counts[~support].any()
     expected = STAT_SHOTS * p_expected[support]

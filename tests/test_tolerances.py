@@ -120,9 +120,9 @@ def test_belltests_compares_against_the_boundary_tolerance_only_in_its_bound_rul
 
 
 def test_validate_builds_no_born_operator_with_kron():
-    # validate's reference Born values come from belltests.pauli_correlations, which reads
-    # rho and the Pauli matrices only; a product operator built here from bloch_operator or
-    # a POVM would share the code it checks
+    # validate's Born references live in belltests.exact_analysis, whose pair route reads rho
+    # and the Pauli matrices only; a product operator built here from bloch_operator or a
+    # POVM would share the code it checks
     assert not names_in(ast.parse((PACKAGE / "validate.py").read_text()), ("kron",))
 
 
@@ -139,3 +139,12 @@ def test_only_ascii_reads_the_digit_words():
     found = {(path.name, getattr(node, "name", "<module>")) for path in sorted(PACKAGE.glob("*.py"))
              for node in ast.parse(path.read_text()).body if loads(node, "_DIGIT_WORDS")}
     assert found == {("sampler.py", "_ascii")}
+
+
+def test_only_the_exact_analysis_reads_the_born_pair_route():
+    # one kernel-free Born reference route, run in one place by every command that analyses a
+    # configuration; a second caller of the route written anywhere else fails here
+    route = ("pauli_correlations", "pair_probabilities")
+    found = {(path.name, getattr(node, "name", "<module>")) for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.parse(path.read_text()).body if any(loads(node, name) for name in route)}
+    assert found == {("belltests.py", "exact_analysis")}

@@ -22,7 +22,7 @@ def test_validate_all_passes():
     report = validate_all(seed=2024, trials=5)
     assert report.passed
     assert report.seed == 2024
-    assert len(report.results) == 7
+    assert len(report.results) == 5
     assert report.total_checks > 0
     names = [r.name for r in report.results]
     assert len(set(names)) == len(names)
@@ -40,20 +40,17 @@ def test_fault_injection_reports_failure(corrupted_kernel):
     report = validate_all(seed=7, trials=3)
     assert not report.passed
     failed = {r.name: r.failures for r in report.results if not r.passed}
-    assert sorted(failed) == ["belltests.dual_paths", "inversion.kernel", "sampler.determinism"]
-    # the moved entries differ in u and v, so both marginal routes see it in every trial
-    found = [re.fullmatch(r"(.+) by (\S+) in trial (\d)", message).groups()
-             for message in failed["inversion.kernel"]]
-    assert sorted((what, trial) for what, _, trial in found) == sorted(
-        (what, trial) for trial in "012" for what in (
-            "one-observable marginals differ from sharp Born values",
-            "cross marginal (x, u) differs from sharp Born probabilities"))
-    assert all(float(gap) > 1e-10 for _, gap, _ in found)
-    # the corruption is caught where the kernel-sum route meets its closed form
-    for name in ("belltests.dual_paths", "sampler.determinism"):
+    assert sorted(failed) == ["belltests.exact_analysis", "inversion.kernel", "sampler.determinism"]
+    # the corruption is caught where the kernel-sum route meets its closed form: in every
+    # trial of the exact analysis, and once in each check that raises
+    worst = "single-shot CHSH paths disagree at OutcomeIndex(x=1, y=-1, u=-1, v=-1): "
+    found = [re.fullmatch(r"trial (\d): " + re.escape(worst) + r"(\S+) vs (\S+)", message).groups()
+             for message in failed["belltests.exact_analysis"]]
+    assert [trial for trial, _, _ in found] == ["0", "1", "2"]
+    assert all(abs(float(first) - float(second)) > 1e-10 for _, first, second in found)
+    for name in ("inversion.kernel", "sampler.determinism"):
         (message,) = failed[name]
-        assert message.startswith("raised ConsistencyError('single-shot CHSH paths disagree at "
-                                  "OutcomeIndex(x=1, y=-1, u=-1, v=-1): ")
+        assert message.startswith(f"raised ConsistencyError('{worst}")
 
 
 def swapped_product_elements(monkeypatch):
@@ -81,16 +78,24 @@ def swapped_sharp_elements(monkeypatch):
     monkeypatch.setattr(observables, "sharp_povm", sharp_povm)
 
 
+def inversion_of_the_reversed_statistics(monkeypatch):
+    # s(-xi) = s(xi), so S and CH keep their values; the quasi-distribution's pair marginals
+    # are those of the opposite signs
+    original = inversion.inverted_entries
+    monkeypatch.setattr(inversion, "inverted_entries",
+                        lambda kernel, observed: original(kernel, observed[..., ::-1]))
+
+
 def kernel_of_a_y_gamma_one_percent_small(monkeypatch):
-    # the x-u cross marginal sums the y factor away; only the y marginal sees it
+    # the kernel's y factor is not GammaSet's: the single-shot CHSH closed form sees it
     original = inversion.kernel_tables
     monkeypatch.setattr(inversion, "kernel_tables",
                         lambda gammas: original(np.asarray(gammas) * [1.0, 0.99, 1.0, 1.0]))
 
 
 def bloch_operator_with_y_and_z_swapped(monkeypatch):
-    # a unit Bloch operator still, so every POVM builds; validate's references come from
-    # belltests.PAULIS and rho's Pauli correlations, which never call bloch_operator
+    # a unit Bloch operator still, so every POVM builds; the exact analysis's Born pairs and
+    # validate's sharp projectors come from belltests.PAULIS, which never calls bloch_operator
     def bloch_operator(n):
         n = np.asarray(n, dtype=float)
         return n[0] * linalg.SIGMA_X + n[2] * linalg.SIGMA_Y + n[1] * linalg.SIGMA_Z
@@ -101,11 +106,12 @@ def bloch_operator_with_y_and_z_swapped(monkeypatch):
 # mutants that keep every constructor's invariants (completeness, positivity,
 # probabilities summing to 1), and the check that must still see them
 @pytest.mark.parametrize("mutate,check", [
-    (swapped_product_elements, "measurement.joint_povm"),
-    (born_traces_of_the_transpose, "measurement.joint_povm"),
+    (swapped_product_elements, "belltests.exact_analysis"),
+    (born_traces_of_the_transpose, "belltests.exact_analysis"),
     (swapped_sharp_elements, "observables.sharp_povm"),
-    (kernel_of_a_y_gamma_one_percent_small, "inversion.kernel"),
-    (bloch_operator_with_y_and_z_swapped, "measurement.joint_povm"),
+    (inversion_of_the_reversed_statistics, "belltests.exact_analysis"),
+    (kernel_of_a_y_gamma_one_percent_small, "belltests.exact_analysis"),
+    (bloch_operator_with_y_and_z_swapped, "belltests.exact_analysis"),
     (bloch_operator_with_y_and_z_swapped, "observables.sharp_povm"),
 ])
 def test_a_mutant_the_constructors_admit_fails_its_check(monkeypatch, mutate, check):
@@ -148,7 +154,7 @@ def test_a_check_that_raises_reports_no_verdicts(monkeypatch):
 
     monkeypatch.setattr(validate, "_check_observables", _check_observables)
     report = validate_all(seed=7, trials=2)
-    assert report.results[2] == CheckResult("observables.sharp_povm", 0, ("raised OutOfRange('boom')",))
-    assert [r.name for r in report.results[3:]] == [
-        "measurement.joint_povm", "inversion.kernel", "belltests.dual_paths", "sampler.determinism"]
+    assert report.results[1] == CheckResult("observables.sharp_povm", 0, ("raised OutOfRange('boom')",))
+    assert [r.name for r in report.results[2:]] == [
+        "inversion.kernel", "belltests.exact_analysis", "sampler.determinism"]
     assert not report.passed
