@@ -6,6 +6,8 @@ through the exact quasi-stochastic kernel, then evaluate CHSH and CH
 quantities either in ensemble form or shot by shot.
 """
 
+from types import ModuleType as _ModuleType
+
 from .belltests import (
     ChReport,
     ChshReport,
@@ -85,68 +87,6 @@ from .validate import ValidationReport, validate_all
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BellState",
-    "BellshotError",
-    "ChReport",
-    "ChshReport",
-    "ConfigError",
-    "ConsistencyError",
-    "DensityMatrix",
-    "EmptyShotList",
-    "GammaOutOfRange",
-    "GammaSet",
-    "InvalidDistribution",
-    "InversionKernel",
-    "JointPovm",
-    "NotHermitian",
-    "NotPSD",
-    "NotPositive",
-    "NotUnitTrace",
-    "OUTCOMES",
-    "ObservableLabel",
-    "ObservableSet",
-    "ObservableSpec",
-    "OutOfRange",
-    "OutcomeIndex",
-    "QuasiDistribution",
-    "RngConfig",
-    "SharpPovm",
-    "ShotRecord",
-    "ValidationReport",
-    "Verdict",
-    "bell_state",
-    "bloch_operator",
-    "build_kernel",
-    "ch_report",
-    "ch_verdict",
-    "chsh_optimal_angles",
-    "chsh_report",
-    "chsh_verdict",
-    "classical_bounds_check",
-    "convergence_report",
-    "cross_marginal",
-    "custom_state",
-    "empirical_frequencies",
-    "ensemble_chsh",
-    "ensemble_from_shots",
-    "invert_distribution",
-    "joint_povm",
-    "kernel_1d",
-    "observable_set",
-    "observed_statistics",
-    "random_density_matrix",
-    "reconstructed_sharp_povm",
-    "sample_indices",
-    "sample_shots",
-    "sharp_povm",
-    "shot_records",
-    "single_marginal",
-    "single_shot_ch",
-    "single_shot_ch_table",
-    "single_shot_chsh_table",
-    "s_of_xi",
-    "validate_all",
-    "werner_state",
-    "write_shot_csv",
-]
+# the public names the imports above bind, modules left out: importing a name here exports it
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

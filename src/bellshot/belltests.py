@@ -281,21 +281,15 @@ def ch_report(kernel: InversionKernel, observed, quasi) -> ChReport:
     """Build the CH report from the observed statistics and quasi, their inversion through
     kernel. The exact value for each of the 16 target signs xi comes along two routes that
     must agree to rounding: the observed-weighted average of single-shot values, and the CH
-    combination evaluated on marginals of the quasi-distribution (which equal the sharp Born
-    probabilities)."""
+    combination evaluated on the quasi-distribution's A-B pair marginals, mapped by
+    PAIR_MARGINALS (they equal the sharp Born probabilities)."""
     p = linalg.as_finite(observed, (16,), "observed statistics", InvalidDistribution)
     grid = single_shot_ch_table(kernel)
     by_average = _in_order_sum(grid * p)
-    m = _quasi(quasi).entries.reshape(2, 2, 2, 2)  # axes x, y, u, v
+    xu, xv, yu, yv = (_quasi(quasi).entries @ PAIR_MARGINALS).reshape(4, 2, 2)  # each [i, j]
     ix, iy, iu, iv = SIGN_INDEX
-    by_marginals = (
-        m.sum(axis=(1, 3))[ix, iu]
-        - m.sum(axis=(1, 2))[ix, iv]
-        + m.sum(axis=(0, 3))[iy, iu]
-        + m.sum(axis=(0, 2))[iy, iv]
-        - m.sum(axis=(0, 2, 3))[iy]
-        - m.sum(axis=(0, 1, 3))[iu]
-    )
+    by_marginals = (xu[ix, iu] - xv[ix, iv] + yu[iy, iu] + yv[iy, iv]
+                    - yu.sum(axis=1)[iy] - xu.sum(axis=0)[iu])
     require_agreement("ensemble CH", by_average, by_marginals, lambda j: OUTCOMES[j])
     return ChReport(single_shot_C=grid, ensemble_C=by_average)
 

@@ -94,10 +94,6 @@ def _json_text(value, indent: str, floats: _FloatTexts) -> str:
         else:
             items = separator.join([_json_text(v, inner, floats) for v in value])
         return "[" + inner + items + indent + "]"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
     return json.dumps(value)
 
 

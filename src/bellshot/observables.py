@@ -78,8 +78,7 @@ class SharpPovm:
         plus, minus = (linalg.as_finite(e, (2, 2), f"sharp element({w:+d})", dtype=complex)
                        for w, e in ((+1, self.element_plus), (-1, self.element_minus)))
         for w, e in ((+1, plus), (-1, minus)):
-            linalg.require_hermitian(e, what=f"sharp element({w:+d})")
-            lam = linalg.min_eigenvalue_hermitian(e)
+            lam = float(linalg.eigvals_hermitian(e, what=f"sharp element({w:+d})")[0])
             linalg.require(-lam, -linalg.PSD_TOL,
                            lambda _: NotPSD(f"sharp element({w:+d}): min eigenvalue = {lam!r}"))
             idem = float(np.max(np.abs(e @ e - e)))

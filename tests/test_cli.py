@@ -19,7 +19,7 @@ from bellshot import belltests, cli, inversion, measurement, sampler
 from bellshot.belltests import ensemble_chsh, single_shot_ch_table, single_shot_chsh_table
 from bellshot.cli import SWEEP_BLOCK, _atomic_write, main
 from bellshot.config import ExperimentConfig
-from bellshot.errors import ConsistencyError, GammaOutOfRange, NotPositive, OutOfRange
+from bellshot.errors import ConfigError, ConsistencyError, GammaOutOfRange, NotPositive, OutOfRange
 from bellshot.inversion import build_kernel, gamma_free_quasi, invert_distribution, kernel_1d
 from bellshot.measurement import GammaSet, joint_povm, observed_statistics
 from bellshot.sampler import SHOT_CHUNK, stream_summary
@@ -601,6 +601,16 @@ def test_sweep_grid_errors(tmp_path, capsys):
                    "--grid-range", "0", "1.5", "3"])
         assert rc == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_sweep_along_an_unknown_axis_raises_and_writes_nothing(tmp_path):
+    # argparse admits only gamma and werner_eta; a direct call names the axis it refuses
+    config = ExperimentConfig.from_dict({"state": {"bell": "psi_minus"}, "gammas": ROOT_HALF})
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(ConfigError, match="^unknown sweep axis 'eta'$"):
+        cli.cmd_sweep(config, str(out), "eta", [0.5])
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("grid,message", [

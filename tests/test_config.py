@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from bellshot import config
+from bellshot import config, errors
 from bellshot.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -182,3 +182,8 @@ def test_module_entry_point_exits_with_mains_code(tmp_path, gammas, code, stdout
     proc = subprocess.run([sys.executable, "-m", "bellshot.cli", "exact", "--config", str(path),
                            "--out", str(out)], capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout.format(out=out), stderr)
+
+
+def test_shown_elides_a_dict_past_its_depth():
+    assert errors.shown({"a": {"b": 1}}, depth=0) == "{...}"
+    assert errors.shown({"a": {"b": 1}}, depth=1) == "{'a': {...}}"

@@ -3,6 +3,7 @@ import pytest
 
 from bellshot import (
     ObservableLabel,
+    ObservableSet,
     ObservableSpec,
     SharpPovm,
     bloch_operator,
@@ -111,3 +112,9 @@ def test_observable_set_label_binding():
     assert settings.get(ObservableLabel.X) is settings.x
     assert settings.get(ObservableLabel.V) is settings.v
     assert settings.u.label is ObservableLabel.U
+
+
+def test_observable_in_the_wrong_slot_is_refused():
+    s = chsh_optimal_angles()
+    with pytest.raises(OutOfRange, match="^observable in slot 'x' carries label 'y'$"):
+        ObservableSet(s.y, s.x, s.u, s.v)

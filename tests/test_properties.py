@@ -460,6 +460,14 @@ JSON_VALUES = st.recursive(
 NAN = float("nan")
 
 
+class StrSubclass(str):
+    pass
+
+
+class FloatSubclass(float):
+    pass
+
+
 @settings(FIXED, max_examples=100)
 @given(JSON_VALUES)
 @example({"a": [1e16, -0.0, 5e-324, 1e-5], "b": [float("nan"), 1.0], "c": [[], {}, ()],
@@ -469,5 +477,9 @@ NAN = float("nan")
 @example([1.0, 1, True, np.float64(1.0), [1.0, 1, True], [1.0, np.float64(1.0)], {"k": 1}])
 @example([NAN, NAN, float("nan"), [NAN], {"k": NAN}])  # NaN after NaN, the same object and another
 @example([0.1, [0.1, [0.1, [0.1, 0.1]]], {"k": [0.1, -0.1]}, (0.1,)])  # one value repeated in nested lists
+# leaves that are not exactly str or float go to json.dumps itself
+@example(StrSubclass('q"\\\x01\u00e9'))
+@example(np.float64(0.1))
+@example(FloatSubclass(-0.1))
 def test_json_text_is_json_dumps_indent_2(value):
     assert json_text(value) == json.dumps(value, indent=2)

@@ -530,6 +530,12 @@ def test_shot_bound_is_two_to_the_53():
     assert np.array_equal(first, sample_indices(p, sampler.SHOT_CHUNK, RngConfig(seed=5)))
 
 
+def test_two_to_the_53_shots_at_once_are_refused_by_the_allocation():
+    # 2**53 passes the shot bound, but its 64 PiB index array is refused before memory is touched
+    with pytest.raises(OutOfRange, match=rf"^shot count {MAX_SHOTS} is too many: "):
+        sample_indices(singlet_optimal_probabilities(), MAX_SHOTS, RngConfig(1))
+
+
 # Sampling statistics at configs and seeds fixed in advance. Over the family of
 # 2 * len(STAT_CONFIGS) * len(STAT_SEEDS) tests, a false alarm has probability at most
 # FAMILY_ALPHA (Bonferroni). Pearson's X^2 over d + 1 outcomes is asymptotically chi^2_d,

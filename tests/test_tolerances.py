@@ -148,3 +148,21 @@ def test_only_the_exact_analysis_reads_the_born_pair_route():
     found = {(path.name, getattr(node, "name", "<module>")) for path in sorted(PACKAGE.glob("*.py"))
              for node in ast.parse(path.read_text()).body if any(loads(node, name) for name in route)}
     assert found == {("belltests.py", "exact_analysis")}
+
+
+def test_belltests_marginalizes_q_only_through_pair_marginals():
+    # the A-B pair marginals of a distribution over the 16 outcomes are mapped once, by
+    # PAIR_MARGINALS; a second derivation by reshape(2, 2, 2, 2) sums in belltests fails here
+    def literal(node):
+        try:
+            return ast.literal_eval(node)
+        except ValueError:
+            return None
+
+    tree = ast.parse((PACKAGE / "belltests.py").read_text())
+    reshapes = [ast.unparse(node) for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "reshape"
+                and [literal(arg) for arg in node.args] in ([2, 2, 2, 2], [(2, 2, 2, 2)])]
+    assert reshapes == []
+    readers = {node.name for node in tree.body if loads(node, "PAIR_MARGINALS")}
+    assert readers == {"ch_report", "exact_analysis"}
