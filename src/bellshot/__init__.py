@@ -83,10 +83,21 @@ from .states import (
     random_density_matrix,
     werner_state,
 )
-from .validate import ValidationReport, validate_all
 
 __version__ = "0.1.0"
+_ON_USE = ("ValidationReport", "validate_all")  # validate's, imported on first lookup: few runs need it
 
-# the public names the imports above bind, modules left out: importing a name here exports it
-__all__ = sorted(name for name, value in globals().items()
-                 if not name.startswith("_") and not isinstance(value, _ModuleType))
+# the public names bound above, modules left out, and on use: importing a name here exports it
+__all__ = sorted([*_ON_USE, *(name for name, value in globals().items()
+                              if not name.startswith("_") and not isinstance(value, _ModuleType))])
+
+
+def __getattr__(name):  # PEP 562: a name not bound at import
+    if name not in _ON_USE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import validate
+    return getattr(validate, name)
+
+
+def __dir__():  # so that dir() and help() list the names bound on use
+    return sorted([*globals(), *_ON_USE])

@@ -16,12 +16,10 @@ are never trusted unverified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import inversion, linalg, measurement
-from .errors import ConsistencyError, EmptyShotList, InvalidDistribution
+from .errors import ConsistencyError, EmptyShotList, InvalidDistribution, fill, record
 from .inversion import InversionKernel, QuasiDistribution
 from .measurement import OUTCOMES, OutcomeIndex
 
@@ -177,13 +175,13 @@ def pair_probabilities(c, blochs, gammas=(1.0, 1.0, 1.0, 1.0)) -> np.ndarray:
     return p.reshape(p.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2)
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
-    """Outcome of a classical-bound check for one scalar quantity."""
+    """Outcome of a classical-bound check for one scalar quantity: "satisfied", "satisfied
+    (boundary)" or "violated" by margin, and the bound a violation broke, where one is named."""
 
-    status: str  # "satisfied", "satisfied (boundary)", "violated"
-    margin: float
-    bound: str | None = None  # which bound a violation broke: "upper"/"lower"
+    def __init__(self, status: str, margin: float, bound: str | None = None):
+        fill(self, status, margin, bound)
 
     def as_dict(self) -> dict:
         return {key: value for key, value in vars(self).items() if value is not None}
@@ -225,14 +223,15 @@ def ch_verdict(value: float) -> Verdict:
     return Verdict(**_verdicts(linalg.as_finite(value, (), "finite verdict test value"), CH_RULE)[0])
 
 
-@dataclass(frozen=True)
+@record
 class ChshReport:
-    """Everything the CHSH test produces for one state and measurement."""
+    """Everything the CHSH test produces for one state and measurement: s(xi), the
+    ensemble S and the single-shot S indexed by xi', both arrays (16,)."""
 
-    s_values: np.ndarray  # (16,), s(xi)
-    ensemble_S: float
-    single_shot_S: np.ndarray  # (16,), indexed by xi'
-    bound = CHSH_BOUND  # unannotated, so a class constant and not a dataclass field
+    bound = CHSH_BOUND  # a class constant, not a field
+
+    def __init__(self, s_values: np.ndarray, ensemble_S: float, single_shot_S: np.ndarray):
+        fill(self, s_values, ensemble_S, single_shot_S)
 
     def as_dict(self) -> dict:
         return {
@@ -243,13 +242,14 @@ class ChshReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class ChReport:
-    """CH test results: the (xi, xi') grid and the 16 exact values."""
+    """CH test results: the (xi, xi') grid, (16, 16), and the 16 exact values."""
 
-    single_shot_C: np.ndarray  # (16, 16)
-    ensemble_C: np.ndarray  # (16,)
-    bounds = (CH_UPPER_BOUND, CH_LOWER_BOUND)  # unannotated: a class constant
+    bounds = (CH_UPPER_BOUND, CH_LOWER_BOUND)  # a class constant, not a field
+
+    def __init__(self, single_shot_C: np.ndarray, ensemble_C: np.ndarray):
+        fill(self, single_shot_C, ensemble_C)
 
     def as_dict(self) -> dict:
         return {

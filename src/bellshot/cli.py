@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,6 @@ from .config import SETTING_KEYS, ExperimentConfig, load_config
 from .errors import BellshotError, ConfigError, ConsistencyError, OutOfRange
 from .measurement import GAMMA_MIN, OUTCOME_ORDER_DOC, GammaSet
 from .sampler import RngConfig, ShotDraws
-from .validate import DEFAULT_TRIALS, validate_all
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -31,9 +31,12 @@ EXIT_CONFIG = 2
 
 # Grid points per array block of a sweep on either axis. A Werner block's Born
 # traces hold a (SWEEP_BLOCK, 4, 16, 4) complex product: a 10000-point Werner sweep
-# peaks at 38 MB in blocks of 256, 40 MB in blocks of 1024 and 79 MB as one block
-# (numpy 2.4, Python 3.11, x86-64 Linux).
+# peaks at 34.4 MB in blocks of 256, 39.1 MB in blocks of 1024 and 45.0 MB in blocks
+# of 2048, in process (numpy 2.4, Python 3.11, x86-64 Linux).
 SWEEP_BLOCK = 256
+# Sweep rows laid out as text at once, in whole blocks. _csv_lines over 10000 Werner rows takes
+# 8.9 ms in calls of 256, 5.5 at 1024, 5.0 at 2048, 6.5 at 4096 and 7.0 (peak +3.3 MB) at 8192.
+SWEEP_TEXT_ROWS = 2048
 
 
 def atomic_write_json(path: str, payload: dict) -> None:
@@ -256,11 +259,11 @@ def _text(value) -> bytes:
     return b"%.17g" % float(value)
 
 
-def _csv_lines(columns) -> bytes:
-    """The CSV lines of one sweep block, from columns of a value per row (floats, written
+def _csv_lines(columns) -> np.ndarray:
+    """The CSV lines of one batch of sweep rows, from columns of a value per row (floats, written
     '%.17g' through one sampler._fixed_17g call, or booleans, written 0 or 1) and the text
-    of columns the whole sweep shares. The cells are laid side by side in a NUL-padded byte
-    matrix, and one pass drops the NULs."""
+    of columns the whole sweep shares, as a uint8 array. The cells are laid side by side in a
+    NUL-padded byte matrix, and one pass drops the NULs."""
     floats = [c for c in columns if not isinstance(c, bytes) and c.dtype != bool]
     n = len(floats[0])
     texts = iter(sampler._fixed_17g(np.stack(floats, axis=1).ravel()).reshape(n, len(floats), 24)
@@ -279,12 +282,13 @@ def _csv_lines(columns) -> bytes:
     for c in cells:
         rows[:, at:at + c.shape[-1]] = c
         at += c.shape[-1]
-    return rows[rows != 0].tobytes()
+    return rows[rows != 0]
 
 
 def cmd_sweep(config: ExperimentConfig, out_dir: str, axis: str, grid: list[float]) -> int:
-    """One CSV row per grid point along a gamma or Werner-eta axis, computed and written in
-    blocks of SWEEP_BLOCK points and byte-identical to a point-by-point run.
+    """One CSV row per grid point along a gamma or Werner-eta axis, computed in blocks of
+    SWEEP_BLOCK points, laid out as text per SWEEP_TEXT_ROWS rows, and byte-identical to a
+    point-by-point run.
     `realizable` says whether the product-form joint POVM is positive there, not whether any
     positive joint measurement exists: another form can be positive where it is not."""
     header = (axis, "ensemble_S", "abs_single_shot_S", "ch_min", "ch_max",
@@ -292,8 +296,11 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str, axis: str, grid: list[floa
 
     def write(fh) -> None:
         fh.write(",".join(header).encode() + b"\n")
-        for columns in _sweep_columns(config, axis, grid):
-            fh.write(_csv_lines(columns))
+        blocks = _sweep_columns(config, axis, grid)
+        while batch := list(itertools.islice(blocks, max(1, SWEEP_TEXT_ROWS // SWEEP_BLOCK))):
+            # a column's shared text is the same in every block
+            fh.write(_csv_lines([c[0] if isinstance(c[0], bytes) else np.concatenate(c)
+                                 for c in zip(*batch)]))
 
     path = os.path.join(out_dir, f"sweep_{axis}.csv")
     _atomic_write(path, write)
@@ -303,6 +310,7 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str, axis: str, grid: list[floa
 
 def cmd_validate(seed: int, trials: int) -> int:
     """Run the randomized invariant suite and report per-module counts."""
+    from .validate import validate_all  # imported by the one command that runs it
     report = validate_all(seed, trials=trials)
     print(f"validation seed: {report.seed}")
     for result in report.results:
@@ -349,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="randomized self-checks of every module")
     val.add_argument("--seed", type=int, default=None, help="seed for the randomized checks")
-    val.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+    val.add_argument("--trials", type=int, default=sampler.DEFAULT_TRIALS,
                      help="trials per randomized check")
     return parser
 

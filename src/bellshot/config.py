@@ -9,12 +9,11 @@ Every refusal is a ConfigError whose message starts with the field at fault.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import observables, sampler, states
-from .errors import BellshotError, ConfigError, shown
+from .errors import BellshotError, ConfigError, fill, record, shown
 from .measurement import GammaSet
 from .observables import ObservableSet
 from .states import BellState, DensityMatrix
@@ -25,16 +24,13 @@ FIELDS = ("state", "observables", "gammas", "shots", "seed", "stream_count")
 SETTING_KEYS = ("x", "y", "u", "v")
 
 
-@dataclass(frozen=True)
+@record
 class ExperimentConfig:
     """Validated experiment description (state, settings, gammas, run plan)."""
 
-    state: DensityMatrix
-    settings: ObservableSet
-    gammas: GammaSet
-    shots: int = 0
-    seed: int = 0
-    stream_count: int = 1
+    def __init__(self, state: DensityMatrix, settings: ObservableSet, gammas: GammaSet,
+                 shots: int = 0, seed: int = 0, stream_count: int = 1):
+        fill(self, state, settings, gammas, shots, seed, stream_count)
 
     @classmethod
     def from_dict(cls, doc, **overrides) -> "ExperimentConfig":

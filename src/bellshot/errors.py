@@ -1,5 +1,8 @@
-"""Exception taxonomy. Every validation failure names the violated invariant
-and the offending value in its message; shown bounds the repr of a nested one."""
+"""Exception taxonomy, and `record`, which makes each value type a frozen record. Every
+validation failure names the violated invariant and the offending value in its message;
+shown bounds the repr of a nested one."""
+
+import operator
 
 
 class BellshotError(Exception):
@@ -60,3 +63,37 @@ def shown(value, depth: int = 8) -> str:
             [f"{k!r}: {shown(v, depth - 1)}" for k, v in value.items()])
         return f"{{{inner}}}"
     return repr(value)
+
+
+def record(cls):
+    """cls as a frozen record, with no code generated: its fields are its __init__'s
+    parameters, which __init__ stores through fill. repr and == read them in order, as a
+    frozen dataclass's do, hash reads them and the type, and setting or deleting an
+    attribute raises AttributeError."""
+    init = cls.__init__.__code__
+    cls._fields = init.co_varnames[1:init.co_argcount]
+    values = operator.attrgetter(*cls._fields, "__class__")  # one C call; a tuple for one field too
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, self._fields, values(self)))})"
+
+    def __eq__(self, other):
+        return values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(values(self))
+
+    cls.__repr__, cls.__eq__, cls.__hash__ = __repr__, __eq__, __hash__
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    return cls
+
+
+def fill(obj, *values) -> None:
+    """Store a record's field values, given in its fields' order. Each is set as a dataclass
+    sets it: reading obj.__dict__ instead would make every later attribute read slower."""
+    for name, value in zip(obj._fields, values):
+        object.__setattr__(obj, name, value)
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is a frozen record: cannot set or delete {name!r}")

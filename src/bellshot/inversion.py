@@ -16,12 +16,10 @@ the sharp Born probabilities exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg, measurement
-from .errors import ConsistencyError, InvalidDistribution, OutOfRange
+from .errors import ConsistencyError, InvalidDistribution, OutOfRange, fill, record
 from .measurement import SIGNS, GammaSet, JointPovm
 from .observables import A_LABELS, B_LABELS, ObservableLabel, ObservableSet, SharpPovm
 
@@ -38,18 +36,15 @@ def kernel_1d(gamma: float) -> np.ndarray:
     return 0.5 * (1.0 + SIGN_PRODUCTS / measurement.checked_gamma(gamma))
 
 
-@dataclass(frozen=True)
+@record
 class InversionKernel:
-    """16x16 quasi-stochastic table p(xi | xi'), factorized per observable."""
+    """16x16 quasi-stochastic table p(xi | xi') in canonical outcome order, factorized per observable."""
 
-    gammas: GammaSet
-    table: np.ndarray  # [xi, xi'] in canonical outcome order
-
-    def __post_init__(self):
-        t = linalg.as_finite(self.table, (16, 16), "kernel table", ConsistencyError)
+    def __init__(self, gammas: GammaSet, table: np.ndarray):
+        t = linalg.as_finite(table, (16, 16), "kernel table", ConsistencyError)
         require_column_sums(t)
         t.setflags(write=False)
-        object.__setattr__(self, "table", t)
+        fill(self, gammas, t)
 
 
 def build_kernel(gammas: GammaSet) -> InversionKernel:
@@ -75,7 +70,7 @@ def require_column_sums(tables: np.ndarray) -> None:
                    lambda k: ConsistencyError(f"kernel column sums deviate from 1 by {float(worst[k]):.3e}"))
 
 
-@dataclass(frozen=True)
+@record
 class QuasiDistribution:
     """Signed 16-entry distribution over sharp outcomes, normalized to 1.
 
@@ -84,13 +79,11 @@ class QuasiDistribution:
     that the state is nonlocal: a product state can show it too.
     """
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = linalg.as_finite(self.entries, (16,), "quasi-distribution", InvalidDistribution)
+    def __init__(self, entries: np.ndarray):
+        e = linalg.as_finite(entries, (16,), "quasi-distribution", InvalidDistribution)
         require_quasi_entries(e)
         e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
+        fill(self, e)
 
     def min_entry(self) -> float:
         return float(self.entries.min())

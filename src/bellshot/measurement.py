@@ -20,12 +20,11 @@ i.e. lexicographic with +1 sorting before -1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, observables
-from .errors import ConsistencyError, GammaOutOfRange, NotPositive, OutOfRange
+from .errors import ConsistencyError, GammaOutOfRange, NotPositive, OutOfRange, fill, record
 from .observables import ObservableLabel, ObservableSet
 
 # |prod gamma_i| at which a kernel column sum's rounding reaches linalg.COLUMN_SUM_TOL
@@ -63,18 +62,13 @@ def sign_index(w: int) -> int:
     return 0 if w > 0 else 1
 
 
-@dataclass(frozen=True)
+@record
 class OutcomeIndex:
     """One joint outcome, four signs (x, y, u, v), each +-1."""
 
-    x: int
-    y: int
-    u: int
-    v: int
-
-    def __post_init__(self):
-        for name, w in zip("xyuv", self.as_tuple()):
-            object.__setattr__(self, name, observables.checked_sign(w, f"outcome component {name}"))
+    def __init__(self, x: int, y: int, u: int, v: int):
+        fill(self, *(observables.checked_sign(w, f"outcome component {name}")
+                     for name, w in zip("xyuv", (x, y, u, v))))
 
     def to_index(self) -> int:
         return 8 * sign_index(self.x) + 4 * sign_index(self.y) + 2 * sign_index(self.u) + sign_index(self.v)
@@ -110,7 +104,7 @@ def as_indices(shots) -> np.ndarray:
     return idx
 
 
-@dataclass(frozen=True)
+@record
 class GammaSet:
     """Unsharpness factors of the four marginal observables.
 
@@ -121,26 +115,19 @@ class GammaSet:
     actually built.
     """
 
-    gamma_x: float
-    gamma_y: float
-    gamma_u: float
-    gamma_v: float
-
-    def __post_init__(self):
-        names = ("gamma_x", "gamma_y", "gamma_u", "gamma_v")
-        raw = [getattr(self, name) for name in names]
+    def __init__(self, gamma_x: float, gamma_y: float, gamma_u: float, gamma_v: float):
+        raw = [gamma_x, gamma_y, gamma_u, gamma_v]
         try:  # the four factors in one pass
             g = linalg.as_finite(raw, (4,), "gammas", GammaOutOfRange).tolist()
         except GammaOutOfRange:  # checked_gamma names the factor at fault
-            g = [checked_gamma(value, name) for value, name in zip(raw, names)]
+            g = [checked_gamma(value, name) for value, name in zip(raw, self._fields)]
         if not GammaSet.admits(g):
-            for value, name in zip(g, names):  # a factor out of range is named before the product
+            for value, name in zip(g, self._fields):  # a factor out of range is named before the product
                 checked_gamma(value, name)
             product = abs(g[0] * g[1] * g[2] * g[3])
             raise GammaOutOfRange(f"|gamma_x gamma_y gamma_u gamma_v| = {product:.4g} must be at least "
                                   f"{GAMMA_MIN:.4g} (|gamma| >= {GAMMA_MIN ** 0.25:.4g} at equal gammas)")
-        for name, value in zip(names, g):
-            object.__setattr__(self, name, value)
+        fill(self, *g)
 
     @staticmethod
     def equal(gamma: float) -> "GammaSet":
@@ -213,14 +200,14 @@ def born_traces(rho: np.ndarray, operators: np.ndarray) -> np.ndarray:
     return (d0 + d1) + (d2 + d3)
 
 
-@dataclass(frozen=True)
+@record
 class JointPovm:
-    """Subsystem POVMs plus their 16-outcome product."""
+    """Subsystem POVMs, each (4, 2, 2) over (x', y') or (u', v') in PAIR_ORDER, plus
+    their 16-outcome product, (16, 4, 4) in canonical outcome order."""
 
-    gammas: GammaSet
-    subsystem_a: np.ndarray  # (4, 2, 2) over (x', y') in PAIR_ORDER
-    subsystem_b: np.ndarray  # (4, 2, 2) over (u', v')
-    product: np.ndarray  # (16, 4, 4) in canonical outcome order
+    def __init__(self, gammas: GammaSet, subsystem_a: np.ndarray, subsystem_b: np.ndarray,
+                 product: np.ndarray):
+        fill(self, gammas, subsystem_a, subsystem_b, product)
 
     def marginal_element(self, label, w: int) -> np.ndarray:
         """Unsharp marginal (I + gamma w n.sigma) / 2 of one observable,

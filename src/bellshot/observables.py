@@ -8,13 +8,12 @@ subsystem: X, Y on A and U, V on B.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import linalg
-from .errors import NotPSD, OutOfRange
+from .errors import NotPSD, OutOfRange, fill, record
 
 
 class ObservableLabel(Enum):
@@ -47,37 +46,32 @@ def bloch_operator(n) -> np.ndarray:
     return n[0] * linalg.SIGMA_X + n[1] * linalg.SIGMA_Y + n[2] * linalg.SIGMA_Z
 
 
-@dataclass(frozen=True)
+@record
 class ObservableSpec:
     """A dichotomic observable n . sigma with outcomes +-1."""
 
-    label: ObservableLabel
-    bloch: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "label", ObservableLabel(self.label))
-        n = linalg.as_finite(self.bloch, (3,), f"observable {self.label.value}: bloch vector")
+    def __init__(self, label: ObservableLabel, bloch: np.ndarray):
+        label = ObservableLabel(label)
+        n = linalg.as_finite(bloch, (3,), f"observable {label.value}: bloch vector")
         norm = math.sqrt(n.dot(n))  # np.linalg.norm of a real vector, without its dispatch
         linalg.require(abs(norm - 1.0), linalg.BLOCH_NORM_TOL,
-                       lambda _: OutOfRange(f"observable {self.label.value}: |bloch| = {norm!r}, expected 1"))
+                       lambda _: OutOfRange(f"observable {label.value}: |bloch| = {norm!r}, expected 1"))
         n.setflags(write=False)
-        object.__setattr__(self, "bloch", n)
+        fill(self, label, n)
 
     def operator(self) -> np.ndarray:
         return bloch_operator(self.bloch)
 
 
-@dataclass(frozen=True)
+@record
 class SharpPovm:
     """Projective two-outcome POVM {E(+1), E(-1)}."""
 
-    element_plus: np.ndarray
-    element_minus: np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, element_plus: np.ndarray, element_minus: np.ndarray):
         plus, minus = (linalg.as_finite(e, (2, 2), f"sharp element({w:+d})", dtype=complex)
-                       for w, e in ((+1, self.element_plus), (-1, self.element_minus)))
+                       for w, e in ((+1, element_plus), (-1, element_minus)))
         for w, e in ((+1, plus), (-1, minus)):
+            e.setflags(write=False)
             lam = float(linalg.eigvals_hermitian(e, what=f"sharp element({w:+d})")[0])
             linalg.require(-lam, -linalg.PSD_TOL,
                            lambda _: NotPSD(f"sharp element({w:+d}): min eigenvalue = {lam!r}"))
@@ -87,9 +81,7 @@ class SharpPovm:
         defect = float(np.max(np.abs(plus + minus - linalg.I2)))
         linalg.require(defect, linalg.COMPLETENESS_TOL,
                        lambda _: NotPSD(f"sharp elements do not sum to identity: defect {defect:.3e}"))
-        for name, e in (("element_plus", plus), ("element_minus", minus)):
-            e.setflags(write=False)
-            object.__setattr__(self, name, e)
+        fill(self, plus, minus)
 
     def element(self, w: int) -> np.ndarray:
         return self.element_plus if checked_sign(w, "outcome sign w") > 0 else self.element_minus
@@ -101,20 +93,15 @@ def sharp_povm(obs: ObservableSpec) -> SharpPovm:
     return SharpPovm(0.5 * (linalg.I2 + op), 0.5 * (linalg.I2 - op))
 
 
-@dataclass(frozen=True)
+@record
 class ObservableSet:
     """The four CHSH observables, X and Y on subsystem A, U and V on B."""
 
-    x: ObservableSpec
-    y: ObservableSpec
-    u: ObservableSpec
-    v: ObservableSpec
-
-    def __post_init__(self):
-        for label in ObservableLabel:  # slot x holds label X, and so on
-            got = getattr(self, label.value).label
-            if got is not label:
-                raise OutOfRange(f"observable in slot {label.value!r} carries label {got.value!r}")
+    def __init__(self, x: ObservableSpec, y: ObservableSpec, u: ObservableSpec, v: ObservableSpec):
+        for label, spec in zip(ObservableLabel, (x, y, u, v)):  # slot x holds label X, and so on
+            if spec.label is not label:
+                raise OutOfRange(f"observable in slot {label.value!r} carries label {spec.label.value!r}")
+        fill(self, x, y, u, v)
 
     def get(self, label: ObservableLabel) -> ObservableSpec:
         return getattr(self, ObservableLabel(label).value)

@@ -18,12 +18,11 @@ passes; sample_shots and shot_records are list-of-object views of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import belltests, linalg, measurement
-from .errors import ConsistencyError, EmptyShotList, InvalidDistribution, OutOfRange, shown
+from .errors import ConsistencyError, EmptyShotList, InvalidDistribution, OutOfRange, fill, record, shown
 from .inversion import InversionKernel
 from .measurement import OUTCOMES, OutcomeIndex
 
@@ -37,6 +36,7 @@ INTEGERS = {
     "trials": (1, math.inf, "a positive integer"),
 }
 MAX_SHOTS = 2**53
+DEFAULT_TRIALS = 25  # validate's trials per check, held here so that the CLI's parser does not import it
 
 # Shots drawn, valued, counted and written per step of a pass, and the largest node of the
 # pairwise sum taken whole; at least numpy's pairwise block of 128. It bounds a run's arrays.
@@ -64,16 +64,12 @@ def checked_integer(name: str, value, error=OutOfRange) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
+@record
 class RngConfig:
     """Reproducibility contract for a sampling run."""
 
-    seed: int
-    stream_count: int = 1
-
-    def __post_init__(self):
-        for name in ("seed", "stream_count"):
-            object.__setattr__(self, name, checked_integer(name, getattr(self, name)))
+    def __init__(self, seed: int, stream_count: int = 1):
+        fill(self, checked_integer("seed", seed), checked_integer("stream_count", stream_count))
 
     def generator(self, stream: int) -> np.random.Generator:
         stream = checked_integer("stream", stream)
@@ -231,14 +227,12 @@ def _running_sums(values: np.ndarray, total: float = 0.0) -> np.ndarray:
     return np.cumsum(np.concatenate(([total], values)))[1:]
 
 
-@dataclass(frozen=True)
+@record
 class ShotRecord:
     """One row of a run: 1-based shot index, signs, and CHSH values."""
 
-    index: int
-    xi_prime: OutcomeIndex
-    s_single: float
-    running_mean_S: float
+    def __init__(self, index: int, xi_prime: OutcomeIndex, s_single: float, running_mean_S: float):
+        fill(self, index, xi_prime, s_single, running_mean_S)
 
 
 def shot_records(kernel: InversionKernel, outcomes) -> list[ShotRecord]:
@@ -264,7 +258,9 @@ def stream_summary(table: np.ndarray, shots, csv=None) -> tuple[np.ndarray, dict
     pass counts the shots, sums their single-shot values and, given csv (a binary file the
     caller opened), writes write_shot_csv's rows to it; a second pass reads the shots again
     to sum the squared deviations from the mean, and raises ConsistencyError if its counts
-    differ. With one shot the spread and standard error are reported as absent."""
+    differ. With one shot the spread and standard error are reported as absent. A table
+    that is not 16 finite numbers raises OutOfRange."""
+    table = linalg.as_finite(table, (16,), "single-shot CHSH table")
     shots = _source(shots)
     if shots.n == 0:
         raise EmptyShotList("cannot summarize zero shots")

@@ -6,13 +6,12 @@ subsystem A first; every matrix literal in the package relies on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import linalg
-from .errors import NotPSD, NotUnitTrace, OutOfRange
+from .errors import NotPSD, NotUnitTrace, OutOfRange, fill, record
 
 
 class BellState(Enum):
@@ -55,16 +54,14 @@ def density_matrices(entries, stack_axes: int = 0) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@record
 class DensityMatrix:
     """Validated two-qubit state: Hermitian, unit trace, positive semidefinite."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = density_matrices(self.matrix)
+    def __init__(self, matrix: np.ndarray):
+        m = density_matrices(matrix)
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        fill(self, m)
 
 
 def bell_state(which: BellState) -> DensityMatrix:

@@ -9,14 +9,10 @@ cover what no command checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import belltests, inversion, linalg, measurement, observables, sampler, states
-from .errors import BellshotError, ConsistencyError
-
-DEFAULT_TRIALS = 25
+from .errors import BellshotError, ConsistencyError, fill, record
 
 
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
@@ -43,21 +39,20 @@ def random_admissible_settings(rng: np.random.Generator):
     return settings, measurement.GammaSet(*gammas)
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
-    name: str
-    checks: int
-    failures: tuple[str, ...] = ()
+    def __init__(self, name: str, checks: int, failures: tuple[str, ...] = ()):
+        fill(self, name, checks, failures)
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
-    seed: int
-    results: tuple[CheckResult, ...]
+    def __init__(self, seed: int, results: tuple[CheckResult, ...]):
+        fill(self, seed, results)
 
     @property
     def passed(self) -> bool:
@@ -147,7 +142,7 @@ def _check_sampler(rng, trials):
     yield abs(via_quasi - via_mean) <= linalg.DUAL_PATH_TOL, "frequency inversion and shot average disagree"
 
 
-def validate_all(seed: int, trials: int = DEFAULT_TRIALS) -> ValidationReport:
+def validate_all(seed: int, trials: int = sampler.DEFAULT_TRIALS) -> ValidationReport:
     """Run every module's randomized invariant suite under one seed. Each
     check yields one (passed, message) pair per invariant it tests, and a
     constructor that enforces its own invariants passes once it returns. trials below

@@ -8,7 +8,10 @@ import argparse
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 import types
 import warnings
 from collections import Counter
@@ -49,6 +52,7 @@ from bellshot import (
     measurement,
     observable_set,
     sample_indices,
+    sampler,
     sharp_povm,
     shot_records,
     validate,
@@ -80,10 +84,44 @@ def imported_names() -> list[str]:
 
 
 def test_all_lists_exactly_the_imported_non_module_names():
+    # and the names bound on use, which validate defines
     public = [n for n in imported_names()
               if not isinstance(getattr(bellshot, n), types.ModuleType)]
+    assert [n for n in bellshot._ON_USE if not hasattr(validate, n)] == []
     assert len(bellshot.__all__) == len(set(bellshot.__all__))
-    assert sorted(bellshot.__all__) == sorted(public)
+    assert sorted(bellshot.__all__) == sorted([*public, *bellshot._ON_USE])
+
+
+def fresh(code: str) -> str:
+    """The stdout of code, run in a fresh interpreter that imports bellshot from this tree."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_validate():
+    # a bellshot process pays for validate only when it validates, and builds no record code
+    code = "import sys, bellshot.cli; print(sorted({'dataclasses', 'bellshot.validate'} & set(sys.modules)))"
+    assert fresh(code) == "[]\n"
+
+
+def test_names_bound_on_use_resolve_and_import_star_binds_every_exported_name():
+    code = ("import bellshot; star = {}; exec('from bellshot import *', star); "
+            "print(len(bellshot.__all__), sorted(set(star) - {'__builtins__'}) == bellshot.__all__, "
+            "bellshot.validate_all.__module__, bellshot.ValidationReport.__module__)")
+    assert fresh(code) == "63 True bellshot.validate bellshot.validate\n"
+    with pytest.raises(AttributeError, match="^module 'bellshot' has no attribute 'no_such_name'$"):
+        bellshot.no_such_name
+
+
+def test_help_documents_the_names_bound_on_use_as_it_does_imported_ones():
+    render = "import pydoc, bellshot; print(pydoc.render_doc(bellshot, renderer=pydoc.plaintext))"
+    on_use, imported = fresh(render), fresh("import bellshot.validate; " + render)
+    assert on_use == imported
+    assert "\n    class ValidationReport(builtins.object)\n" in on_use
+    assert "\n    validate_all(seed: 'int', trials: 'int' = 25) -> 'ValidationReport'\n" in on_use
 
 
 def test_every_exported_name_resolves():
@@ -205,6 +243,7 @@ NUMERIC = {
     "ShotDraws": lambda v: ShotDraws(v, 10, RngConfig(1)),
     "chsh_verdict": chsh_verdict,
     "ch_verdict": ch_verdict,
+    "stream_summary": lambda v: sampler.stream_summary(v, [0, 1, 2]),
 }
 INTEGER = {
     "RngConfig.generator": lambda v: RngConfig(5, 3).generator(v),

@@ -757,6 +757,45 @@ def test_werner_sweep_error_in_last_block_writes_nothing(tmp_path, capsys, bad):
     assert os.listdir(out) == []
 
 
+def sweep_grid(axis: str, n: int) -> list[float]:
+    """n grid points on axis: Werner etas over [0, 1], or gammas on both sides of zero, which
+    near_boundary_config realizes up to |gamma| = 0.527."""
+    if axis == "werner_eta":
+        return np.linspace(0.0, 1.0, n).tolist()
+    return np.concatenate([np.linspace(-1.0, -0.3, n // 2), np.linspace(0.3, 1.0, n - n // 2)]).tolist()
+
+
+@pytest.mark.parametrize("axis", ["werner_eta", "gamma"])
+@pytest.mark.parametrize("text_rows, n", [(21, 20), (21, 21), (21, 22), (21, 68), (5, 23)])
+def test_sweep_text_batches_match_per_point_loop(tmp_path, monkeypatch, axis, text_rows, n):
+    # blocks of 7 laid out 3 to a batch of 21 rows: n = batch - 1, batch, batch + 1 and
+    # 3 batches plus 5; a batch under a block still holds one whole block
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", 7)
+    monkeypatch.setattr(cli, "SWEEP_TEXT_ROWS", text_rows)
+    doc = near_boundary_config()
+    values = sweep_grid(axis, n)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out), "--axis", axis,
+                 "--grid-values", *map(repr, values)]) == 0
+    per_point = per_point_werner_csv if axis == "werner_eta" else per_point_gamma_csv
+    assert (out / f"sweep_{axis}.csv").read_bytes() == per_point(doc, values)
+
+
+@pytest.mark.parametrize("axis, bad, message", [
+    ("werner_eta", "1.5", "sweep werner_eta 1.5 outside [0, 1]"),
+    ("gamma", "0.1", "sweep gamma 0.1 outside [0.2053, 1] in magnitude"),
+])
+def test_sweep_error_in_the_last_text_batch_writes_nothing(tmp_path, monkeypatch, capsys, axis, bad, message):
+    # three batches of 21 rows are laid out before the fourth's last point is refused
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", 7)
+    monkeypatch.setattr(cli, "SWEEP_TEXT_ROWS", 21)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, near_boundary_config()), "--out", str(out),
+                 "--axis", axis, "--grid-values", *map(repr, sweep_grid(axis, 67)), bad]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert os.listdir(out) == []
+
+
 def test_validate_command(capsys):
     assert main(["validate", "--seed", "123", "--trials", "3"]) == 0
     out = capsys.readouterr().out
