@@ -2,7 +2,8 @@
 
 All files are written to a temporary name and atomically renamed, so a
 crash never leaves a partial result behind. Exit codes: 0 success, 1 a
-validation or internal consistency failure, 2 a config problem.
+validation or internal consistency failure, 2 a config problem, and 143 for
+a process ended by SIGTERM.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 import json
 import math
 import os
+import signal
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -100,6 +102,9 @@ def _json_text(value, indent: str, floats: _FloatTexts) -> str:
     return json.dumps(value)
 
 
+_TEMP_FILES = set()  # the temp files _atomic_write is filling, which _terminate removes
+
+
 def _atomic_write(path: str, write):
     """Let write(fh) fill a new binary file beside path, then close it, rename it onto
     path and return what write returned. The file is created exclusively, with mode
@@ -107,6 +112,7 @@ def _atomic_write(path: str, write):
     tmp = os.path.join(os.path.dirname(path) or ".", f".bellshot-{os.urandom(8).hex()}.tmp")
     try:
         fh = open(tmp, "xb")  # a name that exists is never this call's to remove
+        _TEMP_FILES.add(tmp)
         try:
             with fh:
                 result = write(fh)
@@ -114,9 +120,24 @@ def _atomic_write(path: str, write):
         except BaseException:
             os.unlink(tmp)
             raise
+        finally:
+            _TEMP_FILES.discard(tmp)
     except OSError as exc:  # path is a directory; --out is read-only or full
         raise ConfigError(f"--out: cannot write {path}: {exc.strerror}") from exc
     return result
+
+
+def _terminate(signum, frame):
+    """SIGTERM's handler in a bellshot process: remove the temp files being written and exit
+    128 + signum at once. SIGTERM's default action would leave them behind, and a SystemExit
+    raised here is lost where the handler runs inside a weakref callback or finalizer, as it
+    can during the lazy import of numpy.random at a run's first draw, and the run goes on."""
+    for tmp in list(_TEMP_FILES):
+        try:
+            os.unlink(tmp)
+        except OSError:  # renamed into place already
+            pass
+    os._exit(128 + signum)
 
 
 def cmd_exact(config: ExperimentConfig, out_dir: str) -> int:
@@ -397,8 +418,11 @@ def main(argv=None) -> int:
 def process_main() -> int:
     """main in a process of its own: `python -m bellshot.cli` and the bellshot script. The
     objects that importing made live until exit; frozen first, they are not walked again by
-    the collections at interpreter exit. main() leaves an in-process caller's collector be."""
+    the collections at interpreter exit. On SIGTERM, _terminate removes the temp file of an
+    output being written and exits 143 (128 + SIGTERM). main() leaves an in-process caller's
+    collector and signal handlers be."""
     gc.freeze()
+    signal.signal(signal.SIGTERM, _terminate)
     return main()
 
 

@@ -9,10 +9,13 @@ A run never holds its shots whole. ShotDraws redraws them from the stream keys, 
 chunk, as often as they are read: one pass counts them, sums their single-shot values and
 writes their CSV rows, and a second sums the squared deviations from the mean. Each sum
 adds the values as numpy's pairwise summation adds the whole array, so the mean and spread
-are np.mean's and np.std(ddof=1)'s to the bit. Each step's CSV rows are laid out in one
-reused NUL-padded byte matrix, running means through an exact array '%.17g', and written
-after one pass drops the NULs. An int64 array of outcome indices is read through the same
-passes; sample_shots and shot_records are list-of-object views of it.
+are np.mean's and np.std(ddof=1)'s to the bit. Each step's CSV rows are laid out in 4-byte
+words of one reused NUL-padded matrix and written after one pass drops the NULs: the index
+from a word table, the outcome's stem by one take, the running means through an exact array
+'%.17g' that splits each 17-digit integer once into digit words. The sink allocates its
+large arrays once, so that the heap top is not trimmed and faulted back in step after step.
+An int64 array of outcome indices is read through the same passes; sample_shots and
+shot_records are list-of-object views of it.
 """
 
 from __future__ import annotations
@@ -46,11 +49,28 @@ BUCKETS = 4096  # of [0, 1): a draw's bucket gives its outcome unless a cdf entr
 SHOT_CSV_HEADER = ("index", "x_prime", "y_prime", "u_prime", "v_prime", "S_single", "running_mean_S")
 
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
-# 0..9999 as 4-byte ASCII words, zero-padded, then again from 10**4 with NUL padding
-_PREFIXES = np.arange(10**4, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16)
-_WORD_BYTES = (_PREFIXES % 10 + ord("0")).astype(np.uint8)
-_DIGIT_WORDS = np.concatenate([_WORD_BYTES, _WORD_BYTES * (_PREFIXES > 0)]).view(np.uint32).ravel()
-_POINT = np.frombuffer(b"\0" * 20 + b"0.000", np.uint8)  # [15 - x:] leads exponent x's row
+_WORD = np.dtype("<u4")  # 4 text bytes, little-endian on any host: the first is the low byte
+
+
+def _word_tables():
+    """0..9999 as 4-byte ASCII words: zero-padded, then again with leading zeros NUL (the
+    digit words, the second half from 10**4); zero-padded with trailing zeros NUL (the trimmed
+    words); and with leading zeros NUL, then again zero-padded (the shot index's low words)."""
+    d = np.arange(10, dtype=np.uint8)
+    digits = np.stack(np.broadcast_arrays(*np.ix_(d, d, d, d)), axis=-1).reshape(-1, 4)  # row g: g
+    leading, trailing = digits > 0, digits > 0  # whether a digit not 0 comes at or before, at or after
+    for j in range(1, 4):
+        leading[:, j] |= leading[:, j - 1]
+        trailing[:, 3 - j] |= trailing[:, 4 - j]
+    chars = digits + ord("0")
+
+    def words(*tables):
+        return np.concatenate(tables).view(_WORD).ravel()
+
+    return words(chars, chars * leading), words(chars * trailing), words(chars * leading, chars)
+
+
+_DIGIT_WORDS, _TRIMMED_WORDS, _INDEX_WORDS = _word_tables()
 
 
 def checked_integer(name: str, value, error=OutOfRange) -> int:
@@ -221,10 +241,13 @@ def sample_shots(probabilities, n: int, config: RngConfig) -> list[OutcomeIndex]
     return [OUTCOMES[i] for i in sample_indices(probabilities, n, config).tolist()]
 
 
-def _running_sums(values: np.ndarray, total: float = 0.0) -> np.ndarray:
+def _running_sums(values: np.ndarray, total: float = 0.0, out=None) -> np.ndarray:
     """Partial sums after a carried-in total, added in the order a loop doing
-    `total += s` adds them, so chunked running means agree bit for bit."""
-    return np.cumsum(np.concatenate(([total], values)))[1:]
+    `total += s` adds them, so chunked running means agree bit for bit; laid out after
+    total in out, len(values) + 1 doubles, if given."""
+    sums = np.empty(len(values) + 1) if out is None else out
+    sums[0], sums[1:] = total, values
+    return np.cumsum(sums, out=sums)[1:]
 
 
 @record
@@ -288,67 +311,153 @@ def convergence_report(kernel: InversionKernel, shots) -> dict:
     return stream_summary(belltests.single_shot_chsh_table(kernel), shots)[1]
 
 
-def _ascii(n: np.ndarray, words: int) -> np.ndarray:
-    """Each n >= 1 as ASCII digits right-aligned in that many 4-byte words, leading zeros NUL."""
-    groups = np.empty((len(n), words), np.int64)
-    for j in reversed(range(words)):
-        high = n // 10**4  # numpy divides by a scalar fast, but not in % or divmod
-        n, groups[:, j] = high, n - high * 10**4 + (high == 0) * 10**4
-    return _DIGIT_WORDS.take(groups).view(np.uint8)
+class _Work:
+    """Work arrays by name, each allocated at its first use, for at least length entries along
+    its last axis, and reused by every later use it holds. A sink lays out every leaf in one
+    _Work: arrays allocated and freed per leaf would have glibc trim the heap top and fault
+    its pages back in, leaf after leaf."""
+
+    def __init__(self, length: int = 0):
+        self.length, self.arrays = length, {}
+
+    def __call__(self, name: str, shape, dtype=np.float64) -> np.ndarray:
+        """A C-contiguous array of shape in name's memory, whose contents are left as found."""
+        size = math.prod(shape)
+        if name not in self.arrays or self.arrays[name].size < size:
+            self.arrays[name] = np.empty(size // max(shape[-1], 1) * max(shape[-1], self.length), dtype)
+        return self.arrays[name][:size].reshape(shape)
 
 
-def _scaled(a: np.ndarray, x) -> np.ndarray:
+def _ascii(n: np.ndarray, digits: np.ndarray, trimmed: int = 0, work=None) -> np.ndarray:
+    """Write the digits of each n in [10**16, 10**17) into digits, a (5, len(n)) array
+    of 4-byte ASCII words, and return it: row 0 the leading digit NUL-padded, rows 1-4 the
+    groups of four after it, the last trimmed of them with their trailing zeros NUL. n is
+    split once, by // 10**16 and into two 8-digit halves, which int32 takes apart."""
+    work = work or _Work()
+    group, rest = work("group", n.shape, np.intp), work("rest", n.shape, np.int64)
+    halves, fours = work("halves", (2, len(n)), np.int32), work("fours", (2, len(n)), np.int32)
+
+    def look_up(j: int, row: np.ndarray) -> None:
+        group[:] = row
+        (_TRIMMED_WORDS if j > 4 - trimmed else _DIGIT_WORDS).take(group, out=digits[j])
+
+    np.floor_divide(n, 10**16, out=group)
+    np.subtract(n, np.multiply(group, 10**16, out=rest), out=rest)
+    look_up(0, np.add(group, 10**4, out=group))
+    halves[0] = np.floor_divide(rest, 10**8, out=group)
+    np.subtract(rest, np.multiply(group, 10**8, out=group), out=halves[1])
+    np.floor_divide(halves, 10**4, out=fours)
+    look_up(1, fours[0])
+    look_up(3, fours[1])
+    np.subtract(halves, np.multiply(fours, 10**4, out=fours), out=halves)
+    look_up(2, halves[0])
+    look_up(4, halves[1])
+    return digits
+
+
+def _scaled(a: np.ndarray, x, work=None) -> np.ndarray:
     """a * 10**(16 - x) rounded half to even: Dekker's two-product (Numer. Math. 18, 1971)
     is exactly hi + lo, and with 17 digits hi >= 2**53 is even, so rint(lo) rounds as dtoa."""
+    work = work or _Work()
+    hi, ah, al, lo, t = work("scaled", (5, len(a)))
+    n, low = work("n", (2, len(a)), np.int64)
     p = _POW10[16 - x]
-    hi = a * p
+    np.multiply(a, p, out=hi)
     # Veltkamp's split into halves of at most 26 bits each; 134217729 = 2**27 + 1
-    ah, ph = (134217729.0 * v - (134217729.0 * v - v) for v in (a, p))
-    al, pl = a - ah, p - ph
-    lo = al * pl - (((hi - ah * ph) - al * ph) - ah * pl)
-    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    np.subtract(np.multiply(a, 134217729.0, out=t), np.subtract(t, a, out=ah), out=ah)
+    np.subtract(a, ah, out=al)
+    cp = 134217729.0 * p
+    ph = cp - (cp - p)
+    pl = p - ph
+    # lo = al * pl - (((hi - ah * ph) - al * ph) - ah * pl)
+    np.subtract(hi, np.multiply(ah, ph, out=lo), out=lo)
+    np.subtract(lo, np.multiply(al, ph, out=t), out=lo)
+    np.subtract(lo, np.multiply(ah, pl, out=t), out=lo)
+    np.rint(np.subtract(np.multiply(al, pl, out=t), lo, out=lo), out=lo)
+    np.copyto(n, hi, casting="unsafe")
+    np.copyto(low, lo, casting="unsafe")
+    return np.add(n, low, out=n)
 
 
-def _fixed_17g(m: np.ndarray, out=None) -> np.ndarray:
-    """'%.17g' % v for each v of m, right-aligned in NUL-padded rows of a (len(m), 24) uint8
-    matrix, out if given. Entries with |v| outside [1e-4, 1e16), which %g writes with an
-    exponent, as 0 or not finite, go one by one through _percent_17g; the rest are laid out
-    in arrays. Values of one decimal exponent, as a long run's means, share one scalar
-    scale: IEEE 754 rounds scalar and array doubles alike."""
-    chars = np.empty((len(m), 24), np.uint8) if out is None else out
-    a = np.abs(m)
-    inside = (1e-4 <= a) & (a < 1e16)  # NaN fails both
-    whole = inside.all()
-    if not whole:
-        chars[~inside] = _percent_17g(m[~inside])
-        m, a = m[inside], a[inside]
+def _fixed_17g(m: np.ndarray, out=None, work=None) -> np.ndarray:
+    """'%.17g' % v for each v of m, in NUL-padded rows of six 4-byte words: a (len(m), 6)
+    _WORD matrix, out if given, returned as its (len(m), 24) uint8 view. Entries with |v|
+    outside [1e-4, 1e16), which %g writes with an exponent, as 0 or not finite, go one by
+    one through _percent_17g; _laid_out writes the rest in arrays. Values of one decimal
+    exponent, as a long run's means, share one scalar scale and one layout: IEEE 754 rounds
+    scalar and array doubles alike. work, a _Work, holds the arrays of one call for the next."""
+    cells = np.empty((len(m), 6), _WORD) if out is None else out
     if not len(m):
-        return chars
-    first, last = np.floor(np.log10([a.min(), a.max()])).astype(np.int64)  # exponent, or one off
-    x = first if first == last else np.floor(np.log10(a)).astype(np.int64)
-    n = _scaled(a, x)
-    if n.min() < 10**16 or n.max() >= 10**17:
-        x = x + (n >= 10**17) - (n < 10**16)
-        n = _scaled(a, x)  # now every row holds its 17 significant digits
-    digits = _ascii(n, 5)  # 20 columns: 2 sign, 3 + j digit j
-    digits[:, 2] = (m < 0) * ord("-")
-    fixed = chars if whole else np.empty((len(m), 24), np.uint8)
-    fixed[:, 0] = 0  # a fixed-notation text is at most 23 bytes, laid out in text
-    text = fixed[:, 1:]
-    for e in range(np.min(x), np.max(x) + 1):
-        rows = np.flatnonzero(x == e) if np.ndim(x) else slice(None)
-        s, f = 4 + min(e, 0), 7 + max(e, -1)  # the sign's column and the fraction's first
-        text[rows, :f] = _POINT[15 - e:15 - e + f]
-        text[rows, s:s + f - 5] = digits[rows, 2:f - 3]
-        text[rows, f:] = digits[rows, f - 3:]
-    zero = np.flatnonzero(digits[:, 19] == ord("0"))  # the rows with trailing zeros
-    trailing = np.argmax(digits[zero, :2:-1] != ord("0"), axis=1)
-    fraction = 16 - (x[zero] if np.ndim(x) else x)  # digits after the point
-    drop = np.minimum(trailing, fraction) + (trailing >= fraction)  # and a bare point
-    text[zero] *= np.arange(23) < 23 - drop[:, None]
+        return cells.view(np.uint8)
+    work = work or _Work()
+    a = np.abs(m, out=work("abs", m.shape))
+    whole = 1e-4 <= a.min() and a.max() < 1e16  # NaN fails both
     if not whole:
-        chars[inside] = fixed
-    return chars
+        inside = (1e-4 <= a) & (a < 1e16)
+        cells[~inside] = _percent_17g(m[~inside]).view(_WORD)
+        m, a = m[inside], a[inside]
+    if len(m):
+        first, last = np.floor(np.log10([a.min(), a.max()])).astype(np.int64)  # exponent, or one off
+        x = first if first == last else np.floor(np.log10(a)).astype(np.int64)
+        n = _scaled(a, x, work)
+        if n.min() < 10**16 or n.max() >= 10**17:
+            x = x + (n >= 10**17) - (n < 10**16)
+            n = _scaled(a, x, work)  # now every row holds its 17 significant digits
+        fixed = cells if whole else np.empty((len(m), 6), _WORD)
+        if np.ndim(x):
+            for e in range(np.min(x), np.max(x) + 1):
+                rows = np.flatnonzero(x == e)
+                fixed[rows] = _laid_out(n[rows], m[rows] < 0, int(e), work=work)
+        else:
+            _laid_out(n, m < 0, int(x), fixed, work)
+        if not whole:
+            cells[inside] = fixed
+    return cells.view(np.uint8)
+
+
+def _laid_out(n: np.ndarray, negative: np.ndarray, e: int, cells=None, work=None) -> np.ndarray:
+    """The fixed-notation '%.17g' texts of the values with 17 significant digits n, signs
+    negative and decimal exponent e in [-4, 15], as rows of six words, cells if given. They
+    are laid out one word per row, in place over _ascii's digit words. Below e = 0, "0." and
+    -1 - e zeros fill the three NULs of the leading digit's word and the word before it; from
+    e = 0 on, the words before the point shift one byte left, freeing its byte. A fraction's
+    trailing zeros, and a point with no digit after it, are NUL: the last digit word comes
+    from _TRIMMED_WORDS where it is all fraction, and so does each word before it that is
+    followed by NULs only."""
+    cells = np.empty((len(n), 6), _WORD) if cells is None else cells
+    work = work or _Work()
+    words = work("words", (6, len(n)), _WORD)
+    point, at = divmod(3 + e, 4)  # from e = 0 on, the digit word and byte that take the point
+    _ascii(n, words[1:], 1 if point < 4 else 0, work)
+    sign = negative * np.uint32(ord("-"))
+    if e < 0:
+        lead = np.frombuffer(b"0.".ljust(1 - e, b"0").rjust(7, b"\0") + b"\0", _WORD)
+        words[0] = lead[0]
+        words[1] |= lead[1]
+        words[(5 + e) // 4] |= sign << 8 * ((5 + e) % 4)  # the byte before "0."
+    else:
+        low, dot, high = (1 << 8 * at) - 1, ord(".") << 8 * at, -(1 << 8 * at + 8) & 0xFFFFFFFF
+        words[0] = 0
+        words[1:1 + point] = words[1:1 + point] >> 8 | words[2:2 + point] << 24
+        words[1 + point] = words[1 + point] >> 8 & low | dot | words[1 + point] & high
+        words[1] |= sign << 8  # the byte before the leading digit
+    # the rows whose trailing zeros reach word, the last digit word not trimmed yet: from the
+    # point's, those whose last digit (its top byte) is 0; else those whose last word is NUL
+    if point == 4:
+        word, rows = 4, np.flatnonzero(words[5] < 0x31000000)
+    else:
+        word, rows = 3, np.flatnonzero(words[5] == 0)
+    while len(rows) and word >= (point if e >= 0 else 1):
+        trimmed = _ascii(n[rows], np.empty((5, len(rows)), _WORD), 4)[word]
+        if word == point:  # keep the integer digits, and the point if a digit follows it
+            tail = trimmed & high
+            words[1 + word, rows] = words[1 + word, rows] & low | tail | (tail != 0) * np.uint32(dot)
+            break
+        words[1 + word, rows] = trimmed
+        rows = rows[trimmed == 0]
+        word -= 1
+    cells[:] = words.T
+    return cells
 
 
 def _percent_17g(m: np.ndarray) -> np.ndarray:
@@ -358,25 +467,39 @@ def _percent_17g(m: np.ndarray) -> np.ndarray:
 
 def _csv_rows(fh, table: np.ndarray, n: int):
     """Write the header to fh, and return a _tally sink that writes each leaf's rows of n
-    after it, through one NUL-padded byte matrix of SHOT_CHUNK rows compacted in one pass:
-    index, ",x,y,u,v,S," stem, running mean and CRLF."""
+    after it. A row is NUL-padded 4-byte words: the index, the ",x,y,u,v,S," stem, the
+    running mean's six and CRLF. Each leaf's rows start as a take of their outcomes' rows of
+    stem and CRLF; the index's low word is a slice of _INDEX_WORDS and its high words one fill
+    per 10**4 shots; _fixed_17g writes the means, and one pass drops the NULs. The matrix,
+    its NUL mask and the shot numbers are allocated once, and the running sums and _fixed_17g's
+    arrays live in the sink's one _Work, so a leaf allocates no large array but the text it
+    writes."""
     stems = [b",%d,%d,%d,%d,%.17g," % (*xi.as_tuple(), s) for xi, s in zip(OUTCOMES, table.tolist())]
-    stem_chars = np.array(stems, f"S{max(map(len, stems))}").view(np.uint8).reshape(16, -1)
     fh.write(",".join(SHOT_CSV_HEADER).encode() + b"\r\n")
-    i = (len(str(n)) + 3) // 4 * 4  # the index's columns; the running mean's are the last 24
-    total, buf = 0.0, np.zeros((min(SHOT_CHUNK, n), i + stem_chars.shape[1] + 26), np.uint8)
-    buf[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    i, k = (len(str(n)) + 3) // 4, (max(map(len, stems)) + 3) // 4  # index and stem words
+    outcome_rows = np.zeros((16, i + k + 7), _WORD)
+    chars = outcome_rows.view(np.uint8)
+    chars[:, 4 * i:4 * (i + k)] = np.array(stems, f"S{4 * k}").view(np.uint8).reshape(16, -1)
+    chars[:, -4:-2] = np.frombuffer(b"\r\n", np.uint8)
+    size = min(SHOT_CHUNK, n)
+    buf, keep = np.empty((size, i + k + 7), _WORD), np.empty((size, 4 * (i + k + 7)), bool)
+    numbers, work, total = np.arange(1.0, size + 1), _Work(size), 0.0
 
     def write(start: int, idx: np.ndarray, values: np.ndarray) -> None:
         nonlocal total
-        sums = _running_sums(values, total)
+        size = len(idx)
+        rows = np.take(outcome_rows, idx, axis=0, out=buf[:size])
+        for high in range((start + 1) // 10**4, (start + size) // 10**4 + 1):  # shots start + 1 on
+            a, b = max(high * 10**4 - start - 1, 0), min((high + 1) * 10**4 - start - 1, size)
+            low = start + 1 + a - max(high - 1, 0) * 10**4  # shot start + 1 + a's place in _INDEX_WORDS
+            rows[a:b, i - 1] = _INDEX_WORDS[low:low + b - a]
+            rows[a:b, :i - 1] = np.frombuffer((b"%d" % high if high else b"").rjust(4 * i - 4, b"\0"), _WORD)
+        sums = _running_sums(values, total, work("sums", (size + 1,)))
         total = sums[-1]
-        numbers = np.arange(start + 1, start + len(idx) + 1)
-        rows = buf[:len(idx)]
-        rows[:, :i] = _ascii(numbers, i // 4)
-        rows[:, i:-26] = stem_chars.take(idx, axis=0)
-        _fixed_17g(sums / numbers, rows[:, -26:-2])
-        fh.write(rows[rows != 0])
+        np.add(numbers, start + 1 - numbers[0], out=numbers)  # shots start + 1 on, exact below 2**53
+        _fixed_17g(np.divide(sums, numbers[:size], out=sums), rows[:, i + k:-1], work)
+        chars = rows.view(np.uint8)
+        fh.write(chars[np.not_equal(chars, 0, out=keep[:size])])
 
     return write
 

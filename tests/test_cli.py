@@ -7,9 +7,11 @@ import json
 import os
 import re
 import shlex
+import signal
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -468,6 +470,7 @@ def test_run_whose_shot_mean_misses_the_inverted_frequencies_exits_1(tmp_path, c
 
 PEAK_RSS = """
 import sys
+import time
 from bellshot.cli import main
 main(sys.argv[1:])
 with open("/proc/self/status") as fh:
@@ -490,6 +493,32 @@ def test_run_memory_does_not_grow_with_shots(tmp_path):
     # no array of a run grows with the shot count; holding the shots' indices and values
     # whole would add about 44 MB here
     assert peak_kb[2_000_000] - peak_kb[10_000] <= 5 * 1024, peak_kb
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGTERM") or os.name != "posix", reason="sends SIGTERM")
+def test_sigterm_removes_the_temp_file_and_exits_143(tmp_path):
+    # SIGTERM's default action ends a process without unwinding, so _atomic_write's clean-up
+    # would never run and an endless run's temp file would be left in --out; the signal lands
+    # as soon as the file exists, while numpy.random may still be importing
+    cfg = singlet_config(tmp_path, seed=42, stream_count=4)
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.Popen([sys.executable, "-m", "bellshot.cli", "run", "--config", cfg, "--out", str(out),
+                             "--shots", str(10**9)], env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(out.glob(".bellshot-*.tmp")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=20) == 128 + signal.SIGTERM
+        assert os.listdir(out) == []
+    finally:
+        proc.kill()
+        proc.wait()
+        for left in out.glob(".bellshot-*.tmp"):  # a failed run's, which grew until killed
+            left.unlink()
 
 
 def test_sweep_gamma(tmp_path):

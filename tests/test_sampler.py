@@ -3,10 +3,15 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bellshot import (
     ConsistencyError,
@@ -295,10 +300,10 @@ def test_sample_indices_is_the_array_behind_sample_shots():
         sample_indices(np.full(16, 1.0 / 32.0), 0, cfg)
 
 
-def sequential_shot_csv(kernel, indices, start=1) -> bytes:
+def sequential_shot_csv(kernel, indices, start=1, table=None) -> bytes:
     """Reference: the per-shot loop, total += s and total / i, through csv.writer; shots
-    are numbered from start."""
-    table = single_shot_chsh_table(kernel)
+    are numbered from start, and valued by table, the kernel's single-shot table if None."""
+    table = single_shot_chsh_table(kernel) if table is None else table
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(SHOT_CSV_HEADER)
@@ -358,10 +363,72 @@ def test_index_gains_a_digit_inside_a_chunk(tmp_path, monkeypatch, chunk):
         assert fh.getvalue() == sequential_shot_csv(kernel, idx[:20].tolist(), start=10**power - 9)
 
 
+# Minor page faults that a second 1e6-shot README-config pass writing CSV may add. The sink
+# allocates its arrays once, about 800 faults on x86-64 Linux (glibc, numpy 2.4); arrays
+# allocated and freed per leaf have glibc trim the heap top and fault it back in: about
+# 58,000 faults with all of them per leaf, and 34,000 with only _fixed_17g's work arrays
+# where OpenBLAS runs threads (800 where it runs one).
+FAULT_BUDGET = 1500
+WARM_PASS_FAULTS = """
+import os, resource
+from bellshot import belltests, sampler
+from bellshot.config import ExperimentConfig
+config = ExperimentConfig.from_dict({"state": {"bell": "psi_minus"}, "gammas": 0.7071067811865476,
+                                     "shots": 10**6, "seed": 42, "stream_count": 4})
+_, observed, _, chsh, _ = belltests.exact_analysis(config.state, config.settings, config.gammas)
+for _ in range(2):
+    shots = sampler.ShotDraws(observed, config.shots, sampler.RngConfig(config.seed, config.stream_count))
+    with open(os.devnull, "wb") as fh:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        sampler.stream_summary(chsh.single_shot_S, shots, fh)
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(after - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts glibc's heap page faults")
+def test_a_warm_csv_pass_stays_within_its_fault_budget():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", WARM_PASS_FAULTS], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=300, check=True)
+    assert int(proc.stdout) <= FAULT_BUDGET
+
+
+UNEQUAL_GAMMAS = build_kernel(GammaSet(0.61, 0.73, 0.55, 0.87))
+# outcome k's value; a run of one outcome keeps its mean, a short decimal whose 17 digits end
+# in zeros, and whose text loses them and, for -3.0 and 1000.0, the point
+SHORT_DECIMALS = np.array([-3.0, 2.5, -0.125, 1000.0, 0.0625, -7.75, 3.0, -2.0,
+                           1.5, -0.5, 4.0, -1.25, 0.75, -6.0, 2.0, -1.0])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(first=st.integers(1, 10**9 - 1) | st.builds(lambda high, offset: max(1, high * 10**4 + offset),
+                                                   st.integers(1, 10**5 - 1), st.integers(-300, 300)),
+       size=st.integers(1, 300), outcomes=st.lists(st.integers(0, 15), min_size=1, max_size=300),
+       short=st.booleans())
+@example(first=19_950, size=100, outcomes=[0], short=True)  # 2 * 10**4, no power of ten, of means -3
+@example(first=10**4 - 5, size=10, outcomes=[3], short=True)  # 1000: 4 digits, then the 5-digit index
+@example(first=10**8 - 150, size=300, outcomes=list(range(16)), short=False)  # 8 digits, then 9
+@example(first=1, size=300, outcomes=[5, 9], short=True)  # inside the first 10**4, NUL-padded
+@example(first=123_456_789, size=1, outcomes=[14], short=True)
+def test_index_words_match_the_sequential_loop(first, size, outcomes, short):
+    # a leaf of size rows numbered from first, the whole of a sink for first - 1 + size shots:
+    # its index column takes the high words of each 10**4 block it spans and the low words
+    # from _INDEX_WORDS; a run of one outcome gives one-decade means with trailing zeros
+    idx = np.resize(np.array(outcomes), size)
+    table = SHORT_DECIMALS if short else single_shot_chsh_table(UNEQUAL_GAMMAS)
+    fh = io.BytesIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampler, "SHOT_CHUNK", 300)
+        sampler._csv_rows(fh, table, first - 1 + size)(first - 1, idx, table[idx])
+    assert fh.getvalue() == sequential_shot_csv(UNEQUAL_GAMMAS, idx.tolist(), start=first, table=table)
+
+
 def test_one_decade_is_scaled_by_one_scalar(monkeypatch):
     calls = []
     scaled = sampler._scaled
-    monkeypatch.setattr(sampler, "_scaled", lambda a, x: calls.append(np.ndim(x)) or scaled(a, x))
+    monkeypatch.setattr(sampler, "_scaled",
+                        lambda a, x, *work: calls.append(np.ndim(x)) or scaled(a, x, *work))
     values = [2.5, -2.25, 2.0, 9.75, 3.0000000000000004]
     assert fixed_17g_strings(values) == ["%.17g" % v for v in values]
     assert calls == [0]

@@ -134,11 +134,17 @@ def loads(tree: ast.AST, name: str) -> bool:
 
 
 def test_only_ascii_reads_the_digit_words():
-    # one routine writes integers as ASCII digit words, for the shot index and the 17 digits
-    # of '%.17g' alike; a second digit grouping written anywhere else fails here
-    found = {(path.name, getattr(node, "name", "<module>")) for path in sorted(PACKAGE.glob("*.py"))
-             for node in ast.parse(path.read_text()).body if loads(node, "_DIGIT_WORDS")}
+    # one routine writes integers as ASCII digit words, the 17 digits of '%.17g', from either
+    # word table, and the shot index's low words come from a third table that only the CSV
+    # sink reads; a second digit grouping written anywhere else fails here
+    def readers(table):
+        return {(path.name, getattr(node, "name", "<module>")) for path in sorted(PACKAGE.glob("*.py"))
+                for node in ast.parse(path.read_text()).body if loads(node, table)}
+
+    found = readers("_DIGIT_WORDS")
     assert found == {("sampler.py", "_ascii")}
+    assert readers("_TRIMMED_WORDS") == {("sampler.py", "_ascii")}
+    assert readers("_INDEX_WORDS") == {("sampler.py", "_csv_rows")}
 
 
 def test_only_the_exact_analysis_reads_the_born_pair_route():
