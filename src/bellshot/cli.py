@@ -36,8 +36,9 @@ EXIT_CONFIG = 2
 # peaks at 34.4 MB in blocks of 256, 39.1 MB in blocks of 1024 and 45.0 MB in blocks
 # of 2048, in process (numpy 2.4, Python 3.11, x86-64 Linux).
 SWEEP_BLOCK = 256
-# Sweep rows laid out as text at once, in whole blocks. _csv_lines over 10000 Werner rows takes
-# 8.9 ms in calls of 256, 5.5 at 1024, 5.0 at 2048, 6.5 at 4096 and 7.0 (peak +3.3 MB) at 8192.
+# Sweep rows laid out as text at once, in whole blocks. sampler.csv_lines over 10000 Werner rows
+# takes 9.9 ms in calls of 256, 4.6 at 1024, 3.8 at 2048, 5.0 at 4096 and 5.7 (4.2 MB traced
+# peak) at 8192, best of 15 (numpy 2.4, Python 3.11, 2-vCPU x86-64 Linux).
 SWEEP_TEXT_ROWS = 2048
 
 
@@ -280,32 +281,6 @@ def _text(value) -> bytes:
     return b"%.17g" % float(value)
 
 
-def _csv_lines(columns) -> np.ndarray:
-    """The CSV lines of one batch of sweep rows, from columns of a value per row (floats, written
-    '%.17g' through one sampler._fixed_17g call, or booleans, written 0 or 1) and the text
-    of columns the whole sweep shares, as a uint8 array. The cells are laid side by side in a
-    NUL-padded byte matrix, and one pass drops the NULs."""
-    floats = [c for c in columns if not isinstance(c, bytes) and c.dtype != bool]
-    n = len(floats[0])
-    texts = iter(sampler._fixed_17g(np.stack(floats, axis=1).ravel()).reshape(n, len(floats), 24)
-                 .transpose(1, 0, 2))
-    cells, shared = [], b""
-    for c in columns:
-        if isinstance(c, bytes):
-            shared += c + b","
-            continue
-        cells += [np.frombuffer(shared, np.uint8),
-                  next(texts) if c.dtype != bool else (c.view(np.uint8) + ord("0"))[:, None]]
-        shared = b","
-    cells.append(np.frombuffer(shared[:-1] + b"\n", np.uint8))
-    rows = np.empty((n, sum(c.shape[-1] for c in cells)), np.uint8)
-    at = 0
-    for c in cells:
-        rows[:, at:at + c.shape[-1]] = c
-        at += c.shape[-1]
-    return rows[rows != 0]
-
-
 def cmd_sweep(config: ExperimentConfig, out_dir: str, axis: str, grid: list[float]) -> int:
     """One CSV row per grid point along a gamma or Werner-eta axis, computed in blocks of
     SWEEP_BLOCK points, laid out as text per SWEEP_TEXT_ROWS rows, and byte-identical to a
@@ -320,8 +295,8 @@ def cmd_sweep(config: ExperimentConfig, out_dir: str, axis: str, grid: list[floa
         blocks = _sweep_columns(config, axis, grid)
         while batch := list(itertools.islice(blocks, max(1, SWEEP_TEXT_ROWS // SWEEP_BLOCK))):
             # a column's shared text is the same in every block
-            fh.write(_csv_lines([c[0] if isinstance(c[0], bytes) else np.concatenate(c)
-                                 for c in zip(*batch)]))
+            fh.write(sampler.csv_lines([c[0] if isinstance(c[0], bytes) else np.concatenate(c)
+                                        for c in zip(*batch)]))
 
     path = os.path.join(out_dir, f"sweep_{axis}.csv")
     _atomic_write(path, write)

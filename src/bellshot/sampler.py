@@ -12,8 +12,9 @@ adds the values as numpy's pairwise summation adds the whole array, so the mean 
 are np.mean's and np.std(ddof=1)'s to the bit. Each step's CSV rows are laid out in 4-byte
 words of one reused NUL-padded matrix and written after one pass drops the NULs: the index
 from a word table, the outcome's stem by one take, the running means through an exact array
-'%.17g' that splits each 17-digit integer once into digit words. The sink allocates its
-large arrays once, so that the heap top is not trimmed and faulted back in step after step.
+'%.17g' that splits each 17-digit integer once into digit words, in place in the matrix. The
+sink allocates its large arrays once, so that the heap top is not trimmed and faulted back in
+step after step. csv_lines lays out a batch of a sweep's rows in the same words.
 An int64 array of outcome indices is read through the same passes; sample_shots and
 shot_records are list-of-object views of it.
 """
@@ -328,12 +329,11 @@ class _Work:
         return self.arrays[name][:size].reshape(shape)
 
 
-def _ascii(n: np.ndarray, digits: np.ndarray, trimmed: int = 0, work=None) -> np.ndarray:
+def _ascii(n: np.ndarray, digits: np.ndarray, trimmed: int, work: _Work) -> np.ndarray:
     """Write the digits of each n in [10**16, 10**17) into digits, a (5, len(n)) array
     of 4-byte ASCII words, and return it: row 0 the leading digit NUL-padded, rows 1-4 the
     groups of four after it, the last trimmed of them with their trailing zeros NUL. n is
     split once, by // 10**16 and into two 8-digit halves, which int32 takes apart."""
-    work = work or _Work()
     group, rest = work("group", n.shape, np.intp), work("rest", n.shape, np.int64)
     halves, fours = work("halves", (2, len(n)), np.int32), work("fours", (2, len(n)), np.int32)
 
@@ -355,10 +355,9 @@ def _ascii(n: np.ndarray, digits: np.ndarray, trimmed: int = 0, work=None) -> np
     return digits
 
 
-def _scaled(a: np.ndarray, x, work=None) -> np.ndarray:
+def _scaled(a: np.ndarray, x, work: _Work) -> np.ndarray:
     """a * 10**(16 - x) rounded half to even: Dekker's two-product (Numer. Math. 18, 1971)
     is exactly hi + lo, and with 17 digits hi >= 2**53 is even, so rint(lo) rounds as dtoa."""
-    work = work or _Work()
     hi, ah, al, lo, t = work("scaled", (5, len(a)))
     n, low = work("n", (2, len(a)), np.int64)
     p = _POW10[16 - x]
@@ -379,17 +378,14 @@ def _scaled(a: np.ndarray, x, work=None) -> np.ndarray:
     return np.add(n, low, out=n)
 
 
-def _fixed_17g(m: np.ndarray, out=None, work=None) -> np.ndarray:
-    """'%.17g' % v for each v of m, in NUL-padded rows of six 4-byte words: a (len(m), 6)
-    _WORD matrix, out if given, returned as its (len(m), 24) uint8 view. Entries with |v|
-    outside [1e-4, 1e16), which %g writes with an exponent, as 0 or not finite, go one by
-    one through _percent_17g; _laid_out writes the rest in arrays. Values of one decimal
-    exponent, as a long run's means, share one scalar scale and one layout: IEEE 754 rounds
-    scalar and array doubles alike. work, a _Work, holds the arrays of one call for the next."""
-    cells = np.empty((len(m), 6), _WORD) if out is None else out
-    if not len(m):
-        return cells.view(np.uint8)
-    work = work or _Work()
+def _fixed_17g(m: np.ndarray, cells: np.ndarray, work: _Work) -> None:
+    """Write '%.17g' % v for each v of m, at least one, into cells, a (len(m), 6) _WORD
+    matrix or a view of six words of each row of one, as NUL-padded rows of six 4-byte words.
+    Entries with |v| outside [1e-4, 1e16), which %g writes with an exponent, as 0 or not
+    finite, go one by one through _percent_17g; _laid_out writes the rest in arrays. Values
+    of one decimal exponent, as a long run's means, share one scalar scale and one layout:
+    IEEE 754 rounds scalar and array doubles alike. work holds the arrays of one call for the
+    next."""
     a = np.abs(m, out=work("abs", m.shape))
     whole = 1e-4 <= a.min() and a.max() < 1e16  # NaN fails both
     if not whole:
@@ -407,25 +403,23 @@ def _fixed_17g(m: np.ndarray, out=None, work=None) -> np.ndarray:
         if np.ndim(x):
             for e in range(np.min(x), np.max(x) + 1):
                 rows = np.flatnonzero(x == e)
-                fixed[rows] = _laid_out(n[rows], m[rows] < 0, int(e), work=work)
+                part = np.empty((len(rows), 6), _WORD)
+                fixed[rows] = _laid_out(n[rows], m[rows] < 0, int(e), part, work)
         else:
             _laid_out(n, m < 0, int(x), fixed, work)
         if not whole:
             cells[inside] = fixed
-    return cells.view(np.uint8)
 
 
-def _laid_out(n: np.ndarray, negative: np.ndarray, e: int, cells=None, work=None) -> np.ndarray:
-    """The fixed-notation '%.17g' texts of the values with 17 significant digits n, signs
-    negative and decimal exponent e in [-4, 15], as rows of six words, cells if given. They
-    are laid out one word per row, in place over _ascii's digit words. Below e = 0, "0." and
+def _laid_out(n: np.ndarray, negative: np.ndarray, e: int, cells: np.ndarray, work: _Work) -> np.ndarray:
+    """Write the fixed-notation '%.17g' texts of the values with 17 significant digits n, signs
+    negative and decimal exponent e in [-4, 15] into cells, rows of six words, and return it.
+    They are laid out one word per row, in place over _ascii's digit words. Below e = 0, "0." and
     -1 - e zeros fill the three NULs of the leading digit's word and the word before it; from
     e = 0 on, the words before the point shift one byte left, freeing its byte. A fraction's
     trailing zeros, and a point with no digit after it, are NUL: the last digit word comes
     from _TRIMMED_WORDS where it is all fraction, and so does each word before it that is
     followed by NULs only."""
-    cells = np.empty((len(n), 6), _WORD) if cells is None else cells
-    work = work or _Work()
     words = work("words", (6, len(n)), _WORD)
     point, at = divmod(3 + e, 4)  # from e = 0 on, the digit word and byte that take the point
     _ascii(n, words[1:], 1 if point < 4 else 0, work)
@@ -448,7 +442,7 @@ def _laid_out(n: np.ndarray, negative: np.ndarray, e: int, cells=None, work=None
     else:
         word, rows = 3, np.flatnonzero(words[5] == 0)
     while len(rows) and word >= (point if e >= 0 else 1):
-        trimmed = _ascii(n[rows], np.empty((5, len(rows)), _WORD), 4)[word]
+        trimmed = _ascii(n[rows], np.empty((5, len(rows)), _WORD), 4, work)[word]
         if word == point:  # keep the integer digits, and the point if a digit follows it
             tail = trimmed & high
             words[1 + word, rows] = words[1 + word, rows] & low | tail | (tail != 0) * np.uint32(dot)
@@ -502,6 +496,35 @@ def _csv_rows(fh, table: np.ndarray, n: int):
         fh.write(chars[np.not_equal(chars, 0, out=keep[:size])])
 
     return write
+
+
+def csv_lines(columns) -> np.ndarray:
+    """The CSV lines of one batch of rows, as a uint8 array, from columns of a value per row
+    (floats, written '%.17g', or booleans, written 0 or 1) and the text of columns that every
+    row shares. The rows are laid out as a run's are: one matrix of NUL-padded 4-byte words,
+    the shared text and separators between the varying columns as words, each float column's
+    six words written in place by _fixed_17g, whose arrays live in one _Work, and a boolean as
+    one word; one pass drops the NULs."""
+    pieces, shared = [], b""
+    for c in columns:
+        if isinstance(c, bytes):
+            shared += c + b","
+        else:
+            pieces += [shared, c]
+            shared = b","
+    pieces.append(shared[:-1] + b"\n")
+    widths = [(len(p) + 3) // 4 if isinstance(p, bytes) else 1 if p.dtype == bool else 6
+              for p in pieces]
+    rows, work = np.empty((len(pieces[1]), sum(widths)), _WORD), _Work()  # text, column, text, ...
+    for piece, cells in zip(pieces, np.split(rows, np.cumsum(widths)[:-1], axis=1)):  # views of rows
+        if isinstance(piece, bytes):
+            cells[:] = np.frombuffer(piece.ljust(4 * cells.shape[1], b"\0"), _WORD)
+        elif piece.dtype == bool:
+            np.add(piece, np.uint32(ord("0")), out=cells[:, 0])
+        else:
+            _fixed_17g(piece, cells, work)
+    chars = rows.view(np.uint8)
+    return chars[chars != 0]
 
 
 def write_shot_csv(path, kernel: InversionKernel, shots) -> None:

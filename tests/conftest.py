@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bellshot import GammaSet, inversion, observable_set
-from bellshot.sampler import _fixed_17g
+from bellshot.sampler import _WORD, _fixed_17g, _Work
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -120,7 +120,10 @@ def corrupted_inversion(monkeypatch):
 
 def fixed_17g_strings(values):
     """The sampler's vector %.17g as one str per value."""
-    return [bytes(row[row != 0]).decode() for row in _fixed_17g(np.asarray(values, dtype=float))]
+    m = np.asarray(values, dtype=float)
+    cells = np.empty((len(m), 6), _WORD)
+    _fixed_17g(m, cells, _Work())
+    return [bytes(row[row != 0]).decode() for row in cells.view(np.uint8)]
 
 
 def sampling_cdf(probabilities) -> np.ndarray:

@@ -1174,7 +1174,9 @@ def test_version_flag(capsys):
 # it moved from per-entry loops to array expressions; the two gamma sweeps
 # were recorded before the sweep's axis branches became one loop, and their
 # `realizable` columns hold both 1 and 0. The 1000-point Werner sweep was
-# recorded before the Werner axis ran in blocks; it spans four of them.
+# recorded before the Werner axis ran in blocks; it spans four of them. The two 5000-point
+# sweeps were recorded before a sweep's rows were laid out as 4-byte words; each spans three
+# text batches of SWEEP_TEXT_ROWS, and the gamma one's `realizable` column holds both 1 and 0.
 PINNED_OUTPUTS = {
     "readme_exact": "9df27df8473f207759074d3bca2cad18969bd790ced15c36619b920a684b42aa",
     "near_boundary_exact": "98d6802cd4509c212bbcaa7bdf896ea35aeefc41812fa8a31cf36a76a150ec8a",
@@ -1182,15 +1184,21 @@ PINNED_OUTPUTS = {
         "e1d1b3014f09d484ece3160245ab17dfecf5aa7f63e9cc9346d76df80d952c42",
     "near_boundary_sweep_werner_eta_1000":
         "5936908590f78fc4ea8765aed8e8c603c8ea51cff95cd7862d8b9f9ec7edbb60",
+    "near_boundary_sweep_werner_eta_5000":
+        "48a849ab7b5daf32f7a89cb2dc42c99f49359eeeab1b07460e9029ed9dafe619",
     "readme_sweep_gamma": "92f432b4196ad499f49f8fe04178f2dc2891d8ae756bbe400bfde6acea562142",
     "near_boundary_sweep_gamma":
         "f512ec98daccf9c7faa7de696e4490c1402ecee34a515d0e7efa9b1a4add8032",
+    "near_boundary_sweep_gamma_5000":
+        "468bb9e392d462f848bedf02315584d7189a91c94822a8b59b7fd83a242b0873",
 }
 # pin name suffix -> (axis, --grid-range)
 SWEEP_GRIDS = {
     "werner_eta": ("werner_eta", ["0", "1", "11"]),
     "gamma": ("gamma", ["0.3", "1", "8"]),
     "werner_eta_1000": ("werner_eta", ["0", "1", "1000"]),
+    "werner_eta_5000": ("werner_eta", ["0", "1", "5000"]),
+    "gamma_5000": ("gamma", ["0.3", "1", "5000"]),
 }
 
 

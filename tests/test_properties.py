@@ -175,7 +175,7 @@ def test_stacked_kernel_checks_equal_single_items_bit_for_bit(drawn):
         assert positive[row] == builds
 
 
-def busch_min_eigenvalues(n1, n2, g1, g2) -> np.ndarray:
+def product_form_min_eigenvalues(n1, n2, g1, g2) -> np.ndarray:
     """(1 - |a|) / 4 with a = g1 w1 n1 + g2 w2 n2 for (w1, w2) in PAIR_ORDER: the smaller
     eigenvalue of (I + a.sigma) / 4, no eigensolve. That is the product form's element, so
     its positivity is the product form's region, not Busch's joint-measurability criterion
@@ -186,9 +186,10 @@ def busch_min_eigenvalues(n1, n2, g1, g2) -> np.ndarray:
 @settings(FIXED, max_examples=200)
 @given(unit_vectors(), unit_vectors(), unit_vectors(), unit_vectors(),
        st.lists(SIGNED_GAMMA, min_size=4, max_size=4))
-def test_realizability_matches_the_busch_closed_form(x, y, u, v, gammas):
+def test_realizability_matches_the_product_form_closed_form(x, y, u, v, gammas):
     lam = nonpositive_elements(observable_set(x, y, u, v), gammas)[1]  # rows A, B
-    closed = [busch_min_eigenvalues(x, y, *gammas[:2]), busch_min_eigenvalues(u, v, *gammas[2:])]
+    closed = [product_form_min_eigenvalues(x, y, *gammas[:2]),
+              product_form_min_eigenvalues(u, v, *gammas[2:])]
     assert np.abs(np.subtract(lam, closed)).max() <= 4 * np.finfo(float).eps
     lowest = min(map(np.min, closed))
     if abs(lowest - linalg.PSD_TOL) > 1e-13:  # away from the edge, where rounding could flip it

@@ -147,6 +147,21 @@ def test_only_ascii_reads_the_digit_words():
     assert readers("_INDEX_WORDS") == {("sampler.py", "_csv_rows")}
 
 
+def test_only_the_sampler_reads_the_text_format():
+    # run's shot rows and the sweep's rows are one layout of NUL-padded 4-byte words, written
+    # by one module; a command that reads its formatter, word type or work arrays, or any
+    # private sampler name, to lay out text of its own fails here
+    text_format = ("_fixed_17g", "_percent_17g", "_WORD", "_Work")
+    found = {path.name for path in PACKAGE.glob("*.py")
+             if any(loads(ast.parse(path.read_text()), name) for name in text_format)}
+    assert found == {"sampler.py"}
+    private = {(path.name, node.attr) for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "sampler"
+               and node.attr.startswith("_")}
+    assert private == set()
+
+
 def test_only_the_exact_analysis_reads_the_born_pair_route():
     # one kernel-free Born reference route, run in one place by every command that analyses a
     # configuration; a second caller of the route written anywhere else fails here
