@@ -21,7 +21,7 @@ import numpy as np
 from . import inversion, linalg, measurement
 from .errors import ConsistencyError, EmptyShotList, InvalidDistribution, fill, record
 from .inversion import InversionKernel, QuasiDistribution
-from .measurement import OUTCOMES, OutcomeIndex
+from .measurement import OUTCOMES, PAIR_MARGINALS, OutcomeIndex
 
 CHSH_BOUND = 2.0
 CH_UPPER_BOUND = 0.0
@@ -31,10 +31,8 @@ CHSH_RULE = (-CHSH_BOUND, CHSH_BOUND, (None, None))
 CH_RULE = (CH_LOWER_BOUND, CH_UPPER_BOUND, ("upper", "lower"))
 STATUSES = np.array(["satisfied", "satisfied (boundary)", "violated"])
 
-# the signs of x, y, u and v at each outcome, shape (4, 16), and their
-# kernel_1d indices (0 for +1, 1 for -1)
-OUTCOME_SIGNS = np.array([xi.as_tuple() for xi in OUTCOMES], dtype=float).T
-SIGN_INDEX = (OUTCOME_SIGNS < 0).astype(int)
+# measurement's signs of x, y, u and v at each outcome, as floats of shape (4, 16)
+OUTCOME_SIGNS = measurement.OUTCOME_SIGNS.T.astype(float)
 SIGNS_X, SIGNS_Y, SIGNS_U, SIGNS_V = OUTCOME_SIGNS
 # The sign pattern of each outcome pair (xi, xi'), shape (16, 16): the index of the outcome
 # whose signs are w(xi) w(xi') of x, y, u and v, which is xi's index XOR xi''s, one bit per
@@ -42,10 +40,6 @@ SIGNS_X, SIGNS_Y, SIGNS_U, SIGNS_V = OUTCOME_SIGNS
 # computes 16 pattern values and spreads them over the grid.
 SIGN_PATTERN = np.arange(16)[:, None] ^ np.arange(16)
 SIGN_COLUMN = np.array(measurement.SIGNS, dtype=float)[:, None]  # +1 then -1, one per row
-# PAIR_MARGINALS[xi, (a, b, i, j)] is 1 where outcome xi has sign index i on the A observable a
-# of (x, y) and j on the B observable b of (u, v): p @ PAIR_MARGINALS is p's four A-B pair marginals
-PAIR_MARGINALS = np.array([(SIGN_INDEX[a] == i) & (SIGN_INDEX[b] == j)
-                           for a in (0, 1) for b in (2, 3) for i in (0, 1) for j in (0, 1)], dtype=float).T
 S_VALUES = SIGNS_X * SIGNS_U - SIGNS_X * SIGNS_V + SIGNS_Y * SIGNS_U + SIGNS_Y * SIGNS_V
 
 # sigma_mu x sigma_nu, indexed [mu, nu], for sigma_0 = I and the three Pauli matrices
@@ -287,7 +281,7 @@ def ch_report(kernel: InversionKernel, observed, quasi) -> ChReport:
     grid = single_shot_ch_table(kernel)
     by_average = _in_order_sum(grid * p)
     xu, xv, yu, yv = (_quasi(quasi).entries @ PAIR_MARGINALS).reshape(4, 2, 2)  # each [i, j]
-    ix, iy, iu, iv = SIGN_INDEX
+    ix, iy, iu, iv = measurement.SIGN_BITS.T  # each sign's kernel_1d index, 0 for +1
     by_marginals = (xu[ix, iu] - xv[ix, iv] + yu[iy, iu] + yv[iy, iv]
                     - yu.sum(axis=1)[iy] - xu.sum(axis=0)[iu])
     require_agreement("ensemble CH", by_average, by_marginals, lambda j: OUTCOMES[j])
@@ -315,23 +309,27 @@ def classical_bounds_check(report) -> dict:
     raise TypeError(f"expected ChshReport or ChReport, got {type(report).__name__}")
 
 
+def require_born_pair_marginals(state, settings, routes: dict) -> None:
+    """The kernel-free route check: the A-B pair marginals of each routes[name] = (entries, gammas)
+    against their Born values at those gammas (1 is sharp), from rho's pauli_correlations and the
+    Bloch vectors alone. It reads no POVM, kernel or bloch_operator, so their wiring faults show."""
+    entries, gammas = zip(*routes.values())
+    blochs = (settings.x.bloch, settings.y.bloch, settings.u.bloch, settings.v.bloch)
+    born = pair_probabilities(pauli_correlations(state.matrix), blochs, list(gammas))
+    require_agreement("A-B pair marginal", (np.array(entries) @ PAIR_MARGINALS).reshape(born.shape), born,
+                      lambda r, a, b, i, j: f"{list(routes)[r]} ({'xy'[a]}, {'uv'[b]}) "
+                      f"= ({measurement.SIGNS[i]:+d}, {measurement.SIGNS[j]:+d})")
+
+
 def exact_analysis(state, settings, gammas):
     """The exact analysis of one configuration, without I/O, as (kernel, observed, quasi, chsh,
-    ch): the joint POVM's statistics of state, their one inversion and both reports, each
-    with its route checks. Last comes one kernel-free route check: the four A-B pair
-    marginals of the observed statistics against their unsharp Born values, and those of
-    the quasi-distribution against their sharp ones, from rho's pauli_correlations, the
-    Bloch vectors and the gammas alone. That check reads no POVM, kernel or bloch_operator,
-    so a wiring fault in any of them shows."""
+    ch): the joint POVM's statistics of state, their one inversion and both reports, each with
+    its route checks, and last the kernel-free check of both against their Born pair marginals."""
     povm = measurement.joint_povm(settings, gammas)
     kernel = inversion.build_kernel(gammas)
     observed = measurement.observed_statistics(state, povm)
     quasi = inversion.invert_distribution(kernel, observed)
     chsh, ch = chsh_report(kernel, observed, quasi), ch_report(kernel, observed, quasi)
-    marginals = np.array([observed, quasi.entries]) @ PAIR_MARGINALS  # (route, 16)
-    blochs = (settings.x.bloch, settings.y.bloch, settings.u.bloch, settings.v.bloch)
-    born = pair_probabilities(pauli_correlations(state.matrix), blochs, [gammas.as_tuple(), (1.0,) * 4])
-    require_agreement("A-B pair marginal", marginals.reshape(born.shape), born,
-                      lambda r, a, b, i, j: f"{('observed', 'quasi')[r]} ({'xy'[a]}, {'uv'[b]}) "
-                      f"= ({measurement.SIGNS[i]:+d}, {measurement.SIGNS[j]:+d})")
+    require_born_pair_marginals(state, settings, {"observed": (observed, gammas.as_tuple()),
+                                                  "quasi": (quasi.entries, (1.0,) * 4)})
     return kernel, observed, quasi, chsh, ch

@@ -150,11 +150,8 @@ def gamma_free_quasi(rho, settings: ObservableSet) -> QuasiDistribution:
     return QuasiDistribution(measurement.born_traces(rho.matrix, measurement.product_povm(a, b)).real)
 
 
-def _clamped_marginal(q: QuasiDistribution, keep: tuple[str, ...], what: str) -> np.ndarray:
-    """Sum q over the observables outside `keep`, clamping entries within
-    linalg.MARGINAL_CLAMP_TOL below zero and raising for anything worse."""
-    drop = tuple(axis for axis, name in enumerate("xyuv") if name not in keep)
-    out = q.entries.reshape(2, 2, 2, 2).sum(axis=drop)  # axes x, y, u, v
+def _clamped(out: np.ndarray, what: str) -> np.ndarray:
+    """A marginal of q, its entries within linalg.MARGINAL_CLAMP_TOL below zero clamped."""
     linalg.require(-out, linalg.MARGINAL_CLAMP_TOL, lambda _: ConsistencyError(
         f"{what} entry {float(out.min())!r} below -{linalg.MARGINAL_CLAMP_TOL:.0e}"))
     return np.where(out < 0.0, 0.0, out)
@@ -176,11 +173,14 @@ def cross_marginal(q: QuasiDistribution, pair) -> np.ndarray:
             f"cross marginal needs one A observable and one B observable, "
             f"got ({label_a.value}, {label_b.value})"
         )
-    keep = (label_a.value, label_b.value)
-    return _clamped_marginal(q, keep, f"cross marginal ({label_a.value}, {label_b.value})")
+    block = 2 * "xy".index(label_a.value) + "uv".index(label_b.value)
+    out = (q.entries @ measurement.PAIR_MARGINALS).reshape(4, 2, 2)[block]
+    return _clamped(out, f"cross marginal ({label_a.value}, {label_b.value})")
 
 
 def single_marginal(q: QuasiDistribution, label) -> np.ndarray:
-    """One-observable marginal, a (2,) vector with +1 first."""
-    label = ObservableLabel(label)
-    return _clamped_marginal(q, (label.value,), f"marginal {label.value}")
+    """One-observable marginal, a (2,) vector with +1 first: q's (x, u) pair marginal for x
+    and u, (y, u) for y and (x, v) for v, summed over the partner."""
+    column = "xyuv".index(ObservableLabel(label).value)
+    pair = (q.entries @ measurement.PAIR_MARGINALS).reshape(4, 2, 2)[(0, 2, 0, 1)[column]]
+    return _clamped(pair.sum(axis=1 - column // 2), f"marginal {'xyuv'[column]}")

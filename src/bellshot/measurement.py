@@ -12,14 +12,12 @@ product of subsystem A's and subsystem B's POVMs. Positivity of every
 element is checked numerically at construction; for an orthogonal pair it
 is equivalent to gamma_1^2 + gamma_2^2 <= 1.
 
-Outcome ordering convention, used everywhere downstream: a four-tuple
-(x, y, u, v) of signs maps to index 8*[x<0] + 4*[y<0] + 2*[u<0] + [v<0],
-i.e. lexicographic with +1 sorting before -1.
+Outcome ordering convention, stated once by SIGN_BITS, from which every sign array and
+marginal map is read: a four-tuple (x, y, u, v) of signs maps to index
+8*[x<0] + 4*[y<0] + 2*[u<0] + [v<0], i.e. lexicographic with +1 sorting before -1.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -46,20 +44,23 @@ def checked_gamma(gamma, name: str = "gamma") -> float:
     return g
 
 
-SIGNS = (+1, -1)
-PAIR_ORDER = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+# SIGN_BITS[xi] holds [x<0], [y<0], [u<0] and [v<0] at outcome index xi, the bits of xi
+# from the most significant, and OUTCOME_SIGNS[xi] the signs (x, y, u, v) themselves
+SIGN_BITS = np.arange(16)[:, None] >> np.arange(3, -1, -1) & 1
+OUTCOME_SIGNS = 1 - 2 * SIGN_BITS
+SIGNS = tuple(OUTCOME_SIGNS[:2, 3].tolist())  # +1 then -1, v's at outcomes 0 and 1
+PAIR_ORDER = tuple(map(tuple, OUTCOME_SIGNS[:4, 2:].tolist()))  # (u, v) of the first four
 # w1 and w2 of each pair, as (2, 4, 1, 1) to scale a stack of four 2x2 matrices
-PAIR_SIGNS = np.array(PAIR_ORDER, dtype=float).T[..., None, None]
+PAIR_SIGNS = OUTCOME_SIGNS[:4, 2:].T.astype(float)[..., None, None]
+# PAIR_MARGINALS[xi, (a, b, i, j)] is 1 where outcome xi has sign bit i on the A observable a
+# of (x, y) and j on the B observable b of (u, v): p @ PAIR_MARGINALS is p's A-B pair marginals
+PAIR_MARGINALS = np.array([(SIGN_BITS[:, a] == i) & (SIGN_BITS[:, b] == j)
+                           for a in (0, 1) for b in (2, 3) for i in (0, 1) for j in (0, 1)], dtype=float).T
 
 OUTCOME_ORDER_DOC = (
     "outcomes (x, y, u, v) ordered lexicographically with +1 before -1; "
     "index = 8*[x=-1] + 4*[y=-1] + 2*[u=-1] + [v=-1]"
 )
-
-
-def sign_index(w: int) -> int:
-    """0 for +1, 1 for -1."""
-    return 0 if w > 0 else 1
 
 
 @record
@@ -71,14 +72,13 @@ class OutcomeIndex:
                      for name, w in zip("xyuv", (x, y, u, v))))
 
     def to_index(self) -> int:
-        return 8 * sign_index(self.x) + 4 * sign_index(self.y) + 2 * sign_index(self.u) + sign_index(self.v)
+        return _INDEX_OF[self]
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.x, self.y, self.u, self.v)
 
 
-# product() varies the last sign fastest: the canonical lexicographic order
-OUTCOMES = tuple(OutcomeIndex(*signs) for signs in itertools.product(SIGNS, repeat=4))
+OUTCOMES = tuple(OutcomeIndex(*signs) for signs in OUTCOME_SIGNS.tolist())
 _INDEX_OF = {**{i: i for i in range(16)}, **{xi: i for i, xi in enumerate(OUTCOMES)}}
 
 
@@ -210,12 +210,12 @@ class JointPovm:
         fill(self, gammas, subsystem_a, subsystem_b, product)
 
     def marginal_element(self, label, w: int) -> np.ndarray:
-        """Unsharp marginal (I + gamma w n.sigma) / 2 of one observable,
-        obtained by summing out the partner outcome."""
+        """Unsharp marginal (I + gamma w n.sigma) / 2 of one observable: the sum of its
+        subsystem's two elements whose sign for it is w in PAIR_SIGNS."""
         label, w = ObservableLabel(label), observables.checked_sign(w, "outcome sign w")
-        elements = self.subsystem_a if label.value in ("x", "y") else self.subsystem_b
-        first = label.value in ("x", "u")
-        return elements.reshape(2, 2, 2, 2).sum(axis=1 if first else 0)[sign_index(w)]
+        column = "xyuv".index(label.value)
+        elements = self.subsystem_a if column < 2 else self.subsystem_b
+        return elements[PAIR_SIGNS[column % 2, :, 0, 0] == w].sum(axis=0)
 
 
 def joint_povm(settings: ObservableSet, gammas: GammaSet) -> JointPovm:

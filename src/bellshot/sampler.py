@@ -146,6 +146,7 @@ class ShotDraws:
                              f"is exact only up to 2**53 = {MAX_SHOTS}")
         self.n = n
         self.cdf, self.table = _bucket_table(_checked_probabilities(probabilities))
+        self.edges = np.append(0.0, self.cdf)  # outcome i draws the u in [edges[i], edges[i + 1])
         self.config = config
 
     def _streams(self):
@@ -158,7 +159,9 @@ class ShotDraws:
 
     def reader(self):
         """A fresh pass over the draws: take(start, stop) returns shots start..stop - 1,
-        asked for in order, drawn in one rng.random call per stream it spans."""
+        asked for in order, drawn in one rng.random call per stream it spans. Each draw is
+        checked against the cdf, cdf[idx - 1] <= u < cdf[idx] with cdf[-1] read as 0,
+        apart from _draw's table: ConsistencyError names the first shot outside its interval."""
         streams = self._streams()
         block_stop, rng = 0, None
 
@@ -169,7 +172,15 @@ class ShotDraws:
                 if start == block_stop:
                     block_stop, rng = next(streams)
                 k = min(stop, block_stop) - start
-                pieces.append(_draw(self.cdf, self.table, rng.random(k)))
+                u = rng.random(k)
+                idx = _draw(self.cdf, self.table, u)
+                # True, which fails linalg.require's gap <= False, where u lies outside its
+                # outcome's interval; an index outside 0..15 is clipped to an empty one
+                low, high = self.edges.take(idx, mode="clip"), self.edges.take(idx + 1, mode="clip")
+                linalg.require((u < low) | (u >= high), False, lambda j: ConsistencyError(
+                    f"shot {start + j[0] + 1} drew outcome {idx[j]} at u = {float(u[j])!r}, "
+                    f"outside its cdf interval [{float(low[j])!r}, {float(high[j])!r})"))
+                pieces.append(idx)
                 start += k
             return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 

@@ -40,12 +40,12 @@ from bellshot import (
     werner_state,
 )
 from bellshot.cli import main
-from bellshot.measurement import sign_index
 from bellshot.observables import ObservableLabel
 from conftest import ROOT_HALF, SINGLET, admissible_draw, projector, sampling_cdf
 
 TWO_ROOT_TWO = 2.0 * np.sqrt(2.0)
 S_VEC = np.array([float(s_of_xi(xi)) for xi in OUTCOMES])
+SIGN_INDEX = {1: 0, -1: 1}  # kernel_1d's index of each sign
 
 
 def report(number, ok, detail, elapsed, budget):
@@ -105,10 +105,10 @@ def test_criterion_2_closed_forms_match_brute_force():
 
         xi = OUTCOMES[rng.integers(16)]
         xp = OUTCOMES[rng.integers(16)]
-        px = kernel_1d(gammas.of(ObservableLabel.X))[sign_index(xi.x), sign_index(xp.x)]
-        py = kernel_1d(gammas.of(ObservableLabel.Y))[sign_index(xi.y), sign_index(xp.y)]
-        pu = kernel_1d(gammas.of(ObservableLabel.U))[sign_index(xi.u), sign_index(xp.u)]
-        pv = kernel_1d(gammas.of(ObservableLabel.V))[sign_index(xi.v), sign_index(xp.v)]
+        px = kernel_1d(gammas.of(ObservableLabel.X))[SIGN_INDEX[xi.x], SIGN_INDEX[xp.x]]
+        py = kernel_1d(gammas.of(ObservableLabel.Y))[SIGN_INDEX[xi.y], SIGN_INDEX[xp.y]]
+        pu = kernel_1d(gammas.of(ObservableLabel.U))[SIGN_INDEX[xi.u], SIGN_INDEX[xp.u]]
+        pv = kernel_1d(gammas.of(ObservableLabel.V))[SIGN_INDEX[xi.v], SIGN_INDEX[xp.v]]
         substitution = px * pu - px * pv + py * pu + py * pv - py - pu
         worst_ch = max(worst_ch, abs(substitution - single_shot_ch(kernel, xi, xp)))
 
@@ -164,7 +164,7 @@ def test_criterion_4_ensemble_decompositions_agree():
         xi = OUTCOMES[rng.integers(16)]
         row = np.array([single_shot_ch(kernel, xi, xp) for xp in OUTCOMES])
         by_average = float(row @ p)
-        ix, iy, iu, iv = (sign_index(w) for w in xi.as_tuple())
+        ix, iy, iu, iv = (SIGN_INDEX[w] for w in xi.as_tuple())
         pairs = {
             lbls: cross_marginal(q, tuple(ObservableLabel(l) for l in lbls))
             for lbls in (("x", "u"), ("x", "v"), ("y", "u"), ("y", "v"))

@@ -958,7 +958,7 @@ PAIR_ROUTE_MUTANTS = {mutate.__name__: mutate for mutate in (
     bloch_operator_with_y_and_z_swapped)}
 
 
-@pytest.mark.parametrize("command", ["exact", "run"])
+@pytest.mark.parametrize("command", ["exact", "run", "sweep_gamma"])
 @pytest.mark.parametrize("mutant", sorted(PAIR_ROUTE_MUTANTS))
 def test_a_wiring_mutant_fails_exact_and_run_on_the_pair_route(tmp_path, capsys, monkeypatch, mutant,
                                                                command):
@@ -967,11 +967,34 @@ def test_a_wiring_mutant_fails_exact_and_run_on_the_pair_route(tmp_path, capsys,
     assert main([*argv, "--config", cfg, "--out", str(tmp_path / "intact")]) == 0
     PAIR_ROUTE_MUTANTS[mutant](monkeypatch)
     out = tmp_path / "out"
-    assert main([*argv, "--config", cfg, "--out", str(out)]) == 1
+    code = main([*argv, "--config", cfg, "--out", str(out)])
     err = capsys.readouterr().err
+    if (command, mutant) == ("sweep_gamma", "inversion_of_the_reversed_statistics"):
+        # the gamma sweep inverts nothing, so reversing p before an inversion leaves its rows be
+        assert (code, err) == (0, "")
+        name = "sweep_gamma.csv"
+        assert (out / name).read_bytes() == (tmp_path / "intact" / name).read_bytes()
+        return
+    assert code == 1
     assert re.match(r"internal consistency failure: A-B pair marginal paths disagree at "
                     r"(observed|quasi) \([xy], [uv]\) = \([+-]1, [+-]1\): \S+ vs \S+\n$", err), err
     assert os.listdir(out) == []  # no exact.json, no shots.csv
+
+
+def test_a_draw_outside_its_cdf_interval_fails_run_and_validate(tmp_path, capsys, monkeypatch):
+    # each draw is checked against the cdf apart from _draw's bucket table, so an outcome off
+    # by one fails run before shots.csv is renamed into place, and fails validate's sampler check
+    original = sampler._draw
+    monkeypatch.setattr(sampler, "_draw", lambda cdf, table, u: original(cdf, table, u) ^ 1)
+    out = tmp_path / "out"
+    assert main(["run", "--shots", "1000", "--config", singlet_config(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"internal consistency failure: shot 1 drew outcome \d+ at u = \S+, outside its "
+                    r"cdf interval \[\S+, \S+\)\n$", err), err
+    assert os.listdir(out) == []  # no shots.csv, no temp file
+    assert main(["validate", "--seed", "7", "--trials", "4"]) == 1
+    assert "  sampler.determinism: 0 checks FAIL\n    raised ConsistencyError('shot 1 drew outcome " in (
+        capsys.readouterr().out)
 
 
 def test_a_nan_in_the_stacked_kernel_tables_fails_the_gamma_sweep(tmp_path, capsys, monkeypatch):

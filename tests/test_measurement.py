@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -17,8 +20,13 @@ from bellshot import (
 )
 from bellshot.measurement import (
     GAMMA_MIN,
+    OUTCOME_ORDER_DOC,
+    OUTCOME_SIGNS,
     OUTCOMES,
+    PAIR_MARGINALS,
     PAIR_ORDER,
+    SIGN_BITS,
+    SIGNS,
     as_indices,
     born_probabilities,
     born_traces,
@@ -46,6 +54,25 @@ def test_outcome_index_ordering():
     assert OUTCOMES[15].as_tuple() == (-1, -1, -1, -1)
     for i, xi in enumerate(OUTCOMES):
         assert xi.to_index() == i
+
+
+def test_the_sign_table_is_the_documented_ordering():
+    # the one sign table against an independent enumeration, itertools.product with the last
+    # sign fastest, and against OUTCOME_ORDER_DOC's index formula, evaluated as written there
+    enumerated = list(itertools.product((1, -1), repeat=4))
+    assert OUTCOME_SIGNS.tolist() == [list(signs) for signs in enumerated]
+    assert SIGN_BITS.tolist() == [[int(w == -1) for w in signs] for signs in enumerated]
+    formula = re.sub(r"\[(\w)=-1\]", r"(\1 == -1)", OUTCOME_ORDER_DOC.split("index = ")[1])
+    assert formula == "8*(x == -1) + 4*(y == -1) + 2*(u == -1) + (v == -1)"
+    for signs in enumerated:
+        index = eval(formula, {}, dict(zip("xyuv", signs)))
+        assert OUTCOME_SIGNS[index].tolist() == list(signs) and OUTCOMES[index].as_tuple() == signs
+    assert SIGNS == (1, -1) and PAIR_ORDER == tuple(itertools.product(SIGNS, repeat=2))
+    # column (a, b, i, j) of the pair marginal map: A observable a of (x, y) at SIGNS[i], B
+    # observable b of (u, v) at SIGNS[j]
+    expected = [[float(signs[a] == SIGNS[i] and signs[2 + b] == SIGNS[j])
+                 for a, b, i, j in itertools.product((0, 1), repeat=4)] for signs in enumerated]
+    assert PAIR_MARGINALS.tolist() == expected
 
 
 def test_outcome_index_rejects_bad_signs():

@@ -163,27 +163,47 @@ def test_only_the_sampler_reads_the_text_format():
 
 
 def test_only_the_exact_analysis_reads_the_born_pair_route():
-    # one kernel-free Born reference route, run in one place by every command that analyses a
-    # configuration; a second caller of the route written anywhere else fails here
-    route = ("pauli_correlations", "pair_probabilities")
-    found = {(path.name, getattr(node, "name", "<module>")) for path in sorted(PACKAGE.glob("*.py"))
-             for node in ast.parse(path.read_text()).body if any(loads(node, name) for name in route)}
-    assert found == {("belltests.py", "exact_analysis")}
+    # one kernel-free Born reference route, run in one function, which the exact analysis of
+    # every command that analyses a configuration and the gamma sweep call; a second caller of
+    # the route or of that function written anywhere else fails here
+    def readers(name):
+        return {(path.name, getattr(node, "name", "<module>")) for path in sorted(PACKAGE.glob("*.py"))
+                for node in ast.parse(path.read_text()).body if loads(node, name)}
+
+    assert readers("pauli_correlations") | readers("pair_probabilities") == {
+        ("belltests.py", "require_born_pair_marginals")}
+    assert readers("require_born_pair_marginals") == {("belltests.py", "exact_analysis"),
+                                                      ("cli.py", "_sweep_columns")}
 
 
 def test_belltests_marginalizes_q_only_through_pair_marginals():
-    # the A-B pair marginals of a distribution over the 16 outcomes are mapped once, by
-    # PAIR_MARGINALS; a second derivation by reshape(2, 2, 2, 2) sums in belltests fails here
+    # the outcome signs are stated once, by measurement's sign table SIGN_BITS, and the A-B pair
+    # marginals of a distribution over the 16 outcomes are mapped once, by PAIR_MARGINALS beside
+    # it; a second derivation anywhere in the package, by itertools.product, by reshape(2, 2, 2, 2)
+    # sums or by binding either name again, fails here
     def literal(node):
         try:
             return ast.literal_eval(node)
         except ValueError:
             return None
 
-    tree = ast.parse((PACKAGE / "belltests.py").read_text())
-    reshapes = [ast.unparse(node) for node in ast.walk(tree)
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    nodes = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)]
+    reshapes = [(name, ast.unparse(node)) for name, node in nodes
                 if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "reshape"
                 and [literal(arg) for arg in node.args] in ([2, 2, 2, 2], [(2, 2, 2, 2)])]
     assert reshapes == []
-    readers = {node.name for node in tree.body if loads(node, "PAIR_MARGINALS")}
-    assert readers == {"ch_report", "exact_analysis"}
+    products = [(name, ast.unparse(node)) for name, node in nodes
+                if isinstance(node, ast.Attribute) and node.attr == "product"
+                and getattr(node.value, "id", None) == "itertools"
+                or isinstance(node, ast.ImportFrom) and node.module == "itertools"
+                and "product" in [alias.name for alias in node.names]]
+    assert products == []
+    binders = {(name, target.id) for name, node in nodes if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+               if isinstance(target, ast.Name) and target.id in ("SIGN_BITS", "PAIR_MARGINALS")}
+    assert binders == {("measurement.py", "SIGN_BITS"), ("measurement.py", "PAIR_MARGINALS")}
+    readers = {(name, getattr(node, "name", "<module>")) for name, tree in trees.items()
+               for node in tree.body if loads(node, "PAIR_MARGINALS")}
+    assert readers == {("belltests.py", "ch_report"), ("belltests.py", "require_born_pair_marginals"),
+                       ("inversion.py", "cross_marginal"), ("inversion.py", "single_marginal")}
