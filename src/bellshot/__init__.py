@@ -18,7 +18,6 @@ from .belltests import (
     chsh_verdict,
     classical_bounds_check,
     ensemble_chsh,
-    ensemble_from_shots,
     single_shot_ch,
     single_shot_ch_table,
     single_shot_chsh_table,
@@ -41,14 +40,12 @@ from .inversion import (
     InversionKernel,
     QuasiDistribution,
     build_kernel,
-    cross_marginal,
     invert_distribution,
     kernel_1d,
-    reconstructed_sharp_povm,
-    single_marginal,
 )
 from .measurement import (
     OUTCOMES,
+    PAIR_MARGINALS,
     GammaSet,
     JointPovm,
     OutcomeIndex,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import inversion, linalg, measurement
-from .errors import ConsistencyError, EmptyShotList, InvalidDistribution, fill, record
+from .errors import ConsistencyError, InvalidDistribution, fill, record
 from .inversion import InversionKernel, QuasiDistribution
 from .measurement import OUTCOMES, PAIR_MARGINALS, OutcomeIndex
 
@@ -42,9 +42,11 @@ SIGN_PATTERN = np.arange(16)[:, None] ^ np.arange(16)
 SIGN_COLUMN = np.array(measurement.SIGNS, dtype=float)[:, None]  # +1 then -1, one per row
 S_VALUES = SIGNS_X * SIGNS_U - SIGNS_X * SIGNS_V + SIGNS_Y * SIGNS_U + SIGNS_Y * SIGNS_V
 
-# sigma_mu x sigma_nu, indexed [mu, nu], for sigma_0 = I and the three Pauli matrices
+# sigma_mu x sigma_nu, indexed [mu, nu], for sigma_0 = I and the three Pauli matrices, and
+# laid out so that rho's 16 entries, row by row, times PAULI_TRACES give tr[rho sigma_mu x sigma_nu]
 PAULIS = (linalg.I2, linalg.SIGMA_X, linalg.SIGMA_Y, linalg.SIGMA_Z)
 PAULI_PRODUCTS = np.array([[np.kron(s, t) for t in PAULIS] for s in PAULIS])
+PAULI_TRACES = PAULI_PRODUCTS.transpose(3, 2, 0, 1).reshape(16, 16)
 
 
 def s_of_xi(xi: OutcomeIndex) -> int:
@@ -104,14 +106,6 @@ def single_shot_chsh_tables(tables: np.ndarray, gammas) -> np.ndarray:
     return closed
 
 
-def ensemble_from_shots(kernel: InversionKernel, shots) -> float:
-    """Arithmetic mean of single-shot CHSH values over a shot list."""
-    values = single_shot_chsh_table(kernel)[measurement.as_indices(shots)]
-    if len(values) == 0:
-        raise EmptyShotList("cannot average single-shot CHSH over zero shots")
-    return float(np.mean(values))
-
-
 def single_shot_ch_table(kernel: InversionKernel) -> np.ndarray:
     """The full (xi, xi') grid of single-shot CH values, shape (16, 16)."""
     return single_shot_ch_tables(kernel.gammas.as_tuple())
@@ -149,8 +143,10 @@ def pauli_correlations(rho) -> np.ndarray:
     """C[mu, nu] = tr[rho sigma_mu x sigma_nu], sigma_0 = I, for one 4x4 state or a stack
     (..., 4, 4): row 0 is B's Bloch vector, column 0 A's, and C[1:, 1:] the correlation
     matrix T of Horodecki et al., Phys. Lett. A 200, 340 (1995). It reads rho and the
-    Pauli matrices only: no POVM, kernel, inversion or bloch_operator."""
-    return np.einsum("...ij,mnji->...mn", rho, PAULI_PRODUCTS).real
+    Pauli matrices only: no POVM, kernel, inversion or bloch_operator. A stack is one
+    (..., 16) @ (16, 16) matmul."""
+    rho = np.asarray(rho)
+    return (rho.reshape(rho.shape[:-2] + (16,)) @ PAULI_TRACES).real.reshape(rho.shape)
 
 
 def pair_probabilities(c, blochs, gammas=(1.0, 1.0, 1.0, 1.0)) -> np.ndarray:
@@ -309,16 +305,25 @@ def classical_bounds_check(report) -> dict:
     raise TypeError(f"expected ChshReport or ChReport, got {type(report).__name__}")
 
 
-def require_born_pair_marginals(state, settings, routes: dict) -> None:
+def require_born_pair_marginals(rho, settings, routes: dict, point=lambda *k: "") -> None:
     """The kernel-free route check: the A-B pair marginals of each routes[name] = (entries, gammas)
-    against their Born values at those gammas (1 is sharp), from rho's pauli_correlations and the
-    Bloch vectors alone. It reads no POVM, kernel or bloch_operator, so their wiring faults show."""
+    against their Born values at those gammas (1 is sharp), from the pauli_correlations of rho, a
+    4x4 density matrix or a stack (..., 4, 4) of them, and the Bloch vectors alone. Each route's
+    entries are (..., 16), one distribution per state, and point(*k) names state k of a stack. It
+    reads no POVM, kernel or bloch_operator, so their wiring faults show."""
     entries, gammas = zip(*routes.values())
+    c = pauli_correlations(rho)
     blochs = (settings.x.bloch, settings.y.bloch, settings.u.bloch, settings.v.bloch)
-    born = pair_probabilities(pauli_correlations(state.matrix), blochs, list(gammas))
-    require_agreement("A-B pair marginal", (np.array(entries) @ PAIR_MARGINALS).reshape(born.shape), born,
-                      lambda r, a, b, i, j: f"{list(routes)[r]} ({'xy'[a]}, {'uv'[b]}) "
-                      f"= ({measurement.SIGNS[i]:+d}, {measurement.SIGNS[j]:+d})")
+    stacked = np.array(gammas, dtype=float).reshape((len(gammas),) + (1,) * (c.ndim - 2) + (4,))
+    born = pair_probabilities(c, blochs, stacked)
+
+    def where(r, *k):
+        *state, a, b, i, j = k
+        return (f"{point(*state)}{list(routes)[r]} ({'xy'[a]}, {'uv'[b]}) "
+                f"= ({measurement.SIGNS[i]:+d}, {measurement.SIGNS[j]:+d})")
+
+    marginals = (np.array(entries) @ PAIR_MARGINALS).reshape(born.shape)
+    require_agreement("A-B pair marginal", marginals, born, where)
 
 
 def exact_analysis(state, settings, gammas):
@@ -330,6 +335,9 @@ def exact_analysis(state, settings, gammas):
     observed = measurement.observed_statistics(state, povm)
     quasi = inversion.invert_distribution(kernel, observed)
     chsh, ch = chsh_report(kernel, observed, quasi), ch_report(kernel, observed, quasi)
-    require_born_pair_marginals(state, settings, {"observed": (observed, gammas.as_tuple()),
-                                                  "quasi": (quasi.entries, (1.0,) * 4)})
+    require_born_pair_marginals(state.matrix, settings, {"observed": (observed, gammas.as_tuple()),
+                                                         "quasi": (quasi.entries, (1.0,) * 4)})
     return kernel, observed, quasi, chsh, ch
+
+
+linalg.read_only(globals())

@@ -232,15 +232,17 @@ def _sweep_columns(config: ExperimentConfig, axis: str, grid: list[float]):
     are stacked against one gamma-free quasi-distribution, whose ensemble S (on that one route)
     and min entry survive the exact inversion, and whose pair marginals are checked once against
     their sharp Born values; along werner_eta, states and quasi-distributions are stacked against
-    kernel columns computed once, and ensemble S passes both routes. A column that is the same
-    over the whole sweep is given once, as its CSV text."""
+    kernel columns computed once, ensemble S passes both routes, and each block's observed and
+    quasi pair marginals are checked against their Born values. A column that is the same over
+    the whole sweep is given once, as its CSV text."""
     def kernel_columns(chsh, gammas):  # abs_single_shot_S, ch_min, ch_max
         ch = belltests.single_shot_ch_tables(gammas)
         return np.abs(chsh).max(axis=-1), ch.min(axis=(-2, -1)), ch.max(axis=(-2, -1))
 
     if axis == "gamma":
         quasi = inversion.gamma_free_quasi(config.state, config.settings).entries
-        belltests.require_born_pair_marginals(config.state, config.settings, {"quasi": (quasi, (1.0,) * 4)})
+        belltests.require_born_pair_marginals(config.state.matrix, config.settings,
+                                              {"quasi": (quasi, (1.0,) * 4)})
         ensemble_S, min_quasi = (_text(v) for v in (belltests.ensemble_chsh_values(quasi), quasi.min()))
     elif axis == "werner_eta":
         kernel = inversion.build_kernel(config.gammas)
@@ -274,6 +276,9 @@ def _sweep_columns(config: ExperimentConfig, axis: str, grid: list[float]):
             ensemble_S = belltests.ensemble_chsh_values(quasi)
             belltests.require_agreement("ensemble CHSH", ensemble_S, p @ chsh,
                                         lambda i: f"werner_eta {values[i]!r}")
+            routes = {"observed": (p, config.gammas.as_tuple()), "quasi": (quasi, (1.0,) * 4)}
+            belltests.require_born_pair_marginals(rho, config.settings, routes,
+                                                  lambda i: f"werner_eta {values[i]!r} ")
             min_quasi = quasi.min(axis=-1)
         yield points, ensemble_S, *kernel_side, min_quasi, realizable_column
 

@@ -9,9 +9,8 @@ undoes the unsharpness of the corresponding marginal exactly; entries turn
 negative as soon as |gamma| < 1, which is what lets the inverted joint
 distribution carry negativity. The joint 16x16 kernel is the product of the
 four one-observable kernels. Applied to the observed statistics it yields a
-signed quasi-distribution whose single-observable marginals, and all four
-cross marginals pairing one A observable with one B observable, reproduce
-the sharp Born probabilities exactly.
+signed quasi-distribution whose four A-B pair marginals, q @
+measurement.PAIR_MARGINALS, reproduce the sharp Born probabilities exactly.
 """
 
 from __future__ import annotations
@@ -19,9 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg, measurement
-from .errors import ConsistencyError, InvalidDistribution, OutOfRange, fill, record
-from .measurement import SIGNS, GammaSet, JointPovm
-from .observables import A_LABELS, B_LABELS, ObservableLabel, ObservableSet, SharpPovm
+from .errors import ConsistencyError, InvalidDistribution, fill, record
+from .measurement import SIGNS, GammaSet
+from .observables import ObservableSet
 
 
 # w w' at each [w, w'] of a one-observable table, +1 first
@@ -120,24 +119,6 @@ def invert_distribution(kernel: InversionKernel, observed) -> QuasiDistribution:
     return QuasiDistribution(inverted_entries(kernel, p))
 
 
-def reconstructed_sharp_povm(kernel: InversionKernel, povm: JointPovm, label) -> SharpPovm:
-    """Recover the sharp projective POVM of one observable from the unsharp
-    marginal of the joint measurement.
-
-    The weighted sum over measured outcomes telescopes the gamma factors
-    away, so the result matches the projectors to rounding; SharpPovm
-    validation enforces that on construction.
-    """
-    label = ObservableLabel(label)
-    if kernel.gammas != povm.gammas:
-        raise ConsistencyError(
-            f"kernel gammas {kernel.gammas} do not match POVM gammas {povm.gammas}"
-        )
-    k1 = kernel_1d(kernel.gammas.of(label))
-    plus, minus = (povm.marginal_element(label, wp) for wp in (+1, -1))
-    return SharpPovm(*(k1[i, 0] * plus + k1[i, 1] * minus for i in (0, 1)))
-
-
 def gamma_free_quasi(rho, settings: ObservableSet) -> QuasiDistribution:
     """The quasi-distribution that inversion yields at every admissible gamma.
 
@@ -150,37 +131,4 @@ def gamma_free_quasi(rho, settings: ObservableSet) -> QuasiDistribution:
     return QuasiDistribution(measurement.born_traces(rho.matrix, measurement.product_povm(a, b)).real)
 
 
-def _clamped(out: np.ndarray, what: str) -> np.ndarray:
-    """A marginal of q, its entries within linalg.MARGINAL_CLAMP_TOL below zero clamped."""
-    linalg.require(-out, linalg.MARGINAL_CLAMP_TOL, lambda _: ConsistencyError(
-        f"{what} entry {float(out.min())!r} below -{linalg.MARGINAL_CLAMP_TOL:.0e}"))
-    return np.where(out < 0.0, 0.0, out)
-
-
-def cross_marginal(q: QuasiDistribution, pair) -> np.ndarray:
-    """Two-observable marginal for one A observable and one B observable.
-
-    Returns a (2, 2) array indexed [w_a, w_b] with +1 first. Exactness of
-    the inversion guarantees nonnegativity up to rounding; entries within
-    linalg.MARGINAL_CLAMP_TOL below zero are clamped and anything worse raises.
-    """
-    try:
-        label_a, label_b = map(ObservableLabel, pair)
-    except (TypeError, ValueError):  # not iterable, or not two items
-        raise OutOfRange(f"cross marginal needs a pair of observable labels, got {pair!r}") from None
-    if label_a not in A_LABELS or label_b not in B_LABELS:
-        raise OutOfRange(
-            f"cross marginal needs one A observable and one B observable, "
-            f"got ({label_a.value}, {label_b.value})"
-        )
-    block = 2 * "xy".index(label_a.value) + "uv".index(label_b.value)
-    out = (q.entries @ measurement.PAIR_MARGINALS).reshape(4, 2, 2)[block]
-    return _clamped(out, f"cross marginal ({label_a.value}, {label_b.value})")
-
-
-def single_marginal(q: QuasiDistribution, label) -> np.ndarray:
-    """One-observable marginal, a (2,) vector with +1 first: q's (x, u) pair marginal for x
-    and u, (y, u) for y and (x, v) for v, summed over the partner."""
-    column = "xyuv".index(ObservableLabel(label).value)
-    pair = (q.entries @ measurement.PAIR_MARGINALS).reshape(4, 2, 2)[(0, 2, 0, 1)[column]]
-    return _clamped(pair.sum(axis=1 - column // 2), f"marginal {'xyuv'[column]}")
+linalg.read_only(globals())

@@ -25,8 +25,8 @@ HERMITIAN_TOL = 1e-12  # max |M - M^H| of matrices built from O(1) entries, whic
 PSD_TOL = -1e-10  # eigenvalue floor: a pure state's or a boundary element's exact zero rounds to ~u
 TRACE_TOL = 1e-12  # |tr rho - 1|, a sum of four O(1) diagonal entries; also tr rho^2 against [1/4, 1]
 BLOCH_NORM_TOL = 1e-12  # ||n| - 1| of a unit Bloch vector, normalized at about u
-PROJECTOR_TOL = 1e-10  # |E^2 - E| of a sharp element, also one rebuilt through a 1/gamma kernel
-COMPLETENESS_TOL = 1e-12  # |E(+1) + E(-1) - I| of a sharp pair; a joint POVM's marginal against E(w)
+PROJECTOR_TOL = 1e-10  # |E^2 - E| of a sharp element; a projector rebuilt through a 1/gamma kernel
+COMPLETENESS_TOL = 1e-12  # |E(+1) + E(-1) - I| of a sharp pair
 # Rounding moves a kernel column sum by up to 16 u A, where A = prod 1/|gamma_i| is the
 # column's absolute sum (Higham, Accuracy and Stability, ch. 3-4). 16 u A <= COLUMN_SUM_TOL
 # gives A <= 562.9: |prod gamma_i| >= measurement.GAMMA_MIN; 0.2053 if equal.
@@ -34,7 +34,6 @@ COLUMN_SUM_TOL = 1e-12
 PROB_CLAMP_TOL = 1e-12  # Born probabilities below zero by rounding of a 4x4 trace, clamped to 0
 PROB_SUM_TOL = 1e-10  # |sum p - 1| and the imaginary part of each of 16 Born traces
 QUASI_SUM_TOL = 1e-10  # |sum q - 1|: K's unit column sums carry p's sum through the inversion
-MARGINAL_CLAMP_TOL = 1e-10  # q's marginals are Born probabilities, below zero only by amplified rounding
 NEGATIVITY_TOL = 1e-10  # how far below zero q's smallest entry must lie to count as negative
 DUAL_PATH_TOL = 1e-10  # agreement of two independent routes to one value, the README's contract
 # a test value this close to a classical bound reports as a boundary case; the same resolution
@@ -48,6 +47,17 @@ I4 = np.eye(4, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def read_only(namespace: dict) -> None:
+    """Make every ndarray of a module's namespace, and every one a dict there holds,
+    read-only. A module's tables are shared by all its callers: a caller that writes
+    into a result holding one, as a ChshReport holds belltests.S_VALUES, would change
+    every later analysis in the process."""
+    for name, value in list(namespace.items()):
+        for a in value.values() if isinstance(value, dict) and name != "__builtins__" else (value,):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
 
 
 def require(gap, tol, fail) -> None:
@@ -110,3 +120,6 @@ def eigvals_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
 def min_eigenvalue_hermitian(m: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian 2x2 or 4x4 matrix."""
     return float(eigvals_hermitian(m)[0])
+
+
+read_only(globals())

@@ -209,14 +209,6 @@ class JointPovm:
                  product: np.ndarray):
         fill(self, gammas, subsystem_a, subsystem_b, product)
 
-    def marginal_element(self, label, w: int) -> np.ndarray:
-        """Unsharp marginal (I + gamma w n.sigma) / 2 of one observable: the sum of its
-        subsystem's two elements whose sign for it is w in PAIR_SIGNS."""
-        label, w = ObservableLabel(label), observables.checked_sign(w, "outcome sign w")
-        column = "xyuv".index(label.value)
-        elements = self.subsystem_a if column < 2 else self.subsystem_b
-        return elements[PAIR_SIGNS[column % 2, :, 0, 0] == w].sum(axis=0)
-
 
 def joint_povm(settings: ObservableSet, gammas: GammaSet) -> JointPovm:
     """Assemble the full measurement for the given settings. Both subsystems' elements
@@ -271,3 +263,6 @@ def born_probabilities(rho: np.ndarray, povm: JointPovm) -> np.ndarray:
     linalg.require(np.abs(total - 1.0), linalg.PROB_SUM_TOL, lambda k: ConsistencyError(
         f"observed probabilities sum to {float(total[k])!r}, expected 1"))
     return probs
+
+
+linalg.read_only(globals())

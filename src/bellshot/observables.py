@@ -27,10 +27,6 @@ class ObservableLabel(Enum):
         raise OutOfRange(f"unknown observable label {value!r}; expected one of x, y, u, v")
 
 
-A_LABELS = (ObservableLabel.X, ObservableLabel.Y)
-B_LABELS = (ObservableLabel.U, ObservableLabel.V)
-
-
 def checked_sign(w, what: str) -> int:
     """w as an int, if it is a Python or numpy integer +1 or -1, else OutOfRange naming what:
     the one rule for an outcome sign. bool subclasses int and 1.0 equals 1, but neither is a

@@ -317,9 +317,9 @@ def stream_summary(table: np.ndarray, shots, csv=None) -> tuple[np.ndarray, dict
 
 
 def convergence_report(kernel: InversionKernel, shots) -> dict:
-    """Mean, spread, and standard error of the single-shot CHSH values: np.mean and
-    np.std(ddof=1) of them to the bit, so the mean is exactly ensemble_from_shots on the
-    same data; with one shot the spread and standard error are reported as absent."""
+    """Mean, spread, and standard error of the single-shot CHSH values of shots: np.mean
+    and np.std(ddof=1) of them to the bit; with one shot the spread and standard error are
+    reported as absent."""
     return stream_summary(belltests.single_shot_chsh_table(kernel), shots)[1]
 
 
@@ -546,3 +546,6 @@ def write_shot_csv(path, kernel: InversionKernel, shots) -> None:
     table = belltests.single_shot_chsh_table(kernel)
     with open(path, "wb") as fh:
         _tally(shots, table.take, _csv_rows(fh, table, shots.n))
+
+
+linalg.read_only(globals())

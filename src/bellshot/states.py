@@ -99,3 +99,6 @@ def random_density_matrix(rng: np.random.Generator) -> DensityMatrix:
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m).real)
+
+
+linalg.read_only(globals())

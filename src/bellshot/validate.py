@@ -100,12 +100,21 @@ def _check_observables(rng, trials):
 
 
 def _check_inversion(rng, trials):
+    """The commands' kernel table applied to their product POVM, marginalized by PAIR_MARGINALS:
+    each A-B pair's operators must be kron(P_a(w_a), P_b(w_b)), P_n(w) = (I + w n.sigma) / 2."""
     for _ in range(trials):
         settings, gammas = random_admissible_settings(rng)
-        kernel, povm = inversion.build_kernel(gammas), measurement.joint_povm(settings, gammas)
-        for label in observables.ObservableLabel:
-            inversion.reconstructed_sharp_povm(kernel, povm, label)  # SharpPovm checks the projectors
-            yield True, ""
+        product = measurement.joint_povm(settings, gammas).product
+        inverted = np.tensordot(inversion.build_kernel(gammas).table, product, axes=1)  # K @ E, (16, 4, 4)
+        pairs = np.tensordot(measurement.PAIR_MARGINALS, inverted, axes=(0, 0)).reshape(4, 2, 2, 4, 4)
+        # n.sigma from belltests.PAULIS, not from bloch_operator, which joint_povm calls
+        ops = np.tensordot([settings.get(label).bloch for label in "xyuv"], belltests.PAULIS[1:], axes=1)
+        sharp = {label: [0.5 * (linalg.I2 + w * op) for w in measurement.SIGNS]
+                 for label, op in zip("xyuv", ops)}
+        for (a, b), pair in zip(("xu", "xv", "yu", "yv"), pairs):
+            gap = np.abs(pair - [[np.kron(pa, pb) for pb in sharp[b]] for pa in sharp[a]]).max()
+            yield _verdict(gap <= linalg.PROJECTOR_TOL,
+                           lambda: f"inverted POVM's ({a}, {b}) marginal is {gap:.3e} off its projectors")
     gamma = float(rng.uniform(0.4, 0.7))
     kernel = inversion.build_kernel(measurement.GammaSet.equal(gamma))
     values = np.abs(belltests.single_shot_chsh_table(kernel))
@@ -138,7 +147,7 @@ def _check_sampler(rng, trials):
     # two routes from the same shots to an ensemble value must agree
     freqs = sampler.empirical_frequencies(first)
     via_quasi = belltests.ensemble_chsh(inversion.invert_distribution(kernel, freqs))
-    via_mean = belltests.ensemble_from_shots(kernel, first)
+    via_mean = sampler.convergence_report(kernel, first)["mean_S"]
     yield abs(via_quasi - via_mean) <= linalg.DUAL_PATH_TOL, "frequency inversion and shot average disagree"
 
 

@@ -8,7 +8,8 @@ independent computation, not against themselves.
 import numpy as np
 import pytest
 
-from bellshot import GammaSet, inversion, observable_set
+from bellshot import GammaSet, ObservableLabel, inversion, observable_set
+from bellshot.measurement import PAIR_MARGINALS
 from bellshot.sampler import _WORD, _fixed_17g, _Work
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -37,6 +38,35 @@ def bloch_matrix(n):
 def projector(n, w):
     """Sharp outcome-w projector for direction n, built independently."""
     return 0.5 * (np.eye(2, dtype=complex) + w * bloch_matrix(n))
+
+
+PAIRS = ("xu", "xv", "yu", "yv")  # the A-B pairs of PAIR_MARGINALS' columns, in order
+
+
+def pair_marginals(q) -> dict:
+    """q's A-B pair marginals, q @ PAIR_MARGINALS, each (2, 2) indexed [w_a, w_b] with +1
+    first, keyed by pair as in PAIRS."""
+    return dict(zip(PAIRS, (q.entries @ PAIR_MARGINALS).reshape(4, 2, 2)))
+
+
+def one_marginal(q, label) -> np.ndarray:
+    """q's one-observable marginal, (2,) with +1 first: its (x, u) pair marginal summed over
+    the partner for x and u, (y, u) for y and (x, v) for v."""
+    pairs = pair_marginals(q)
+    return {"x": pairs["xu"].sum(axis=1), "y": pairs["yu"].sum(axis=1),
+            "u": pairs["xu"].sum(axis=0), "v": pairs["xv"].sum(axis=0)}[ObservableLabel(label).value]
+
+
+def inverted_pair_operators(kernel, povm) -> dict:
+    """The kernel table applied to the joint POVM's 16 product elements, marginalized by
+    PAIR_MARGINALS: per pair as in PAIRS, (2, 2, 4, 4) operators indexed [w_a, w_b]."""
+    inverted = np.tensordot(kernel.table, povm.product, axes=1)
+    return dict(zip(PAIRS, np.tensordot(PAIR_MARGINALS, inverted, axes=(0, 0)).reshape(4, 2, 2, 4, 4)))
+
+
+def unsharp_element(settings, gammas, label, w):
+    """One observable's unsharp marginal element (I + w gamma n.sigma) / 2."""
+    return 0.5 * (np.eye(2) + w * gammas.of(label) * settings.get(label).operator())
 
 
 def random_hermitian(rng, dim):

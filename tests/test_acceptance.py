@@ -22,18 +22,15 @@ from bellshot import (
     chsh_optimal_angles,
     chsh_report,
     ch_verdict,
-    cross_marginal,
+    convergence_report,
     ensemble_chsh,
-    ensemble_from_shots,
     invert_distribution,
     joint_povm,
     kernel_1d,
     observed_statistics,
     random_density_matrix,
-    reconstructed_sharp_povm,
     s_of_xi,
     sample_indices,
-    single_marginal,
     single_shot_ch,
     single_shot_ch_table,
     single_shot_chsh_table,
@@ -41,7 +38,8 @@ from bellshot import (
 )
 from bellshot.cli import main
 from bellshot.observables import ObservableLabel
-from conftest import ROOT_HALF, SINGLET, admissible_draw, projector, sampling_cdf
+from conftest import (ROOT_HALF, SINGLET, admissible_draw, inverted_pair_operators, one_marginal,
+                      pair_marginals, projector, sampling_cdf)
 
 TWO_ROOT_TWO = 2.0 * np.sqrt(2.0)
 S_VEC = np.array([float(s_of_xi(xi)) for xi in OUTCOMES])
@@ -165,17 +163,14 @@ def test_criterion_4_ensemble_decompositions_agree():
         row = np.array([single_shot_ch(kernel, xi, xp) for xp in OUTCOMES])
         by_average = float(row @ p)
         ix, iy, iu, iv = (SIGN_INDEX[w] for w in xi.as_tuple())
-        pairs = {
-            lbls: cross_marginal(q, tuple(ObservableLabel(l) for l in lbls))
-            for lbls in (("x", "u"), ("x", "v"), ("y", "u"), ("y", "v"))
-        }
+        pairs = pair_marginals(q)
         by_marginals = (
-            pairs[("x", "u")][ix, iu]
-            - pairs[("x", "v")][ix, iv]
-            + pairs[("y", "u")][iy, iu]
-            + pairs[("y", "v")][iy, iv]
-            - single_marginal(q, ObservableLabel.Y)[iy]
-            - single_marginal(q, ObservableLabel.U)[iu]
+            pairs["xu"][ix, iu]
+            - pairs["xv"][ix, iv]
+            + pairs["yu"][iy, iu]
+            + pairs["yv"][iy, iv]
+            - one_marginal(q, ObservableLabel.Y)[iy]
+            - one_marginal(q, ObservableLabel.U)[iu]
         )
         worst_ch = max(worst_ch, abs(by_average - by_marginals))
 
@@ -200,37 +195,25 @@ def test_criterion_5_exact_statistics_recovery():
         settings, gammas = admissible_draw(rng)
         kernel = build_kernel(gammas)
         povm = joint_povm(settings, gammas)
-        for label in ObservableLabel:
-            rec = reconstructed_sharp_povm(kernel, povm, label)
-            n = settings.get(label).bloch
-            for w in (1, -1):
-                worst_povm = max(
-                    worst_povm, np.abs(rec.element(w) - projector(n, w)).max()
-                )
         rho = random_density_matrix(rng)
         q = invert_distribution(kernel, observed_statistics(rho, povm))
-        for a in ("x", "y"):
-            for b in ("u", "v"):
-                pair = (ObservableLabel(a), ObservableLabel(b))
-                table = cross_marginal(q, pair)
-                for i, wa in enumerate((1, -1)):
-                    for j, wb in enumerate((1, -1)):
-                        oracle = np.trace(
-                            rho.matrix
-                            @ np.kron(
-                                projector(settings.get(pair[0]).bloch, wa),
-                                projector(settings.get(pair[1]).bloch, wb),
-                            )
-                        ).real
-                        worst_born = max(worst_born, abs(table[i, j] - oracle))
+        operators, tables = inverted_pair_operators(kernel, povm), pair_marginals(q)
+        for pair, table in tables.items():
+            na, nb = (settings.get(label).bloch for label in pair)
+            for i, wa in enumerate((1, -1)):
+                for j, wb in enumerate((1, -1)):
+                    sharp = np.kron(projector(na, wa), projector(nb, wb))
+                    worst_povm = max(worst_povm, np.abs(operators[pair][i, j] - sharp).max())
+                    oracle = np.trace(rho.matrix @ sharp).real
+                    worst_born = max(worst_born, abs(table[i, j] - oracle))
 
     elapsed = time.perf_counter() - t0
     ok = worst_povm <= 1e-12 and worst_born <= 1e-10
     report(
         5,
         ok,
-        f"100 trials: reconstructed projectors within {worst_povm:.2e}, "
-        f"cross marginals vs Born within {worst_born:.2e}",
+        f"100 trials: inverted pair projectors within {worst_povm:.2e}, "
+        f"pair marginals vs Born within {worst_born:.2e}",
         elapsed,
         5.0,
     )
@@ -320,7 +303,7 @@ def test_criterion_8_sampling_convergence():
     exact = ensemble_chsh(invert_distribution(kernel, p))
 
     shots = sample_indices(p, 10**6, RngConfig(seed=8675309))
-    empirical = ensemble_from_shots(kernel, shots)
+    empirical = convergence_report(kernel, shots)["mean_S"]
     headline = abs(empirical - exact)
     tolerance = 5.0 * np.sqrt(8.0) / 1000.0
 

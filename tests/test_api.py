@@ -40,17 +40,15 @@ from bellshot import (
     chsh_verdict,
     classical_bounds_check,
     convergence_report,
-    cross_marginal,
     custom_state,
     empirical_frequencies,
-    ensemble_from_shots,
     invert_distribution,
     inversion,
-    joint_povm,
     kernel_1d,
     linalg,
     measurement,
     observable_set,
+    observables,
     sample_indices,
     sampler,
     sharp_povm,
@@ -101,17 +99,30 @@ def fresh(code: str) -> str:
     return proc.stdout
 
 
+def own(name: str) -> bool:
+    return name == "bellshot" or name.startswith("bellshot.")
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_validate():
-    # a bellshot process pays for validate only when it validates, and builds no record code
-    code = "import sys, bellshot.cli; print(sorted({'dataclasses', 'bellshot.validate'} & set(sys.modules)))"
-    assert fresh(code) == "[]\n"
+    # a bellshot process pays for validate only when it validates, and builds no record code.
+    # After numpy, the package loads only itself, and the CLI adds only its parser, json and
+    # process hooks: each start-up import past these allowlists costs every command process
+    code = ("import sys, numpy; before = set(sys.modules); import bellshot; "
+            "package = set(sys.modules) - before; import bellshot.cli; "
+            "print(sorted(package)); print(sorted(set(sys.modules) - before - package))")
+    package, cli_adds = (set(ast.literal_eval(line)) for line in fresh(code).splitlines())
+    assert not {"dataclasses", "bellshot.validate"} & (package | cli_adds)
+    assert {name for name in package if not own(name)} <= {"__future__"}
+    assert {name for name in cli_adds if not own(name)} <= {
+        "__future__", "argparse", "gettext", "gc", "signal", "_json",
+        *(name for name in cli_adds if name == "json" or name.startswith("json."))}
 
 
 def test_names_bound_on_use_resolve_and_import_star_binds_every_exported_name():
     code = ("import bellshot; star = {}; exec('from bellshot import *', star); "
             "print(len(bellshot.__all__), sorted(set(star) - {'__builtins__'}) == bellshot.__all__, "
             "bellshot.validate_all.__module__, bellshot.ValidationReport.__module__)")
-    assert fresh(code) == "63 True bellshot.validate bellshot.validate\n"
+    assert fresh(code) == "60 True bellshot.validate bellshot.validate\n"
     with pytest.raises(AttributeError, match="^module 'bellshot' has no attribute 'no_such_name'$"):
         bellshot.no_such_name
 
@@ -122,6 +133,18 @@ def test_help_documents_the_names_bound_on_use_as_it_does_imported_ones():
     assert on_use == imported
     assert "\n    class ValidationReport(builtins.object)\n" in on_use
     assert "\n    validate_all(seed: 'int', trials: 'int' = 25) -> 'ValidationReport'\n" in on_use
+
+
+def test_module_tables_are_read_only():
+    # a module's arrays are shared by every caller in the process: one written through a
+    # result that holds it, as a ChshReport holds belltests.S_VALUES, would change every later
+    # analysis. Each ndarray a module binds, or holds in a dict it binds, is read-only
+    writable = [f"{path.stem}.{name}{key}" for path in sorted(PACKAGE.glob("*.py"))
+                for name, value in vars(importlib.import_module(f"bellshot.{path.stem}")).items()
+                for key, array in (((f"[{k!r}]", v) for k, v in value.items()) if isinstance(value, dict)
+                                   else [("", value)])
+                if isinstance(array, np.ndarray) and array.flags.writeable]
+    assert writable == []
 
 
 def test_every_exported_name_resolves():
@@ -341,7 +364,8 @@ SHOT_TAKERS = {
     "convergence_report": lambda shots, path: convergence_report(kernel(), shots),
     "write_shot_csv": lambda shots, path: write_shot_csv(path, kernel(), shots),
     "shot_records": lambda shots, path: shot_records(kernel(), shots),
-    "ensemble_from_shots": lambda shots, path: ensemble_from_shots(kernel(), shots),
+    "stream_summary": lambda shots, path: sampler.stream_summary(belltests.single_shot_chsh_table(kernel()),
+                                                                 shots),
 }
 
 
@@ -354,12 +378,8 @@ def test_shots_that_are_not_one_index_per_shot_are_refused(tmp_path, entry, shot
     assert list(tmp_path.iterdir()) == []  # refused before write_shot_csv opens its path
 
 
-def marginal_element(w):
-    return joint_povm(chsh_optimal_angles(), GammaSet.equal(ROOT_HALF)).marginal_element("u", w)
-
-
 SIGN_TAKERS = {
-    "JointPovm.marginal_element": marginal_element,
+    "checked_sign": lambda w: observables.checked_sign(w, "outcome sign w"),
     "SharpPovm.element": lambda w: sharp_povm(chsh_optimal_angles().x).element(w),
     "OutcomeIndex": lambda w: measurement.OutcomeIndex(1, w, 1, 1),
 }
@@ -379,13 +399,5 @@ def test_a_numpy_integer_sign_is_admitted_and_stored_as_an_int():
     xi = measurement.OutcomeIndex(np.int64(1), -1, np.int8(-1), 1)
     assert xi.as_tuple() == (1, -1, -1, 1) and {type(w) for w in xi.as_tuple()} == {int}
     assert xi == measurement.OUTCOMES[6] and xi.to_index() == 6
-    assert np.array_equal(marginal_element(np.int64(-1)), marginal_element(-1))
     povm = sharp_povm(chsh_optimal_angles().x)
     assert povm.element(np.int32(-1)) is povm.element_minus
-
-
-@pytest.mark.parametrize("pair", [("x",), ("x", "u", "v"), ("x", "u", "y"), (), None, 5, "xuv"], ids=repr)
-def test_cross_marginal_takes_exactly_two_labels(pair):
-    q = QuasiDistribution(np.full(16, 1 / 16))
-    with pytest.raises(OutOfRange, match=r"^cross marginal needs a pair of observable labels, got "):
-        cross_marginal(q, pair)

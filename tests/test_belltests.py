@@ -22,9 +22,9 @@ from bellshot import (
     chsh_report,
     chsh_verdict,
     classical_bounds_check,
+    convergence_report,
     custom_state,
     ensemble_chsh,
-    ensemble_from_shots,
     invert_distribution,
     joint_povm,
     linalg,
@@ -41,6 +41,7 @@ from bellshot.belltests import (
     ChshReport,
     Verdict,
     bound_rule,
+    exact_analysis,
     pair_probabilities,
     pauli_correlations,
 )
@@ -135,20 +136,20 @@ def test_ensemble_chsh_singlet_optimal(optimal_settings, root_half_gammas):
     assert value == pytest.approx(oracle, abs=1e-10)
 
 
-def test_ensemble_from_shots():
+def test_the_shot_mean_of_single_shot_S():
     kernel = build_kernel(GammaSet.equal(ROOT_HALF))
     table = single_shot_chsh_table(kernel)
+
+    def shot_mean(shots):
+        return convergence_report(kernel, shots)["mean_S"]
+
     xi = OUTCOMES[5]
-    assert ensemble_from_shots(kernel, [xi]) == pytest.approx(table[5], abs=1e-12)
+    assert shot_mean([xi]) == pytest.approx(table[5], abs=1e-12)
     # plain ints and OutcomeIndex mix freely
-    assert ensemble_from_shots(kernel, [5, OUTCOMES[5]]) == pytest.approx(
-        table[5], abs=1e-12
-    )
-    assert ensemble_from_shots(kernel, list(range(16))) == pytest.approx(
-        float(np.mean(table)), abs=1e-12
-    )
+    assert shot_mean([5, OUTCOMES[5]]) == pytest.approx(table[5], abs=1e-12)
+    assert shot_mean(list(range(16))) == pytest.approx(float(np.mean(table)), abs=1e-12)
     with pytest.raises(EmptyShotList):
-        ensemble_from_shots(kernel, [])
+        shot_mean([])
 
 
 def test_single_shot_ch_sharp_limit():
@@ -509,3 +510,18 @@ def test_corrupted_kernel_trips_dual_path_check(root_half_gammas):
     object.__setattr__(broken, "table", table)
     with pytest.raises(ConsistencyError):
         single_shot_chsh_table(broken)
+
+
+def test_a_report_s_values_cannot_be_written_and_a_later_analysis_is_unaffected(optimal_settings,
+                                                                               root_half_gammas):
+    # a report's s_values is the module's S_VALUES itself, which every later analysis checks
+    # its single-shot table against
+    def chsh():
+        return exact_analysis(bell_state(BellState.PSI_MINUS), optimal_settings, root_half_gammas)[3]
+
+    first = chsh()
+    with pytest.raises(ValueError, match="read-only"):
+        first.s_values[:] = -first.s_values
+    again = chsh()
+    assert np.array_equal(again.s_values, S_VALUES) and again.ensemble_S == first.ensemble_S
+    assert np.array_equal(S_VALUES, [s_of_xi(xi) for xi in OUTCOMES])

@@ -958,7 +958,28 @@ PAIR_ROUTE_MUTANTS = {mutate.__name__: mutate for mutate in (
     bloch_operator_with_y_and_z_swapped)}
 
 
-@pytest.mark.parametrize("command", ["exact", "run", "sweep_gamma"])
+# the (command, mutant) cells that are equivalent mutants: each writes the rows the intact
+# command writes, byte for byte (True) or up to rounding (False), and exits 0
+EQUIVALENT_CELLS = {
+    # the gamma sweep inverts nothing, so reversing p before an inversion leaves its rows be
+    ("sweep_gamma", "inversion_of_the_reversed_statistics"): True,
+    # a Werner state is real and symmetric, so rho^T is rho
+    ("sweep_werner_eta", "born_traces_of_the_transpose"): True,
+    # a Werner state's pair marginals are those of the opposite signs: its one-qubit marginals
+    # are uniform and its correlations even under the flip
+    ("sweep_werner_eta", "inversion_of_the_reversed_statistics"): False,
+    # the y/z swap is an orthogonal map on both qubits' Bloch vectors, and a Werner state's
+    # correlation -eta a.b is invariant under it
+    ("sweep_werner_eta", "bloch_operator_with_y_and_z_swapped"): False,
+}
+
+
+def sweep_rows(path) -> np.ndarray:
+    with open(path) as fh:
+        return np.array([[float(v) for v in row] for row in list(csv.reader(fh))[1:]])
+
+
+@pytest.mark.parametrize("command", ["exact", "run", "sweep_gamma", "sweep_werner_eta"])
 @pytest.mark.parametrize("mutant", sorted(PAIR_ROUTE_MUTANTS))
 def test_a_wiring_mutant_fails_exact_and_run_on_the_pair_route(tmp_path, capsys, monkeypatch, mutant,
                                                                command):
@@ -969,16 +990,20 @@ def test_a_wiring_mutant_fails_exact_and_run_on_the_pair_route(tmp_path, capsys,
     out = tmp_path / "out"
     code = main([*argv, "--config", cfg, "--out", str(out)])
     err = capsys.readouterr().err
-    if (command, mutant) == ("sweep_gamma", "inversion_of_the_reversed_statistics"):
-        # the gamma sweep inverts nothing, so reversing p before an inversion leaves its rows be
+    if (command, mutant) in EQUIVALENT_CELLS:
         assert (code, err) == (0, "")
-        name = "sweep_gamma.csv"
-        assert (out / name).read_bytes() == (tmp_path / "intact" / name).read_bytes()
+        (name,) = os.listdir(tmp_path / "intact")
+        got, want = out / name, tmp_path / "intact" / name
+        if EQUIVALENT_CELLS[command, mutant]:
+            assert got.read_bytes() == want.read_bytes()
+        else:
+            assert np.abs(sweep_rows(got) - sweep_rows(want)).max() <= 1e-12
         return
     assert code == 1
     assert re.match(r"internal consistency failure: A-B pair marginal paths disagree at "
-                    r"(observed|quasi) \([xy], [uv]\) = \([+-]1, [+-]1\): \S+ vs \S+\n$", err), err
-    assert os.listdir(out) == []  # no exact.json, no shots.csv
+                    r"(werner_eta \S+ )?(observed|quasi) \([xy], [uv]\) = \([+-]1, [+-]1\): "
+                    r"\S+ vs \S+\n$", err), err
+    assert os.listdir(out) == []  # no exact.json, no shots.csv, no sweep rows
 
 
 def test_a_draw_outside_its_cdf_interval_fails_run_and_validate(tmp_path, capsys, monkeypatch):

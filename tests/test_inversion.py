@@ -11,15 +11,12 @@ from bellshot import (
     build_kernel,
     chsh_optimal_angles,
     chsh_report,
-    cross_marginal,
     custom_state,
     invert_distribution,
     joint_povm,
     kernel_1d,
     observable_set,
     observed_statistics,
-    reconstructed_sharp_povm,
-    single_marginal,
 )
 from bellshot.errors import ConsistencyError, GammaOutOfRange, InvalidDistribution, OutOfRange
 from bellshot.inversion import require_quasi_entries
@@ -29,6 +26,9 @@ from conftest import (
     ROOT_HALF,
     SINGLET,
     admissible_draw,
+    inverted_pair_operators,
+    one_marginal,
+    pair_marginals,
     projector,
     random_state_matrix,
 )
@@ -166,42 +166,31 @@ def test_product_state_negativity_is_not_nonlocality(optimal_settings, root_half
     assert chsh_report(kernel, p, q).ensemble_S == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
-def test_reconstructed_sharp_povm_matches_projectors():
+def test_the_kernel_on_the_joint_povm_gives_sharp_pair_projectors():
+    # the inversion undoes the unsharpness on the objects the commands use: the kernel table
+    # applied to the product POVM, marginalized by PAIR_MARGINALS, gives sharp projector pairs
     rng = np.random.default_rng(56)
     for _ in range(25):
         settings, gammas = admissible_draw(rng)
         povm = joint_povm(settings, gammas)
         kernel = build_kernel(gammas)
-        for label in ObservableLabel:
-            sharp = reconstructed_sharp_povm(kernel, povm, label)
-            n = settings.get(label).bloch
-            assert np.abs(sharp.element_plus - projector(n, +1)).max() < 1e-12
-            assert np.abs(sharp.element_minus - projector(n, -1)).max() < 1e-12
-
-
-def test_reconstruction_rejects_mismatched_gammas(optimal_settings):
-    povm = joint_povm(optimal_settings, GammaSet.equal(ROOT_HALF))
-    kernel = build_kernel(GammaSet.equal(0.5))
-    with pytest.raises(ConsistencyError):
-        reconstructed_sharp_povm(kernel, povm, ObservableLabel.X)
+        for pair, operators in inverted_pair_operators(kernel, povm).items():
+            na, nb = (settings.get(label).bloch for label in pair)
+            for i, wa in enumerate((1, -1)):
+                for j, wb in enumerate((1, -1)):
+                    want = np.kron(projector(na, wa), projector(nb, wb))
+                    assert np.abs(operators[i, j] - want).max() < 1e-12
 
 
 def test_cross_marginals_match_born_probabilities():
     rng = np.random.default_rng(57)
-    pairs = [
-        (ObservableLabel.X, ObservableLabel.U),
-        (ObservableLabel.X, ObservableLabel.V),
-        (ObservableLabel.Y, ObservableLabel.U),
-        (ObservableLabel.Y, ObservableLabel.V),
-    ]
     for _ in range(15):
         settings, gammas = admissible_draw(rng)
         povm = joint_povm(settings, gammas)
         kernel = build_kernel(gammas)
         raw = random_state_matrix(rng)
         q = invert_distribution(kernel, observed_statistics(custom_state(raw), povm))
-        for pair in pairs:
-            table = cross_marginal(q, pair)
+        for pair, table in pair_marginals(q).items():
             assert table.sum() == pytest.approx(1.0, abs=1e-10)
             na = settings.get(pair[0]).bloch
             nb = settings.get(pair[1]).bloch
@@ -223,25 +212,16 @@ def test_cross_marginal_singlet_anticorrelation():
     povm = joint_povm(settings, gammas)
     kernel = build_kernel(gammas)
     p = observed_statistics(bell_state(BellState.PSI_MINUS), povm)
-    table = cross_marginal(invert_distribution(kernel, p), (ObservableLabel.X, ObservableLabel.U))
+    table = pair_marginals(invert_distribution(kernel, p))["xu"]
     assert table[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert table[1, 1] == pytest.approx(0.0, abs=1e-12)
     assert table[0, 1] == pytest.approx(0.5, abs=1e-12)
     assert table[1, 0] == pytest.approx(0.5, abs=1e-12)
 
 
-def singlet_optimal_kernel_and_povm():
-    gammas = GammaSet.equal(ROOT_HALF)
-    return build_kernel(gammas), joint_povm(chsh_optimal_angles(), gammas)
-
-
-UNIFORM = QuasiDistribution(np.full(16, 1.0 / 16.0))
 BAD_LABELS = {
     "gamma_of": lambda: GammaSet.equal(0.7).of("q"),
-    "marginal_element": lambda: singlet_optimal_kernel_and_povm()[1].marginal_element("z", 1),
-    "cross_marginal_label": lambda: cross_marginal(UNIFORM, ("z", "u")),
-    "single_marginal": lambda: single_marginal(UNIFORM, "w"),
-    "reconstructed_sharp_povm": lambda: reconstructed_sharp_povm(*singlet_optimal_kernel_and_povm(), "q"),
+    "settings_get": lambda: chsh_optimal_angles().get("z"),
     "bell_state_name": lambda: bell_state("nope"),
     "bell_state_int": lambda: bell_state(3),
 }
@@ -256,17 +236,9 @@ def test_unknown_labels_and_names_raise_out_of_range_naming_the_choices(case):
 
 
 def test_labels_may_be_given_as_strings():
-    kernel, povm = singlet_optimal_kernel_and_povm()
-    assert kernel.gammas.of("u") == kernel.gammas.of(ObservableLabel.U)
-    assert np.array_equal(povm.marginal_element("y", -1), povm.marginal_element(ObservableLabel.Y, -1))
-
-
-def test_cross_marginal_rejects_same_side_pair():
-    q = QuasiDistribution(np.full(16, 1.0 / 16.0))
-    with pytest.raises(OutOfRange):
-        cross_marginal(q, (ObservableLabel.X, ObservableLabel.Y))
-    with pytest.raises(OutOfRange):
-        cross_marginal(q, (ObservableLabel.U, ObservableLabel.V))
+    gammas, settings = GammaSet(0.5, 0.6, 0.7, 0.8), chsh_optimal_angles()
+    assert gammas.of("u") == gammas.of(ObservableLabel.U) == 0.7
+    assert settings.get("y") is settings.get(ObservableLabel.Y) is settings.y
 
 
 def test_single_marginals_match_born_probabilities():
@@ -278,7 +250,7 @@ def test_single_marginals_match_born_probabilities():
     q = invert_distribution(kernel, observed_statistics(custom_state(raw), povm))
     for label in ObservableLabel:
         n = settings.get(label).bloch
-        got = single_marginal(q, label)
+        got = one_marginal(q, label)
         side = np.eye(2, dtype=complex)
         for i, w in enumerate((1, -1)):
             if label in (ObservableLabel.X, ObservableLabel.Y):

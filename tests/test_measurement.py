@@ -42,6 +42,7 @@ from conftest import (
     bloch_matrix,
     random_state_matrix,
     random_unit,
+    unsharp_element,
 )
 
 
@@ -244,17 +245,23 @@ def test_product_povm_structure(optimal_settings, root_half_gammas):
 
 
 def test_marginal_elements_random_settings():
+    # the product elements' A-B pair marginals, by PAIR_MARGINALS, summed over the partner, are
+    # each observable's unsharp element (I + w gamma n.sigma) / 2 beside the identity
     rng = np.random.default_rng(42)
     for _ in range(25):
         settings, gammas = admissible_draw(rng)
         povm = joint_povm(settings, gammas)
+        pairs = np.tensordot(PAIR_MARGINALS, povm.product, axes=(0, 0)).reshape(4, 2, 2, 4, 4)
+        marginals = {"x": pairs[0].sum(axis=1), "y": pairs[2].sum(axis=1),
+                     "u": pairs[0].sum(axis=0), "v": pairs[1].sum(axis=0)}
         for label in ObservableLabel:
             n = settings.get(label).bloch
             g = gammas.of(label)
-            for w in (1, -1):
+            for i, w in enumerate((1, -1)):
                 want = 0.5 * (np.eye(2) + g * w * bloch_matrix(n))
-                got = povm.marginal_element(label, w)
-                assert np.abs(got - want).max() < 1e-12
+                assert np.abs(unsharp_element(settings, gammas, label, w) - want).max() < 1e-12
+                side = (want, np.eye(2)) if label.value in "xy" else (np.eye(2), want)
+                assert np.abs(marginals[label.value][i] - np.kron(*side)).max() < 1e-12
 
 
 def test_observed_statistics_mixed_state_uniform(optimal_settings, root_half_gammas):
@@ -327,7 +334,7 @@ def test_marginal_recovery_of_statistics():
     probs = observed_statistics(rho, povm).reshape(2, 2, 2, 2)
     marg_x = probs.sum(axis=(1, 2, 3))
     for i, w in enumerate((1, -1)):
-        element = np.kron(povm.marginal_element(ObservableLabel.X, w), np.eye(2))
+        element = np.kron(unsharp_element(settings, gammas, ObservableLabel.X, w), np.eye(2))
         want = np.trace(rho.matrix @ element).real
         assert marg_x[i] == pytest.approx(want, abs=1e-12)
 

@@ -14,11 +14,9 @@ from bellshot import (
     NotPSD,
     ObservableLabel,
     ObservableSpec,
-    QuasiDistribution,
     RngConfig,
     SharpPovm,
     build_kernel,
-    cross_marginal,
     joint_povm,
     kernel_1d,
     observable_set,
@@ -80,13 +78,6 @@ def off_column_sum(delta):
     return table
 
 
-def quasi_negative_xu():
-    entries = np.full(16, 1.0 / 16.0)
-    entries[0] -= 0.5  # x = u = +1 loses half
-    entries[15] += 0.5
-    return QuasiDistribution(entries)
-
-
 WHOLE_MESSAGES = {
     "observed_imaginary": (
         lambda: born_probabilities(MIXED + 1e-3j * CORNER, optimal_povm()),
@@ -117,10 +108,6 @@ WHOLE_MESSAGES = {
     "kernel_column_sums_stack": (
         lambda: require_column_sums(np.array([off_column_sum(0.0), off_column_sum(2e-9), off_column_sum(3e-6)])),
         ConsistencyError, "kernel column sums deviate from 1 by 2.000e-09",
-    ),
-    "cross_marginal_floor": (
-        lambda: cross_marginal(quasi_negative_xu(), ("x", "u")),
-        ConsistencyError, "cross marginal (x, u) entry -0.25 below -1e-10",
     ),
     "sharp_projector": (
         lambda: SharpPovm(np.eye(2) / 2, np.eye(2) / 2),

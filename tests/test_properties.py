@@ -18,17 +18,14 @@ from bellshot import (
     GammaSet,
     InversionKernel,
     NotPositive,
-    ObservableLabel,
     build_kernel,
     chsh_report,
-    cross_marginal,
     custom_state,
     invert_distribution,
     joint_povm,
     kernel_1d,
     observable_set,
     observed_statistics,
-    single_marginal,
     single_shot_ch_table,
     single_shot_chsh_table,
 )
@@ -58,6 +55,8 @@ from conftest import (
     admissible_draw,
     bloch_matrix,
     fixed_17g_strings,
+    one_marginal,
+    pair_marginals,
     projector,
     random_state_matrix,
 )
@@ -243,13 +242,11 @@ def test_cross_marginals_are_sharp_born_probabilities(drawn, rho):
     obs, gammas = drawn
     observed = observed_statistics(custom_state(rho), joint_povm(obs, gammas))
     q = invert_distribution(build_kernel(gammas), observed)
-    for a in (ObservableLabel.X, ObservableLabel.Y):
-        for b in (ObservableLabel.U, ObservableLabel.V):
-            table = cross_marginal(q, (a, b))
-            for i, wa in enumerate((1, -1)):
-                for j, wb in enumerate((1, -1)):
-                    op = np.kron(projector(obs.get(a).bloch, wa), projector(obs.get(b).bloch, wb))
-                    assert abs(table[i, j] - np.trace(rho @ op).real) <= 1e-10
+    for (a, b), table in pair_marginals(q).items():
+        for i, wa in enumerate((1, -1)):
+            for j, wb in enumerate((1, -1)):
+                op = np.kron(projector(obs.get(a).bloch, wa), projector(obs.get(b).bloch, wb))
+                assert abs(table[i, j] - np.trace(rho @ op).real) <= 1e-10
 
 
 def correlation_route(rho, obs):
@@ -281,7 +278,7 @@ def s_gap(rho, obs, gammas) -> float:
 
 def marginal_gap(rho, obs, gammas) -> float:
     q, plus = pipeline_route(rho, obs, gammas)[1], correlation_route(rho, obs)[1]
-    return max(abs(single_marginal(q, k)[0] - plus[k]) for k in "xyuv")
+    return max(abs(one_marginal(q, k)[0] - plus[k]) for k in "xyuv")
 
 
 @FIXED

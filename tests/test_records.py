@@ -135,7 +135,7 @@ def test_a_record_holding_arrays_is_unhashable(name):
 
 
 def test_records_that_callers_compare_and_look_up():
-    # measurement's index lookup keys on OutcomeIndex; reconstructed_sharp_povm compares GammaSets
+    # measurement's index lookup keys on OutcomeIndex; GammaSets and CheckResults compare by value
     shots = [OutcomeIndex(1, -1, -1, 1), OutcomeIndex(-1, -1, -1, -1)]
     assert measurement.as_indices(shots).tolist() == [6, 15]
     assert {OutcomeIndex(1, -1, -1, 1): "six"}[OUTCOMES[6]] == "six"

@@ -26,7 +26,6 @@ from bellshot import (
     convergence_report,
     empirical_frequencies,
     ensemble_chsh,
-    ensemble_from_shots,
     invert_distribution,
     joint_povm,
     observed_statistics,
@@ -179,9 +178,7 @@ def test_convergence_report(root_half_gammas):
     shots = sample_shots(singlet_optimal_probabilities(), 500, RngConfig(seed=10))
     rep = convergence_report(kernel, shots)
     assert rep["shots"] == 500
-    assert rep["mean_S"] == pytest.approx(
-        ensemble_from_shots(kernel, shots), abs=1e-12
-    )
+    assert rep["mean_S"] == float(np.mean(single_shot_chsh_table(kernel)[[xi.to_index() for xi in shots]]))
     last_running_mean = shot_records(kernel, shots)[-1].running_mean_S
     assert last_running_mean == pytest.approx(rep["mean_S"], abs=1e-12)
     assert rep["std_error"] == pytest.approx(
@@ -239,7 +236,7 @@ def test_frequency_route_matches_shot_average(root_half_gammas):
     shots = sample_shots(singlet_optimal_probabilities(), 2000, RngConfig(seed=13))
     freqs = empirical_frequencies(shots)
     via_quasi = ensemble_chsh(invert_distribution(kernel, freqs))
-    via_mean = ensemble_from_shots(kernel, shots)
+    via_mean = convergence_report(kernel, shots)["mean_S"]
     assert via_quasi == pytest.approx(via_mean, abs=1e-10)
 
 

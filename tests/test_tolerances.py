@@ -2,7 +2,7 @@
 
 A module-level `*_TOL`, `PROB_FLOOR` or `PROB_SUM_SLACK` bound anywhere else,
 by assignment or by import, would start a second table, and so would a small
-float literal compared against inside a function. The sixteen values are
+float literal compared against inside a function. The fifteen values are
 pinned, so that changing one is a deliberate edit here as well.
 """
 
@@ -25,7 +25,6 @@ TOLERANCES = {
     "PROB_CLAMP_TOL": 1e-12,
     "PROB_SUM_TOL": 1e-10,
     "QUASI_SUM_TOL": 1e-10,
-    "MARGINAL_CLAMP_TOL": 1e-10,
     "NEGATIVITY_TOL": 1e-10,
     "DUAL_PATH_TOL": 1e-10,
     "BOUNDARY_TOL": 1e-12,
@@ -119,11 +118,15 @@ def test_belltests_compares_against_the_boundary_tolerance_only_in_its_bound_rul
     assert top_level_readers(PACKAGE / "belltests.py", ("BOUNDARY_TOL",)) == {"bound_rule"}
 
 
-def test_validate_builds_no_born_operator_with_kron():
+def test_validate_builds_its_sharp_operators_from_the_paulis_alone():
     # validate's Born references live in belltests.exact_analysis, whose pair route reads rho
-    # and the Pauli matrices only; a product operator built here from bloch_operator or a
-    # POVM would share the code it checks
-    assert not names_in(ast.parse((PACKAGE / "validate.py").read_text()), ("kron",))
+    # and the Pauli matrices only. Its inversion check compares the commands' kernel and
+    # product POVM with kron products of projectors built from belltests.PAULIS; built from
+    # bloch_operator or an observable's operator() they would share the code they check
+    path = PACKAGE / "validate.py"
+    assert not names_in(ast.parse(path.read_text()), ("bloch_operator", "operator"))
+    assert top_level_readers(path, ("kron",)) == {"_check_inversion"}
+    assert top_level_readers(path, ("PAULIS",)) == {"_check_observables", "_check_inversion"}
 
 
 def loads(tree: ast.AST, name: str) -> bool:
@@ -206,4 +209,22 @@ def test_belltests_marginalizes_q_only_through_pair_marginals():
     readers = {(name, getattr(node, "name", "<module>")) for name, tree in trees.items()
                for node in tree.body if loads(node, "PAIR_MARGINALS")}
     assert readers == {("belltests.py", "ch_report"), ("belltests.py", "require_born_pair_marginals"),
-                       ("inversion.py", "cross_marginal"), ("inversion.py", "single_marginal")}
+                       ("validate.py", "_check_inversion")}
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names that the module's imports bind and that nothing in it reads."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    bound = [alias.asname or alias.name.partition(".")[0] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    return [name for name in bound if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # no linter runs on the package, so a name left imported after the code that read it was
+    # deleted fails here; __init__ imports to export
+    found = {path.name: unused_imports(path) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"}
+    assert {module: names for module, names in found.items() if names} == {}

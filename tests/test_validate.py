@@ -107,12 +107,14 @@ def bloch_operator_with_y_and_z_swapped(monkeypatch):
 # probabilities summing to 1), and the check that must still see them
 @pytest.mark.parametrize("mutate,check", [
     (swapped_product_elements, "belltests.exact_analysis"),
+    (swapped_product_elements, "inversion.kernel"),
     (born_traces_of_the_transpose, "belltests.exact_analysis"),
     (swapped_sharp_elements, "observables.sharp_povm"),
     (inversion_of_the_reversed_statistics, "belltests.exact_analysis"),
     (kernel_of_a_y_gamma_one_percent_small, "belltests.exact_analysis"),
     (bloch_operator_with_y_and_z_swapped, "belltests.exact_analysis"),
     (bloch_operator_with_y_and_z_swapped, "observables.sharp_povm"),
+    (bloch_operator_with_y_and_z_swapped, "inversion.kernel"),
 ])
 def test_a_mutant_the_constructors_admit_fails_its_check(monkeypatch, mutate, check):
     assert validate_all(seed=7, trials=4).passed
