@@ -44,7 +44,9 @@ from bellshot.belltests import (
     exact_analysis,
     pair_probabilities,
     pauli_correlations,
+    require_born_pair_marginals,
 )
+from bellshot.states import werner_matrices
 from conftest import (
     OPTIMAL_BLOCHS,
     ROOT_HALF,
@@ -525,3 +527,21 @@ def test_a_report_s_values_cannot_be_written_and_a_later_analysis_is_unaffected(
     again = chsh()
     assert np.array_equal(again.s_values, S_VALUES) and again.ensemble_S == first.ensemble_S
     assert np.array_equal(S_VALUES, [s_of_xi(xi) for xi in OUTCOMES])
+
+
+def test_the_stacked_pair_check_names_the_state_whose_marginals_are_off(optimal_settings, root_half_gammas):
+    # the Werner sweep checks a block of states at once: a clean block passes, and a fault in
+    # one state's quasi-distribution fails naming that state and the route
+    etas = [0.2, 0.4, 0.6, 0.8, 1.0]
+    povm, kernel = joint_povm(optimal_settings, root_half_gammas), build_kernel(root_half_gammas)
+    p = np.array([observed_statistics(werner_state(eta), povm) for eta in etas])
+    q = np.array([invert_distribution(kernel, row).entries for row in p])
+    routes = {"observed": (p, root_half_gammas.as_tuple()), "quasi": (q, (1.0,) * 4)}
+
+    def point(i):
+        return f"werner_eta {etas[i]!r} "
+
+    require_born_pair_marginals(werner_matrices(etas), optimal_settings, routes, point)
+    q[3, [0, 15]] += (0.1, -0.1)  # (+,+,+,+) gains what (-,-,-,-) loses
+    with pytest.raises(ConsistencyError, match=r"pair marginal paths disagree at werner_eta 0\.8 quasi \("):
+        require_born_pair_marginals(werner_matrices(etas), optimal_settings, routes, point)

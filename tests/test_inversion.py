@@ -24,7 +24,6 @@ from bellshot.measurement import OUTCOMES
 
 from conftest import (
     ROOT_HALF,
-    SINGLET,
     admissible_draw,
     inverted_pair_operators,
     one_marginal,
@@ -258,6 +257,22 @@ def test_single_marginals_match_born_probabilities():
             else:
                 op = np.kron(side, projector(n, w))
             assert got[i] == pytest.approx(np.trace(raw @ op).real, abs=1e-10)
+
+
+@pytest.mark.parametrize("label", "xyuv")
+def test_a_one_observable_marginal_is_the_same_from_either_partner(label):
+    # PAIR_MARGINALS holds no single-observable column: an observable's marginal is a pair
+    # block summed over its partner, and both of its pairs give the outcomes' own sign sum,
+    # negative quasi entries included
+    rng = np.random.default_rng(59)
+    entries = rng.normal(size=16)
+    q = QuasiDistribution(entries - (entries.sum() - 1.0) / 16.0)
+    want = [sum(q.entries[k] for k, xi in enumerate(OUTCOMES) if getattr(xi, label) == w) for w in (1, -1)]
+    pairs = pair_marginals(q)
+    side = 1 if label in "xy" else 0  # the axis of the partner
+    for pair in [pair for pair in pairs if label in pair]:
+        assert pairs[pair].sum(axis=side) == pytest.approx(want, abs=1e-12)
+    assert one_marginal(q, label) == pytest.approx(want, abs=1e-12)
 
 
 def test_quasi_distribution_validation():

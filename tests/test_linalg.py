@@ -102,3 +102,17 @@ def test_require_fails_closed_on_nan(gap, index):
         linalg.require(gap, 1e-12, lambda k: OutOfRange(str(tuple(map(int, k)))))
     linalg.require(np.zeros((2, 2)), 1e-12, lambda k: OutOfRange(str(k)))
     linalg.require(0.0, 1e-12, lambda k: OutOfRange(str(k)))
+
+
+def test_read_only_freezes_each_array_a_namespace_binds_or_a_dict_holds():
+    # what read_only(globals()) does at the end of a module: its tables and the arrays its
+    # dicts hold refuse writes, and a value that is not an array is left as it was
+    table, held, other = np.arange(3.0), np.ones(2), [1.0, 2.0]
+    namespace = {"TABLE": table, "BY_NAME": {"a": held, "n": 3}, "OTHER": other,
+                 "__builtins__": {"len": len}}
+    linalg.read_only(namespace)
+    assert not table.flags.writeable and not held.flags.writeable
+    for array in (table, held):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = -1.0
+    assert namespace["BY_NAME"]["n"] == 3 and other == [1.0, 2.0] and namespace["__builtins__"] == {"len": len}

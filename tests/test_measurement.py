@@ -30,14 +30,12 @@ from bellshot.measurement import (
     as_indices,
     born_probabilities,
     born_traces,
-    product_povm,
 )
 from bellshot.errors import ConsistencyError, GammaOutOfRange, NotPositive, OutOfRange
 
 from conftest import (
     OPTIMAL_BLOCHS,
     ROOT_HALF,
-    SINGLET,
     admissible_draw,
     bloch_matrix,
     random_state_matrix,

@@ -228,3 +228,10 @@ def test_no_module_imports_a_name_it_never_reads():
     found = {path.name: unused_imports(path) for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "__init__.py"}
     assert {module: names for module, names in found.items() if names} == {}
+
+
+def test_no_test_module_imports_a_name_it_never_reads():
+    # the same guard over the tests: a helper or fixture name left imported after the test
+    # that read it moved to its replacement fails here
+    found = {path.name: unused_imports(path) for path in sorted(Path(__file__).parent.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == {}
