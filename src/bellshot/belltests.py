@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import inversion, linalg, measurement
-from .errors import ConsistencyError, InvalidDistribution, fill, record
+from .errors import ConsistencyError, InvalidDistribution, checked_instance, fill, record
 from .inversion import InversionKernel, QuasiDistribution
 from .measurement import OUTCOMES, PAIR_MARGINALS, OutcomeIndex
 
@@ -45,12 +45,14 @@ S_VALUES = SIGNS_X * SIGNS_U - SIGNS_X * SIGNS_V + SIGNS_Y * SIGNS_U + SIGNS_Y *
 # sigma_mu x sigma_nu, indexed [mu, nu], for sigma_0 = I and the three Pauli matrices, and
 # laid out so that rho's 16 entries, row by row, times PAULI_TRACES give tr[rho sigma_mu x sigma_nu]
 PAULIS = (linalg.I2, linalg.SIGMA_X, linalg.SIGMA_Y, linalg.SIGMA_Z)
-PAULI_PRODUCTS = np.array([[np.kron(s, t) for t in PAULIS] for s in PAULIS])
+_P = np.array(PAULIS)  # kron(s, t)[2i + k, 2j + l] = s[i, j] t[k, l], for every (s, t) at once
+PAULI_PRODUCTS = (_P[:, None, :, None, :, None] * _P[None, :, None, :, None, :]).reshape(4, 4, 4, 4)
 PAULI_TRACES = PAULI_PRODUCTS.transpose(3, 2, 0, 1).reshape(16, 16)
 
 
 def s_of_xi(xi: OutcomeIndex) -> int:
     """xu - xv + yu + yv, always +-2 for sign-valued arguments."""
+    xi = checked_instance(xi, OutcomeIndex, "xi")
     return xi.x * xi.u - xi.x * xi.v + xi.y * xi.u + xi.y * xi.v
 
 
@@ -76,6 +78,7 @@ def require_agreement(what: str, first, second, where) -> None:
 
 def ensemble_chsh(q: QuasiDistribution) -> float:
     """CHSH value as the average of s(xi) over the quasi-distribution."""
+    q = checked_instance(q, QuasiDistribution, "quasi", InvalidDistribution)
     return float(ensemble_chsh_values(q.entries))
 
 
@@ -86,6 +89,7 @@ def ensemble_chsh_values(entries: np.ndarray) -> np.ndarray:
 
 def single_shot_chsh_table(kernel: InversionKernel) -> np.ndarray:
     """All 16 single-shot CHSH values in canonical outcome order."""
+    kernel = checked_instance(kernel, InversionKernel, "kernel")
     return single_shot_chsh_tables(kernel.table, kernel.gammas.as_tuple())
 
 
@@ -108,7 +112,7 @@ def single_shot_chsh_tables(tables: np.ndarray, gammas) -> np.ndarray:
 
 def single_shot_ch_table(kernel: InversionKernel) -> np.ndarray:
     """The full (xi, xi') grid of single-shot CH values, shape (16, 16)."""
-    return single_shot_ch_tables(kernel.gammas.as_tuple())
+    return single_shot_ch_tables(checked_instance(kernel, InversionKernel, "kernel").gammas.as_tuple())
 
 
 def single_shot_ch_tables(gammas) -> np.ndarray:
@@ -136,6 +140,8 @@ def single_shot_ch_tables(gammas) -> np.ndarray:
 
 def single_shot_ch(kernel: InversionKernel, xi: OutcomeIndex, xi_prime: OutcomeIndex) -> float:
     """CH value inferred from one measured outcome, for target signs xi."""
+    xi = checked_instance(xi, OutcomeIndex, "xi")
+    xi_prime = checked_instance(xi_prime, OutcomeIndex, "xi_prime")
     return float(single_shot_ch_table(kernel)[xi.to_index(), xi_prime.to_index()])
 
 
@@ -154,14 +160,18 @@ def pair_probabilities(c, blochs, gammas=(1.0, 1.0, 1.0, 1.0)) -> np.ndarray:
     B directions b of (u, v) and w = (+1, -1), with E_n(w) = (I + w gamma n.sigma) / 2: all
     four A-B pairs at once, from rho's pauli_correlations c (..., 4, 4), the Bloch vectors x,
     y, u, v (4, 3) and their gammas (..., 4), as (1, w_a gamma_a a) . c . (1, w_b gamma_b b) / 4.
-    gamma = 1 is a sharp measurement."""
+    gamma = 1 is a sharp measurement. The bilinear form is one (16, 16) map per gamma 4-vector,
+    M[(mu, nu), (a, i, b, j)] = L[a, i, mu] R[b, j, nu] / 4, applied to c's 16 entries, so a
+    stack of states at one gamma 4-vector shares it."""
     n = np.zeros((4, 4))
     n[:, 1:] = blochs
-    rows = (np.asarray(gammas, dtype=float)[..., None] * n)[..., None, :] * SIGN_COLUMN
-    rows[..., 0] = 1.0  # (1, w gamma n) per observable and sign w: (..., 4, 2, 4)
+    rows = (np.asarray(gammas, dtype=float)[..., None] * n)[..., None, :] * (0.5 * SIGN_COLUMN)
+    rows[..., 0] = 0.5  # (1, w gamma n) / 2 per observable and sign w: (..., 4, 2, 4)
     lead = rows.shape[:-3]
-    left, right = (rows[..., k:k + 2, :, :].reshape(lead + (4, 4)) for k in (0, 2))
-    p = left @ c @ np.swapaxes(right, -1, -2) / 4.0  # (..., a and i, b and j)
+    left, right = (rows[..., k:k + 2, :, :].reshape(lead + (4, 4)).swapaxes(-1, -2) for k in (0, 2))
+    m = (left[..., :, None, :, None] * right[..., None, :, None, :]).reshape(lead + (16, 16))
+    c = np.asarray(c)
+    p = c.reshape(c.shape[:-2] + (1, 16)) @ m  # (..., 1, a and i and b and j)
     return p.reshape(p.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2)
 
 
@@ -249,19 +259,12 @@ class ChReport:
         }
 
 
-def _quasi(quasi) -> QuasiDistribution:
-    """quasi, if it is a QuasiDistribution, whose constructor admitted its entries."""
-    if not isinstance(quasi, QuasiDistribution):
-        raise InvalidDistribution(f"expected a QuasiDistribution, got {type(quasi).__name__}")
-    return quasi
-
-
 def chsh_report(kernel: InversionKernel, observed, quasi) -> ChshReport:
     """Build the CHSH report from the observed statistics and quasi, their inversion through
     kernel, verifying that the quasi-distribution average and the shot-weighted average of
     single-shot values coincide."""
     p = linalg.as_finite(observed, (16,), "observed statistics", InvalidDistribution)
-    via_quasi = ensemble_chsh(_quasi(quasi))
+    via_quasi = ensemble_chsh(quasi)
     table = single_shot_chsh_table(kernel)
     require_agreement("ensemble CHSH", via_quasi, table @ p, lambda: "S")
     return ChshReport(s_values=S_VALUES, ensemble_S=via_quasi, single_shot_S=table)
@@ -276,7 +279,8 @@ def ch_report(kernel: InversionKernel, observed, quasi) -> ChReport:
     p = linalg.as_finite(observed, (16,), "observed statistics", InvalidDistribution)
     grid = single_shot_ch_table(kernel)
     by_average = _in_order_sum(grid * p)
-    xu, xv, yu, yv = (_quasi(quasi).entries @ PAIR_MARGINALS).reshape(4, 2, 2)  # each [i, j]
+    q = checked_instance(quasi, QuasiDistribution, "quasi", InvalidDistribution).entries
+    xu, xv, yu, yv = (q @ PAIR_MARGINALS).reshape(4, 2, 2)  # each [i, j]
     ix, iy, iu, iv = measurement.SIGN_BITS.T  # each sign's kernel_1d index, 0 for +1
     by_marginals = (xu[ix, iu] - xv[ix, iv] + yu[iy, iu] + yv[iy, iv]
                     - yu.sum(axis=1)[iy] - xu.sum(axis=0)[iu])
@@ -287,22 +291,20 @@ def ch_report(kernel: InversionKernel, observed, quasi) -> ChReport:
 def classical_bounds_check(report) -> dict:
     """Per-quantity verdicts for a ChshReport or a ChReport, one bound_rule call per array.
     Each array is admitted by linalg.as_finite at its shape, which raises OutOfRange."""
-    if isinstance(report, ChshReport):
+    if isinstance(checked_instance(report, (ChshReport, ChReport), "report"), ChshReport):
         values = np.append(linalg.as_finite(report.ensemble_S, (), "ensemble_S"),
                            linalg.as_finite(report.single_shot_S, (16,), "single_shot_S"))
         ensemble, *single_shot = _verdicts(values, CHSH_RULE)
         return {"ensemble_S": ensemble, "single_shot_S": single_shot}
-    if isinstance(report, ChReport):
-        grid = linalg.as_finite(report.single_shot_C, (16, 16), "single_shot_C")
-        return {
-            "ensemble_C": _verdicts(linalg.as_finite(report.ensemble_C, (16,), "ensemble_C"), CH_RULE),
-            "single_shot_C": {
-                "min": float(grid.min()),
-                "max": float(grid.max()),
-                "all_violated": bool(bound_rule(grid, *CH_RULE, violated_only=True).all()),
-            },
-        }
-    raise TypeError(f"expected ChshReport or ChReport, got {type(report).__name__}")
+    grid = linalg.as_finite(report.single_shot_C, (16, 16), "single_shot_C")
+    return {
+        "ensemble_C": _verdicts(linalg.as_finite(report.ensemble_C, (16,), "ensemble_C"), CH_RULE),
+        "single_shot_C": {
+            "min": float(grid.min()),
+            "max": float(grid.max()),
+            "all_violated": bool(bound_rule(grid, *CH_RULE, violated_only=True).all()),
+        },
+    }
 
 
 def require_born_pair_marginals(rho, settings, routes: dict, point=lambda *k: "") -> None:

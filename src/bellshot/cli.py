@@ -220,11 +220,10 @@ def _sweep_grid(args) -> list[float]:
     n = int(points)
     if n < 2:
         raise ConfigError("sweep --grid-range needs at least 2 points")
-    try:
-        grid = np.linspace(start, stop, n)
-    except (ValueError, MemoryError) as exc:  # numpy refuses or fails to allocate n
+    try:  # numpy refuses n, or fails to allocate the array or the list of its points
+        return np.linspace(start, stop, n).tolist()
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"sweep --grid-range POINTS {points!r} is too many: {exc}")
-    return grid.tolist()
 
 
 def _sweep_columns(config: ExperimentConfig, axis: str, grid: list[float]):

@@ -1,6 +1,6 @@
 """Exception taxonomy, and `record`, which makes each value type a frozen record. Every
 validation failure names the violated invariant and the offending value in its message;
-shown bounds the repr of a nested one."""
+shown bounds the repr of a nested one, and checked_instance admits a record argument."""
 
 import operator
 
@@ -63,6 +63,16 @@ def shown(value, depth: int = 8) -> str:
             [f"{k!r}: {shown(v, depth - 1)}" for k, v in value.items()])
         return f"{{{inner}}}"
     return repr(value)
+
+
+def checked_instance(value, kind, what: str, error=OutOfRange):
+    """value, if it is an instance of kind, a class or a tuple of classes; else error naming
+    what. The one type rule for an argument that must be a record, such as a GammaSet or an
+    InversionKernel: read on anything else, its attributes would end in an AttributeError."""
+    if isinstance(value, kind):
+        return value
+    names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+    raise error(f"{what}: expected {names}, got {type(value).__name__}")
 
 
 def record(cls):

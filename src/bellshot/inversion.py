@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg, measurement
-from .errors import ConsistencyError, InvalidDistribution, fill, record
+from .errors import ConsistencyError, InvalidDistribution, checked_instance, fill, record
 from .measurement import SIGNS, GammaSet
 from .observables import ObservableSet
 
@@ -40,6 +40,7 @@ class InversionKernel:
     """16x16 quasi-stochastic table p(xi | xi') in canonical outcome order, factorized per observable."""
 
     def __init__(self, gammas: GammaSet, table: np.ndarray):
+        checked_instance(gammas, GammaSet, "gammas")
         t = linalg.as_finite(table, (16, 16), "kernel table", ConsistencyError)
         require_column_sums(t)
         t.setflags(write=False)
@@ -48,6 +49,7 @@ class InversionKernel:
 
 def build_kernel(gammas: GammaSet) -> InversionKernel:
     """Product of the four one-observable kernels over all outcome pairs."""
+    gammas = checked_instance(gammas, GammaSet, "gammas")
     return InversionKernel(gammas, kernel_tables(gammas.as_tuple()))
 
 
@@ -116,7 +118,7 @@ def invert_distribution(kernel: InversionKernel, observed) -> QuasiDistribution:
     whatever the input, so the output always sums to what went in.
     """
     p = linalg.as_finite(observed, (16,), "observed statistics", InvalidDistribution)
-    return QuasiDistribution(inverted_entries(kernel, p))
+    return QuasiDistribution(inverted_entries(checked_instance(kernel, InversionKernel, "kernel"), p))
 
 
 def gamma_free_quasi(rho, settings: ObservableSet) -> QuasiDistribution:

@@ -22,8 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg, observables
-from .errors import ConsistencyError, GammaOutOfRange, NotPositive, OutOfRange, fill, record
+from .errors import ConsistencyError, GammaOutOfRange, NotPositive, OutOfRange, checked_instance, fill, record
 from .observables import ObservableLabel, ObservableSet
+from .states import DensityMatrix
 
 # |prod gamma_i| at which a kernel column sum's rounding reaches linalg.COLUMN_SUM_TOL
 GAMMA_MIN = 16 * 2.0**-53 / linalg.COLUMN_SUM_TOL
@@ -215,7 +216,8 @@ def joint_povm(settings: ObservableSet, gammas: GammaSet) -> JointPovm:
     are built as one stack and checked by one eigensolve; NotPositive names the first
     element whose smallest eigenvalue falls below linalg.PSD_TOL, A's before B's, in
     PAIR_ORDER, with its eigenvalue and its subsystem's gammas."""
-    g = gammas.as_tuple()
+    checked_instance(settings, ObservableSet, "settings")
+    g = checked_instance(gammas, GammaSet, "gammas").as_tuple()
     elements, lam, _ = nonpositive_elements(settings, g)
 
     def unphysical(k):
@@ -238,7 +240,8 @@ def observed_statistics(rho, povm: JointPovm) -> np.ndarray:
     negative, or a total off by more than linalg.PROB_SUM_TOL, raises
     ConsistencyError since both indicate a broken POVM or state.
     """
-    probs = born_probabilities(rho.matrix, povm)
+    checked_instance(povm, JointPovm, "povm")
+    probs = born_probabilities(checked_instance(rho, DensityMatrix, "state").matrix, povm)
     probs.setflags(write=False)
     return probs
 

@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .errors import NotPSD, OutOfRange, fill, record
+from .errors import NotPSD, OutOfRange, checked_instance, fill, record
 
 
 class ObservableLabel(Enum):
@@ -85,7 +85,7 @@ class SharpPovm:
 
 def sharp_povm(obs: ObservableSpec) -> SharpPovm:
     """Eigenprojectors (I + w n.sigma) / 2 of the observable."""
-    op = obs.operator()
+    op = checked_instance(obs, ObservableSpec, "observable").operator()
     return SharpPovm(0.5 * (linalg.I2 + op), 0.5 * (linalg.I2 - op))
 
 
@@ -95,7 +95,7 @@ class ObservableSet:
 
     def __init__(self, x: ObservableSpec, y: ObservableSpec, u: ObservableSpec, v: ObservableSpec):
         for label, spec in zip(ObservableLabel, (x, y, u, v)):  # slot x holds label X, and so on
-            if spec.label is not label:
+            if checked_instance(spec, ObservableSpec, f"observable {label.value}").label is not label:
                 raise OutOfRange(f"observable in slot {label.value!r} carries label {spec.label.value!r}")
         fill(self, x, y, u, v)
 

@@ -22,11 +22,13 @@ shot_records are list-of-object views of it.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
 from . import belltests, linalg, measurement
-from .errors import ConsistencyError, EmptyShotList, InvalidDistribution, OutOfRange, fill, record, shown
+from .errors import (ConsistencyError, EmptyShotList, InvalidDistribution, OutOfRange, checked_instance, fill,
+                     record, shown)
 from .inversion import InversionKernel
 from .measurement import OUTCOMES, OutcomeIndex
 
@@ -147,7 +149,7 @@ class ShotDraws:
         self.n = n
         self.cdf, self.table = _bucket_table(_checked_probabilities(probabilities))
         self.edges = np.append(0.0, self.cdf)  # outcome i draws the u in [edges[i], edges[i + 1])
-        self.config = config
+        self.config = checked_instance(config, RngConfig, "config")
 
     def _streams(self):
         """(stop, generator) per stream that draws; its block ends before shot stop."""
@@ -544,7 +546,7 @@ def write_shot_csv(path, kernel: InversionKernel, shots) -> None:
     a ShotDraws or an outcome list, are checked before path is opened."""
     shots = _source(shots)
     table = belltests.single_shot_chsh_table(kernel)
-    with open(path, "wb") as fh:
+    with open(checked_instance(path, (str, bytes, os.PathLike), "path"), "wb") as fh:
         _tally(shots, table.take, _csv_rows(fh, table, shots.n))
 
 

@@ -11,7 +11,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .errors import NotPSD, NotUnitTrace, OutOfRange, fill, record
+from .errors import NotPSD, NotUnitTrace, OutOfRange, checked_instance, fill, record
 
 
 class BellState(Enum):
@@ -96,6 +96,7 @@ def custom_state(entries) -> DensityMatrix:
 
 def random_density_matrix(rng: np.random.Generator) -> DensityMatrix:
     """Haar-ish random full-rank state, rho = G G^H / tr(G G^H)."""
+    rng = checked_instance(rng, np.random.Generator, "rng")
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m).real)

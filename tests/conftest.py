@@ -8,7 +8,7 @@ independent computation, not against themselves.
 import numpy as np
 import pytest
 
-from bellshot import GammaSet, ObservableLabel, inversion, observable_set
+from bellshot import GammaSet, ObservableLabel, observable_set
 from bellshot.measurement import PAIR_MARGINALS
 from bellshot.sampler import _WORD, _fixed_17g, _Work
 
@@ -111,41 +111,6 @@ def optimal_settings():
 @pytest.fixture
 def root_half_gammas():
     return GammaSet.equal(ROOT_HALF)
-
-
-@pytest.fixture
-def corrupted_kernel(monkeypatch):
-    """Every kernel table, one or a gamma sweep's stack, with 1e-3 moved from row 3
-    to row 0 of column 7. Each column still sums to 1, so InversionKernel admits
-    the table; s(xi) is +2 at outcome 0 and -2 at outcome 3, so the kernel-sum
-    route of single-shot CHSH at outcome 7 moves by 4e-3 and its closed form does
-    not."""
-    original = inversion.kernel_tables
-
-    def kernel_tables(gammas):
-        tables = original(gammas)
-        tables[..., 0, 7] += 1e-3
-        tables[..., 3, 7] -= 1e-3
-        return tables
-
-    monkeypatch.setattr(inversion, "kernel_tables", kernel_tables)
-
-
-@pytest.fixture
-def corrupted_inversion(monkeypatch):
-    """Every inversion, of one observed distribution or a Werner sweep's stack, with
-    1e-6 moved from outcome 3 to outcome 0. Each quasi-distribution still sums to 1,
-    so QuasiDistribution admits it; s(xi) is +2 at outcome 0 and -2 at outcome 3,
-    so ensemble S moves by 4e-6 and the observed-weighted single-shot route does not."""
-    original = inversion.inverted_entries
-
-    def inverted_entries(kernel, observed):
-        entries = original(kernel, observed)
-        entries[..., 0] += 1e-6
-        entries[..., 3] -= 1e-6
-        return entries
-
-    monkeypatch.setattr(inversion, "inverted_entries", inverted_entries)
 
 
 def fixed_17g_strings(values):

@@ -27,6 +27,8 @@ from bellshot import (
     ChshReport,
     GammaSet,
     InversionKernel,
+    OUTCOMES,
+    ObservableSet,
     QuasiDistribution,
     RngConfig,
     SharpPovm,
@@ -42,17 +44,26 @@ from bellshot import (
     convergence_report,
     custom_state,
     empirical_frequencies,
-    invert_distribution,
+    ensemble_chsh,
     inversion,
+    invert_distribution,
+    joint_povm,
     kernel_1d,
     linalg,
     measurement,
     observable_set,
     observables,
+    observed_statistics,
+    random_density_matrix,
+    s_of_xi,
     sample_indices,
+    sample_shots,
     sampler,
     sharp_povm,
     shot_records,
+    single_shot_ch,
+    single_shot_ch_table,
+    single_shot_chsh_table,
     validate,
     validate_all,
     werner_state,
@@ -64,7 +75,8 @@ from bellshot.config import ExperimentConfig
 from bellshot.errors import ConfigError, OutOfRange
 from bellshot.sampler import MAX_SHOTS, ShotDraws
 from conftest import OPTIMAL_BLOCHS, ROOT_HALF
-from test_cli import CORRUPTIBLE_COMMANDS, singlet_config
+from test_cli import singlet_config
+from test_mutants import COMMANDS
 
 PACKAGE = Path(bellshot.__file__).resolve().parent
 PIPELINE = ("linalg", "states", "observables", "measurement", "inversion", "belltests", "sampler")
@@ -216,7 +228,7 @@ def test_readme_exact_admission_count_is_pinned(tmp_path, monkeypatch):
     assert calls["observed statistics"] == 3 and calls["quasi-distribution"] == 1
 
 
-@pytest.mark.parametrize("command", sorted(CORRUPTIBLE_COMMANDS))
+@pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_a_stage_patched_on_its_module_reaches_every_command(tmp_path, monkeypatch, command):
     calls = Counter()
 
@@ -229,7 +241,7 @@ def test_a_stage_patched_on_its_module_reaches_every_command(tmp_path, monkeypat
     for module, names in STAGES.items():
         for name in names:
             monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
-    argv = [*CORRUPTIBLE_COMMANDS[command], "--config", singlet_config(tmp_path)]
+    argv = [*COMMANDS[command], "--config", singlet_config(tmp_path)]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 0
     assert calls == STAGE_CALLS[command]
 
@@ -286,6 +298,48 @@ CASES = [(entry, bad) for entry in NUMERIC for bad in BAD if bad != "1.5"] + [
 def test_public_entry_points_refuse_bad_arguments_with_a_bellshot_error(entry, bad):
     with pytest.raises(BellshotError):
         ENTRY_POINTS[entry](BAD[bad])
+
+
+# each public entry point as a function of the one argument under test that must be a record,
+# a generator or a path: errors.checked_instance admits each
+OBJECT = {
+    "build_kernel": build_kernel,
+    "InversionKernel": lambda v: InversionKernel(v, kernel().table),
+    "joint_povm settings": lambda v: joint_povm(v, GammaSet.equal(ROOT_HALF)),
+    "joint_povm gammas": lambda v: joint_povm(chsh_optimal_angles(), v),
+    "observed_statistics state": lambda v: observed_statistics(v, joint_povm(chsh_optimal_angles(), kernel().gammas)),
+    "observed_statistics povm": lambda v: observed_statistics(werner_state(0.5), v),
+    "invert_distribution": lambda v: invert_distribution(v, UNIFORM),
+    "chsh_report": lambda v: chsh_report(v, UNIFORM, invert_distribution(kernel(), UNIFORM)),
+    "ch_report": lambda v: ch_report(v, UNIFORM, invert_distribution(kernel(), UNIFORM)),
+    "ensemble_chsh": ensemble_chsh,
+    "single_shot_chsh_table": single_shot_chsh_table,
+    "single_shot_ch_table": single_shot_ch_table,
+    "single_shot_ch xi": lambda v: single_shot_ch(kernel(), v, OUTCOMES[5]),
+    "single_shot_ch xi_prime": lambda v: single_shot_ch(kernel(), OUTCOMES[3], v),
+    "s_of_xi": s_of_xi,
+    "convergence_report": lambda v: convergence_report(v, [0, 1, 2]),
+    "shot_records": lambda v: shot_records(v, [0, 1, 2]),
+    "write_shot_csv kernel": lambda v: write_shot_csv(os.devnull, v, [0, 1, 2]),
+    "write_shot_csv path": lambda v: write_shot_csv(v, kernel(), [0, 1, 2]),
+    "sample_indices": lambda v: sample_indices(UNIFORM, 5, v),
+    "sample_shots": lambda v: sample_shots(UNIFORM, 5, v),
+    "sharp_povm": sharp_povm,
+    "ObservableSet": lambda v: ObservableSet(v, *(chsh_optimal_angles().get(k) for k in "yuv")),
+    "random_density_matrix": random_density_matrix,
+    "classical_bounds_check": classical_bounds_check,
+}
+OBJECTS = {"None": None, "abc": "abc", "tuple": (0.6, 0.6, 0.6, 0.6)}
+
+
+# write_shot_csv's path admits a str, so "abc" is a path there
+OBJECT_CASES = [(entry, bad) for entry in OBJECT for bad in OBJECTS if (entry, bad) != ("write_shot_csv path", "abc")]
+
+
+@pytest.mark.parametrize("entry,bad", OBJECT_CASES)
+def test_a_record_argument_of_another_type_is_refused_with_a_bellshot_error(entry, bad):
+    with pytest.raises(BellshotError, match=r": expected \S+( or \S+)*, got (NoneType|str|tuple)$"):
+        OBJECT[entry](OBJECTS[bad])
 
 
 def admitted(side, value, error) -> "int | str":

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellshot import belltests, cli, inversion, measurement, sampler
+from bellshot import cli, measurement, sampler
 from bellshot.belltests import ensemble_chsh, single_shot_ch_table, single_shot_chsh_table
 from bellshot.cli import SWEEP_BLOCK, _atomic_write, main
 from bellshot.config import ExperimentConfig
@@ -27,13 +27,8 @@ from bellshot.measurement import GammaSet, joint_povm, observed_statistics
 from bellshot.sampler import SHOT_CHUNK, stream_summary
 from bellshot.states import werner_state
 from conftest import ROOT_HALF, SINGLET, near_boundary_config, projector
+from test_mutants import patch, route
 from test_sampler import searchsorted_indices, sequential_shot_csv
-from test_validate import (
-    bloch_operator_with_y_and_z_swapped,
-    born_traces_of_the_transpose,
-    inversion_of_the_reversed_statistics,
-    swapped_product_elements,
-)
 
 TWO_ROOT_TWO = 2.0 * np.sqrt(2.0)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -632,6 +627,23 @@ def test_sweep_grid_errors(tmp_path, capsys):
         assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+class Unlistable(np.ndarray):
+    """A grid numpy can hold but whose list of points cannot be allocated."""
+
+    def tolist(self):
+        raise MemoryError("cannot allocate the list")
+
+
+def test_a_grid_too_large_to_list_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(np, "linspace", lambda start, stop, n: np.zeros(3).view(Unlistable))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", singlet_config(tmp_path), "--out", str(out), "--axis", "werner_eta",
+                 "--grid-range", "0", "1", "30000000"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: sweep --grid-range POINTS 30000000.0 is too many: cannot allocate the list\n")
+    assert os.listdir(out) == []
+
+
 def test_sweep_along_an_unknown_axis_raises_and_writes_nothing(tmp_path):
     # argparse admits only gamma and werner_eta; a direct call names the axis it refuses
     config = ExperimentConfig.from_dict({"state": {"bell": "psi_minus"}, "gammas": ROOT_HALF})
@@ -856,188 +868,17 @@ def test_every_readme_command_parses(capsys):
             pytest.fail(f"{command!r}: {capsys.readouterr().err}")
 
 
-WORST_OUTCOME = re.compile(r"single-shot CHSH paths disagree at "
-                           r"OutcomeIndex\(x=1, y=-1, u=-1, v=-1\): (\S+) vs (\S+)$")
-
-
-def assert_worst_outcome_named(line):
-    found = WORST_OUTCOME.search(line)
-    assert found, line
-    # plain float reprs: float() refuses "np.float64(...)"
-    first, second = (float(value) for value in found.groups())
-    assert abs(first - second) > 1e-10
-
-
-def test_inject_fault_names_the_worst_outcome(capsys, corrupted_kernel):
+def test_inject_fault_names_the_worst_outcome(capsys, monkeypatch):
+    patch(monkeypatch, "corrupted_kernel")
     assert main(["validate", "--seed", "7", "--trials", "1"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "total: 8 checks, FAILURES PRESENT"
     raised = lines.index("  inversion.kernel: 0 checks FAIL")
-    assert lines[raised + 1].startswith("    raised ConsistencyError(")
-    assert_worst_outcome_named(lines[raised + 1].removesuffix("')"))
+    assert route(lines[raised + 1].removeprefix("    raised ConsistencyError('").removesuffix("')")) == (
+        "single-shot CHSH at outcome 7")
     # the exact analysis fails its one trial, and the check goes on
     failed = lines.index("  belltests.exact_analysis: 1 checks FAIL")
-    assert lines[failed + 1].startswith("    trial 0: single-shot CHSH paths disagree at ")
-    assert_worst_outcome_named(lines[failed + 1])
-
-
-CORRUPTIBLE_COMMANDS = {
-    "exact": ["exact"],
-    "run": ["run", "--shots", "100"],
-    "sweep_gamma": ["sweep", "--axis", "gamma", "--grid-range", "0.5", "1", "6"],
-    "sweep_werner_eta": ["sweep", "--axis", "werner_eta", "--grid-values", "0.5", "1"],
-}
-
-
-@pytest.mark.parametrize("corrupt", [False, True], ids=["intact", "corrupted"])
-@pytest.mark.parametrize("command", sorted(CORRUPTIBLE_COMMANDS))
-def test_a_corrupted_kernel_fails_every_command(tmp_path, capsys, request, command, corrupt):
-    if corrupt:
-        request.getfixturevalue("corrupted_kernel")
-    out = tmp_path / "out"
-    code = main([*CORRUPTIBLE_COMMANDS[command], "--config", singlet_config(tmp_path),
-                 "--out", str(out)])
-    err = capsys.readouterr().err
-    if not corrupt:
-        assert (code, err) == (0, "")
-        return
-    assert code == 1
-    assert err.startswith("internal consistency failure: single-shot CHSH paths disagree at ")
-    assert_worst_outcome_named(err.rstrip("\n"))
-    assert os.listdir(out) == []  # nothing half-written is left behind
-
-
-# the route check each command fails under corrupted_inversion, None if it never inverts
-CORRUPTED_INVERSION_FAILS = {
-    "exact": "ensemble CHSH paths disagree at S: ",
-    # the exact analysis runs first, before any shot is drawn
-    "run": "ensemble CHSH paths disagree at S: ",
-    # ensemble_S comes from the gamma-free quasi-distribution, built by Born traces alone
-    "sweep_gamma": None,
-    "sweep_werner_eta": "ensemble CHSH paths disagree at werner_eta ",
-}
-
-
-@pytest.mark.parametrize("command", sorted(CORRUPTIBLE_COMMANDS))
-def test_a_corrupted_inversion_fails_every_command_that_inverts(tmp_path, capsys, corrupted_inversion,
-                                                                command):
-    out = tmp_path / "out"
-    code = main([*CORRUPTIBLE_COMMANDS[command], "--config", singlet_config(tmp_path), "--out", str(out)])
-    err = capsys.readouterr().err
-    route = CORRUPTED_INVERSION_FAILS[command]
-    if route is None:
-        assert (code, err) == (0, "")
-        return
-    assert code == 1
-    assert err.startswith(f"internal consistency failure: {route}"), err
-    assert os.listdir(out) == []
-
-
-def test_run_whose_exact_check_fails_leaves_no_shots_csv(tmp_path, capsys, monkeypatch):
-    # the exact S's route check runs in the exact analysis, before any shot is drawn
-    check = belltests.require_agreement
-
-    def fail_ensemble_chsh(what, first, second, where):
-        if what == "ensemble CHSH":
-            raise ConsistencyError("ensemble CHSH paths disagree at S: forced")
-        check(what, first, second, where)
-
-    monkeypatch.setattr(belltests, "require_agreement", fail_ensemble_chsh)
-    out = tmp_path / "out"
-    assert main(["run", "--shots", "100", "--config", singlet_config(tmp_path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "internal consistency failure: ensemble CHSH paths disagree at S: forced\n")
-    assert os.listdir(out) == []
-
-
-# wiring faults that every constructor and every report's route check admit; the A-B pair
-# marginals of the observed or the quasi-distribution (where p's gap is amplified) miss
-# their kernel-free Born values
-PAIR_ROUTE_MUTANTS = {mutate.__name__: mutate for mutate in (
-    born_traces_of_the_transpose, swapped_product_elements, inversion_of_the_reversed_statistics,
-    bloch_operator_with_y_and_z_swapped)}
-
-
-# the (command, mutant) cells that are equivalent mutants: each writes the rows the intact
-# command writes, byte for byte (True) or up to rounding (False), and exits 0
-EQUIVALENT_CELLS = {
-    # the gamma sweep inverts nothing, so reversing p before an inversion leaves its rows be
-    ("sweep_gamma", "inversion_of_the_reversed_statistics"): True,
-    # a Werner state is real and symmetric, so rho^T is rho
-    ("sweep_werner_eta", "born_traces_of_the_transpose"): True,
-    # a Werner state's pair marginals are those of the opposite signs: its one-qubit marginals
-    # are uniform and its correlations even under the flip
-    ("sweep_werner_eta", "inversion_of_the_reversed_statistics"): False,
-    # the y/z swap is an orthogonal map on both qubits' Bloch vectors, and a Werner state's
-    # correlation -eta a.b is invariant under it
-    ("sweep_werner_eta", "bloch_operator_with_y_and_z_swapped"): False,
-}
-
-
-def sweep_rows(path) -> np.ndarray:
-    with open(path) as fh:
-        return np.array([[float(v) for v in row] for row in list(csv.reader(fh))[1:]])
-
-
-@pytest.mark.parametrize("command", ["exact", "run", "sweep_gamma", "sweep_werner_eta"])
-@pytest.mark.parametrize("mutant", sorted(PAIR_ROUTE_MUTANTS))
-def test_a_wiring_mutant_fails_exact_and_run_on_the_pair_route(tmp_path, capsys, monkeypatch, mutant,
-                                                               command):
-    cfg = write_config(tmp_path, near_boundary_config())
-    argv = CORRUPTIBLE_COMMANDS[command]
-    assert main([*argv, "--config", cfg, "--out", str(tmp_path / "intact")]) == 0
-    PAIR_ROUTE_MUTANTS[mutant](monkeypatch)
-    out = tmp_path / "out"
-    code = main([*argv, "--config", cfg, "--out", str(out)])
-    err = capsys.readouterr().err
-    if (command, mutant) in EQUIVALENT_CELLS:
-        assert (code, err) == (0, "")
-        (name,) = os.listdir(tmp_path / "intact")
-        got, want = out / name, tmp_path / "intact" / name
-        if EQUIVALENT_CELLS[command, mutant]:
-            assert got.read_bytes() == want.read_bytes()
-        else:
-            assert np.abs(sweep_rows(got) - sweep_rows(want)).max() <= 1e-12
-        return
-    assert code == 1
-    assert re.match(r"internal consistency failure: A-B pair marginal paths disagree at "
-                    r"(werner_eta \S+ )?(observed|quasi) \([xy], [uv]\) = \([+-]1, [+-]1\): "
-                    r"\S+ vs \S+\n$", err), err
-    assert os.listdir(out) == []  # no exact.json, no shots.csv, no sweep rows
-
-
-def test_a_draw_outside_its_cdf_interval_fails_run_and_validate(tmp_path, capsys, monkeypatch):
-    # each draw is checked against the cdf apart from _draw's bucket table, so an outcome off
-    # by one fails run before shots.csv is renamed into place, and fails validate's sampler check
-    original = sampler._draw
-    monkeypatch.setattr(sampler, "_draw", lambda cdf, table, u: original(cdf, table, u) ^ 1)
-    out = tmp_path / "out"
-    assert main(["run", "--shots", "1000", "--config", singlet_config(tmp_path), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert re.match(r"internal consistency failure: shot 1 drew outcome \d+ at u = \S+, outside its "
-                    r"cdf interval \[\S+, \S+\)\n$", err), err
-    assert os.listdir(out) == []  # no shots.csv, no temp file
-    assert main(["validate", "--seed", "7", "--trials", "4"]) == 1
-    assert "  sampler.determinism: 0 checks FAIL\n    raised ConsistencyError('shot 1 drew outcome " in (
-        capsys.readouterr().out)
-
-
-def test_a_nan_in_the_stacked_kernel_tables_fails_the_gamma_sweep(tmp_path, capsys, monkeypatch):
-    # the sweep checks its stack of tables by column sums alone, and a NaN sum must fail them
-    original = inversion.kernel_tables
-
-    def kernel_tables(gammas):
-        tables = original(gammas)
-        tables[..., 3, 5] = np.nan
-        return tables
-
-    monkeypatch.setattr(inversion, "kernel_tables", kernel_tables)
-    out = tmp_path / "out"
-    code = main(["sweep", "--axis", "gamma", "--grid-values", "0.6", "0.7",
-                 "--config", singlet_config(tmp_path), "--out", str(out)])
-    assert (code, *capsys.readouterr()) == (
-        1, "", "internal consistency failure: kernel column sums deviate from 1 by nan\n")
-    assert os.listdir(out) == []
+    assert route(lines[failed + 1].removeprefix("    trial 0: ")) == "single-shot CHSH at outcome 7"
 
 
 def test_gammas_below_the_amplification_floor_exit_2(tmp_path, capsys):
