@@ -22,6 +22,7 @@ from . import inversion, linalg, measurement
 from .errors import ConsistencyError, InvalidDistribution, checked_instance, fill, record
 from .inversion import InversionKernel, QuasiDistribution
 from .measurement import OUTCOMES, PAIR_MARGINALS, OutcomeIndex
+from .states import DensityMatrix
 
 CHSH_BOUND = 2.0
 CH_UPPER_BOUND = 0.0
@@ -328,18 +329,27 @@ def require_born_pair_marginals(rho, settings, routes: dict, point=lambda *k: ""
     require_agreement("A-B pair marginal", marginals, born, where)
 
 
+def ensemble_analysis(rho, settings, povm, kernel, chsh_table, point=lambda *k: ""):
+    """(p, q, S) of a state or a stack rho (..., 4, 4) under povm and kernel, with q's sums, S's two
+    routes and p's and q's Born pair marginals checked; point(*k) names state k, "" a single one."""
+    p = measurement.born_probabilities(rho, povm)
+    q = inversion.inverted_entries(kernel, p)
+    inversion.require_quasi_entries(q)
+    s = ensemble_chsh_values(q)
+    require_agreement("ensemble CHSH", s, p @ chsh_table, lambda *k: point(*k).rstrip() or "S")
+    require_born_pair_marginals(rho, settings, {"observed": (p, povm.gammas.as_tuple()),
+                                                "quasi": (q, (1.0,) * 4)}, point)
+    return p, q, s
+
+
 def exact_analysis(state, settings, gammas):
     """The exact analysis of one configuration, without I/O, as (kernel, observed, quasi, chsh,
-    ch): the joint POVM's statistics of state, their one inversion and both reports, each with
-    its route checks, and last the kernel-free check of both against their Born pair marginals."""
-    povm = measurement.joint_povm(settings, gammas)
-    kernel = inversion.build_kernel(gammas)
-    observed = measurement.observed_statistics(state, povm)
-    quasi = inversion.invert_distribution(kernel, observed)
-    chsh, ch = chsh_report(kernel, observed, quasi), ch_report(kernel, observed, quasi)
-    require_born_pair_marginals(state.matrix, settings, {"observed": (observed, gammas.as_tuple()),
-                                                         "quasi": (quasi.entries, (1.0,) * 4)})
-    return kernel, observed, quasi, chsh, ch
+    ch): ensemble_analysis of state under the joint POVM and its kernel, and both reports."""
+    povm, kernel = measurement.joint_povm(settings, gammas), inversion.build_kernel(gammas)
+    rho, table = checked_instance(state, DensityMatrix, "state").matrix, single_shot_chsh_table(kernel)
+    observed, q, s = ensemble_analysis(rho, settings, povm, kernel, table)
+    quasi = QuasiDistribution(q)
+    return kernel, observed, quasi, ChshReport(S_VALUES, float(s), table), ch_report(kernel, observed, quasi)
 
 
 linalg.read_only(globals())

@@ -167,9 +167,8 @@ def cmd_exact(config: ExperimentConfig, out_dir: str) -> int:
 def cmd_run(config: ExperimentConfig, out_dir: str) -> int:
     """Sample shots, log them as CSV, and summarize convergence as JSON. The shots are
     drawn in chunks, written and summed on the way; a second pass redraws them for the
-    spread, so memory does not grow with the shot count. The exact analysis, with its route
-    checks, runs before any shot is drawn; the shot mean and the inverted frequencies give
-    the empirical S along two routes, which must agree before shots.csv is renamed into place."""
+    spread, so memory does not grow with the shot count. The exact analysis runs before any
+    shot is drawn, and the empirical one, route checks included, before shots.csv is renamed."""
     if config.shots < 1:
         raise ConfigError("run requires shots >= 1 (set shots in config or pass --shots)")
     kernel, observed, _, chsh, _ = belltests.exact_analysis(config.state, config.settings, config.gammas)
@@ -179,15 +178,8 @@ def cmd_run(config: ExperimentConfig, out_dir: str) -> int:
         raise ConfigError(f"shots: {exc}") from None
     csv_path = os.path.join(out_dir, "shots.csv")
 
-    def write(fh):
-        counts, summary = sampler.stream_summary(chsh.single_shot_S, shots, fh)
-        quasi = inversion.invert_distribution(kernel, counts / summary["shots"])
-        via_freqs = belltests.ensemble_chsh(quasi)
-        belltests.require_agreement("empirical S", via_freqs, summary["mean_S"],
-                                    lambda: "frequency inversion vs shot mean")
-        return summary, quasi, via_freqs
-
-    summary, empirical_quasi, via_freqs = _atomic_write(csv_path, write)
+    summary, empirical_quasi, via_freqs = _atomic_write(
+        csv_path, functools.partial(sampler.empirical_analysis, kernel, chsh.single_shot_S, shots))
     payload = {
         "shots": summary["shots"],
         "seed": config.seed,
@@ -230,19 +222,18 @@ def _sweep_columns(config: ExperimentConfig, axis: str, grid: list[float]):
     """Sweep columns, one tuple per SWEEP_BLOCK grid points. Along gamma, kernels and realizability
     are stacked against one gamma-free quasi-distribution, whose ensemble S (on that one route)
     and min entry survive the exact inversion, and whose pair marginals are checked once against
-    their sharp Born values; along werner_eta, states and quasi-distributions are stacked against
-    kernel columns computed once, ensemble S passes both routes, and each block's observed and
-    quasi pair marginals are checked against their Born values. A column that is the same over
-    the whole sweep is given once, as its CSV text."""
+    their sharp Born values; along werner_eta, each block of states takes exact's ensemble
+    analysis, route checks included, against kernel columns computed once. A column that is the
+    same over the whole sweep is given once, as its CSV text."""
     def kernel_columns(chsh, gammas):  # abs_single_shot_S, ch_min, ch_max
         ch = belltests.single_shot_ch_tables(gammas)
         return np.abs(chsh).max(axis=-1), ch.min(axis=(-2, -1)), ch.max(axis=(-2, -1))
 
     if axis == "gamma":
-        quasi = inversion.gamma_free_quasi(config.state, config.settings).entries
+        quasi = inversion.gamma_free_quasi(config.state, config.settings)
         belltests.require_born_pair_marginals(config.state.matrix, config.settings,
-                                              {"quasi": (quasi, (1.0,) * 4)})
-        ensemble_S, min_quasi = (_text(v) for v in (belltests.ensemble_chsh_values(quasi), quasi.min()))
+                                              {"quasi": (quasi.entries, (1.0,) * 4)})
+        ensemble_S, min_quasi = (_text(v) for v in (belltests.ensemble_chsh(quasi), quasi.min_entry()))
     elif axis == "werner_eta":
         kernel = inversion.build_kernel(config.gammas)
         povm = measurement.joint_povm(config.settings, config.gammas)
@@ -269,15 +260,8 @@ def _sweep_columns(config: ExperimentConfig, axis: str, grid: list[float]):
             if np.any(bad):
                 raise ConfigError(f"sweep werner_eta {values[np.argmax(bad)]!r} outside [0, 1]")
             rho = states.density_matrices(states.werner_matrices(points), stack_axes=1)
-            p = measurement.born_probabilities(rho, povm)
-            quasi = inversion.inverted_entries(kernel, p)
-            inversion.require_quasi_entries(quasi)
-            ensemble_S = belltests.ensemble_chsh_values(quasi)
-            belltests.require_agreement("ensemble CHSH", ensemble_S, p @ chsh,
-                                        lambda i: f"werner_eta {values[i]!r}")
-            routes = {"observed": (p, config.gammas.as_tuple()), "quasi": (quasi, (1.0,) * 4)}
-            belltests.require_born_pair_marginals(rho, config.settings, routes,
-                                                  lambda i: f"werner_eta {values[i]!r} ")
+            _, quasi, ensemble_S = belltests.ensemble_analysis(
+                rho, config.settings, povm, kernel, chsh, lambda i: f"werner_eta {values[i]!r} ")
             min_quasi = quasi.min(axis=-1)
         yield points, ensemble_S, *kernel_side, min_quasi, realizable_column
 

@@ -26,11 +26,11 @@ import os
 
 import numpy as np
 
-from . import belltests, linalg, measurement
+from . import belltests, inversion, linalg, measurement
 from .errors import (ConsistencyError, EmptyShotList, InvalidDistribution, OutOfRange, checked_instance, fill,
                      record, shown)
 from .inversion import InversionKernel
-from .measurement import OUTCOMES, OutcomeIndex
+from .measurement import OUTCOMES, PAIR_MARGINALS, SIGNS, OutcomeIndex
 
 # [low, high) and kind of every integer input, from a config document, argv or a call:
 # checked_integer admits each. Past MAX_SHOTS a running mean's divisor is no longer exact.
@@ -316,6 +316,23 @@ def stream_summary(table: np.ndarray, shots, csv=None) -> tuple[np.ndarray, dict
         "sample_std": std,
         "std_error": std / math.sqrt(shots.n) if std is not None else None,
     }
+
+
+def empirical_analysis(kernel: InversionKernel, table: np.ndarray, shots, csv=None):
+    """stream_summary of shots and the inversion of their frequencies, as (summary, quasi, S):
+    S, quasi's ensemble CHSH, must agree with the shot mean, and quasi's A-B pair marginals
+    with the frequencies' pair marginals inverted per pair by the one-observable kernels."""
+    counts, summary = stream_summary(table, shots, csv)
+    freqs = counts / summary["shots"]
+    quasi = inversion.invert_distribution(kernel, freqs)
+    s = belltests.ensemble_chsh(quasi)
+    belltests.require_agreement("empirical S", s, summary["mean_S"], lambda: "frequency inversion vs shot mean")
+    k = np.array([inversion.kernel_1d(g) for g in kernel.gammas.as_tuple()])  # x, y, u, v
+    pairs = k[[0, 0, 1, 1]] @ (freqs @ PAIR_MARGINALS).reshape(4, 2, 2) @ k[[2, 3, 2, 3]].swapaxes(1, 2)
+    belltests.require_agreement("empirical pair marginal", quasi.entries @ PAIR_MARGINALS, pairs.ravel(),
+                                lambda c: f"({'xxyy'[c // 4]}, {'uvuv'[c // 4]}) = "
+                                          f"({SIGNS[c // 2 % 2]:+d}, {SIGNS[c % 2]:+d})")
+    return summary, quasi, s
 
 
 def convergence_report(kernel: InversionKernel, shots) -> dict:

@@ -85,24 +85,6 @@ def random_unit(rng):
     return v / np.linalg.norm(v)
 
 
-def admissible_draw(rng):
-    """Random settings plus gammas strictly inside the positivity region.
-
-    Worst-case Bloch norm of a subsystem element is
-    sqrt(g1^2 + g2^2 + 2 g1 g2 |n1.n2|); pairs exceeding 1 are scaled back.
-    """
-    blochs = [random_unit(rng) for _ in range(4)]
-    gs = list(rng.uniform(0.3, 0.95, size=4))
-    for i, j in ((0, 1), (2, 3)):
-        c = abs(float(blochs[i] @ blochs[j]))
-        worst = np.sqrt(gs[i] ** 2 + gs[j] ** 2 + 2.0 * gs[i] * gs[j] * c)
-        if worst > 1.0:
-            scale = (1.0 - 1e-9) / worst
-            gs[i] *= scale
-            gs[j] *= scale
-    return observable_set(*blochs), GammaSet(*gs)
-
-
 @pytest.fixture
 def optimal_settings():
     return observable_set(*(OPTIMAL_BLOCHS[k] for k in ("x", "y", "u", "v")))

@@ -37,8 +37,9 @@ from bellshot import (
 )
 from bellshot.cli import main
 from bellshot.observables import ObservableLabel
-from conftest import (ROOT_HALF, SINGLET, admissible_draw, inverted_pair_operators, one_marginal,
-                      pair_marginals, projector, sampling_cdf)
+from bellshot.validate import random_admissible_settings
+from conftest import (ROOT_HALF, SINGLET, inverted_pair_operators, one_marginal, pair_marginals, projector,
+                      sampling_cdf)
 
 TWO_ROOT_TWO = 2.0 * np.sqrt(2.0)
 S_VEC = np.array([float(s_of_xi(xi)) for xi in OUTCOMES])
@@ -147,7 +148,7 @@ def test_criterion_4_ensemble_decompositions_agree():
     worst_chsh = 0.0
     worst_ch = 0.0
     for _ in range(100):
-        settings, gammas = admissible_draw(rng)
+        settings, gammas = random_admissible_settings(rng)
         kernel = build_kernel(gammas)
         povm = joint_povm(settings, gammas)
         rho = random_density_matrix(rng)
@@ -191,7 +192,7 @@ def test_criterion_5_exact_statistics_recovery():
     worst_povm = 0.0
     worst_born = 0.0
     for _ in range(100):
-        settings, gammas = admissible_draw(rng)
+        settings, gammas = random_admissible_settings(rng)
         kernel = build_kernel(gammas)
         povm = joint_povm(settings, gammas)
         rho = random_density_matrix(rng)

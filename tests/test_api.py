@@ -76,7 +76,7 @@ from bellshot.errors import ConfigError, OutOfRange
 from bellshot.sampler import MAX_SHOTS, ShotDraws
 from conftest import OPTIMAL_BLOCHS, ROOT_HALF
 from test_cli import singlet_config
-from test_mutants import COMMANDS
+from test_mutants import COMMANDS, VALIDATE
 
 PACKAGE = Path(bellshot.__file__).resolve().parent
 PIPELINE = ("linalg", "states", "observables", "measurement", "inversion", "belltests", "sampler")
@@ -194,27 +194,34 @@ def test_pipeline_functions_are_called_through_their_module():
 
 STAGES = {measurement: ("born_traces", "product_povm", "born_probabilities"),
           inversion: ("kernel_tables", "invert_distribution"),
-          belltests: ("single_shot_chsh_tables",)}
+          belltests: ("single_shot_chsh_tables", "ensemble_analysis"),
+          sampler: ("empirical_analysis",)}
 
 # the calls each command makes to each stage, directly or through another stage
 ALL_FOUR = {"born_traces": 1, "product_povm": 1, "born_probabilities": 1, "kernel_tables": 1}
+EXACT = {**ALL_FOUR, "single_shot_chsh_tables": 1, "ensemble_analysis": 1}
 STAGE_CALLS = {
-    # once, for exact.json's quasi-distribution and both reports
-    "exact": {**ALL_FOUR, "invert_distribution": 1, "single_shot_chsh_tables": 1},
-    # the exact analysis once, whose single-shot table the shots are valued by; the
-    # frequencies once, checked against the shot mean
-    "run": {**ALL_FOUR, "invert_distribution": 2, "single_shot_chsh_tables": 1},
+    # the ensemble analysis once, for exact.json's quasi-distribution and both reports
+    "exact": EXACT,
+    # the exact analysis once, whose single-shot table the shots are valued by; the empirical
+    # analysis once, whose frequencies' one inversion is checked against the shot mean
+    "run": {**EXACT, "invert_distribution": 1, "empirical_analysis": 1},
     "sweep_gamma": {"born_traces": 1, "product_povm": 1, "kernel_tables": 1, "single_shot_chsh_tables": 1},
-    "sweep_werner_eta": {"born_traces": 1, "product_povm": 1, "born_probabilities": 1, "kernel_tables": 1,
-                         "single_shot_chsh_tables": 1},
+    # the ensemble analysis once per block, of one block here
+    "sweep_werner_eta": {**EXACT, "born_traces": 1},
+    # the exact analysis in each of 4 trials and once in the sampler check, whose draws take
+    # the empirical analysis once; the inversion check builds 4 POVMs and 5 kernels
+    "validate": {"born_traces": 5, "product_povm": 9, "born_probabilities": 5, "kernel_tables": 10,
+                 "single_shot_chsh_tables": 6, "ensemble_analysis": 5, "invert_distribution": 1,
+                 "empirical_analysis": 1},
 }
 
 
 def test_readme_exact_admission_count_is_pinned(tmp_path, monkeypatch):
-    # 19 linalg.as_finite calls: the state and the four gammas (one pass); the four
-    # observables and their four Bloch operators; the kernel table, and the observed
-    # statistics and quasi-distribution of the one inversion; the observed statistics again
-    # in each report; the four report arrays in classical_bounds_check
+    # 17 linalg.as_finite calls: the state and the four gammas (one pass); the four
+    # observables and their four Bloch operators; the kernel table; the quasi-distribution
+    # of the one inversion; the observed statistics in the CH report; the four report arrays
+    # in classical_bounds_check
     calls = Counter()
     admit = linalg.as_finite
 
@@ -224,11 +231,11 @@ def test_readme_exact_admission_count_is_pinned(tmp_path, monkeypatch):
 
     monkeypatch.setattr(linalg, "as_finite", counted)
     assert main(["exact", "--config", singlet_config(tmp_path), "--out", str(tmp_path / "out")]) == 0
-    assert sum(calls.values()) == 19, calls
-    assert calls["observed statistics"] == 3 and calls["quasi-distribution"] == 1
+    assert sum(calls.values()) == 17, calls
+    assert calls["observed statistics"] == 1 and calls["quasi-distribution"] == 1
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("command", [*sorted(COMMANDS), "validate"])
 def test_a_stage_patched_on_its_module_reaches_every_command(tmp_path, monkeypatch, command):
     calls = Counter()
 
@@ -241,8 +248,11 @@ def test_a_stage_patched_on_its_module_reaches_every_command(tmp_path, monkeypat
     for module, names in STAGES.items():
         for name in names:
             monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
-    argv = [*COMMANDS[command], "--config", singlet_config(tmp_path)]
-    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    if command == "validate":
+        argv = VALIDATE
+    else:
+        argv = [*COMMANDS[command], "--config", singlet_config(tmp_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
     assert calls == STAGE_CALLS[command]
 
 

@@ -47,6 +47,7 @@ from bellshot.belltests import (
     require_born_pair_marginals,
 )
 from bellshot.states import werner_matrices
+from bellshot.validate import random_admissible_settings
 from conftest import (
     OPTIMAL_BLOCHS,
     ROOT_HALF,
@@ -54,7 +55,6 @@ from conftest import (
     SX,
     SY,
     SZ,
-    admissible_draw,
     projector,
     random_state_matrix,
     random_unit,
@@ -241,7 +241,7 @@ def test_tsirelson_bound_through_pipeline():
     rng = np.random.default_rng(64)
     rho = bell_state(BellState.PSI_MINUS)
     for _ in range(40):
-        settings, gammas = admissible_draw(rng)
+        settings, gammas = random_admissible_settings(rng)
         povm = joint_povm(settings, gammas)
         p = observed_statistics(rho, povm)
         kernel = build_kernel(gammas)
@@ -420,7 +420,7 @@ def test_chsh_report_fields(optimal_settings, root_half_gammas):
 def test_reports_on_random_states():
     rng = np.random.default_rng(65)
     for _ in range(8):
-        settings, gammas = admissible_draw(rng)
+        settings, gammas = random_admissible_settings(rng)
         povm = joint_povm(settings, gammas)
         rho = custom_state(random_state_matrix(rng))
         p = observed_statistics(rho, povm)

@@ -1,8 +1,9 @@
 """Every exit-2 config message, pinned whole: one malformed input per
 refusal branch of the config rules, each run through `main` in-process.
 
-A config document goes to `exact`; the flag cases run `run` or `validate`
-with one bad value; the file cases write or omit `config.json` itself.
+A config document goes to `exact`; the flag cases run `run`, `sweep` or
+`validate` with one bad value; the file cases write or omit `config.json`
+itself.
 Each case must exit 2 with nothing on stdout and exactly one stderr line,
 `config error: <message>`.
 
@@ -35,6 +36,11 @@ SETTINGS = {"x": [0, 0, 1], "y": [1, 0, 0], "u": [0, 1, 0], "v": [0, 0, 1]}
 STATE_SHAPE = ('state: expected exactly one of {"bell": name}, {"werner": eta}, '
                '{"custom": {"real": 4x4, "imag": 4x4}}')
 GAMMAS_KIND = 'a single real or keys "x", "y", "u", "v"'
+BELL_NAMES = "expected one of phi_plus, phi_minus, psi_plus, psi_minus"
+
+
+def nested(value: str, depth: int) -> str:
+    return "[" * depth + value + "]" * depth
 
 
 def doc(**fields):
@@ -51,14 +57,14 @@ DOCUMENTS = {
     "state_not_object": (doc(state="psi_minus"), STATE_SHAPE),
     "state_two_kinds": (doc(state={"bell": "psi_minus", "werner": 0.5}), STATE_SHAPE),
     "state_unknown_kind": (doc(state={"qutrit": 1}), "state: unknown kind 'qutrit'"),
-    "bell_name": (doc(state={"bell": "psiminus"}),
-                  "state.bell: unknown name 'psiminus'; "
-                  "expected one of phi_plus, phi_minus, psi_plus, psi_minus"),
+    "bell_name": (doc(state={"bell": "psiminus"}), f"state.bell: unknown name 'psiminus'; {BELL_NAMES}"),
     "bell_deep_name": (doc(state={"bell": [[[[[[[[[[1]]]]]]]]]]}),
-                       "state.bell: unknown name [[[[[[[[[...]]]]]]]]]; "
-                       "expected one of phi_plus, phi_minus, psi_plus, psi_minus"),
+                       f"state.bell: unknown name {nested('...', 9)}; {BELL_NAMES}"),
     "werner_not_real": (doc(state={"werner": "0.5"}),
                         "state.werner: expected a real in [0, 1], got '0.5'"),
+    "werner_bool": (doc(state={"werner": True}), "state.werner: expected a real in [0, 1], got True"),
+    "werner_past_float_range": (doc(state={"werner": 10**400}),
+                                f"state.werner: expected a real in [0, 1], got {10**400}"),
     "werner_range": (doc(state={"werner": 1.5}), "state.werner: werner eta = 1.5 outside [0, 1]"),
     "custom_keys": (doc(state={"custom": {"real": ZEROS}}),
                     'state.custom: expected {"real": 4x4 table, "imag": 4x4 table}'),
@@ -67,6 +73,11 @@ DOCUMENTS = {
                           "[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]"),
     "custom_imag_bool": (doc(state={"custom": {"real": ZEROS, "imag": True}}),
                          "state.custom.imag: expected a 4x4 table of reals, got True"),
+    "custom_imag_int": (doc(state={"custom": {"real": ZEROS, "imag": 0}}),
+                        "state.custom.imag: expected a 4x4 table of reals, got 0"),
+    "custom_imag_bools": (doc(state={"custom": {"real": ZEROS, "imag": [[False] * 4] * 4}}),
+                          "state.custom.imag: expected a 4x4 table of reals, got "
+                          f"{[[False] * 4] * 4}"),
     "custom_not_psd": (doc(state={"custom": {"real": NOT_PSD, "imag": ZEROS}}),
                        "state.custom: density matrix: min eigenvalue = -0.5 below -1e-10"),
     "observables_not_object": (doc(observables=[1, 2]),
@@ -77,12 +88,19 @@ DOCUMENTS = {
                          'observables: expected keys "x", "y", "u", "v" (Bloch 3-vectors)'),
     "observables_x_shape": (doc(observables={**SETTINGS, "x": [1, 0]}),
                             "observables.x: expected a 3-vector of reals, got [1, 0]"),
+    "observables_x_bool": (doc(observables={**SETTINGS, "x": [True, 0, 0]}),
+                           "observables.x: expected a 3-vector of reals, got [True, 0, 0]"),
     "observables_not_unit": (doc(observables={**SETTINGS, "x": [2, 0, 0]}),
                              "observables: observable x: |bloch| = 2.0, expected 1"),
     "gammas_scalar": (doc(gammas="0.5"), f"gammas: expected {GAMMAS_KIND}, got '0.5'"),
+    "gammas_bool": (doc(gammas=True), f"gammas: expected {GAMMAS_KIND}, got True"),
     "gammas_keys": (doc(gammas={"x": 0.5, "y": 0.5, "u": 0.5}), f"gammas: expected {GAMMAS_KIND}"),
     "gammas_x": (doc(gammas={"x": None, "y": 0.5, "u": 0.5, "v": 0.5}),
                  "gammas.x: expected a real, got None"),
+    "gammas_x_text": (doc(gammas={"x": "0.5", "y": 0.5, "u": 0.5, "v": 0.5}),
+                      "gammas.x: expected a real, got '0.5'"),
+    "gammas_v_null": (doc(gammas={"x": 0.5, "y": 0.5, "u": 0.5, "v": None}),
+                      "gammas.v: expected a real, got None"),
     "gammas_above_one": (doc(gammas=1.5), "gammas: gamma_x = 1.5: |gamma| must lie in [0.00177636, 1]"),
     "gammas_v_above_one": (doc(gammas={"x": 0.5, "y": 0.5, "u": 0.5, "v": -1.5}),
                            "gammas: gamma_v = -1.5: |gamma| must lie in [0.00177636, 1]"),
@@ -96,7 +114,9 @@ DOCUMENTS = {
     "seed_2_64": (doc(seed=2**64),
                   "seed: expected an unsigned 64-bit integer, got 18446744073709551616"),
     "seed_float": (doc(seed=1.0), "seed: expected an unsigned 64-bit integer, got 1.0"),
+    "seed_bool": (doc(seed=True), "seed: expected an unsigned 64-bit integer, got True"),
     "stream_count_zero": (doc(stream_count=0), "stream_count: expected a positive integer, got 0"),
+    "stream_count_bool": (doc(stream_count=True), "stream_count: expected a positive integer, got True"),
 }
 
 FLAGS = {
@@ -114,6 +134,11 @@ FLAGS = {
     "validate_trials_zero": (["validate", "--trials", "0"], "trials: expected a positive integer, got 0"),
     "validate_trials_negative": (["validate", "--trials", "-2"],
                                  "trials: expected a positive integer, got -2"),
+    "sweep_points_fractional": (["sweep", "--axis", "werner_eta", "--grid-range", "0", "1", "2.5"],
+                                "sweep --grid-range POINTS must be an integer, got 2.5"),
+    # beyond numpy's size limit, so linspace refuses before allocating
+    "sweep_points_past_numpy": (["sweep", "--axis", "werner_eta", "--grid-range", "0", "1", "1e300"],
+                                "sweep --grid-range POINTS 1e+300 is too many: Maximum allowed size exceeded"),
 }
 
 # None: no file at the path; ...: a directory there
@@ -124,6 +149,15 @@ FILES = {
                                 "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     "too_deep": (b"[" * 100000, "config file nests too deeply to decode: {path}"),
     "not_json": (b'{"state": ', "config is not valid JSON: Expecting value: line 1 column 11 (char 10)"),
+    # deep lists in a field are refused unwalked, and shown only 8 levels down
+    "gammas_400_deep": (f'{{"state": {{"bell": "psi_minus"}}, "gammas": {nested("0.5", 400)}}}'.encode(),
+                        f"gammas: expected {GAMMAS_KIND}, got {nested('...', 9)}"),
+    "gammas_300_deep": (f'{{"state": {{"bell": "psi_minus"}}, "gammas": {nested("0.5", 300)}}}'.encode(),
+                        f"gammas: expected {GAMMAS_KIND}, got {nested('...', 9)}"),
+    "bell_400_deep": (f'{{"state": {{"bell": {nested("", 400)}}}, "gammas": 0.5}}'.encode(),
+                      f"state.bell: unknown name {nested('...', 9)}; {BELL_NAMES}"),
+    "shots_400_deep": (f'{{"state": {{"bell": "psi_minus"}}, "gammas": 0.5, "shots": {nested("", 400)}}}'.encode(),
+                       f"shots: expected a nonnegative integer, got {nested('...', 9)}"),
 }
 
 
@@ -145,7 +179,7 @@ def test_each_config_refusal_prints_its_whole_message(tmp_path, capsys, case):
 @pytest.mark.parametrize("case", list(FLAGS))
 def test_each_flag_refusal_prints_its_whole_message(tmp_path, capsys, case):
     argv, message = FLAGS[case]
-    if argv[0] == "run":
+    if argv[0] != "validate":
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc(shots=10)))
         argv = [*argv, "--config", str(path), "--out", str(tmp_path)]
@@ -162,6 +196,15 @@ def test_each_unreadable_file_prints_its_whole_message(tmp_path, capsys, case):
         path.write_bytes(content)
     argv = ["exact", "--config", str(path), "--out", str(tmp_path / "out")]
     assert refusal(capsys, argv) == (2, "", f"config error: {message.format(path=path)}\n")
+
+
+def test_an_int_past_the_digit_limit_exits_2_naming_the_decoder(tmp_path, capsys):
+    # the decoder's own text follows the prefix, and it is CPython's, so only the prefix is pinned
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"gammas": 1' + b"0" * 5000 + b"}")
+    code, out, err = refusal(capsys, ["exact", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert (code, out) == (2, "") and err.startswith("config error: config is not valid JSON: Exceeds the limit")
+    assert err.count("\n") == 1
 
 
 def test_the_exit_code_fuzz_draws_every_config_field():

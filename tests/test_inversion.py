@@ -21,10 +21,10 @@ from bellshot import (
 from bellshot.errors import ConsistencyError, GammaOutOfRange, InvalidDistribution, OutOfRange
 from bellshot.inversion import require_quasi_entries
 from bellshot.measurement import OUTCOMES
+from bellshot.validate import random_admissible_settings
 
 from conftest import (
     ROOT_HALF,
-    admissible_draw,
     inverted_pair_operators,
     one_marginal,
     pair_marginals,
@@ -100,7 +100,7 @@ def test_build_kernel_factorizes():
 def test_build_kernel_column_sums():
     rng = np.random.default_rng(53)
     for _ in range(20):
-        _, gammas = admissible_draw(rng)
+        _, gammas = random_admissible_settings(rng)
         kernel = build_kernel(gammas)
         assert np.abs(kernel.table.sum(axis=0) - 1.0).max() < 1e-12
 
@@ -134,7 +134,7 @@ def test_invert_uniform_stays_uniform():
 def test_quasi_distribution_sums_to_one():
     rng = np.random.default_rng(55)
     for _ in range(25):
-        settings, gammas = admissible_draw(rng)
+        settings, gammas = random_admissible_settings(rng)
         povm = joint_povm(settings, gammas)
         kernel = build_kernel(gammas)
         rho = custom_state(random_state_matrix(rng))
@@ -170,7 +170,7 @@ def test_the_kernel_on_the_joint_povm_gives_sharp_pair_projectors():
     # applied to the product POVM, marginalized by PAIR_MARGINALS, gives sharp projector pairs
     rng = np.random.default_rng(56)
     for _ in range(25):
-        settings, gammas = admissible_draw(rng)
+        settings, gammas = random_admissible_settings(rng)
         povm = joint_povm(settings, gammas)
         kernel = build_kernel(gammas)
         for pair, operators in inverted_pair_operators(kernel, povm).items():
@@ -184,7 +184,7 @@ def test_the_kernel_on_the_joint_povm_gives_sharp_pair_projectors():
 def test_cross_marginals_match_born_probabilities():
     rng = np.random.default_rng(57)
     for _ in range(15):
-        settings, gammas = admissible_draw(rng)
+        settings, gammas = random_admissible_settings(rng)
         povm = joint_povm(settings, gammas)
         kernel = build_kernel(gammas)
         raw = random_state_matrix(rng)
@@ -242,7 +242,7 @@ def test_labels_may_be_given_as_strings():
 
 def test_single_marginals_match_born_probabilities():
     rng = np.random.default_rng(58)
-    settings, gammas = admissible_draw(rng)
+    settings, gammas = random_admissible_settings(rng)
     povm = joint_povm(settings, gammas)
     kernel = build_kernel(gammas)
     raw = random_state_matrix(rng)

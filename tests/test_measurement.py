@@ -32,11 +32,11 @@ from bellshot.measurement import (
     born_traces,
 )
 from bellshot.errors import ConsistencyError, GammaOutOfRange, NotPositive, OutOfRange
+from bellshot.validate import random_admissible_settings
 
 from conftest import (
     OPTIMAL_BLOCHS,
     ROOT_HALF,
-    admissible_draw,
     bloch_matrix,
     random_state_matrix,
     random_unit,
@@ -223,7 +223,7 @@ def test_rejection_names_b_alone_and_a_before_b():
 def test_subsystem_completeness():
     rng = np.random.default_rng(41)
     for _ in range(25):
-        settings, gammas = admissible_draw(rng)
+        settings, gammas = random_admissible_settings(rng)
         povm = joint_povm(settings, gammas)
         for elements in (povm.subsystem_a, povm.subsystem_b):
             assert np.abs(elements.sum(axis=0) - np.eye(2)).max() < 1e-12
@@ -247,7 +247,7 @@ def test_marginal_elements_random_settings():
     # each observable's unsharp element (I + w gamma n.sigma) / 2 beside the identity
     rng = np.random.default_rng(42)
     for _ in range(25):
-        settings, gammas = admissible_draw(rng)
+        settings, gammas = random_admissible_settings(rng)
         povm = joint_povm(settings, gammas)
         pairs = np.tensordot(PAIR_MARGINALS, povm.product, axes=(0, 0)).reshape(4, 2, 2, 4, 4)
         marginals = {"x": pairs[0].sum(axis=1), "y": pairs[2].sum(axis=1),
@@ -285,7 +285,7 @@ def test_observed_statistics_singlet_closed_form(optimal_settings, root_half_gam
 def test_observed_statistics_against_trace_oracle():
     rng = np.random.default_rng(43)
     for _ in range(20):
-        settings, gammas = admissible_draw(rng)
+        settings, gammas = random_admissible_settings(rng)
         povm = joint_povm(settings, gammas)
         raw = random_state_matrix(rng)
         rho = custom_state(raw)
@@ -313,7 +313,7 @@ def test_born_probabilities_stack_matches_observed_statistics(optimal_settings, 
 def test_born_traces_of_a_stack_are_each_states_to_the_bit(shape):
     # the stack goes through one 2-D matmul of all its rows, each state alone through its own
     rng = np.random.default_rng(len(shape) * 1000 + shape[0])
-    povm = joint_povm(*admissible_draw(rng))
+    povm = joint_povm(*random_admissible_settings(rng))
     stack = np.array([random_state_matrix(rng) for _ in range(np.prod(shape))]).reshape(*shape, 4, 4)
     traces = born_traces(stack, povm.product)
     assert traces.shape == (*shape, 16)
@@ -326,7 +326,7 @@ def test_marginal_recovery_of_statistics():
     # summing the observed statistics over three outcomes reproduces the
     # one-observable unsharp probability
     rng = np.random.default_rng(44)
-    settings, gammas = admissible_draw(rng)
+    settings, gammas = random_admissible_settings(rng)
     povm = joint_povm(settings, gammas)
     rho = random_density_matrix(rng)
     probs = observed_statistics(rho, povm).reshape(2, 2, 2, 2)
@@ -339,7 +339,7 @@ def test_marginal_recovery_of_statistics():
 
 def test_observed_statistics_linear_in_state():
     rng = np.random.default_rng(45)
-    settings, gammas = admissible_draw(rng)
+    settings, gammas = random_admissible_settings(rng)
     povm = joint_povm(settings, gammas)
     r1 = random_state_matrix(rng)
     r2 = random_state_matrix(rng)

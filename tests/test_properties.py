@@ -47,12 +47,12 @@ from bellshot.measurement import (
     realizable,
     subsystem_elements,
 )
+from bellshot.validate import random_admissible_settings
 
 from conftest import (
     SX,
     SY,
     SZ,
-    admissible_draw,
     bloch_matrix,
     fixed_17g_strings,
     one_marginal,
@@ -358,7 +358,7 @@ def test_the_correlation_matrix_route_catches_each_mutant(mutant):
     rng = np.random.default_rng(1006)
     cases = []
     for _ in range(20):  # unequal random gammas, so that no swap or scale is a no-op
-        obs, gammas = admissible_draw(rng)
+        obs, gammas = random_admissible_settings(rng)
         cases.append((random_state_matrix(rng), obs, gammas))
     assert max(gap(*case) for case in cases) <= linalg.DUAL_PATH_TOL
     with pytest.MonkeyPatch.context() as patch:

@@ -166,16 +166,16 @@ def test_only_the_sampler_reads_the_text_format():
 
 
 def test_only_the_exact_analysis_reads_the_born_pair_route():
-    # one kernel-free Born reference route, run in one function, which the exact analysis of
-    # every command that analyses a configuration and the gamma sweep call; a second caller of
-    # the route or of that function written anywhere else fails here
+    # one kernel-free Born reference route, run in one function, which the ensemble analysis
+    # that exact, run, validate and the Werner sweep share and the gamma sweep call; a second
+    # caller of the route or of that function written anywhere else fails here
     def readers(name):
         return {(path.name, getattr(node, "name", "<module>")) for path in sorted(PACKAGE.glob("*.py"))
                 for node in ast.parse(path.read_text()).body if loads(node, name)}
 
     assert readers("pauli_correlations") | readers("pair_probabilities") == {
         ("belltests.py", "require_born_pair_marginals")}
-    assert readers("require_born_pair_marginals") == {("belltests.py", "exact_analysis"),
+    assert readers("require_born_pair_marginals") == {("belltests.py", "ensemble_analysis"),
                                                       ("cli.py", "_sweep_columns")}
 
 
@@ -209,7 +209,25 @@ def test_belltests_marginalizes_q_only_through_pair_marginals():
     readers = {(name, getattr(node, "name", "<module>")) for name, tree in trees.items()
                for node in tree.body if loads(node, "PAIR_MARGINALS")}
     assert readers == {("belltests.py", "ch_report"), ("belltests.py", "require_born_pair_marginals"),
-                       ("validate.py", "_check_inversion")}
+                       ("sampler.py", "empirical_analysis"), ("validate.py", "_check_inversion")}
+
+
+def calls(tree: ast.AST, names) -> set[str]:
+    """The names of names that tree calls, as module.name(...) or as name(...)."""
+    return {getattr(node.func, "attr", getattr(node.func, "id", None))
+            for node in ast.walk(tree) if isinstance(node, ast.Call)} & set(names)
+
+
+def test_commands_reach_the_stages_only_through_the_analyses():
+    # belltests.ensemble_analysis wires the stages and route checks of an ensemble analysis,
+    # and sampler.empirical_analysis those of a sampled run's; a command that calls a stage
+    # or a route check itself, as the Werner sweep and run once did, or a validate check that
+    # compares two routes by hand, as its sampler check once did, writes a second copy here
+    stages = ("born_probabilities", "inverted_entries", "require_quasi_entries", "ensemble_chsh_values",
+              "invert_distribution", "require_agreement")
+    assert calls(ast.parse((PACKAGE / "cli.py").read_text()), stages) == set()
+    validate = ast.parse((PACKAGE / "validate.py").read_text())
+    assert not names_in(validate, ("DUAL_PATH_TOL",)) and calls(validate, ("require_agreement",)) == set()
 
 
 def unused_imports(path: Path) -> list[str]:
