@@ -46,6 +46,149 @@ def singlet_config(tmp_path, **extra):
     return write_config(tmp_path, doc)
 
 
+@pytest.mark.parametrize(
+    "doc,fragment",
+    [
+        ({"gammas": 0.5}, 'missing required field "state"'),
+        ({"state": {"bell": "psi_minus"}}, 'missing required field "gammas"'),
+        ({"state": {"bell": "psi_minus"}, "gammas": 1.5}, "gammas:"),
+        ({"state": {"bell": "psi_minus"}, "gammas": 0.5, "extra": 1}, "unknown config fields"),
+        ({"state": {"bell": "psiminus"}, "gammas": 0.5}, "state.bell: unknown name"),
+        ({"state": {"werner": 1.5}, "gammas": 0.5}, "state.werner:"),
+        (
+            {
+                "state": {"bell": "psi_minus"},
+                "gammas": 0.5,
+                "observables": {"x": [1, 0], "y": [1, 0, 0], "u": [0, 1, 0], "v": [0, 0, 1]},
+            },
+            "observables.x",
+        ),
+        ({"state": {"bell": "psi_minus"}, "gammas": 0.5, "shots": -3}, "shots:"),
+        ({"state": {"bell": "psi_minus"}, "gammas": 0.5, "seed": -1}, "seed:"),
+        (["not", "an", "object"], "config root must be a JSON object"),
+        ({"state": {"bell": "psi_minus"}, "gammas": 0.5, "shots": True}, "shots:"),
+        ({"state": {"bell": "psi_minus"}, "gammas": 0.5, "seed": True}, "seed:"),
+        ({"state": {"bell": "psi_minus"}, "gammas": 0.5, "stream_count": True}, "stream_count:"),
+        ({"state": {"bell": "psi_minus"}, "gammas": 0.5, "seed": 2**64}, "seed:"),
+        # reals: JSON booleans, strings, nulls and out-of-range ints are refused
+        ({"state": {"bell": "psi_minus"}, "gammas": True}, "gammas: expected a single real"),
+        ({"state": {"werner": True}, "gammas": 0.5}, "state.werner: expected a real"),
+        ({"state": {"werner": "0.5"}, "gammas": 0.5}, "state.werner: expected a real"),
+        ({"state": {"werner": 10**400}, "gammas": 0.5}, "state.werner: expected a real"),
+        (
+            {
+                "state": {"bell": "psi_minus"},
+                "gammas": 0.5,
+                "observables": {"x": [True, 0, 0], "y": [1, 0, 0], "u": [0, 1, 0], "v": [0, 0, 1]},
+            },
+            "observables.x: expected a 3-vector of reals",
+        ),
+        (
+            {"state": {"bell": "psi_minus"}, "gammas": {"x": "0.5", "y": 0.5, "u": 0.5, "v": 0.5}},
+            "gammas.x: expected a real",
+        ),
+        (
+            {"state": {"bell": "psi_minus"}, "gammas": {"x": 0.5, "y": 0.5, "u": 0.5, "v": None}},
+            "gammas.v: expected a real",
+        ),
+        ({"state": {"bell": "psi_minus"}, "gammas": "0.5"}, "gammas: expected a single real"),
+        (
+            {"state": {"custom": {"real": np.eye(4).tolist(), "imag": 0}}, "gammas": 0.5},
+            "state.custom.imag: expected a 4x4 table of reals",
+        ),
+        (
+            {"state": {"custom": {"real": (np.eye(4) / 4).tolist(),
+                                  "imag": [[False] * 4] * 4}}, "gammas": 0.5},
+            "state.custom.imag: expected a 4x4 table of reals",
+        ),
+    ],
+)
+def test_config_errors_exit_2(tmp_path, capsys, doc, fragment):
+    cfg = write_config(tmp_path, doc)
+    assert main(["exact", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (["run", "--seed", str(2**64)], "seed: expected an unsigned 64-bit integer"),
+        (["run", "--seed", "-1"], "seed:"),
+        (["run", "--shots", "-1"], "shots:"),
+        (["sweep", "--axis", "werner_eta", "--grid-range", "0", "1", "2.5"], "POINTS"),
+        # beyond numpy's size limit, so linspace refuses before allocating
+        (["sweep", "--axis", "werner_eta", "--grid-range", "0", "1", "1e300"],
+         "--grid-range POINTS 1e+300 is too many"),
+    ],
+)
+def test_argv_errors_exit_2(tmp_path, capsys, argv, fragment):
+    cfg = singlet_config(tmp_path, shots=10)
+    assert main([*argv, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert fragment in err
+
+
+@pytest.mark.parametrize("seed", [str(2**64), "-1"])
+def test_validate_seed_out_of_range_exits_2(capsys, seed):
+    assert main(["validate", "--seed", seed, "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "seed: expected an unsigned 64-bit integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_validate_trials_below_one_exits_2(capsys, trials):
+    assert main(["validate", "--seed", "7", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: trials: expected a positive integer, got {trials}\n"
+    assert captured.out == ""
+
+
+def test_invalid_json_and_missing_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert main(["exact", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+    missing = str(tmp_path / "nope.json")
+    assert main(["exact", "--config", missing, "--out", str(tmp_path)]) == 2
+    assert "config file not found" in capsys.readouterr().err
+
+
+def nested(value, depth: int) -> str:
+    return "[" * depth + value + "]" * depth
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "config file cannot be read: {path}: Is a directory"),
+    (b"\xff\xfe{}", "config file is not UTF-8 text: {path}: 'utf-8' codec can't decode"),
+    (b"[" * 100000, "config file nests too deeply to decode: {path}"),
+    (b'{"gammas": 1' + b"0" * 5000 + b"}", "config is not valid JSON: Exceeds the limit"),
+    # deep lists in a field are refused unwalked, and shown only 8 levels down
+    (f'{{"state": {{"bell": "psi_minus"}}, "gammas": {nested("0.5", 400)}}}'.encode(),
+     "gammas: expected a single real or keys \"x\", \"y\", \"u\", \"v\", got "
+     + nested("...", 9) + "\n"),
+    (f'{{"state": {{"bell": "psi_minus"}}, "gammas": {nested("0.5", 300)}}}'.encode(),
+     "gammas: expected a single real"),
+    (f'{{"state": {{"bell": {nested("", 400)}}}, "gammas": 0.5}}'.encode(),
+     "state.bell: unknown name " + nested("...", 9) + "; expected one of"),
+    (f'{{"state": {{"bell": "psi_minus"}}, "gammas": 0.5, "shots": {nested("", 400)}}}'.encode(),
+     "shots: expected a nonnegative integer, got " + nested("...", 9) + "\n"),
+], ids=["directory", "utf16_bom", "deep_document", "huge_int", "gammas_400_deep",
+        "gammas_300_deep", "bell_400_deep", "shots_400_deep"])
+def test_unreadable_config_exits_2_naming_file_or_field(tmp_path, capsys, content, message):
+    path = tmp_path / "config.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["exact", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert message.format(path=path) in err
+
+
 @pytest.mark.parametrize("command,output", [
     ("exact", "exact.json"), ("run", "shots.csv"), ("sweep", "sweep_gamma.csv")])
 def test_output_that_cannot_be_written_exits_2(tmp_path, capsys, command, output):
